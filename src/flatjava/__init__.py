@@ -33,7 +33,6 @@ from .flattener import (
     decide_method_fates,
     flatten_class,
     flatten_model,
-    flatten_order,
     rename,
     rewrite_references,
 )

@@ -83,7 +83,3 @@ def advise(application: str) -> Advisory:
         )
     view, justification = _ADVICE[application]
     return Advisory(application, view, justification)
-
-
-def all_advisories() -> list[Advisory]:
-    return [advise(app) for app in APPLICATIONS]

@@ -114,7 +114,7 @@ def flatten(paths, out, provenance, strict, include_object_root) -> None:
     """Flatten classes and write one .flat.java per class plus a plan dump."""
     model, graph = _load(paths, include_object_root)
     try:
-        flattened = flatten_model(model)
+        flattened = flatten_model(model, graph)
     except FlatJavaError as err:
         _echo_error(err)
         raise SystemExit(2)
@@ -166,7 +166,7 @@ def metrics(paths, view, fmt, strict, include_object_root) -> None:
             records.append(measure_original(model, graph, name))
     else:
         try:
-            flattened = flatten_model(model)
+            flattened = flatten_model(model, graph)
         except FlatJavaError as err:
             _echo_error(err)
             raise SystemExit(2)
@@ -188,7 +188,7 @@ def compare(paths, fmt, strict, include_object_root) -> None:
     """Report original vs. flattened metrics with per-class deltas and rule counts."""
     model, graph = _load(paths, include_object_root)
     try:
-        flattened = flatten_model(model)
+        flattened = flatten_model(model, graph)
     except FlatJavaError as err:
         _echo_error(err)
         raise SystemExit(2)

@@ -18,6 +18,8 @@ pairwise. Fate rules:
 "Accessed" and "reachable" are computed as one fixed point: the pulled set
 starts with the visible members and grows through read/write/call edges
 whose source is a pulled method or the initializer of a pulled attribute.
+Pulled bodies are bound statically: a self-call to a method the subclass
+overrides calls the renamed superclass copy.
 An overridden pairing with a static mismatch or a final superclass member
 is treated as non-overriding; if the un-renamed pull would then collide, the
 member is renamed anyway and a diagnostic records it.
@@ -30,8 +32,9 @@ as unsupported for flattening.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import copy  # noqa: F401 - benchmark/tracing.py wraps flattener.copy.deepcopy
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 
 from . import tree
 from .errors import (
@@ -55,13 +58,12 @@ from .model import (
 from .resolver import (
     BASIS_BARE,
     BASIS_CLASS,
-    BASIS_SUPER,
     BASIS_THIS,
     CALL,
     INIT_FIELDS,
     READ,
-    WRITE,
     AccessEdge,
+    AccessGraph,
     ClassResolution,
     resolve_class,
 )
@@ -133,33 +135,35 @@ class FlattenedClass:
         return [m for m in self.members if m.kind == METHOD]
 
 
-def flatten_order(model: ClassModel) -> list[str]:
-    """Bottom-up order: every superclass before its subclasses, lexicographic ties."""
-    return list(model.order)
-
-
-def flatten_model(model: ClassModel) -> dict[str, FlattenedClass]:
+def flatten_model(model: ClassModel, graph: AccessGraph) -> dict[str, FlattenedClass]:
+    """Flatten every class bottom-up, in `model.order`."""
     flattened: dict[str, FlattenedClass] = {}
-    for name in flatten_order(model):
-        flattened[name] = flatten_class(name, model, flattened)
+    for name in model.order:
+        flattened[name] = flatten_class(name, model, graph, flattened)
     return flattened
 
 
 def flatten_class(
-    name: str, model: ClassModel, flattened: dict[str, FlattenedClass]
+    name: str, model: ClassModel, graph: AccessGraph, flattened: dict[str, FlattenedClass]
 ) -> FlattenedClass:
     cls = model.classes[name]
     if cls.superclass is None:
-        flat = _identity_flatten(cls)
+        flat = FlattenedClass(
+            cls.name, cls.package, cls.decl,
+            [_flat_member(info, info.decl, cls.name, pulled=False)
+             for info in cls.ordered_members()],
+        )
     else:
         if cls.superclass not in flattened:
             raise FlattenError(
                 f"superclass {cls.superclass!r} of {name!r} has not been flattened "
-                "yet; flatten classes in flatten_order",
+                "yet; flatten classes in model order",
                 cls.decl.name_span,
                 cls.path,
             )
-        flat = _flatten_against_super(cls, flattened[cls.superclass], model)
+        flat = _flatten_against_super(
+            cls, graph.resolutions[name], flattened[cls.superclass]
+        )
     flat_info = class_info_from_decl(flat.decl, flat.package, cls.path)
     flat.resolution = resolve_class(model.with_class(flat_info), flat_info)
     return flat
@@ -179,8 +183,9 @@ def rename(member_name: str, owner: str, taken: set[str]) -> str:
 # --- fate decisions ---------------------------------------------------------
 
 
-def decide_method_fates(sub: ClassInfo, fsuper: FlattenedClass) -> list[MemberFate]:
-    _, pulled_methods = _pulled_closure(sub, fsuper)
+def decide_method_fates(
+    sub: ClassInfo, fsuper: FlattenedClass, pulled: set[tuple[str, str]]
+) -> list[MemberFate]:
     fates = []
     for member in fsuper.members:
         if member.kind != METHOD:
@@ -191,7 +196,7 @@ def decide_method_fates(sub: ClassInfo, fsuper: FlattenedClass) -> list[MemberFa
                 fates.append(MemberFate(member, PULL_DOWN_RENAMED, "R6"))
             else:
                 fates.append(MemberFate(member, PULL_DOWN, "R5"))
-        elif member.signature in pulled_methods:
+        elif (METHOD, member.signature) in pulled:
             decision = PULL_DOWN_RENAMED if overridden else PULL_DOWN
             fates.append(MemberFate(member, decision, "R7"))
         else:
@@ -200,11 +205,8 @@ def decide_method_fates(sub: ClassInfo, fsuper: FlattenedClass) -> list[MemberFa
 
 
 def decide_attribute_fates(
-    sub: ClassInfo, fsuper: FlattenedClass, method_fates: list[MemberFate]
+    sub: ClassInfo, fsuper: FlattenedClass, accessed: set[str]
 ) -> list[MemberFate]:
-    pulled_methods = {f.member.signature for f in method_fates if f.pulls}
-    pulled_attrs = _attr_closure(sub, fsuper, pulled_methods)
-    accessed = _accessed_attrs(fsuper, pulled_methods, pulled_attrs)
     fates = []
     for member in fsuper.members:
         if member.kind != ATTRIBUTE:
@@ -249,86 +251,41 @@ def _as_member_info(member: FlatMember) -> MemberInfo:
     )
 
 
-def _pulled_closure(sub: ClassInfo, fsuper: FlattenedClass) -> tuple[set[str], set[str]]:
-    """Joint fixed point over attribute and method pulls.
+def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[str]]:
+    """The one fixed point behind the attribute and method fates.
 
-    Visible members seed the pulled set. Call edges extend it through
-    methods; read/write edges extend it through attributes; edges sourced at
-    a field initializer count only while that field is pulled.
+    Visible members seed the pulled set. A worklist pulls in every member
+    that a read, write or call edge reaches from a pulled source: a pulled
+    method's body, or a pulled attribute's initializer. Returns the
+    (kind, signature) of every pulled member, and the attributes that an
+    edge from a pulled source reads or writes, which tells R4a from R4b.
     """
-    attr_names = {m.name for m in fsuper.attributes()}
-    method_sigs = {m.signature for m in fsuper.methods()}
-    pulled_attrs = {m.name for m in fsuper.attributes() if m.visible}
-    pulled_methods = {m.signature for m in fsuper.methods() if m.visible}
-    edges = fsuper.resolution.edges if fsuper.resolution else []
-    changed = True
-    while changed:
-        changed = False
-        for edge in edges:
-            if edge.to_class != fsuper.name:
-                continue
-            if not _source_pulled(edge, pulled_methods, pulled_attrs):
-                continue
-            if edge.kind == CALL and edge.to_member in method_sigs:
-                if edge.to_member not in pulled_methods:
-                    pulled_methods.add(edge.to_member)
-                    changed = True
-            elif edge.kind in (READ, WRITE) and edge.to_member in attr_names:
-                if edge.to_member not in pulled_attrs:
-                    pulled_attrs.add(edge.to_member)
-                    changed = True
-    return pulled_attrs, pulled_methods
-
-
-def _attr_closure(sub: ClassInfo, fsuper: FlattenedClass, pulled_methods: set[str]) -> set[str]:
-    attr_names = {m.name for m in fsuper.attributes()}
-    pulled_attrs = {m.name for m in fsuper.attributes() if m.visible}
-    edges = fsuper.resolution.edges if fsuper.resolution else []
-    changed = True
-    while changed:
-        changed = False
-        for edge in edges:
-            if edge.to_class != fsuper.name or edge.to_member not in attr_names:
-                continue
-            if edge.kind not in (READ, WRITE):
-                continue
-            if not _source_pulled(edge, pulled_methods, pulled_attrs):
-                continue
-            if edge.to_member not in pulled_attrs:
-                pulled_attrs.add(edge.to_member)
-                changed = True
-    return pulled_attrs
-
-
-def _source_pulled(edge: AccessEdge, pulled_methods: set[str], pulled_attrs: set[str]) -> bool:
-    if edge.from_member == INIT_FIELDS:
-        return edge.initializer_of in pulled_attrs
-    return edge.from_member in pulled_methods
-
-
-def _accessed_attrs(
-    fsuper: FlattenedClass, pulled_methods: set[str], pulled_attrs: set[str]
-) -> set[str]:
-    accessed = set()
-    edges = fsuper.resolution.edges if fsuper.resolution else []
-    for edge in edges:
-        if edge.to_class != fsuper.name or edge.kind not in (READ, WRITE):
+    by_source: dict[tuple[str, str], list[AccessEdge]] = defaultdict(list)
+    for edge in fsuper.resolution.edges:
+        if edge.to_class != fsuper.name:
             continue
-        if _source_pulled(edge, pulled_methods, pulled_attrs):
-            accessed.add(edge.to_member)
-    return accessed
+        if edge.from_member == INIT_FIELDS:
+            by_source[(ATTRIBUTE, edge.initializer_of)].append(edge)
+        else:
+            by_source[(METHOD, edge.from_member)].append(edge)
+    members = {(m.kind, m.signature) for m in fsuper.members}
+    pulled = {(m.kind, m.signature) for m in fsuper.members if m.kind != CTOR and m.visible}
+    accessed: set[str] = set()
+    work = list(pulled)
+    while work:
+        for edge in by_source[work.pop()]:
+            if edge.kind == CALL:
+                target = (METHOD, edge.to_member)
+            else:
+                target = (ATTRIBUTE, edge.to_member)
+                accessed.add(edge.to_member)
+            if target in members and target not in pulled:
+                pulled.add(target)
+                work.append(target)
+    return pulled, accessed
 
 
 # --- flattening proper ------------------------------------------------------
-
-
-def _identity_flatten(cls: ClassInfo) -> FlattenedClass:
-    decl = copy.deepcopy(cls.decl)
-    members = [
-        _flat_member(info, decl_member, cls.name, pulled=False)
-        for info, decl_member in zip(cls.ordered_members(), decl.members)
-    ]
-    return FlattenedClass(cls.name, cls.package, decl, members)
 
 
 def _flat_member(info: MemberInfo, decl, provenance: str, pulled: bool) -> FlatMember:
@@ -339,11 +296,12 @@ def _flat_member(info: MemberInfo, decl, provenance: str, pulled: bool) -> FlatM
 
 
 def _flatten_against_super(
-    cls: ClassInfo, fsuper: FlattenedClass, model: ClassModel
+    cls: ClassInfo, own: ClassResolution, fsuper: FlattenedClass
 ) -> FlattenedClass:
     diagnostics: list[Diagnostic] = []
-    method_fates = decide_method_fates(cls, fsuper)
-    attr_fates = decide_attribute_fates(cls, fsuper, method_fates)
+    pulled, accessed = pulled_closure(fsuper)
+    method_fates = decide_method_fates(cls, fsuper, pulled)
+    attr_fates = decide_attribute_fates(cls, fsuper, accessed)
     ctor_fates = [
         MemberFate(m, DROP, RULE_CTOR) for m in fsuper.members if m.kind == CTOR
     ]
@@ -365,97 +323,66 @@ def _flatten_against_super(
             )
 
     _assign_names(cls, ordered_fates, diagnostics)
-    flat = rewrite_references(cls, fsuper, ordered_fates, model, inline_inits)
+    flat = rewrite_references(cls, own, fsuper, ordered_fates, inline_inits)
     flat.diagnostics = diagnostics
     return flat
 
 
 def rewrite_references(
     cls: ClassInfo,
+    own: ClassResolution,
     fsuper: FlattenedClass,
     fates: list[MemberFate],
-    model: ClassModel,
-    inline_inits: dict[str, tree.Expr] | None = None,
+    inline_inits: dict[str, tree.Expr],
 ) -> FlattenedClass:
-    """Copy members into the subclass and fix every affected reference.
+    """Take members into the subclass and fix every affected reference.
 
     Inside pulled bodies, references to renamed members switch to the new
     names and class-qualified static references to pulled members collapse
     to local ones. In the subclass's own bodies, `super.` references become
     bare references to the pulled (possibly renamed) member, or `this.`
-    references when a local would capture the bare name.
+    references when a local would capture the bare name. `own` is the
+    subclass's resolution; a body that needs no rewrite is shared, not
+    copied.
     """
-    inline_inits = inline_inits or {}
-    attr_renames = {
-        f.member.name: f.new_name
-        for f in fates
-        if f.member.kind == ATTRIBUTE and f.new_name
-    }
-    method_renames = {
-        f.member.signature: f.new_name
-        for f in fates
-        if f.member.kind == METHOD and f.new_name
-    }
-    pulled_attr_names = {f.member.name for f in fates if f.member.kind == ATTRIBUTE and f.pulls}
-    pulled_method_sigs = {f.member.signature for f in fates if f.member.kind == METHOD and f.pulls}
-
     rewrites: list[RewriteDirective] = []
 
     # Rewrite the subclass's own bodies: super references become local ones.
-    own_resolution = resolve_class(model, cls)
-    super_sites = {
-        (e.span.start, e.span.end): e for e in own_resolution.edges if e.basis == BASIS_SUPER
-    }
-    sub_rewriter = _SubBodyRewriter(cls, fates, super_sites, rewrites)
-    own_decls = []
-    own_members = []
-    for info, decl_member in zip(cls.ordered_members(), list(cls.decl.members)):
-        decl_copy = copy.deepcopy(decl_member)
-        sub_rewriter.rewrite_member(decl_copy)
-        own_decls.append(decl_copy)
-        own_members.append(_flat_member(info, decl_copy, cls.name, pulled=False))
+    sub_rewriter = _SubBodyRewriter(cls, own.sites, fates, rewrites)
+    own_members = [
+        _flat_member(info, sub_rewriter.member(info.decl), cls.name, pulled=False)
+        for info in cls.ordered_members()
+    ]
 
-    # Copy pulled members, apply renames and body rewrites.
-    pulled_sites = {
-        (e.span.start, e.span.end): e
-        for e in (fsuper.resolution.edges if fsuper.resolution else [])
-    }
-    pulled_rewriter = _PulledBodyRewriter(
-        fsuper.name, pulled_sites, attr_renames, method_renames,
-        pulled_attr_names, pulled_method_sigs, rewrites,
-    )
-    pulled_decls = []
+    # Take the pulled members, apply renames and body rewrites.
+    pulled_rewriter = _PulledBodyRewriter(fsuper, fates, rewrites)
     pulled_members = []
     for fate in fates:
         if not fate.pulls:
             continue
         member = fate.member
-        decl_copy = copy.deepcopy(member.decl)
+        decl = member.decl
+        if isinstance(decl, tree.FieldDecl) and member.name in inline_inits:
+            decl = replace(decl, init=inline_inits[member.name])
+        decl = pulled_rewriter.member(decl)
         final_name = fate.new_name or member.name
-        decl_copy.name = final_name
-        if isinstance(decl_copy, tree.FieldDecl) and member.name in inline_inits:
-            decl_copy.init = copy.deepcopy(inline_inits[member.name])
-        pulled_rewriter.rewrite_member(decl_copy)
-        signature = (
-            decl_copy.signature() if isinstance(decl_copy, tree.MethodDecl) else final_name
-        )
-        pulled_decls.append(decl_copy)
+        if fate.new_name:
+            decl = replace(decl, name=final_name)
+        signature = decl.signature() if isinstance(decl, tree.MethodDecl) else final_name
         pulled_members.append(
             FlatMember(
-                decl_copy, member.kind, final_name, signature, member.visibility,
+                decl, member.kind, final_name, signature, member.visibility,
                 member.is_static, member.is_final, member.provenance, True,
                 renamed=member.renamed or fate.new_name is not None,
             )
         )
 
+    members = own_members + pulled_members
     new_decl = tree.ClassDecl(
-        cls.decl.visibility, cls.name, None, own_decls + pulled_decls,
+        cls.decl.visibility, cls.name, None, [m.decl for m in members],
         cls.decl.span, cls.decl.name_span,
     )
-    return FlattenedClass(
-        cls.name, cls.package, new_decl, own_members + pulled_members,
-        fates, rewrites,
-    )
+    return FlattenedClass(cls.name, cls.package, new_decl, members, fates, rewrites)
 
 
 def _assign_names(cls: ClassInfo, fates: list[MemberFate], diagnostics: list[Diagnostic]) -> None:
@@ -560,7 +487,7 @@ def _analyze_super_ctors(
         assignments.append((target_name, stmt.value))
     init_reads = {
         e.to_member
-        for e in (fsuper.resolution.edges if fsuper.resolution else [])
+        for e in fsuper.resolution.edges
         if e.from_member == INIT_FIELDS and e.kind == READ and e.to_class == fsuper.name
     }
     assigned = {name for name, _ in assignments}
@@ -584,182 +511,62 @@ def _analyze_super_ctors(
 # --- body rewriting ---------------------------------------------------------
 
 
-class _ScopeTracker:
-    def __init__(self):
-        self.frames: list[set[str]] = []
-
-    def push(self):
-        self.frames.append(set())
-
-    def pop(self):
-        self.frames.pop()
-
-    def declare(self, name: str):
-        self.frames[-1].add(name)
-
-    def __contains__(self, name: str) -> bool:
-        return any(name in frame for frame in self.frames)
-
-
-class _RewriterBase:
-    """Shared statement traversal with lexical scope tracking."""
-
-    def __init__(self, rewrites: list[RewriteDirective]):
-        self.scopes = _ScopeTracker()
-        self.rewrites = rewrites
-
-    def rewrite_member(self, decl) -> None:
-        if isinstance(decl, tree.FieldDecl):
-            if decl.init is not None:
-                self.scopes = _ScopeTracker()
-                self.scopes.push()
-                decl.init = self.expr(decl.init)
-            return
-        self.scopes = _ScopeTracker()
-        self.scopes.push()
-        for param in decl.params:
-            self.scopes.declare(param.name)
-        self.block(decl.body)
-
-    def block(self, block: tree.Block) -> None:
-        self.scopes.push()
-        for i, stmt in enumerate(block.statements):
-            block.statements[i] = self.stmt(stmt)
-        self.scopes.pop()
-
-    def stmt(self, stmt: tree.Stmt) -> tree.Stmt:
-        if isinstance(stmt, tree.LocalDecl):
-            if stmt.init is not None:
-                stmt.init = self.expr(stmt.init)
-            self.scopes.declare(stmt.name)
-        elif isinstance(stmt, tree.ExprStmt):
-            stmt.expr = self.expr(stmt.expr)
-        elif isinstance(stmt, tree.Assign):
-            stmt.value = self.expr(stmt.value)
-            stmt.target = self.expr(stmt.target)
-        elif isinstance(stmt, tree.If):
-            stmt.cond = self.expr(stmt.cond)
-            stmt.then_branch = self.stmt_in_scope(stmt.then_branch)
-            if stmt.else_branch is not None:
-                stmt.else_branch = self.stmt_in_scope(stmt.else_branch)
-        elif isinstance(stmt, tree.While):
-            stmt.cond = self.expr(stmt.cond)
-            stmt.body = self.stmt_in_scope(stmt.body)
-        elif isinstance(stmt, tree.Return):
-            if stmt.value is not None:
-                stmt.value = self.expr(stmt.value)
-        elif isinstance(stmt, tree.Block):
-            self.block(stmt)
-        return stmt
-
-    def stmt_in_scope(self, stmt: tree.Stmt) -> tree.Stmt:
-        self.scopes.push()
-        result = self.stmt(stmt)
-        self.scopes.pop()
-        return result
-
-    def walk_children(self, e: tree.Expr) -> tree.Expr:
-        if isinstance(e, tree.Paren):
-            e.inner = self.expr(e.inner)
-        elif isinstance(e, tree.Unary):
-            e.operand = self.expr(e.operand)
-        elif isinstance(e, tree.Binary):
-            e.left = self.expr(e.left)
-            e.right = self.expr(e.right)
-        elif isinstance(e, tree.FieldAccess):
-            e.receiver = self.expr(e.receiver)
-        elif isinstance(e, tree.Call):
-            if e.receiver is not None:
-                e.receiver = self.expr(e.receiver)
-            e.args = [self.expr(a) for a in e.args]
-        elif isinstance(e, tree.New):
-            e.args = [self.expr(a) for a in e.args]
-        return e
-
-    def expr(self, e: tree.Expr) -> tree.Expr:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class _SubBodyRewriter(_RewriterBase):
+class _SubBodyRewriter(tree.BodyWalker):
     """Rewrites `super.` references in the subclass's own bodies."""
 
-    def __init__(self, cls, fates, super_sites, rewrites):
-        super().__init__(rewrites)
+    def __init__(self, cls, sites, fates, rewrites):
+        super().__init__()
         self.cls = cls
-        self.super_sites = super_sites
+        self.sites = sites
+        self.rewrites = rewrites
         self.fate_index = {
             (f.member.kind, f.member.provenance, f.member.signature): f for f in fates
         }
 
-    def _fate_for(self, edge: AccessEdge, kind: str, span) -> MemberFate:
+    def expr(self, e: tree.Expr) -> tree.Expr:
+        if not (
+            isinstance(e, (tree.FieldAccess, tree.Call)) and isinstance(e.receiver, tree.Super)
+        ):
+            return tree.map_children(e, self.expr)
+        edge = self.sites[id(e)]
+        kind = ATTRIBUTE if isinstance(e, tree.FieldAccess) else METHOD
         fate = self.fate_index.get((kind, edge.to_class, edge.to_member))
         if fate is None or not fate.pulls:
             raise DanglingSuperRef(
                 f"'super.{edge.to_member}' in {self.cls.name} targets a member that "
                 "was not pulled down",
-                span,
+                e.span,
                 self.cls.path,
             )
-        return fate
-
-    def expr(self, e: tree.Expr) -> tree.Expr:
-        if isinstance(e, tree.FieldAccess) and isinstance(e.receiver, tree.Super):
-            edge = self.super_sites.get((e.name_span.start, e.name_span.end))
-            if edge is None:  # pragma: no cover - resolver records every super site
-                raise DanglingSuperRef(
-                    f"unresolved 'super.{e.name}' in {self.cls.name}", e.span, self.cls.path
-                )
-            fate = self._fate_for(edge, ATTRIBUTE, e.span)
-            new_name = fate.new_name or fate.member.name
-            self.rewrites.append(
-                RewriteDirective(
-                    (e.span.start, e.span.end), f"super.{e.name}", new_name,
-                    fate.member.provenance,
-                )
+        new_name = fate.new_name or fate.member.name
+        self.rewrites.append(
+            RewriteDirective(
+                (e.span.start, e.span.end), f"super.{e.name}", new_name, fate.member.provenance
             )
-            if new_name in self.scopes:
-                # A local would capture the bare name; go through `this`.
-                return tree.FieldAccess(tree.This(e.span), new_name, e.span, e.name_span)
-            return tree.Name(new_name, e.span)
-        if isinstance(e, tree.Call) and isinstance(e.receiver, tree.Super):
-            edge = self.super_sites.get((e.name_span.start, e.name_span.end))
-            if edge is None:  # pragma: no cover
-                raise DanglingSuperRef(
-                    f"unresolved 'super.{e.name}' in {self.cls.name}", e.span, self.cls.path
-                )
-            fate = self._fate_for(edge, METHOD, e.span)
-            new_name = fate.new_name or fate.member.name
-            self.rewrites.append(
-                RewriteDirective(
-                    (e.span.start, e.span.end), f"super.{e.name}", new_name,
-                    fate.member.provenance,
-                )
-            )
-            args = [self.expr(a) for a in e.args]
-            return tree.Call(None, new_name, args, e.span, e.name_span)
-        return self.walk_children(e)
+        )
+        if isinstance(e, tree.Call):
+            return tree.Call(None, new_name, [self.expr(a) for a in e.args], e.span, e.name_span)
+        if self.local_type(new_name) is not None:
+            # A local would capture the bare name; go through `this`.
+            return tree.FieldAccess(tree.This(e.span), new_name, e.span, e.name_span)
+        return tree.Name(new_name, e.span)
 
 
-class _PulledBodyRewriter(_RewriterBase):
-    """Rewrites references inside bodies copied down from the superclass."""
+class _PulledBodyRewriter(tree.BodyWalker):
+    """Rewrites references inside bodies taken down from the superclass."""
 
-    def __init__(
-        self, super_name, sites, attr_renames, method_renames,
-        pulled_attrs, pulled_methods, rewrites,
-    ):
-        super().__init__(rewrites)
-        self.super_name = super_name
-        self.sites = sites
-        self.attr_renames = attr_renames
-        self.method_renames = method_renames
-        self.pulled_attrs = pulled_attrs
-        self.pulled_methods = pulled_methods
-
-    def _edge_at(self, span) -> AccessEdge | None:
-        edge = self.sites.get((span.start, span.end))
-        if edge is None or edge.to_class != self.super_name:
-            return None
-        return edge
+    def __init__(self, fsuper: FlattenedClass, fates: list[MemberFate], rewrites):
+        super().__init__()
+        self.super_name = fsuper.name
+        self.sites = fsuper.resolution.sites
+        self.rewrites = rewrites
+        self.attr_renames = {
+            f.member.name: f.new_name for f in fates if f.member.kind == ATTRIBUTE and f.new_name
+        }
+        self.method_renames = {
+            f.member.signature: f.new_name for f in fates if f.member.kind == METHOD and f.new_name
+        }
+        self.pulled = {(f.member.kind, f.member.signature) for f in fates if f.pulls}
 
     def _record(self, span, old: str, new: str) -> None:
         self.rewrites.append(
@@ -767,48 +574,39 @@ class _PulledBodyRewriter(_RewriterBase):
         )
 
     def expr(self, e: tree.Expr) -> tree.Expr:
+        edge = self.sites.get(id(e))
+        if edge is None or edge.to_class != self.super_name:
+            return tree.map_children(e, self.expr)
         if isinstance(e, tree.Name):
-            edge = self._edge_at(e.span)
-            if edge is not None and edge.basis == BASIS_BARE:
-                new_name = self.attr_renames.get(edge.to_member)
-                if new_name:
-                    self._record(e.span, e.ident, new_name)
-                    return tree.Name(new_name, e.span)
+            new_name = self.attr_renames.get(edge.to_member)
+            if new_name:
+                self._record(e.span, e.ident, new_name)
+                return tree.Name(new_name, e.span)
             return e
         if isinstance(e, tree.FieldAccess):
-            edge = self._edge_at(e.name_span)
-            if edge is not None:
-                if edge.basis == BASIS_THIS:
-                    new_name = self.attr_renames.get(edge.to_member)
-                    if new_name:
-                        self._record(e.name_span, e.name, new_name)
-                        e.name = new_name
-                    return e
-                if edge.basis == BASIS_CLASS and edge.to_member in self.pulled_attrs:
-                    # Qualified static access to a member that now lives here.
-                    new_name = self.attr_renames.get(edge.to_member, edge.to_member)
-                    self._record(e.span, f"{_receiver_text(e.receiver)}.{e.name}", new_name)
-                    return tree.Name(new_name, e.span)
-            return self.walk_children(e)
+            if edge.basis == BASIS_THIS:
+                new_name = self.attr_renames.get(edge.to_member)
+                if new_name:
+                    self._record(e.name_span, e.name, new_name)
+                    return replace(e, name=new_name)
+                return e
+            if edge.basis == BASIS_CLASS and (ATTRIBUTE, edge.to_member) in self.pulled:
+                # Qualified static access to a member that now lives here.
+                new_name = self.attr_renames.get(edge.to_member, edge.to_member)
+                self._record(e.span, f"{_receiver_text(e.receiver)}.{e.name}", new_name)
+                return tree.Name(new_name, e.span)
         if isinstance(e, tree.Call):
-            edge = self._edge_at(e.name_span)
-            if edge is not None and edge.kind == CALL:
-                if edge.basis in (BASIS_BARE, BASIS_THIS):
-                    new_name = self.method_renames.get(edge.to_member)
-                    if new_name:
-                        self._record(e.name_span, e.name, new_name)
-                        e.name = new_name
-                    e.args = [self.expr(a) for a in e.args]
-                    if e.receiver is not None:
-                        e.receiver = self.expr(e.receiver)
-                    return e
-                if edge.basis == BASIS_CLASS and edge.to_member in self.pulled_methods:
-                    new_name = self.method_renames.get(edge.to_member, e.name)
-                    self._record(e.span, f"{_receiver_text(e.receiver)}.{e.name}", new_name)
-                    args = [self.expr(a) for a in e.args]
-                    return tree.Call(None, new_name, args, e.span, e.name_span)
-            return self.walk_children(e)
-        return self.walk_children(e)
+            if edge.basis in (BASIS_BARE, BASIS_THIS):
+                new_name = self.method_renames.get(edge.to_member)
+                if new_name:
+                    self._record(e.name_span, e.name, new_name)
+                    e = replace(e, name=new_name)
+            elif edge.basis == BASIS_CLASS and (METHOD, edge.to_member) in self.pulled:
+                new_name = self.method_renames.get(edge.to_member, e.name)
+                self._record(e.span, f"{_receiver_text(e.receiver)}.{e.name}", new_name)
+                args = [self.expr(a) for a in e.args]
+                return tree.Call(None, new_name, args, e.span, e.name_span)
+        return tree.map_children(e, self.expr)
 
 
 def _receiver_text(receiver: tree.Expr) -> str:

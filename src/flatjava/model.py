@@ -102,7 +102,7 @@ class ClassModel:
         classes = dict(self.classes)
         classes[info.name] = info
         order = list(self.order)
-        if info.name not in classes or info.name not in order:
+        if info.name not in order:
             order.append(info.name)
         return ClassModel(classes, order, self.overrides, self.overloads, self.diagnostics)
 
@@ -120,13 +120,11 @@ def class_info_from_decl(
     decl: tree.ClassDecl,
     package: str | None = None,
     path: str | None = None,
-    superclass: str | None = None,
-    use_decl_superclass: bool = True,
 ) -> ClassInfo:
     info = ClassInfo(
         name=decl.name,
         package=package,
-        superclass=decl.superclass if use_decl_superclass else superclass,
+        superclass=decl.superclass,
         decl=decl,
         path=path,
     )

@@ -54,6 +54,11 @@ class AccessEdge:
 class ClassResolution:
     class_name: str
     edges: list[AccessEdge] = field(default_factory=list)
+    # The edge of each reference node (Name, FieldAccess, Call, New or
+    # assignment target), keyed by the node's identity: offsets are not
+    # unique once bodies from several files share one flattened class.
+    # The resolved declaration keeps every keyed node alive.
+    sites: dict[int, AccessEdge] = field(default_factory=dict)
     receiver_types: set[str] = field(default_factory=set)
     new_types: set[str] = field(default_factory=set)
 
@@ -70,15 +75,6 @@ class AccessGraph:
         if member is None:
             return list(edges)
         return [e for e in edges if e.from_member == member]
-
-    def accesses_of(self, class_name: str, member_key: str, kinds=(READ, WRITE)) -> list[AccessEdge]:
-        return [
-            e for e in self.edges
-            if e.to_class == class_name and e.to_member == member_key and e.kind in kinds
-        ]
-
-    def key_multiset(self) -> list[tuple[str, str, str, str, str, str]]:
-        return sorted(e.key() for e in self.edges)
 
 
 def compute_access_graph(model: ClassModel) -> AccessGraph:
@@ -98,140 +94,66 @@ def resolve_class(model: ClassModel, cls: ClassInfo) -> ClassResolution:
     walker = _Walker(model, cls, res)
     for member in cls.ordered_members():
         if isinstance(member.decl, tree.FieldDecl):
-            if member.decl.init is not None:
-                walker.walk_member(INIT_FIELDS, [], member.decl.init, initializer_of=member.name)
-        elif isinstance(member.decl, tree.MethodDecl):
-            walker.walk_member(member.signature, member.decl.params, member.decl.body)
+            walker.from_member, walker.initializer_of = INIT_FIELDS, member.name
         else:
-            walker.walk_member(member.signature, member.decl.params, member.decl.body)
+            walker.from_member, walker.initializer_of = member.signature, None
+        walker.member(member.decl)
     return res
 
 
-class _ScopeStack:
-    """Lexical scopes for locals and parameters; innermost wins."""
-
-    def __init__(self):
-        self.frames: list[dict[str, str]] = []
-
-    def push(self) -> None:
-        self.frames.append({})
-
-    def pop(self) -> None:
-        self.frames.pop()
-
-    def declare(self, name: str, type_text: str) -> None:
-        self.frames[-1][name] = type_text
-
-    def lookup(self, name: str) -> str | None:
-        for frame in reversed(self.frames):
-            if name in frame:
-                return frame[name]
-        return None
-
-
-class _Walker:
+class _Walker(tree.BodyWalker):
     def __init__(self, model: ClassModel, cls: ClassInfo, res: ClassResolution):
+        super().__init__()
         self.model = model
         self.cls = cls
         self.res = res
-        self.scopes = _ScopeStack()
         self.from_member = ""
         self.initializer_of: str | None = None
 
     def fail(self, message: str, span: Span) -> UnresolvedName:
         return UnresolvedName(message, span, self.cls.path)
 
-    def edge(self, kind: str, target: MemberInfo, basis: str, span: Span) -> None:
-        self.res.edges.append(
-            AccessEdge(
-                self.cls.name, self.from_member, kind, target.owner, target.signature,
-                basis, span, self.initializer_of,
-            )
+    def edge(self, kind: str, target: MemberInfo, basis: str, span: Span, node: tree.Expr) -> None:
+        edge = AccessEdge(
+            self.cls.name, self.from_member, kind, target.owner, target.signature,
+            basis, span, self.initializer_of,
         )
+        self.res.edges.append(edge)
+        self.res.sites[id(node)] = edge
 
-    # -- entry ----------------------------------------------------------
+    # -- walker hooks -----------------------------------------------------
 
-    def walk_member(self, from_member, params, body, initializer_of: str | None = None):
-        self.from_member = from_member
-        self.initializer_of = initializer_of
-        self.scopes = _ScopeStack()
-        self.scopes.push()
-        for p in params:
-            self.scopes.declare(p.name, p.decl_type.text())
-        if isinstance(body, tree.Block):
-            self.block(body)
-        else:
-            self.expr(body)
+    def expr(self, e: tree.Expr) -> tree.Expr:
+        self.type_of(e)
+        return e
 
-    # -- statements -------------------------------------------------------
-
-    def block(self, block: tree.Block) -> None:
-        self.scopes.push()
-        for stmt in block.statements:
-            self.stmt(stmt)
-        self.scopes.pop()
-
-    def stmt(self, stmt: tree.Stmt) -> None:
-        if isinstance(stmt, tree.LocalDecl):
-            if stmt.init is not None:
-                self.expr(stmt.init)
-            self.scopes.declare(stmt.name, stmt.decl_type.text())
-        elif isinstance(stmt, tree.ExprStmt):
-            self.expr(stmt.expr)
-        elif isinstance(stmt, tree.Assign):
-            self.expr(stmt.value)
-            self.assign_target(stmt.target)
-        elif isinstance(stmt, tree.If):
-            self.expr(stmt.cond)
-            self.stmt_in_scope(stmt.then_branch)
-            if stmt.else_branch is not None:
-                self.stmt_in_scope(stmt.else_branch)
-        elif isinstance(stmt, tree.While):
-            self.expr(stmt.cond)
-            self.stmt_in_scope(stmt.body)
-        elif isinstance(stmt, tree.Return):
-            if stmt.value is not None:
-                self.expr(stmt.value)
-        elif isinstance(stmt, tree.Block):
-            self.block(stmt)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown statement {type(stmt).__name__}")
-
-    def stmt_in_scope(self, stmt: tree.Stmt) -> None:
-        if isinstance(stmt, tree.Block):
-            self.block(stmt)
-        else:
-            self.scopes.push()
-            self.stmt(stmt)
-            self.scopes.pop()
-
-    def assign_target(self, target: tree.Expr) -> None:
+    def target(self, target: tree.Expr) -> tree.Expr:
         if isinstance(target, tree.Name):
-            if self.scopes.lookup(target.ident) is not None:
-                return  # local write, no edge
-            found = self.lookup_attribute(target.ident)
-            if found is None:
-                raise self.fail(f"cannot resolve name {target.ident!r}", target.span)
-            self.edge(WRITE, found, BASIS_BARE, target.span)
+            if self.local_type(target.ident) is None:  # a local write makes no edge
+                found = self.lookup_attribute(target.ident)
+                if found is None:
+                    raise self.fail(f"cannot resolve name {target.ident!r}", target.span)
+                self.edge(WRITE, found, BASIS_BARE, target.span, target)
         elif isinstance(target, tree.FieldAccess):
             self.field_access(target, kind=WRITE)
         else:  # pragma: no cover - parser rejects other targets
             raise TypeError("invalid assignment target")
+        return target
 
     # -- expressions ------------------------------------------------------
 
-    def expr(self, e: tree.Expr) -> str | None:
+    def type_of(self, e: tree.Expr) -> str | None:
         """Walk an expression, record edges, and return its static type name."""
         if isinstance(e, tree.Literal):
             return {"string": "String"}.get(e.kind, e.kind)
         if isinstance(e, tree.Name):
-            local = self.scopes.lookup(e.ident)
+            local = self.local_type(e.ident)
             if local is not None:
                 return local
             found = self.lookup_attribute(e.ident)
             if found is None:
                 raise self.fail(f"cannot resolve name {e.ident!r}", e.span)
-            self.edge(READ, found, BASIS_BARE, e.span)
+            self.edge(READ, found, BASIS_BARE, e.span, e)
             return found.decl.decl_type.text()
         if isinstance(e, tree.This):
             return self.cls.name
@@ -240,12 +162,12 @@ class _Walker:
                 raise self.fail("'super' used in a class with no superclass", e.span)
             return self.cls.superclass
         if isinstance(e, tree.Paren):
-            return self.expr(e.inner)
+            return self.type_of(e.inner)
         if isinstance(e, tree.Unary):
-            return self.expr(e.operand)
+            return self.type_of(e.operand)
         if isinstance(e, tree.Binary):
-            left = self.expr(e.left)
-            right = self.expr(e.right)
+            left = self.type_of(e.left)
+            right = self.type_of(e.right)
             if e.op in ("&&", "||", "==", "!=", "<", "<=", ">", ">="):
                 return "boolean"
             if "String" in (left, right):
@@ -271,7 +193,7 @@ class _Walker:
                 raise self.fail(
                     f"class {self.cls.name} has no attribute {e.name!r}", e.name_span
                 )
-            self.edge(kind, member, BASIS_THIS, e.name_span)
+            self.edge(kind, member, BASIS_THIS, e.name_span, e)
             return member.decl.decl_type.text()
         if isinstance(receiver, tree.Super):
             member = self.lookup_super_attribute(e.name)
@@ -280,15 +202,15 @@ class _Walker:
                     f"no visible attribute {e.name!r} in superclasses of {self.cls.name}",
                     e.name_span,
                 )
-            self.edge(kind, member, BASIS_SUPER, e.name_span)
+            self.edge(kind, member, BASIS_SUPER, e.name_span, e)
             return member.decl.decl_type.text()
         if isinstance(receiver, tree.Name):
             name = receiver.ident
-            if self.scopes.lookup(name) is None and self.lookup_attribute(name) is None:
+            if self.local_type(name) is None and self.lookup_attribute(name) is None:
                 if name in self.model.classes:
                     return self.static_member_access(name, e, kind)
                 raise self.fail(f"cannot resolve name {name!r}", receiver.span)
-        receiver_type = self.expr(receiver)
+        receiver_type = self.type_of(receiver)
         return self.typed_member_access(receiver_type, e, kind)
 
     def attr_on_type(self, type_name: str, name: str) -> MemberInfo | None:
@@ -318,7 +240,7 @@ class _Walker:
             raise self.fail(
                 f"attribute {class_name}.{e.name} is not static", e.name_span
             )
-        self.edge(kind, member, BASIS_CLASS, e.name_span)
+        self.edge(kind, member, BASIS_CLASS, e.name_span, e)
         return member.decl.decl_type.text()
 
     def typed_member_access(self, receiver_type: str | None, e: tree.FieldAccess, kind: str):
@@ -331,17 +253,17 @@ class _Walker:
                 f"class {receiver_type} has no accessible attribute {e.name!r}",
                 e.name_span,
             )
-        self.edge(kind, member, BASIS_RECEIVER, e.name_span)
+        self.edge(kind, member, BASIS_RECEIVER, e.name_span, e)
         return member.decl.decl_type.text()
 
     def call(self, e: tree.Call) -> str | None:
-        arg_types = [self.expr(a) for a in e.args]
+        arg_types = [self.type_of(a) for a in e.args]
         receiver = e.receiver
         if receiver is None or isinstance(receiver, tree.This):
             basis = BASIS_BARE if receiver is None else BASIS_THIS
             candidates = self.method_candidates(self.cls, e.name, own_class=True)
             member = self.pick_overload(candidates, e, arg_types)
-            self.edge(CALL, member, basis, e.name_span)
+            self.edge(CALL, member, basis, e.name_span, e)
             return _return_type(member)
         if isinstance(receiver, tree.Super):
             if self.cls.superclass is None:
@@ -349,15 +271,15 @@ class _Walker:
             start = self.model.classes[self.cls.superclass]
             candidates = self.method_candidates(start, e.name, own_class=False)
             member = self.pick_overload(candidates, e, arg_types)
-            self.edge(CALL, member, BASIS_SUPER, e.name_span)
+            self.edge(CALL, member, BASIS_SUPER, e.name_span, e)
             return _return_type(member)
         if isinstance(receiver, tree.Name):
             name = receiver.ident
-            if self.scopes.lookup(name) is None and self.lookup_attribute(name) is None:
+            if self.local_type(name) is None and self.lookup_attribute(name) is None:
                 if name in self.model.classes:
                     return self.static_call(name, e, arg_types)
                 raise self.fail(f"cannot resolve name {name!r}", receiver.span)
-        receiver_type = self.expr(receiver)
+        receiver_type = self.type_of(receiver)
         if receiver_type is None or receiver_type not in self.model.classes:
             return None
         self.res.receiver_types.add(receiver_type)
@@ -366,7 +288,7 @@ class _Walker:
             target_cls, e.name, own_class=(receiver_type == self.cls.name)
         )
         member = self.pick_overload(candidates, e, arg_types)
-        self.edge(CALL, member, BASIS_RECEIVER, e.name_span)
+        self.edge(CALL, member, BASIS_RECEIVER, e.name_span, e)
         return _return_type(member)
 
     def static_call(self, class_name: str, e: tree.Call, arg_types) -> str | None:
@@ -377,11 +299,11 @@ class _Walker:
         member = self.pick_overload(candidates, e, arg_types)
         if not member.is_static:
             raise self.fail(f"method {class_name}.{member.signature} is not static", e.name_span)
-        self.edge(CALL, member, BASIS_CLASS, e.name_span)
+        self.edge(CALL, member, BASIS_CLASS, e.name_span, e)
         return _return_type(member)
 
     def new_expr(self, e: tree.New) -> str:
-        arg_types = [self.expr(a) for a in e.args]
+        arg_types = [self.type_of(a) for a in e.args]
         self.res.new_types.add(e.type_name)
         if e.type_name not in self.model.classes:
             return e.type_name  # external constructor: allowed, unresolved
@@ -409,7 +331,7 @@ class _Walker:
                     self.cls.path,
                 )
             matching = exact
-        self.edge(CALL, matching[0], BASIS_RECEIVER, e.span)
+        self.edge(CALL, matching[0], BASIS_RECEIVER, e.span, e)
         return e.type_name
 
     # -- lookup helpers ---------------------------------------------------

@@ -1,13 +1,19 @@
-"""AST node types for the Java subset.
+"""AST node types for the Java subset, and the one traversal of member bodies.
 
 Nodes are plain dataclasses. Every node keeps the span of the source text it
 was parsed from; nodes synthesized by the flattener reuse the span of the
 construct they replace.
+
+The AST is never mutated after parsing. A rewrite builds new nodes only along
+a changed path and shares every untouched subtree, so a flattened class
+shares its unchanged bodies with its superclass's flattened view and with the
+classes as written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 from .spans import Span
 
@@ -229,3 +235,108 @@ class CompilationUnit(Node):
 
 def method_signature(name: str, param_types: list[str]) -> str:
     return f"{name}({','.join(param_types)})"
+
+
+# --- traversal -------------------------------------------------------------
+
+
+def rebuilt(node: Node, **fields) -> Node:
+    """`node` itself when every field still holds the same object, else a copy."""
+    for name, value in fields.items():
+        if getattr(node, name) is not value:
+            return replace(node, **fields)
+    return node
+
+
+def mapped(fn, items: list) -> list:
+    """`items` itself when `fn` returns every item unchanged, else the new list."""
+    new = [fn(item) for item in items]
+    return items if all(map(operator.is_, new, items)) else new
+
+
+def map_children(e: Expr, fn) -> Expr:
+    """`e` with `fn` applied to its direct subexpressions, copy-on-write."""
+    if isinstance(e, Paren):
+        return rebuilt(e, inner=fn(e.inner))
+    if isinstance(e, Unary):
+        return rebuilt(e, operand=fn(e.operand))
+    if isinstance(e, Binary):
+        return rebuilt(e, left=fn(e.left), right=fn(e.right))
+    if isinstance(e, FieldAccess):
+        return rebuilt(e, receiver=fn(e.receiver))
+    if isinstance(e, Call):
+        receiver = None if e.receiver is None else fn(e.receiver)
+        return rebuilt(e, receiver=receiver, args=mapped(fn, e.args))
+    if isinstance(e, New):
+        return rebuilt(e, args=mapped(fn, e.args))
+    return e
+
+
+class BodyWalker:
+    """Scope-tracking, copy-on-write traversal of field initializers and bodies.
+
+    Subclasses supply `expr`, and may override `target` for assignment
+    targets; each returns the expression it was given or a replacement. A
+    statement, block or member comes back as the same object unless
+    something below it was replaced. `local_type` looks a name up among the
+    enclosing parameters and locals, innermost scope first.
+    """
+
+    def __init__(self):
+        self.scopes: list[dict[str, str]] = []
+
+    def expr(self, e: Expr) -> Expr:  # pragma: no cover - supplied by subclasses
+        raise NotImplementedError
+
+    def target(self, e: Expr) -> Expr:
+        return self.expr(e)
+
+    def local_type(self, name: str) -> str | None:
+        for frame in reversed(self.scopes):
+            if name in frame:
+                return frame[name]
+        return None
+
+    def member(self, decl: FieldDecl | MethodDecl | CtorDecl):
+        if isinstance(decl, FieldDecl):
+            self.scopes = [{}]
+            return decl if decl.init is None else rebuilt(decl, init=self.expr(decl.init))
+        self.scopes = [{p.name: p.decl_type.text() for p in decl.params}]
+        return rebuilt(decl, body=self.block(decl.body))
+
+    def block(self, block: Block) -> Block:
+        self.scopes.append({})
+        statements = mapped(self.stmt, block.statements)
+        self.scopes.pop()
+        return rebuilt(block, statements=statements)
+
+    def stmt(self, stmt: Stmt) -> Stmt:
+        if isinstance(stmt, LocalDecl):
+            init = None if stmt.init is None else self.expr(stmt.init)
+            self.scopes[-1][stmt.name] = stmt.decl_type.text()
+            return rebuilt(stmt, init=init)
+        if isinstance(stmt, ExprStmt):
+            return rebuilt(stmt, expr=self.expr(stmt.expr))
+        if isinstance(stmt, Assign):
+            return rebuilt(stmt, value=self.expr(stmt.value), target=self.target(stmt.target))
+        if isinstance(stmt, If):
+            cond = self.expr(stmt.cond)
+            then_branch = self.nested(stmt.then_branch)
+            else_branch = None if stmt.else_branch is None else self.nested(stmt.else_branch)
+            return rebuilt(stmt, cond=cond, then_branch=then_branch, else_branch=else_branch)
+        if isinstance(stmt, While):
+            return rebuilt(stmt, cond=self.expr(stmt.cond), body=self.nested(stmt.body))
+        if isinstance(stmt, Return):
+            return stmt if stmt.value is None else rebuilt(stmt, value=self.expr(stmt.value))
+        if isinstance(stmt, Block):
+            return self.block(stmt)
+        raise TypeError(f"unknown statement {type(stmt).__name__}")  # pragma: no cover
+
+    def nested(self, stmt: Stmt) -> Stmt:
+        """A branch or loop body, which scopes its locals even without braces."""
+        if isinstance(stmt, Block):
+            return self.block(stmt)
+        self.scopes.append({})
+        stmt = self.stmt(stmt)
+        self.scopes.pop()
+        return stmt

@@ -44,7 +44,7 @@ def load_model(name: str, include_object_root: bool = False):
 
 def flatten_fixture(name: str):
     model, graph = load_model(name)
-    return model, graph, flatten_model(model)
+    return model, graph, flatten_model(model, graph)
 
 
 def golden_path(name: str, class_name: str) -> Path:

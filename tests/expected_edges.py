@@ -128,6 +128,11 @@ EXPECTED_EDGES = {
             ("B", "use(A)", "call", "A", "twice()", "receiver"),
         ],
     },
+    "offset_collision": {
+        "C3": [("C3", "g()", "read", "C3", "a", "bare")],
+        "C2": [("C2", "h()", "read", "C2", "b", "bare")],
+        "C1": [],
+    },
     "deep_mixed": {
         "Shape": [
             ("Shape", "getName()", "read", "Shape", "name", "bare"),

@@ -1,0 +1,7 @@
+class C3 {
+    public int a;
+
+    public int g() {
+        return a;
+    }
+}

@@ -44,8 +44,8 @@ def test_criterion_1_decision_table_equivalence():
     for config in CONFIGS:
         kind, vis, overridden, accessed, static_cfg, final_cfg = config
         super_src, sub_src = build_sources(*config)
-        model, _ = model_from_sources(super_src, sub_src)
-        flattened = flatten_model(model)
+        model, graph = model_from_sources(super_src, sub_src)
+        flattened = flatten_model(model, graph)
         key = target_key(kind)
         fate = next(
             f
@@ -74,13 +74,13 @@ def test_criterion_2_identity_and_idempotence():
     for seed in range(count):
         rng = random.Random(20_000 + seed)
         source = random_class_source(rng, f"Gen{seed}")
-        model, _ = model_from_sources(source)
-        flattened = flatten_model(model)
+        model, graph = model_from_sources(source)
+        flattened = flatten_model(model, graph)
         name = f"Gen{seed}"
         assert emit(flattened[name].decl) == emit(model.classes[name].decl), seed
         emitted = emit(flattened[name])
-        model2, _ = model_from_sources(emitted)
-        flattened2 = flatten_model(model2)
+        model2, graph2 = model_from_sources(emitted)
+        flattened2 = flatten_model(model2, graph2)
         assert emit(flattened2[name]) == emitted, seed
     print(
         f"\nACCEPTANCE 2 identity & idempotence: PASS "

@@ -12,7 +12,6 @@ from flatjava import (
     classify_members,
     emit,
     flatten_model,
-    flatten_order,
     parse_source,
     rename,
 )
@@ -39,8 +38,8 @@ from hiergen import CONFIGS, build_sources, effective_overridden, target_key
 def run_config(config):
     kind = config[0]
     super_src, sub_src = build_sources(*config)
-    model, _ = model_from_sources(super_src, sub_src)
-    flattened = flatten_model(model)
+    model, graph = model_from_sources(super_src, sub_src)
+    flattened = flatten_model(model, graph)
     key = target_key(kind)
     for fate in flattened["Sub"].fates:
         if fate.member.kind == ("attribute" if kind == "attribute" else "method"):
@@ -70,20 +69,20 @@ def test_config_count_covers_full_grid():
 
 
 def test_flatten_order_chain():
-    model, _ = load_model("chain3")
-    assert flatten_order(model) == ["c3", "c2", "c1"]
+    model, graph = load_model("chain3")
+    assert list(flatten_model(model, graph)) == ["c3", "c2", "c1"]
 
 
 def test_flatten_order_single():
-    model, _ = model_from_sources("class A {\n}\n")
-    assert flatten_order(model) == ["A"]
+    model, graph = model_from_sources("class A {\n}\n")
+    assert list(flatten_model(model, graph)) == ["A"]
 
 
 def test_flatten_order_siblings_lexicographic():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class B extends A {\n}\n", "class C extends A {\n}\n", "class A {\n}\n"
     )
-    assert flatten_order(model) == ["A", "B", "C"]
+    assert list(flatten_model(model, graph)) == ["A", "B", "C"]
 
 
 # --- rename scheme ----------------------------------------------------------
@@ -125,12 +124,12 @@ def test_rename_property(taken):
 
 def test_rename_owner_is_original_declaring_class():
     # x reaches c1 through c2's flattened view, but the rename says c3.
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class c3 { public int x; }",
         "class c2 extends c3 {\n}\n",
         "class c1 extends c2 { public int x; }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     fate = fate_map(flattened["c1"])[(ATTRIBUTE, "x")]
     assert fate.new_name == "x$c3"
     assert fate.member.provenance == "c3"
@@ -138,11 +137,11 @@ def test_rename_owner_is_original_declaring_class():
 
 def test_method_rename_avoids_attribute_names():
     # A same-named attribute forces the ladder even though Java would allow it.
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { public void f() { } }",
         "class B extends A { int f$A; public void f() { } }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     (fate,) = [f for f in flattened["B"].fates if f.member.kind == METHOD]
     assert fate.decision == "PullDownRenamed"
     assert fate.new_name == "f$A$1"
@@ -174,9 +173,9 @@ def test_identity_on_superclass_free_corpus_classes():
 
 
 def _flatten_single_source(source):
-    model, _ = model_from_sources(source)
+    model, graph = model_from_sources(source)
     (name,) = model.classes
-    return model, flatten_model(model)[name]
+    return model, flatten_model(model, graph)[name]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -228,19 +227,19 @@ def test_ctor_unsupported_diagnostic():
 
 
 def test_ctor_only_parameterized_diagnostic():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { int a; A(int v) { a = v; } }", "class B extends A {\n}\n"
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     assert any(d.code == UNSUPPORTED_CTOR for d in flattened["B"].diagnostics)
 
 
 def test_ctor_inline_blocked_by_initializer_read():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { int x = 1; int y = x; A() { x = 5; } }",
         "class B extends A {\n}\n",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     assert any(d.code == UNSUPPORTED_CTOR for d in flattened["B"].diagnostics)
     field_x = [m for m in flattened["B"].members if m.name == "x"][0]
     assert emit(flattened["B"]).count("int x = 1;") == 1
@@ -284,11 +283,11 @@ def test_init_chain_promotion_pulls_helper():
 def test_overridden_attr_accessed_only_by_dropped_method_is_r4b():
     # The accessor is itself dropped (R8), so the attribute counts as
     # unaccessed: visible -> R4b, renamed because `super.x` stays legal.
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { public int x; private void w() { x = 1; } }",
         "class B extends A { int x; }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     fates = fate_map(flattened["B"])
     assert (fates[(ATTRIBUTE, "x")].decision, fates[(ATTRIBUTE, "x")].rule) == (
         "PullDownRenamed",
@@ -301,74 +300,74 @@ def test_overridden_attr_accessed_only_by_dropped_method_is_r4b():
 
 
 def test_overridden_private_attr_accessed_only_by_dropped_method_is_r4c():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { private int x; private void w() { x = 1; } }",
         "class B extends A { int x; }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     fates = fate_map(flattened["B"])
     assert fates[(ATTRIBUTE, "x")].rule == "R4c"
 
 
 def test_super_ref_nested_in_call_args():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { public int x; public int f(int v) { return v; } }",
         "class B extends A { public int x; int g() { return super.f(super.x); } }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     emitted = emit(flattened["B"])
     assert "return f(x$A);" in emitted
 
 
 def test_this_call_renamed_in_pulled_body():
     # Static binding: the pulled body keeps calling the superclass version.
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { public void f() { } public void go() { this.f(); } }",
         "class B extends A { public void f() { } }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     emitted = emit(flattened["B"])
     assert "this.f$A();" in emitted
 
 
 def test_super_ref_in_subclass_constructor_rewritten():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { public int x; }",
         "class B extends A { B() { super.x = 9; } }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     emitted = emit(flattened["B"])
     assert "x = 9;" in emitted
     assert "super" not in emitted
 
 
 def test_super_ref_in_subclass_field_initializer_rewritten():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { public int x; }",
         "class B extends A { public int x; int y = super.x; }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     emitted = emit(flattened["B"])
     assert "int y = x$A;" in emitted
 
 
 def test_rewrites_inside_control_flow():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { int x; public void f(boolean c) { if (c) { x = 1; } while (c) { x = 2; } } }",
         "class B extends A { int x; }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     emitted = emit(flattened["B"])
     assert "x$A = 1;" in emitted
     assert "x$A = 2;" in emitted
 
 
 def test_overridden_private_reachable_method_renamed_r7():
-    model, _ = model_from_sources(
+    model, graph = model_from_sources(
         "class A { public void go() { m(); } private void m() { } }",
         "class B extends A { private void m() { } }",
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     fates = fate_map(flattened["B"])
     fate = fates[(METHOD, "m()")]
     assert (fate.decision, fate.rule) == ("PullDownRenamed", "R7")
@@ -378,9 +377,9 @@ def test_overridden_private_reachable_method_renamed_r7():
 def test_flatten_class_requires_flattened_superclass():
     from flatjava import FlattenError, flatten_class
 
-    model, _ = model_from_sources("class A {\n}\n", "class B extends A {\n}\n")
+    model, graph = model_from_sources("class A {\n}\n", "class B extends A {\n}\n")
     with pytest.raises(FlattenError):
-        flatten_class("B", model, {})
+        flatten_class("B", model, graph, {})
 
 
 def test_dangling_super_ref_guard():
@@ -391,15 +390,10 @@ def test_dangling_super_ref_guard():
     )
     cls = model.classes["B"]
     resolution = resolve_class(model, cls)
-    super_sites = {
-        (e.span.start, e.span.end): e for e in resolution.edges if e.basis == "super"
-    }
-    rewriter = _SubBodyRewriter(cls, [], super_sites, [])
+    rewriter = _SubBodyRewriter(cls, resolution.sites, [], [])
     method = [m for m in cls.decl.members][0]
     with pytest.raises(DanglingSuperRef):
-        import copy
-
-        rewriter.rewrite_member(copy.deepcopy(method))
+        rewriter.member(method)
 
 
 # --- structural laws ----------------------------------------------------------

@@ -213,7 +213,7 @@ def test_metrics_skip_synthetic_root():
     model, graph = model_from_sources(
         "class A { int x; }", include_object_root=True
     )
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     rows = compare(model, graph, flattened)
     assert [row.class_name for row in rows] == ["A"]
 
@@ -244,7 +244,7 @@ def test_lcom_on_flattened_random_identity():
     rng = random.Random(99)
     source, _ = random_measured_class(rng, "Solo")
     model, graph = model_from_sources(source)
-    flattened = flatten_model(model)
+    flattened = flatten_model(model, graph)
     original = measure_original(model, graph, "Solo")
     flat = measure_flattened(model, flattened["Solo"])
     assert original.as_dict() | {"view": FLATTENED} == flat.as_dict()

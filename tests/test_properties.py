@@ -28,7 +28,11 @@ def build_hierarchy(seed):
 @pytest.mark.parametrize("seed", range(60))
 def test_generated_hierarchy_laws(seed):
     model, graph = build_hierarchy(40_000 + seed)
-    flattened = flatten_model(model)
+    inputs = [emit(model.classes[c].decl) for c in model.order]
+    flattened = flatten_model(model, graph)
+
+    # Flattening shares subtrees with its inputs but never mutates them.
+    assert [emit(model.classes[c].decl) for c in model.order] == inputs
 
     # Closure: emitted output re-parses and re-resolves standalone.
     units = [parse_source(emit(flattened[c]), f"{c}.flat.java") for c in model.order]
@@ -54,12 +58,12 @@ def test_generated_hierarchy_laws(seed):
     # Idempotence of every flattened class.
     for class_name in model.order:
         emitted = emit(flattened[class_name])
-        remodel, _ = model_from_sources(emitted)
-        reflat = flatten_model(remodel)[class_name]
+        remodel, regraph = model_from_sources(emitted)
+        reflat = flatten_model(remodel, regraph)[class_name]
         assert emit(reflat) == emitted
 
     # Determinism.
-    again = flatten_model(model)
+    again = flatten_model(model, graph)
     for class_name in model.order:
         assert emit(again[class_name]) == emit(flattened[class_name])
 
@@ -68,8 +72,8 @@ def test_generated_hierarchy_laws(seed):
 def test_generated_hierarchy_no_dangling_renames(seed):
     # Every rename recorded in the plan appears as a declared member, and no
     # flattened class declares duplicate names or signatures.
-    model, _ = build_hierarchy(40_000 + seed)
-    flattened = flatten_model(model)
+    model, graph = build_hierarchy(40_000 + seed)
+    flattened = flatten_model(model, graph)
     for flat in flattened.values():
         attr_names = [m.name for m in flat.attributes()]
         method_sigs = [m.signature for m in flat.methods()]
