@@ -4,7 +4,10 @@ Size: NOA (attributes), NOM (methods, constructors excluded), SLOC counted
 on the canonical emission of the view so both views are measured with the
 same yardstick. Cohesion: LCOM1 is the number of method pairs sharing no
 attribute; LCOM2 is max(P - Q, 0) over non-sharing/sharing pairs. A method
-"uses" an attribute through a direct read or write edge only. Coupling:
+"uses" an attribute through a direct read or write edge only. The use sets
+come from one pass over the class's edges, grouped by source method, and Q
+is counted from one bitmask of methods per attribute, so cohesion costs
+time linear in the edges plus the uses, not in the method pairs. Coupling:
 CBO counts the other model classes named in field types, parameter and
 return types, constructor calls, and receiver types.
 """
@@ -16,9 +19,8 @@ from dataclasses import dataclass
 from . import tree
 from .emitter import EmitOptions, emit
 from .flattener import FlattenedClass
-from .model import ClassModel
+from .model import ClassModel, class_info_from_decl
 from .resolver import AccessGraph, ClassResolution, READ, WRITE, resolve_class
-from .model import class_info_from_decl
 
 ORIGINAL = "original"
 FLATTENED = "flattened"
@@ -64,13 +66,18 @@ def lcom_values(use_sets: list[set[str]]) -> tuple[int, int]:
     n = len(use_sets)
     if n < 2:
         return 0, 0
-    p = q = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if use_sets[i] & use_sets[j]:
-                q += 1
-            else:
-                p += 1
+    # Bit i of users[a] is set when method i uses attribute a.
+    users: dict[str, int] = {}
+    for i, used in enumerate(use_sets):
+        for attr in used:
+            users[attr] = users.get(attr, 0) | 1 << i
+    q = 0
+    for i, used in enumerate(use_sets):
+        sharers = 0
+        for attr in used:
+            sharers |= users[attr]
+        q += (sharers >> (i + 1)).bit_count()  # later methods sharing with i
+    p = n * (n - 1) // 2 - q
     return p, max(p - q, 0)
 
 
@@ -123,19 +130,11 @@ def _measure(
     methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]
     attr_names = {f.name for f in fields}
 
-    use_sets = []
-    for method in methods:
-        sig = method.signature()
-        used = {
-            e.to_member
-            for e in resolution.edges
-            if e.from_member == sig
-            and e.kind in (READ, WRITE)
-            and e.to_class == name
-            and e.to_member in attr_names
-        }
-        use_sets.append(used)
-    lcom1, lcom2 = lcom_values(use_sets)
+    used_by: dict[str, set[str]] = {}
+    for e in resolution.edges:
+        if e.kind in (READ, WRITE) and e.to_class == name and e.to_member in attr_names:
+            used_by.setdefault(e.from_member, set()).add(e.to_member)
+    lcom1, lcom2 = lcom_values([used_by.get(m.signature(), set()) for m in methods])
 
     sloc = sum(
         1 for line in emit(decl, EmitOptions(provenance=False)).splitlines() if line.strip()

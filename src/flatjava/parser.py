@@ -4,6 +4,17 @@ The grammar is deliberately closed: one top-level class per file, fields,
 methods, constructors, and a small statement/expression language. Anything
 legal in full Java but outside the subset raises UnsupportedFeature with the
 offending span; malformed input raises ParseError at the first error.
+
+Binary operators are parsed by precedence climbing, so an operand costs one
+call whatever its precedence level.
+
+Nesting is bounded: the syntax tree of a field initializer or of a method or
+constructor body may be at most MAX_NESTING nodes deep, counting each block,
+statement and expression (operator, parenthesis, member access, call) on its
+longest path. Deeper input raises UnsupportedFeature at the construct that
+goes past the limit. Each level costs at most five Python frames in the
+parser and in every later walker of the tree (resolver, rewriters, emitter),
+so at the limit they all stay well inside Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -31,7 +42,10 @@ _BINARY_LEVELS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 _UNARY_OPS = ("-", "!", "+")
+
+MAX_NESTING = 150
 
 
 def parse(tokens: list[Token], path: str | None = None) -> tree.CompilationUnit:
@@ -51,6 +65,12 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.path = path
+        # Level of the node being parsed, 1 at the root of an initializer or
+        # body. Counted on the way down, so inside an expression it is a lower
+        # bound: the parents a left-associative chain adds come later.
+        self.depth = 0
+        # Levels in the expression parsed last, counted on the way up.
+        self.height = 0
 
     # -- token plumbing ------------------------------------------------
 
@@ -105,6 +125,15 @@ class _Parser:
         return UnsupportedFeature(
             f"unsupported feature: {feature}", span or self.peek().span, self.path
         )
+
+    def nest(self) -> None:
+        """Go down one level; past MAX_NESTING the input is refused."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.too_deep(self.peek().span)
+
+    def too_deep(self, span: Span) -> UnsupportedFeature:
+        return self.unsupported(f"nesting deeper than {MAX_NESTING} levels", span)
 
     @staticmethod
     def join(start: Span, end: Span) -> Span:
@@ -281,6 +310,7 @@ class _Parser:
     # -- statements -----------------------------------------------------
 
     def parse_block(self) -> tree.Block:
+        self.nest()
         start = self.expect_punct("{").span
         statements: list[tree.Stmt] = []
         while not self.at_punct("}"):
@@ -288,12 +318,19 @@ class _Parser:
                 raise self.error("expected '}' before end of input", expected={"}"})
             statements.append(self.parse_stmt())
         end = self.advance()
+        self.depth -= 1
         return tree.Block(statements, self.join(start, end.span))
 
     def parse_stmt(self) -> tree.Stmt:
         tok = self.peek()
         if tok.kind == PUNCT and tok.lexeme == "{":
             return self.parse_block()
+        self.nest()
+        stmt = self.parse_non_block(tok)
+        self.depth -= 1
+        return stmt
+
+    def parse_non_block(self, tok: Token) -> tree.Stmt:
         if tok.kind == KEYWORD:
             if tok.lexeme in UNSUPPORTED_STMT_KEYWORDS:
                 raise self.unsupported(f"'{tok.lexeme}' statements")
@@ -378,25 +415,41 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------
 
-    def parse_expr(self) -> tree.Expr:
-        return self.parse_binary(0)
+    def parse_expr(self, level: int = 0) -> tree.Expr:
+        """An expression whose binary operators bind at `level` or tighter.
 
-    def parse_binary(self, level: int) -> tree.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while self.peek().kind == OPERATOR and self.peek().lexeme in ops:
-            op = self.advance().lexeme
-            right = self.parse_binary(level + 1)
-            left = tree.Binary(op, left, right, self.join(left.span, right.span))
+        Precedence climbing: each operator's right operand is parsed at the
+        next tighter level, and operators of one level associate to the left.
+        """
+        above = self.depth
+        if above >= MAX_NESTING:
+            raise self.too_deep(self.peek().span)
+        self.depth = above + 1
+        left = self.parse_unary()
+        height = self.height
+        while True:
+            tok = self.peek()
+            prec = _PRECEDENCE.get(tok.lexeme, -1) if tok.kind == OPERATOR else -1
+            if prec < level:
+                break
+            self.advance()
+            right = self.parse_expr(prec + 1)
+            height = max(height, self.height) + 1
+            left = tree.Binary(tok.lexeme, left, right, self.join(left.span, right.span))
+        self.depth = above
+        if above + height > MAX_NESTING:
+            raise self.too_deep(left.span)
+        self.height = height
         return left
 
     def parse_unary(self) -> tree.Expr:
         tok = self.peek()
         if tok.kind == OPERATOR and tok.lexeme in _UNARY_OPS:
             self.advance()
+            self.nest()
             operand = self.parse_unary()
+            self.depth -= 1
+            self.height += 1
             return tree.Unary(tok.lexeme, operand, self.join(tok.span, operand.span))
         return self.parse_postfix()
 
@@ -405,13 +458,16 @@ class _Parser:
         while self.at_punct("."):
             self.advance()
             name_tok = self.expect_identifier("member name")
+            height = self.height
             if self.at_punct("("):
                 args, end_span = self.parse_args()
+                self.height = max(height, self.height) + 1
                 expr = tree.Call(
                     expr, name_tok.lexeme, args,
                     self.join(expr.span, end_span), name_tok.span,
                 )
             else:
+                self.height = height + 1
                 expr = tree.FieldAccess(
                     expr, name_tok.lexeme,
                     self.join(expr.span, name_tok.span), name_tok.span,
@@ -419,20 +475,25 @@ class _Parser:
         return expr
 
     def parse_args(self) -> tuple[list[tree.Expr], Span]:
+        """The arguments and the closing span; sets `height` to the deepest argument's."""
         self.expect_punct("(")
         args: list[tree.Expr] = []
+        height = 0
         if not self.at_punct(")"):
             while True:
                 args.append(self.parse_expr())
+                height = max(height, self.height)
                 if self.at_punct(","):
                     self.advance()
                     continue
                 break
         end = self.expect_punct(")")
+        self.height = height
         return args, end.span
 
     def parse_primary(self) -> tree.Expr:
         tok = self.peek()
+        self.height = 1
         if tok.kind == LITERAL:
             self.advance()
             return tree.Literal(_literal_kind(tok.lexeme), tok.lexeme, tok.span)
@@ -440,6 +501,7 @@ class _Parser:
             self.advance()
             if self.at_punct("("):
                 args, end_span = self.parse_args()
+                self.height += 1
                 return tree.Call(None, tok.lexeme, args, self.join(tok.span, end_span), tok.span)
             return tree.Name(tok.lexeme, tok.span)
         if tok.kind == KEYWORD:
@@ -457,6 +519,7 @@ class _Parser:
                 if self.at_punct("["):
                     raise self.unsupported("array creation")
                 args, end_span = self.parse_args()
+                self.height += 1
                 return tree.New(type_tok.lexeme, args, self.join(tok.span, end_span))
             if tok.lexeme in UNSUPPORTED_STMT_KEYWORDS or tok.lexeme == "instanceof":
                 raise self.unsupported(f"'{tok.lexeme}' expressions")
@@ -464,6 +527,7 @@ class _Parser:
             start = self.advance().span
             inner = self.parse_expr()
             end = self.expect_punct(")")
+            self.height += 1
             return tree.Paren(inner, self.join(start, end.span))
         raise self.error("expected expression", expected={"expression"})
 

@@ -70,11 +70,9 @@ class AccessGraph:
         for name in resolutions:
             self.edges.extend(resolutions[name].edges)
 
-    def edges_from(self, class_name: str, member: str | None = None) -> list[AccessEdge]:
+    def edges_from(self, class_name: str) -> list[AccessEdge]:
         edges = self.resolutions[class_name].edges if class_name in self.resolutions else []
-        if member is None:
-            return list(edges)
-        return [e for e in edges if e.from_member == member]
+        return list(edges)
 
 
 def compute_access_graph(model: ClassModel) -> AccessGraph:

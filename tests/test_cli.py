@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from flatjava.cli import main
+from flatjava.parser import MAX_NESTING
 from flatjava.report import load_schema
 
 from conftest import FIXTURES_DIR, golden_path
@@ -250,3 +251,97 @@ def test_reflatten_in_place_ignores_previous_outputs(tmp_path):
     second = runner.invoke(main, ["flatten", str(src_dir)])
     assert second.exit_code == 0, second.output
     assert (src_dir / "B.flat.java").read_text() == snapshot
+
+
+# Each builds A.java whose deepest initializer or body is `depth` nodes deep,
+# with the line that nests deepest; B extends A, so flattening B walks the
+# pulled copy too.
+NESTED = {
+    "parens": (2, lambda d: f"class A {{\n    int x = {'(' * (d - 1)}1{')' * (d - 1)};\n}}\n"),
+    "binary": (2, lambda d: "class A {\n    int x = " + " + ".join(["1"] * d) + ";\n}\n"),
+    "unary": (2, lambda d: f"class A {{\n    int x = {'- ' * (d - 1)}1;\n}}\n"),
+    "calls": (3, lambda d: (
+        "class A {\n    int f(int a) { return a; }\n"
+        f"    int x = {'f(' * (d - 1)}1{')' * (d - 1)};\n}}\n"
+    )),
+    "new": (4, lambda d: (
+        "class A {\n    A() { }\n    A(A a) { }\n"
+        f"    A x = {'new A(' * (d - 1)}null{')' * (d - 1)};\n}}\n"
+    )),
+    "receiver_calls": (4, lambda d: (
+        "class A {\n    A a;\n    int f(int v) { return v; }\n"
+        f"    int x = {'a.f(' * (d - 1)}1{')' * (d - 1)};\n}}\n"
+    )),
+    # `b` and d - 1 calls on it.
+    "call_chain": (4, lambda d: (
+        "class A {\n    A b;\n    A app(int v) { return this; }\n"
+        f"    A x = b{'.app(1)' * (d - 1)};\n}}\n"
+    )),
+    # `this` and d - 1 member accesses.
+    "field_chain": (4, lambda d: (
+        "class A {\n    A a;\n    int v;\n    int x = this" + ".a" * (d - 2) + ".v;\n}\n"
+    )),
+    # The body block, then d - 1 nested blocks.
+    "blocks": (3, lambda d: f"class A {{\n    void f() {{\n{'{' * (d - 1)}{'}' * (d - 1)}\n    }}\n}}\n"),
+    # The body block, d - 3 ifs, the assignment and its operands.
+    "ifs": (4, lambda d: (
+        "class A {\n    boolean b;\n    void f() {\n"
+        f"{'if (b) ' * (d - 3)}b = true;\n    }}\n}}\n"
+    )),
+    "whiles": (4, lambda d: (
+        "class A {\n    boolean b;\n    void f() {\n"
+        f"{'while (b) ' * (d - 3)}b = true;\n    }}\n}}\n"
+    )),
+    # The body block, d - 3 arms chained by `else`, the last `return` and its value.
+    "else_ifs": (4, lambda d: (
+        "class A {\n    int v;\n    int f() {\n"
+        + "".join(f"if (v == {i}) return {i}; else " for i in range(d - 3))
+        + "return 0;\n    }\n}\n"
+    )),
+}
+def write_nested(tmp_path, shape, depth):
+    (tmp_path / "A.java").write_text(NESTED[shape][1](depth))
+    (tmp_path / "B.java").write_text("class B extends A { }\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_at_limit_flattens_and_compares(tmp_path, shape):
+    src = write_nested(tmp_path, shape, MAX_NESTING)
+    result = runner.invoke(main, ["flatten", str(src), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["compare", str(src)])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_past_limit_exit_2_located(tmp_path, shape):
+    src = write_nested(tmp_path, shape, MAX_NESTING + 1)
+    line = NESTED[shape][0]
+    for args in (["flatten", str(src), "--out", str(tmp_path / "out")], ["compare", str(src)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"A.java:{line}:" in result.output
+        assert f"nesting deeper than {MAX_NESTING} levels" in result.output
+
+
+def test_long_concatenation_and_else_if_ladder_flatten(tmp_path):
+    # A toString over 50 fields (100 terms) and an 80-arm dispatch: each is a
+    # chain about as deep as it is long, and ordinary Java.
+    fields = [f"f{i}" for i in range(50)]
+    (tmp_path / "A.java").write_text(
+        "class A {\n"
+        + "".join(f"    int {f};\n" for f in fields)
+        + "    String show() { return "
+        + " + ".join(f'"{f}=" + {f}' for f in fields)
+        + "; }\n    int pick(int k) {\n"
+        + "".join(f"        if (k == {i}) return {i}; else\n" for i in range(80))
+        + "        return 0;\n    }\n}\n"
+    )
+    (tmp_path / "B.java").write_text("class B extends A { }\n")
+    result = runner.invoke(main, ["flatten", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    flat = (tmp_path / "out" / "B.flat.java").read_text()
+    assert "f48 + \"f49=\" + f49;" in flat and "else if (k == 79)" in flat
+    result = runner.invoke(main, ["compare", str(tmp_path)])
+    assert result.exit_code == 0, result.output

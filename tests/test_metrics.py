@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flatjava import (
     compare,
@@ -89,6 +90,58 @@ def test_lcom_values_function_direct():
     assert lcom_values([]) == (0, 0)
     assert lcom_values([{"x"}]) == (0, 0)
     assert lcom_values([{"x"}, {"x"}, {"y"}]) == (2, 1)
+
+
+_use_sets = st.sets(st.sampled_from([f"a{i}" for i in range(8)]))
+
+
+@given(st.one_of(
+    st.lists(_use_sets, max_size=80),
+    # A few distinct sets spread over many methods: repeated and empty sets.
+    st.lists(_use_sets, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=80)
+    ),
+))
+def test_lcom_values_matches_pairwise_oracle(use_sets):
+    n = len(use_sets)
+    p, q = brute_force_pairs(use_sets)
+    assert p + q == n * (n - 1) // 2
+    assert lcom_values(use_sets) == (p, max(p - q, 0))
+
+
+def test_overloads_keep_separate_use_sets():
+    rec = measure_source(
+        "class A { int x; int y; void m(int a) { x = a; } void m(long b) { y = 1; } }", "A"
+    )
+    assert (rec.nom, rec.lcom1, rec.lcom2) == (2, 1, 1)
+
+
+def test_initializer_and_constructor_uses_count_for_no_method():
+    rec = measure_source(
+        "class A { int x; int y = x + 1; A() { y = x; } "
+        "void f() { x = 1; } void g() { y = 2; } }",
+        "A",
+    )
+    assert (rec.nom, rec.lcom1, rec.lcom2) == (2, 1, 1)
+
+
+def test_same_named_attribute_of_another_class_is_not_used():
+    model, graph = model_from_sources(
+        "class B { int x; }",
+        "class A { int x; B b; void f() { int t = b.x; } void g() { x = 1; } }",
+    )
+    rec = measure_original(model, graph, "A")
+    assert (rec.lcom1, rec.lcom2) == (1, 1)
+
+
+def test_write_counts_like_read():
+    rec = measure_source(
+        "class A { int x; int y; "
+        "void f() { x = 1; } void g() { int t = x; } void h() { int t = y; } }",
+        "A",
+    )
+    # f writes and g reads x, so they share; h shares with neither: P=2, Q=1.
+    assert (rec.lcom1, rec.lcom2) == (2, 1)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+from unittest import mock
+
 import pytest
+from hypothesis import given, strategies as st
 
 from flatjava import ParseError, UnsupportedFeature, emit, parse_source, tokenize
 from flatjava.lexer import token_signature
-from flatjava import tree
+from flatjava import parser, tree
 
 from conftest import CORPUS, FIXTURES_DIR, fixture_sources
 
@@ -187,3 +191,49 @@ def test_parens_preserved():
     expr = stmt.init
     assert isinstance(expr, tree.Binary) and expr.op == "*"
     assert isinstance(expr.left, tree.Paren)
+
+
+def _height(node) -> int:
+    """Blocks, statements and expressions on the longest path from `node` down."""
+    if isinstance(node, list):
+        return max((_height(n) for n in node), default=0)
+    if not isinstance(node, (tree.Expr, tree.Stmt)):
+        return 0
+    return 1 + max((_height(getattr(node, f.name)) for f in dataclasses.fields(node)), default=0)
+
+
+_exprs = st.recursive(
+    st.sampled_from(["1", "x", "this.x", "f()"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "*", "<", "==", "&&", "||"]), inner).map(" ".join),
+        inner.map(lambda e: f"-{e}"),
+        inner.map(lambda e: f"({e})"),
+        st.lists(inner, max_size=2).map(lambda args: f"f({', '.join(args)})"),
+        inner.map(lambda e: f"this.g({e}).y"),
+        inner.map(lambda e: f"new A({e})"),
+    ),
+    max_leaves=10,
+)
+_stmts = st.recursive(
+    _exprs.map(lambda e: f"x = {e};"),
+    lambda inner: st.one_of(
+        st.tuples(_exprs, inner).map(lambda p: f"if ({p[0]}) {p[1]}"),
+        st.tuples(_exprs, inner, inner).map(lambda p: f"if ({p[0]}) {p[1]} else {p[2]}"),
+        st.tuples(_exprs, inner).map(lambda p: f"while ({p[0]}) {p[1]}"),
+        st.lists(inner, max_size=3).map(lambda body: "{ " + " ".join(body) + " }"),
+    ),
+    max_leaves=5,
+)
+
+
+@given(_exprs, _stmts)
+def test_nesting_limit_counts_tree_height_exactly(init, stmt):
+    source = f"class A {{\n    int x = {init};\n    void g() {{\n        {stmt}\n    }}\n}}\n"
+    members = parse_source(source).class_decl.members
+    height = max(_height(members[0].init), _height(members[1].body))
+    with mock.patch.object(parser, "MAX_NESTING", 6):
+        if height <= 6:
+            parse_source(source)
+        else:
+            with pytest.raises(UnsupportedFeature, match="nesting deeper than 6 levels"):
+                parse_source(source)
