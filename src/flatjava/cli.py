@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Exit codes: 0 on success, 1 when --strict and diagnostics were produced,
-2 on lex/parse/model/flatten errors. Errors follow a first-error-per-file
-policy. FLATJAVA_COLOR=0|1 forces diagnostics coloring off or on.
+2 on lex/parse/model/flatten errors, 3 on an internal error (any other
+exception, reported as one `internal error:` line instead of a traceback).
+Errors follow a first-error-per-file policy. FLATJAVA_COLOR=0|1 forces
+diagnostics coloring off or on.
 """
 
 from __future__ import annotations
@@ -99,7 +101,21 @@ def _finish(diagnostics: list[Diagnostic], strict: bool) -> None:
         raise SystemExit(1)
 
 
-@click.group()
+class _Guarded(click.Group):
+    """Turns an exception that escapes a command into exit code 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as err:
+            # A fault of the tool, not of its input: keep it apart from exit 2.
+            click.secho(f"internal error: {err!r}", fg="red", err=True, color=_color())
+            raise SystemExit(3)
+
+
+@click.group(cls=_Guarded)
 def main() -> None:
     """Flatten Java classes and compare quality metrics across views."""
 

@@ -3,11 +3,20 @@
 Every token records an exact span and the trivia (whitespace and comments)
 that precedes it, so concatenating ``leading + lexeme`` over the stream,
 end-of-input token included, reproduces the source text exactly.
+
+Two compiled patterns do the scanning. `_TRIVIA` matches the run of
+whitespace, ``//`` comments and closed ``/* */`` comments before a token;
+`_TOKEN` matches one token, with a named group per kind. No token holds a
+line break (string literals are single-line), so line and column follow
+from the line breaks in each trivia run. Only when `_TOKEN` fails does the
+lexer work out which error to raise: an unterminated block comment, an
+unterminated string literal, or an illegal character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import LexError
 from .spans import Span
@@ -25,10 +34,6 @@ KEYWORDS = frozenset(
 # true/false/null are literals in Java, not keywords.
 WORD_LITERALS = frozenset({"true", "false", "null"})
 
-MULTI_OPS = ("&&", "||", "==", "!=", "<=", ">=")
-SINGLE_OPS = frozenset("=+-*/%<>!&|")
-PUNCTUATION = frozenset("{}();,.[]")
-
 KEYWORD = "keyword"
 IDENTIFIER = "identifier"
 LITERAL = "literal"
@@ -36,9 +41,29 @@ OPERATOR = "operator"
 PUNCT = "punctuation"
 EOI = "eoi"
 
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*")
 
-@dataclass(frozen=True)
-class Token:
+# One group per token kind, named after it; a word is a keyword, a word
+# literal or an identifier. Numbers are ASCII digits with an optional
+# fraction and exponent; `L` marks only an integer, `D` any number. A `/`
+# before `*` starts an unterminated block comment, which _TRIVIA left.
+_TOKEN = re.compile(
+    r"""
+    (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
+  | (?P<literal>
+        [0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?[dD]?|[eE][+-]?[0-9]+[dD]?|[lLdD]?)
+      | "(?:[^"\\\n]|\\.)*"
+    )
+  | (?P<punctuation>[{}();,.\[\]])
+  | (?P<operator>&&|\|\||[=!<>]=|[=+\-*%<>!&|]|/(?!\*))
+    """,
+    re.VERBOSE,
+)
+
+_WORD_KINDS = dict.fromkeys(KEYWORDS, KEYWORD) | dict.fromkeys(WORD_LITERALS, LITERAL)
+
+
+class Token(NamedTuple):
     kind: str
     lexeme: str
     span: Span
@@ -48,167 +73,44 @@ class Token:
         return self.kind == KEYWORD and self.lexeme == word
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isascii() and (ch.isalpha() or ch in "_$")
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch in "_$")
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def mark(self) -> tuple[int, int, int]:
-        return (self.pos, self.line, self.col)
-
-    def span_from(self, mark: tuple[int, int, int]) -> Span:
-        return Span(mark[0], self.pos, mark[1], mark[2])
-
-    def error(self, message: str, mark: tuple[int, int, int]) -> LexError:
-        return LexError(message, self.span_from(mark))
-
-    def skip_trivia(self) -> str:
-        """Consume whitespace and comments, returning them verbatim."""
-        start = self.pos
-        while not self.eof():
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "/" and self.peek(1) == "/":
-                while not self.eof() and self.peek() != "\n":
-                    self.advance()
-            elif ch == "/" and self.peek(1) == "*":
-                mark = self.mark()
-                self.advance()
-                self.advance()
-                while True:
-                    if self.eof():
-                        raise self.error("unterminated block comment", mark)
-                    if self.peek() == "*" and self.peek(1) == "/":
-                        self.advance()
-                        self.advance()
-                        break
-                    self.advance()
-            else:
-                break
-        return self.text[start : self.pos]
-
-    def scan_string(self) -> str:
-        mark = self.mark()
-        self.advance()  # opening quote
-        while True:
-            if self.eof():
-                raise self.error("unterminated string literal", mark)
-            ch = self.peek()
-            if ch == "\n":
-                raise self.error("unterminated string literal", mark)
-            if ch == "\\":
-                self.advance()
-                if self.eof():
-                    raise self.error("unterminated string literal", mark)
-                self.advance()
-                continue
-            self.advance()
-            if ch == '"':
-                break
-        return self.text[mark[0] : self.pos]
-
-    def peek_in(self, chars: str, ahead: int = 0) -> bool:
-        ch = self.peek(ahead)
-        return bool(ch) and ch in chars
-
-    def scan_number(self) -> str:
-        start = self.pos
-        while not self.eof() and self.peek().isdigit():
-            self.advance()
-        is_floating = False
-        if self.peek() == "." and self.peek(1).isdigit():
-            is_floating = True
-            self.advance()
-            while not self.eof() and self.peek().isdigit():
-                self.advance()
-        if self.peek_in("eE") and (
-            self.peek(1).isdigit() or (self.peek_in("+-", 1) and self.peek(2).isdigit())
-        ):
-            is_floating = True
-            self.advance()
-            if self.peek_in("+-"):
-                self.advance()
-            while not self.eof() and self.peek().isdigit():
-                self.advance()
-        if not is_floating and self.peek_in("lL"):
-            self.advance()
-        elif self.peek_in("dD"):
-            self.advance()
-        return self.text[start : self.pos]
-
-
 def tokenize(source: str) -> list[Token]:
     """Tokenize `source`, ending with a synthetic end-of-input token."""
-    scanner = _Scanner(source)
+    trivia = _TRIVIA.match
+    token = _TOKEN.match
+    word_kinds = _WORD_KINDS
     tokens: list[Token] = []
+    append = tokens.append
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of `line`
     while True:
-        leading = scanner.skip_trivia()
-        if scanner.eof():
-            span = Span(scanner.pos, scanner.pos, scanner.line, scanner.col)
-            tokens.append(Token(EOI, "", span, leading))
-            return tokens
-        mark = scanner.mark()
-        ch = scanner.peek()
-        if _is_ident_start(ch):
-            while not scanner.eof() and _is_ident_part(scanner.peek()):
-                scanner.advance()
-            word = source[mark[0] : scanner.pos]
-            if word in WORD_LITERALS:
-                kind = LITERAL
-            elif word in KEYWORDS:
-                kind = KEYWORD
-            else:
-                kind = IDENTIFIER
-            tokens.append(Token(kind, word, scanner.span_from(mark), leading))
-        elif ch.isdigit():
-            lexeme = scanner.scan_number()
-            tokens.append(Token(LITERAL, lexeme, scanner.span_from(mark), leading))
-        elif ch == '"':
-            lexeme = scanner.scan_string()
-            tokens.append(Token(LITERAL, lexeme, scanner.span_from(mark), leading))
-        elif ch in PUNCTUATION:
-            scanner.advance()
-            tokens.append(Token(PUNCT, ch, scanner.span_from(mark), leading))
-        else:
-            two = ch + scanner.peek(1)
-            if two in MULTI_OPS:
-                scanner.advance()
-                scanner.advance()
-                tokens.append(Token(OPERATOR, two, scanner.span_from(mark), leading))
-            elif ch in SINGLE_OPS:
-                scanner.advance()
-                tokens.append(Token(OPERATOR, ch, scanner.span_from(mark), leading))
-            else:
-                scanner.advance()
-                raise scanner.error(f"illegal character {ch!r}", mark)
+        start = trivia(source, pos).end()
+        leading = source[pos:start]
+        if "\n" in leading:
+            line += leading.count("\n")
+            line_start = pos + leading.rindex("\n") + 1
+        column = start - line_start + 1
+        m = token(source, start)
+        if m is None:
+            break
+        pos = m.end()
+        lexeme = m.group()
+        kind = m.lastgroup
+        if kind == "word":
+            kind = word_kinds.get(lexeme, IDENTIFIER)
+        append(Token(kind, lexeme, Span(start, pos, line, column), leading))
+    if start == len(source):
+        append(Token(EOI, "", Span(start, start, line, column), leading))
+        return tokens
+    if source.startswith("/*", start):
+        message, end = "unterminated block comment", len(source)
+    elif source[start] == '"':
+        # An unterminated literal runs to the end of its line.
+        line_end = source.find("\n", start)
+        message, end = "unterminated string literal", len(source) if line_end < 0 else line_end
+    else:
+        message, end = f"illegal character {source[start]!r}", start + 1
+    raise LexError(message, Span(start, end, line, column))
 
 
 def token_signature(tokens: list[Token]) -> list[tuple[str, str]]:

@@ -75,8 +75,10 @@ class _Parser:
     # -- token plumbing ------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        # `advance` never moves past EOI, so only lookahead needs the clamp.
+        if not ahead:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open [start, end) offsets into the decoded source text.
 
     line/column locate `start` and are 1-based. Offsets are code-point

@@ -93,6 +93,29 @@ def test_flatten_reports_first_error_per_file(tmp_path):
     assert result.output.count("error:") == 2
 
 
+@pytest.mark.parametrize(
+    "field,column,char",
+    [("int x = ٣٤;", 13, "٣"), ("int y = 1²;", 14, "²")],
+)
+def test_non_ascii_digits_are_illegal_characters(tmp_path, field, column, char):
+    # Java number literals are ASCII digits only.
+    (tmp_path / "A.java").write_text(f"class A {{\n    {field}\n}}\n", encoding="utf-8")
+    result = runner.invoke(main, ["flatten", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"A.java:2:{column}: illegal character {char!r}" in result.output
+
+
+def test_unexpected_exception_exit_3_without_traceback(tmp_path, monkeypatch):
+    def broken(model):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("flatjava.cli.compute_access_graph", broken)
+    src_dir = copy_fixture("identity_minimal", tmp_path)
+    result = runner.invoke(main, ["metrics", str(src_dir), "--view", "original"])
+    assert result.exit_code == 3
+    assert result.output == "internal error: RuntimeError('boom')\n"
+
+
 def test_strict_promotes_diagnostics(tmp_path):
     src_dir = copy_fixture("ctor_unsupported", tmp_path)
     ok = runner.invoke(main, ["flatten", str(src_dir), "--out", str(tmp_path / "o1")])

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import re
+import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from flatjava import LexError, tokenize
-from flatjava.lexer import EOI, IDENTIFIER, KEYWORD, LITERAL, OPERATOR, PUNCT
+from flatjava import LexError, Span, tokenize
+from flatjava.lexer import EOI, IDENTIFIER, KEYWORD, LITERAL, OPERATOR, PUNCT, token_signature
 
 from conftest import CORPUS, fixture_sources
 
@@ -118,3 +119,85 @@ def test_lexing_any_ascii_text_roundtrips_or_errors(source):
     except LexError:
         return
     _assert_stream_invariants(source, tokens)
+
+
+@pytest.mark.parametrize(
+    "source,stream",
+    [
+        ("1.", [(LITERAL, "1"), (PUNCT, ".")]),
+        ("1.e3", [(LITERAL, "1"), (PUNCT, "."), (IDENTIFIER, "e3")]),
+        ("1e", [(LITERAL, "1"), (IDENTIFIER, "e")]),
+        ("1e+", [(LITERAL, "1"), (IDENTIFIER, "e"), (OPERATOR, "+")]),
+        ("1.5L", [(LITERAL, "1.5"), (IDENTIFIER, "L")]),
+        ("7dL", [(LITERAL, "7d"), (IDENTIFIER, "L")]),
+        ("a/**/b", [(IDENTIFIER, "a"), (IDENTIFIER, "b")]),
+        ("x/y", [(IDENTIFIER, "x"), (OPERATOR, "/"), (IDENTIFIER, "y")]),
+        ("x//", [(IDENTIFIER, "x")]),
+        ("//", []),
+        ("a&&&b", [(IDENTIFIER, "a"), (OPERATOR, "&&"), (OPERATOR, "&"), (IDENTIFIER, "b")]),
+        ("<==", [(OPERATOR, "<="), (OPERATOR, "=")]),
+        ("!==", [(OPERATOR, "!="), (OPERATOR, "=")]),
+        ("int a;\r\nb\r\n", [(KEYWORD, "int"), (IDENTIFIER, "a"), (PUNCT, ";"), (IDENTIFIER, "b")]),
+    ],
+)
+def test_token_streams(source, stream):
+    assert token_signature(tokenize(source)) == stream + [(EOI, "")]
+
+
+@pytest.mark.parametrize(
+    "source,message,span",
+    [
+        ('class A {\n  String s = "oops; }', "unterminated string literal", Span(23, 31, 2, 14)),
+        ('"multi\nline"', "unterminated string literal", Span(0, 6, 1, 1)),
+        ('x = "ab\\', "unterminated string literal", Span(4, 8, 1, 5)),
+        ("a\n /* never", "unterminated block comment", Span(3, 11, 2, 2)),
+        ("/*/", "unterminated block comment", Span(0, 3, 1, 1)),
+        ("int x = #3;", "illegal character '#'", Span(8, 9, 1, 9)),
+        ("a\n\tb = 'c';", "illegal character \"'\"", Span(7, 8, 2, 6)),
+    ],
+)
+def test_lex_error_spans(source, message, span):
+    with pytest.raises(LexError) as excinfo:
+        tokenize(source)
+    assert (excinfo.value.message, excinfo.value.span) == (message, span)
+
+
+def test_backslash_before_line_break_ends_string():
+    # Java has no line continuation inside a string literal.
+    with pytest.raises(LexError) as excinfo:
+        tokenize('x = "a\\\nb";')
+    assert excinfo.value.message == "unterminated string literal"
+    assert excinfo.value.span == Span(4, 7, 1, 5)
+
+
+# Single characters, plus runs of them that put several line breaks into one
+# stretch of trivia; the non-ASCII characters are illegal.
+_POSITION_PIECES = (
+    list(' \r\t\n/*"\\.+-eElLdD$' + string.digits + string.ascii_letters)
+    + ["\n\n", " \n\t\n ", "\r\n", "// c\n", "/* \n\n */", "a1", "1.5e-3d"]
+    + ["é", "٣", "\u00a0"]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_POSITION_PIECES), max_size=40).map("".join))
+def test_positions_match_line_counting(source):
+    try:
+        spans = [t.span for t in tokenize(source)]
+    except LexError as err:
+        spans = [err.span]
+    for span in spans:
+        before = source[: span.start]
+        assert span.line == before.count("\n") + 1
+        assert span.column == len(before) - before.rfind("\n")
+
+
+def test_tokens_and_spans_are_immutable_values():
+    token = tokenize("x")[0]
+    assert repr(token) == (
+        "Token(kind='identifier', lexeme='x', "
+        "span=Span(start=0, end=1, line=1, column=1), leading='')"
+    )
+    assert hash(token) == hash(tokenize("x")[0])
+    with pytest.raises(AttributeError):
+        token.span.line = 2
