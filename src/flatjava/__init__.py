@@ -29,8 +29,6 @@ from .flattener import (
     FlattenedClass,
     MemberFate,
     RewriteDirective,
-    decide_attribute_fates,
-    decide_method_fates,
     flatten_class,
     flatten_model,
     rename,

@@ -25,13 +25,12 @@ from .model import build_model, classify_members
 from .parser import parse_source
 from .report import (
     FORMATS,
+    dump_json,
     plan_document,
     render_compare,
     render_metrics,
 )
 from .resolver import compute_access_graph
-
-import json
 
 
 def _color() -> bool | None:
@@ -155,7 +154,7 @@ def flatten(paths, out, provenance, strict, include_object_root) -> None:
         first = next(n for n in model.order if not model.classes[n].synthetic)
         plan_dir = Path(model.classes[first].path or ".").parent
     plan_path = plan_dir / "flatten.plan.json"
-    plan_path.write_text(json.dumps(plan, indent=2) + "\n", encoding="utf-8")
+    plan_path.write_text(dump_json(plan), encoding="utf-8")
     click.echo(str(plan_path))
 
     diagnostics = list(model.diagnostics)

@@ -17,12 +17,6 @@ from . import tree
 @dataclass(frozen=True)
 class EmitOptions:
     provenance: bool = False
-    indent: int = 4
-    newline: str = "\n"
-
-    def __post_init__(self):
-        if self.indent not in (2, 4):
-            raise ValueError("indent width must be 2 or 4")
 
 
 def emit(target, options: EmitOptions | None = None) -> str:
@@ -51,14 +45,10 @@ class _Writer:
         self.lines: list[str] = []
 
     def text(self) -> str:
-        nl = self.options.newline
-        return nl.join(self.lines) + nl
+        return "\n".join(self.lines) + "\n"
 
     def line(self, level: int, content: str) -> None:
-        if not content:
-            self.lines.append("")
-            return
-        self.lines.append(" " * (self.options.indent * level) + content)
+        self.lines.append("    " * level + content if content else "")
 
     def unit(self, package: str | None, decl: tree.ClassDecl, provenance: dict[int, str]) -> None:
         if package:
@@ -78,6 +68,16 @@ class _Writer:
         self.line(0, "}")
 
     def member(self, member) -> None:
+        """Write a member. Its lines depend on the node alone, so they are
+        built once and kept on the node, which flattened classes share."""
+        if member.emitted is None:
+            start = len(self.lines)
+            self.write_member(member)
+            member.emitted = self.lines[start:]
+        else:
+            self.lines.extend(member.emitted)
+
+    def write_member(self, member) -> None:
         if isinstance(member, tree.FieldDecl):
             text = (
                 _vis_prefix(member.visibility)

@@ -28,12 +28,20 @@ Constructors are never pulled. A no-arg superclass constructor whose body
 only assigns literals to fields (none of which any field initializer reads)
 is folded into the pulled fields' initializers; anything else is reported
 as unsupported for flattening.
+
+Each class is resolved once, as written. A flattened class's resolution is
+derived, not resolved again: from the superclass's flattened resolution, the
+subclass's own resolution and the rename maps. Only a pulled body that
+references a member renamed or collapsed at this level is walked; every
+other member keeps its node, and its edges are carried over. The few bodies
+whose resolution can change in the flattened class are resolved again there
+(`_resolve_changed`).
 """
 
 from __future__ import annotations
 
 import copy  # noqa: F401 - benchmark/tracing.py wraps flattener.copy.deepcopy
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import tree
@@ -58,6 +66,7 @@ from .model import (
 from .resolver import (
     BASIS_BARE,
     BASIS_CLASS,
+    BASIS_SUPER,
     BASIS_THIS,
     CALL,
     INIT_FIELDS,
@@ -65,7 +74,9 @@ from .resolver import (
     AccessEdge,
     AccessGraph,
     ClassResolution,
-    resolve_class,
+    MemberResolution,
+    resolve_class,  # noqa: F401 - benchmark/tracing.py wraps flattener.resolve_class
+    resolve_member,
 )
 
 PULL_DOWN = "PullDown"
@@ -76,7 +87,7 @@ DROP_ANOMALY = "DropAnomaly"
 RULE_CTOR = "CTOR"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlatMember:
     decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl
     kind: str  # attribute | method | ctor
@@ -94,7 +105,7 @@ class FlatMember:
         return self.visibility != "private"
 
 
-@dataclass
+@dataclass(slots=True)
 class MemberFate:
     member: FlatMember
     decision: str  # PullDown | PullDownRenamed | Drop | DropAnomaly
@@ -120,10 +131,10 @@ class FlattenedClass:
     package: str | None
     decl: tree.ClassDecl
     members: list[FlatMember]
+    resolution: ClassResolution
     fates: list[MemberFate] = field(default_factory=list)
     rewrites: list[RewriteDirective] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    resolution: ClassResolution | None = None
 
     def member_decls(self) -> list:
         return [m.decl for m in self.members]
@@ -148,25 +159,23 @@ def flatten_class(
 ) -> FlattenedClass:
     cls = model.classes[name]
     if cls.superclass is None:
-        flat = FlattenedClass(
+        # A root flattens to itself, and so does its resolution.
+        return FlattenedClass(
             cls.name, cls.package, cls.decl,
             [_flat_member(info, info.decl, cls.name, pulled=False)
              for info in cls.ordered_members()],
+            graph.resolutions[name],
         )
-    else:
-        if cls.superclass not in flattened:
-            raise FlattenError(
-                f"superclass {cls.superclass!r} of {name!r} has not been flattened "
-                "yet; flatten classes in model order",
-                cls.decl.name_span,
-                cls.path,
-            )
-        flat = _flatten_against_super(
-            cls, graph.resolutions[name], flattened[cls.superclass]
+    if cls.superclass not in flattened:
+        raise FlattenError(
+            f"superclass {cls.superclass!r} of {name!r} has not been flattened "
+            "yet; flatten classes in model order",
+            cls.decl.name_span,
+            cls.path,
         )
-    flat_info = class_info_from_decl(flat.decl, flat.package, cls.path)
-    flat.resolution = resolve_class(model.with_class(flat_info), flat_info)
-    return flat
+    return _flatten_against_super(
+        model, cls, graph.resolutions[name], flattened[cls.superclass]
+    )
 
 
 def rename(member_name: str, owner: str, taken: set[str]) -> str:
@@ -183,50 +192,31 @@ def rename(member_name: str, owner: str, taken: set[str]) -> str:
 # --- fate decisions ---------------------------------------------------------
 
 
-def decide_method_fates(
-    sub: ClassInfo, fsuper: FlattenedClass, pulled: set[tuple[str, str]]
-) -> list[MemberFate]:
-    fates = []
-    for member in fsuper.members:
-        if member.kind != METHOD:
-            continue
-        overridden = _method_overridden(sub, member)
-        if member.visible:
-            if overridden:
-                fates.append(MemberFate(member, PULL_DOWN_RENAMED, "R6"))
-            else:
-                fates.append(MemberFate(member, PULL_DOWN, "R5"))
-        elif (METHOD, member.signature) in pulled:
-            decision = PULL_DOWN_RENAMED if overridden else PULL_DOWN
-            fates.append(MemberFate(member, decision, "R7"))
-        else:
-            fates.append(MemberFate(member, DROP_ANOMALY, "R8"))
-    return fates
-
-
-def decide_attribute_fates(
-    sub: ClassInfo, fsuper: FlattenedClass, accessed: set[str]
-) -> list[MemberFate]:
-    fates = []
-    for member in fsuper.members:
-        if member.kind != ATTRIBUTE:
-            continue
-        overridden = _attr_overridden(sub, member)
-        was_accessed = member.name in accessed
+def _method_fate(sub: ClassInfo, member: FlatMember, pulled: set[tuple[str, str]]) -> MemberFate:
+    overridden = _method_overridden(sub, member)
+    if member.visible:
         if overridden:
-            if was_accessed:
-                fates.append(MemberFate(member, PULL_DOWN_RENAMED, "R4a"))
-            elif member.visible:
-                fates.append(MemberFate(member, PULL_DOWN_RENAMED, "R4b"))
-            else:
-                fates.append(MemberFate(member, DROP_ANOMALY, "R4c"))
-        elif member.visible:
-            fates.append(MemberFate(member, PULL_DOWN, "R1"))
-        elif was_accessed:
-            fates.append(MemberFate(member, PULL_DOWN, "R2"))
-        else:
-            fates.append(MemberFate(member, DROP_ANOMALY, "R3"))
-    return fates
+            return MemberFate(member, PULL_DOWN_RENAMED, "R6")
+        return MemberFate(member, PULL_DOWN, "R5")
+    if (METHOD, member.signature) in pulled:
+        return MemberFate(member, PULL_DOWN_RENAMED if overridden else PULL_DOWN, "R7")
+    return MemberFate(member, DROP_ANOMALY, "R8")
+
+
+def _attribute_fate(sub: ClassInfo, member: FlatMember, accessed: set[str]) -> MemberFate:
+    overridden = _attr_overridden(sub, member)
+    was_accessed = member.name in accessed
+    if overridden:
+        if was_accessed:
+            return MemberFate(member, PULL_DOWN_RENAMED, "R4a")
+        if member.visible:
+            return MemberFate(member, PULL_DOWN_RENAMED, "R4b")
+        return MemberFate(member, DROP_ANOMALY, "R4c")
+    if member.visible:
+        return MemberFate(member, PULL_DOWN, "R1")
+    if was_accessed:
+        return MemberFate(member, PULL_DOWN, "R2")
+    return MemberFate(member, DROP_ANOMALY, "R3")
 
 
 def _attr_overridden(sub: ClassInfo, member: FlatMember) -> bool:
@@ -260,20 +250,16 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
     (kind, signature) of every pulled member, and the attributes that an
     edge from a pulled source reads or writes, which tells R4a from R4b.
     """
-    by_source: dict[tuple[str, str], list[AccessEdge]] = defaultdict(list)
-    for edge in fsuper.resolution.edges:
-        if edge.to_class != fsuper.name:
-            continue
-        if edge.from_member == INIT_FIELDS:
-            by_source[(ATTRIBUTE, edge.initializer_of)].append(edge)
-        else:
-            by_source[(METHOD, edge.from_member)].append(edge)
-    members = {(m.kind, m.signature) for m in fsuper.members}
-    pulled = {(m.kind, m.signature) for m in fsuper.members if m.kind != CTOR and m.visible}
+    members = {(m.kind, m.signature): m for m in fsuper.members}
+    pulled = {key for key, m in members.items() if m.kind != CTOR and m.visible}
+    resolutions = fsuper.resolution.members
     accessed: set[str] = set()
     work = list(pulled)
     while work:
-        for edge in by_source[work.pop()]:
+        source = members[work.pop()]
+        for edge in resolutions[id(source.decl)].sites.values():
+            if edge.to_class != fsuper.name:
+                continue
             if edge.kind == CALL:
                 target = (METHOD, edge.to_member)
             else:
@@ -296,21 +282,19 @@ def _flat_member(info: MemberInfo, decl, provenance: str, pulled: bool) -> FlatM
 
 
 def _flatten_against_super(
-    cls: ClassInfo, own: ClassResolution, fsuper: FlattenedClass
+    model: ClassModel, cls: ClassInfo, own: ClassResolution, fsuper: FlattenedClass
 ) -> FlattenedClass:
     diagnostics: list[Diagnostic] = []
     pulled, accessed = pulled_closure(fsuper)
-    method_fates = decide_method_fates(cls, fsuper, pulled)
-    attr_fates = decide_attribute_fates(cls, fsuper, accessed)
-    ctor_fates = [
-        MemberFate(m, DROP, RULE_CTOR) for m in fsuper.members if m.kind == CTOR
+    fates = [
+        _method_fate(cls, m, pulled) if m.kind == METHOD
+        else _attribute_fate(cls, m, accessed) if m.kind == ATTRIBUTE
+        else MemberFate(m, DROP, RULE_CTOR)
+        for m in fsuper.members
     ]
-    inline_inits = _analyze_super_ctors(cls, fsuper, attr_fates, diagnostics)
+    inline_inits = _analyze_super_ctors(cls, fsuper, fates, diagnostics)
 
-    fate_by_decl = {id(f.member.decl): f for f in method_fates + attr_fates + ctor_fates}
-    ordered_fates = [fate_by_decl[id(m.decl)] for m in fsuper.members]
-
-    for fate in ordered_fates:
+    for fate in fates:
         if fate.decision == DROP_ANOMALY:
             diagnostics.append(
                 Diagnostic(
@@ -322,67 +306,95 @@ def _flatten_against_super(
                 )
             )
 
-    _assign_names(cls, ordered_fates, diagnostics)
-    flat = rewrite_references(cls, own, fsuper, ordered_fates, inline_inits)
+    _assign_names(cls, fates, diagnostics)
+    flat = rewrite_references(model, cls, own, fsuper, fates, inline_inits)
     flat.diagnostics = diagnostics
     return flat
 
 
 def rewrite_references(
+    model: ClassModel,
     cls: ClassInfo,
     own: ClassResolution,
     fsuper: FlattenedClass,
     fates: list[MemberFate],
     inline_inits: dict[str, tree.Expr],
 ) -> FlattenedClass:
-    """Take members into the subclass and fix every affected reference.
+    """Take members into the subclass, fix every affected reference, and
+    carry each body's resolution over to the flattened class.
 
     Inside pulled bodies, references to renamed members switch to the new
     names and class-qualified static references to pulled members collapse
     to local ones. In the subclass's own bodies, `super.` references become
-    bare references to the pulled (possibly renamed) member, or `this.`
-    references when a local would capture the bare name. `own` is the
-    subclass's resolution; a body that needs no rewrite is shared, not
-    copied.
+    bare references to the pulled (possibly renamed) member. Either becomes
+    a `this.` reference where a local would capture the bare name.
+
+    `own` is the subclass's resolution. A pulled body is walked only when
+    it references a member renamed or collapsed at this level; every other
+    pulled member keeps its node, and its edges are fsuper's, now from and
+    to this class. The few bodies whose resolution can change in the
+    flattened class are resolved again there (see `_resolve_changed`).
     """
     rewrites: list[RewriteDirective] = []
+    name = cls.name
+    members: list[FlatMember] = []
+    resolutions: list[MemberResolution] = []
+    unsure: list[int] = []  # members whose carried resolution may not hold
 
     # Rewrite the subclass's own bodies: super references become local ones.
     sub_rewriter = _SubBodyRewriter(cls, own.sites, fates, rewrites)
-    own_members = [
-        _flat_member(info, sub_rewriter.member(info.decl), cls.name, pulled=False)
-        for info in cls.ordered_members()
-    ]
+    for info in cls.ordered_members():
+        source = own.members[id(info.decl)]
+        decl, sites, sure = sub_rewriter.rewrite(info.decl, _source_of(info.kind, info.signature))
+        if not sure or _retyped(model, source, name):
+            unsure.append(len(members))
+        members.append(_flat_member(info, decl, name, pulled=False))
+        resolutions.append(source.with_sites(sites))
 
     # Take the pulled members, apply renames and body rewrites.
-    pulled_rewriter = _PulledBodyRewriter(fsuper, fates, rewrites)
-    pulled_members = []
+    pulled_rewriter = _PulledBodyRewriter(name, fsuper, fates, rewrites)
+    renamed = pulled_rewriter.renamed
+    super_resolutions = fsuper.resolution.members
     for fate in fates:
         if not fate.pulls:
             continue
         member = fate.member
         decl = member.decl
-        if isinstance(decl, tree.FieldDecl) and member.name in inline_inits:
-            decl = replace(decl, init=inline_inits[member.name])
-        decl = pulled_rewriter.member(decl)
+        source = super_resolutions[id(decl)]
         final_name = fate.new_name or member.name
+        signature = _final_signature(member, fate.new_name)
+        source_of = _source_of(member.kind, signature)
+        if member.name in inline_inits and member.kind == ATTRIBUTE:
+            decl = replace(decl, init=inline_inits[member.name])
+            resolution = MemberResolution()
+        else:
+            sites = _carry_sites(source.sites, name, source_of, renamed, fsuper.name)
+            if sites is None:
+                decl, sites, _ = pulled_rewriter.rewrite(decl, source_of)
+                # The walk collapsed every static reference qualified by fsuper.
+                resolution = source.with_sites(sites, source.class_refs - {fsuper.name})
+            else:
+                resolution = source.with_sites(sites)
         if fate.new_name:
             decl = replace(decl, name=final_name)
-        signature = decl.signature() if isinstance(decl, tree.MethodDecl) else final_name
-        pulled_members.append(
-            FlatMember(
+        if decl is not member.decl or not member.pulled:
+            member = FlatMember(
                 decl, member.kind, final_name, signature, member.visibility,
                 member.is_static, member.is_final, member.provenance, True,
                 renamed=member.renamed or fate.new_name is not None,
             )
-        )
+        # `this` changes type when a body moves down a level.
+        if resolution.uses_this or _retyped(model, resolution, fsuper.name):
+            unsure.append(len(members))
+        members.append(member)
+        resolutions.append(resolution)
 
-    members = own_members + pulled_members
     new_decl = tree.ClassDecl(
-        cls.decl.visibility, cls.name, None, [m.decl for m in members],
+        cls.decl.visibility, name, None, [m.decl for m in members],
         cls.decl.span, cls.decl.name_span,
     )
-    return FlattenedClass(cls.name, cls.package, new_decl, members, fates, rewrites)
+    resolution = _resolve_changed(model, cls, new_decl, members, resolutions, unsure)
+    return FlattenedClass(name, cls.package, new_decl, members, resolution, fates, rewrites)
 
 
 def _assign_names(cls: ClassInfo, fates: list[MemberFate], diagnostics: list[Diagnostic]) -> None:
@@ -427,17 +439,13 @@ def _assign_names(cls: ClassInfo, fates: list[MemberFate], diagnostics: list[Dia
         if member.kind == ATTRIBUTE:
             attr_names.add(final_name)
         elif member.kind == METHOD:
-            method_sigs.add(
-                tree.method_signature(
-                    final_name, [p.decl_type.text() for p in member.decl.params]
-                )
-            )
+            method_sigs.add(_final_signature(member, fate.new_name))
 
 
 def _analyze_super_ctors(
     cls: ClassInfo,
     fsuper: FlattenedClass,
-    attr_fates: list[MemberFate],
+    fates: list[MemberFate],
     diagnostics: list[Diagnostic],
 ) -> dict[str, tree.Expr]:
     """Fold an inlinable no-arg superclass constructor into field initializers."""
@@ -504,33 +512,196 @@ def _analyze_super_ctors(
             )
         )
         return {}
-    pulled = {f.member.name for f in attr_fates if f.pulls}
+    pulled = {f.member.name for f in fates if f.member.kind == ATTRIBUTE and f.pulls}
     return {name: expr for name, expr in assignments if name in pulled}
 
 
 # --- body rewriting ---------------------------------------------------------
 
+_LOCAL_BASES = (BASIS_BARE, BASIS_THIS)
 
-class _SubBodyRewriter(tree.BodyWalker):
-    """Rewrites `super.` references in the subclass's own bodies."""
 
-    def __init__(self, cls, sites, fates, rewrites):
+def _source_of(kind: str, signature: str) -> tuple[str, str | None]:
+    """The `from_member` and `initializer_of` of the edges from a member's body."""
+    if kind == ATTRIBUTE:
+        return INIT_FIELDS, signature
+    return signature, None
+
+
+def _renamed_signature(signature: str, name: str) -> str:
+    return name + signature[signature.index("("):]
+
+
+def _final_signature(member: FlatMember, new_name: str | None) -> str:
+    if new_name is None:
+        return member.signature
+    if member.kind == ATTRIBUTE:
+        return new_name
+    return _renamed_signature(member.signature, new_name)
+
+
+def _carry_sites(sites, class_name: str, source_of, renamed, super_name: str):
+    """A pulled body's edges, now from `class_name`, and to it where bare or `this.`.
+
+    None if a reference targets a member that `renamed` holds or a static
+    member of `super_name`: then the body changes, and must be walked.
+    """
+    from_member, initializer_of = source_of
+    carried = {}
+    for node, e in sites.items():
+        if e.to_member in renamed or e.basis == BASIS_CLASS and e.to_class == super_name:
+            return None
+        carried[node] = AccessEdge(
+            class_name, from_member, e.kind,
+            class_name if e.basis in _LOCAL_BASES else e.to_class,
+            e.to_member, e.basis, e.span, initializer_of,
+        )
+    return carried
+
+
+def _retyped(model: ClassModel, resolution: MemberResolution, root: str) -> bool:
+    """Whether a receiver type or static qualifier of the body is `root` or
+    one of its subclasses, whose member tables change when `root` is
+    flattened."""
+    if not (resolution.receiver_types or resolution.class_refs):
+        return False
+    for name in (*resolution.receiver_types, *resolution.class_refs):
+        while name is not None:
+            if name == root:
+                return True
+            name = model.classes[name].superclass
+    return False
+
+
+def _resolve_changed(
+    model: ClassModel,
+    cls: ClassInfo,
+    decl: tree.ClassDecl,
+    members: list[FlatMember],
+    resolutions: list[MemberResolution],
+    unsure: list[int],
+) -> ClassResolution:
+    """The flattened class's resolution, from the carried member resolutions.
+
+    A carried resolution holds unless the member is `unsure`, or its body
+    calls a method by a name the flattened class overloads, or names a
+    class as a static qualifier that is now also an attribute name. Those
+    bodies are resolved again in the flattened class, in member order, so
+    the first error is the one a resolution of the whole class would raise;
+    it names the file the body came from.
+    """
+    names = Counter(m.name for m in members if m.kind == METHOD)
+    overloaded = {name for name, count in names.items() if count > 1}
+    attr_names = None
+    redo = set(unsure)
+    for i, resolution in enumerate(resolutions):
+        if overloaded and any(
+            e.kind == CALL and e.basis in _LOCAL_BASES
+            and e.to_member[:e.to_member.index("(")] in overloaded
+            for e in resolution.sites.values()
+        ):
+            redo.add(i)
+        elif resolution.class_refs:
+            if attr_names is None:
+                attr_names = {m.name for m in members if m.kind == ATTRIBUTE}
+            if not attr_names.isdisjoint(resolution.class_refs):
+                redo.add(i)
+    if redo:
+        flat_info = class_info_from_decl(decl, cls.package, cls.path)
+        flat_model = model.with_class(flat_info)
+        infos = {id(info.decl): info for info in flat_info.all_members()}
+        for i in sorted(redo):
+            member = members[i]
+            resolutions[i] = resolve_member(
+                flat_model, flat_info, infos[id(member.decl)],
+                model.classes[member.provenance].path,
+            )
+    return ClassResolution.of(
+        cls.name, {id(m.decl): r for m, r in zip(members, resolutions)}
+    )
+
+
+class _Carrier(tree.BodyWalker):
+    """Rewrites a body and carries the edge of each reference it meets.
+
+    Subclasses supply `reference`, which returns a reference node's rewrite
+    (or the node itself), the member it targets and the basis it has now.
+    The carried edges are from the flattened class, and to it where the
+    reference is bare or through `this`.
+    """
+
+    def __init__(self, class_name: str, sites: dict[int, AccessEdge], rewrites):
         super().__init__()
-        self.cls = cls
+        self.class_name = class_name
         self.sites = sites
         self.rewrites = rewrites
-        self.fate_index = {
-            (f.member.kind, f.member.provenance, f.member.signature): f for f in fates
-        }
+        self.carried: dict[int, AccessEdge] = {}
+        self.sure = True
+        self.from_member = ""
+        self.initializer_of: str | None = None
+
+    def rewrite(self, decl, source: tuple[str, str | None]):
+        """The rewritten member, its carried edges, and whether they are exact."""
+        self.from_member, self.initializer_of = source
+        self.carried = {}
+        self.sure = True
+        return self.member(decl), self.carried, self.sure
+
+    def reference(self, e: tree.Expr, edge: AccessEdge) -> tuple[tree.Expr, str, str]:
+        raise NotImplementedError  # pragma: no cover - supplied by subclasses
 
     def expr(self, e: tree.Expr) -> tree.Expr:
-        if not (
-            isinstance(e, (tree.FieldAccess, tree.Call)) and isinstance(e.receiver, tree.Super)
-        ):
+        edge = self.sites.get(id(e))
+        if edge is None:
             return tree.map_children(e, self.expr)
-        edge = self.sites[id(e)]
-        kind = ATTRIBUTE if isinstance(e, tree.FieldAccess) else METHOD
-        fate = self.fate_index.get((kind, edge.to_class, edge.to_member))
+        out, to_member, basis = self.reference(e, edge)
+        self.carried[id(out)] = AccessEdge(
+            self.class_name, self.from_member, edge.kind,
+            self.class_name if basis in _LOCAL_BASES else edge.to_class,
+            to_member, basis, getattr(out, "name_span", out.span), self.initializer_of,
+        )
+        return out
+
+    def local(self, name: str, span, name_span) -> tuple[tree.Expr, str]:
+        """A bare reference to attribute `name`, and its basis.
+
+        Where a local would capture the bare name, it goes through `this`.
+        """
+        if self.local_type(name) is not None:
+            return tree.FieldAccess(tree.This(span), name, span, name_span), BASIS_THIS
+        return tree.Name(name, span), BASIS_BARE
+
+
+class _SubBodyRewriter(_Carrier):
+    """Rewrites `super.` references in the subclass's own bodies.
+
+    A bare or `this.` reference to an inherited member stays exact only if
+    that member is pulled under its own name; otherwise the body is unsure.
+    """
+
+    def __init__(self, cls, sites, fates, rewrites):
+        super().__init__(cls.name, sites, rewrites)
+        self.cls = cls
+        # A signature names one member of fsuper: attribute names hold no "(".
+        self.fates = {f.member.signature: f for f in fates}
+
+    def fate(self, edge: AccessEdge) -> MemberFate | None:
+        """The fate of the inherited member an edge targets."""
+        fate = self.fates.get(edge.to_member)
+        if fate is None or fate.member.provenance != edge.to_class:
+            return None
+        if fate.member.kind != (METHOD if edge.kind == CALL else ATTRIBUTE):
+            return None
+        return fate
+
+    def reference(self, e, edge):
+        if edge.basis != BASIS_SUPER:
+            if edge.basis in _LOCAL_BASES and edge.to_class != self.cls.name:
+                fate = self.fate(edge)
+                if fate is None or not fate.pulls or fate.new_name is not None:
+                    self.sure = False
+            return tree.map_children(e, self.expr), edge.to_member, edge.basis
+        fate = self.fate(edge)
         if fate is None or not fate.pulls:
             raise DanglingSuperRef(
                 f"'super.{edge.to_member}' in {self.cls.name} targets a member that "
@@ -545,68 +716,73 @@ class _SubBodyRewriter(tree.BodyWalker):
             )
         )
         if isinstance(e, tree.Call):
-            return tree.Call(None, new_name, [self.expr(a) for a in e.args], e.span, e.name_span)
-        if self.local_type(new_name) is not None:
-            # A local would capture the bare name; go through `this`.
-            return tree.FieldAccess(tree.This(e.span), new_name, e.span, e.name_span)
-        return tree.Name(new_name, e.span)
+            args = [self.expr(a) for a in e.args]
+            call = tree.Call(None, new_name, args, e.span, e.name_span)
+            return call, _renamed_signature(edge.to_member, new_name), BASIS_BARE
+        out, basis = self.local(new_name, e.span, e.name_span)
+        return out, new_name, basis
 
 
-class _PulledBodyRewriter(tree.BodyWalker):
+class _PulledBodyRewriter(_Carrier):
     """Rewrites references inside bodies taken down from the superclass."""
 
-    def __init__(self, fsuper: FlattenedClass, fates: list[MemberFate], rewrites):
-        super().__init__()
+    def __init__(self, class_name: str, fsuper: FlattenedClass, fates: list[MemberFate], rewrites):
+        super().__init__(class_name, fsuper.resolution.sites, rewrites)
         self.super_name = fsuper.name
-        self.sites = fsuper.resolution.sites
-        self.rewrites = rewrites
-        self.attr_renames = {
-            f.member.name: f.new_name for f in fates if f.member.kind == ATTRIBUTE and f.new_name
-        }
-        self.method_renames = {
-            f.member.signature: f.new_name for f in fates if f.member.kind == METHOD and f.new_name
-        }
-        self.pulled = {(f.member.kind, f.member.signature) for f in fates if f.pulls}
+        self.attr_renames: dict[str, str] = {}
+        self.method_renames: dict[str, str] = {}
+        for f in fates:
+            if f.new_name is not None:
+                if f.member.kind == ATTRIBUTE:
+                    self.attr_renames[f.member.name] = f.new_name
+                else:
+                    self.method_renames[f.member.signature] = f.new_name
+        # What a reference in a pulled body must target for the body to change.
+        self.renamed = self.attr_renames.keys() | self.method_renames.keys()
 
     def _record(self, span, old: str, new: str) -> None:
         self.rewrites.append(
             RewriteDirective((span.start, span.end), old, new, self.super_name)
         )
 
-    def expr(self, e: tree.Expr) -> tree.Expr:
-        edge = self.sites.get(id(e))
-        if edge is None or edge.to_class != self.super_name:
-            return tree.map_children(e, self.expr)
+    def reference(self, e, edge):
+        if edge.to_class != self.super_name:
+            return tree.map_children(e, self.expr), edge.to_member, edge.basis
         if isinstance(e, tree.Name):
             new_name = self.attr_renames.get(edge.to_member)
             if new_name:
                 self._record(e.span, e.ident, new_name)
-                return tree.Name(new_name, e.span)
-            return e
+                out, basis = self.local(new_name, e.span, e.span)
+                return out, new_name, basis
+            return e, edge.to_member, edge.basis
         if isinstance(e, tree.FieldAccess):
             if edge.basis == BASIS_THIS:
                 new_name = self.attr_renames.get(edge.to_member)
                 if new_name:
                     self._record(e.name_span, e.name, new_name)
-                    return replace(e, name=new_name)
-                return e
-            if edge.basis == BASIS_CLASS and (ATTRIBUTE, edge.to_member) in self.pulled:
-                # Qualified static access to a member that now lives here.
+                    return replace(e, name=new_name), new_name, BASIS_THIS
+                return e, edge.to_member, edge.basis
+            if edge.basis == BASIS_CLASS:
+                # Qualified static access to a member that now lives here:
+                # whatever a pulled body references is pulled (pulled_closure).
                 new_name = self.attr_renames.get(edge.to_member, edge.to_member)
                 self._record(e.span, f"{_receiver_text(e.receiver)}.{e.name}", new_name)
-                return tree.Name(new_name, e.span)
+                out, basis = self.local(new_name, e.span, e.name_span)
+                return out, new_name, basis
         if isinstance(e, tree.Call):
-            if edge.basis in (BASIS_BARE, BASIS_THIS):
+            if edge.basis in _LOCAL_BASES:
                 new_name = self.method_renames.get(edge.to_member)
                 if new_name:
                     self._record(e.name_span, e.name, new_name)
-                    e = replace(e, name=new_name)
-            elif edge.basis == BASIS_CLASS and (METHOD, edge.to_member) in self.pulled:
+                    call = tree.map_children(replace(e, name=new_name), self.expr)
+                    return call, _renamed_signature(edge.to_member, new_name), edge.basis
+            elif edge.basis == BASIS_CLASS:
                 new_name = self.method_renames.get(edge.to_member, e.name)
                 self._record(e.span, f"{_receiver_text(e.receiver)}.{e.name}", new_name)
                 args = [self.expr(a) for a in e.args]
-                return tree.Call(None, new_name, args, e.span, e.name_span)
-        return tree.map_children(e, self.expr)
+                call = tree.Call(None, new_name, args, e.span, e.name_span)
+                return call, _renamed_signature(edge.to_member, new_name), BASIS_BARE
+        return tree.map_children(e, self.expr), edge.to_member, edge.basis
 
 
 def _receiver_text(receiver: tree.Expr) -> str:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from . import tree
 from .emitter import EmitOptions, emit
 from .flattener import FlattenedClass
-from .model import ClassModel, class_info_from_decl
-from .resolver import AccessGraph, ClassResolution, READ, WRITE, resolve_class
+from .model import ClassModel
+from .resolver import AccessGraph, ClassResolution, READ, WRITE
+from .resolver import resolve_class  # noqa: F401 - benchmark/tracing.py wraps metrics.resolve_class
 
 ORIGINAL = "original"
 FLATTENED = "flattened"
@@ -91,11 +92,7 @@ def measure_original(model: ClassModel, graph: AccessGraph, name: str) -> Metric
 
 
 def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:
-    resolution = flat.resolution
-    if resolution is None:
-        info = class_info_from_decl(flat.decl, flat.package)
-        resolution = resolve_class(model.with_class(info), info)
-    return _measure(model, flat.name, FLATTENED, flat.decl, resolution, superclass=None)
+    return _measure(model, flat.name, FLATTENED, flat.decl, flat.resolution, superclass=None)
 
 
 def compare(

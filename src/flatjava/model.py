@@ -246,6 +246,13 @@ def classify_members(model: ClassModel) -> ClassModel:
     """
     model.overrides = []
     model.overloads = []
+    # Each class's methods grouped by name, in declaration order.
+    by_name: dict[str, dict[str, list[MemberInfo]]] = {}
+    for name in model.order:
+        groups: dict[str, list[MemberInfo]] = {}
+        for method in model.classes[name].methods.values():
+            groups.setdefault(method.name, []).append(method)
+        by_name[name] = groups
     for name in model.order:
         info = model.classes[name]
         for sup_info in model.superclass_chain(name):
@@ -267,8 +274,8 @@ def classify_members(model: ClassModel) -> ClassModel:
                             override_legality(method, sup_method),
                         )
                     )
-                for other in sup_info.methods.values():
-                    if other.name == method.name and other.signature != method.signature:
+                for other in by_name[sup_info.name].get(method.name, ()):
+                    if other.signature != method.signature:
                         model.overloads.append((method, other))
 
     for relation in model.overrides:

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from .flattener import FlattenedClass
 from .metrics import ComparisonRow, MetricsRecord
@@ -28,8 +29,57 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _dump_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+def dump_json(document: dict) -> str:
+    """`json.dumps(document, indent=2) + "\\n"`, byte for byte, but faster.
+
+    With `indent`, CPython's `json` falls back to its pure-Python encoder;
+    this writer does the same layout with the C string escaper. It takes
+    dicts with string keys, lists, tuples, strings, ints, bools and None.
+    """
+    out: list[str] = []
+    _write_json(document, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append `value` to `out`; `newline` is a line break plus its indent."""
+    if isinstance(value, str):
+        out.append(_encode_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + _encode_string(key) + ": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # --- metrics report ---------------------------------------------------------
@@ -41,7 +91,7 @@ def metrics_document(records: list[MetricsRecord]) -> dict:
 
 def render_metrics(records: list[MetricsRecord], fmt: str) -> str:
     if fmt == "json":
-        return _dump_json(metrics_document(records))
+        return dump_json(metrics_document(records))
     header = ["name", "view", "noa", "nom", "sloc", "lcom1", "lcom2", "cbo"]
     rows = [
         [r.class_name, r.view, r.noa, r.nom, r.sloc, r.lcom1, r.lcom2, r.cbo]
@@ -75,7 +125,7 @@ def compare_document(rows: list[ComparisonRow]) -> dict:
 
 def render_compare(rows: list[ComparisonRow], fmt: str) -> str:
     if fmt == "json":
-        return _dump_json(compare_document(rows))
+        return dump_json(compare_document(rows))
     header = [
         "name",
         "noa", "noa_flat", "nom", "nom_flat", "sloc", "sloc_flat",

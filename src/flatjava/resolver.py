@@ -13,6 +13,7 @@ wins without type checks; anything else unresolvable is an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import tree
 from .errors import AmbiguousCall, UnresolvedName
@@ -34,8 +35,7 @@ BASIS_RECEIVER = "receiver"
 _PRIMITIVES = frozenset({"int", "long", "double", "boolean", "void"})
 
 
-@dataclass(frozen=True)
-class AccessEdge:
+class AccessEdge(NamedTuple):
     from_class: str
     from_member: str  # method signature, <init-fields>(), or <init>(...)
     kind: str  # read | write | call
@@ -46,14 +46,13 @@ class AccessEdge:
     initializer_of: str | None = None
 
     def key(self) -> tuple[str, str, str, str, str, str]:
-        return (self.from_class, self.from_member, self.kind,
-                self.to_class, self.to_member, self.basis)
+        return self[:6]
 
 
-@dataclass
-class ClassResolution:
-    class_name: str
-    edges: list[AccessEdge] = field(default_factory=list)
+@dataclass(slots=True)
+class MemberResolution:
+    """The resolution of one field initializer or body."""
+
     # The edge of each reference node (Name, FieldAccess, Call, New or
     # assignment target), keyed by the node's identity: offsets are not
     # unique once bodies from several files share one flattened class.
@@ -61,6 +60,44 @@ class ClassResolution:
     sites: dict[int, AccessEdge] = field(default_factory=dict)
     receiver_types: set[str] = field(default_factory=set)
     new_types: set[str] = field(default_factory=set)
+    # Classes named as the qualifier of a static access.
+    class_refs: set[str] = field(default_factory=set)
+    # Whether `this` is used as a value, not as a receiver: its type is the
+    # class, which changes when the body is pulled into a subclass.
+    uses_this: bool = False
+
+    def with_sites(self, sites: dict[int, AccessEdge], class_refs: set[str] | None = None):
+        """This resolution with other sites, for a body carried into another class."""
+        return MemberResolution(
+            sites, self.receiver_types, self.new_types,
+            self.class_refs if class_refs is None else class_refs, self.uses_this,
+        )
+
+
+@dataclass
+class ClassResolution:
+    """The resolution of every member of a class, and their union."""
+
+    class_name: str
+    edges: list[AccessEdge] = field(default_factory=list)
+    sites: dict[int, AccessEdge] = field(default_factory=dict)
+    receiver_types: set[str] = field(default_factory=set)
+    new_types: set[str] = field(default_factory=set)
+    # Each member's own resolution, keyed by the identity of its declaration.
+    members: dict[int, MemberResolution] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, class_name: str, members: dict[int, MemberResolution]) -> "ClassResolution":
+        """The union of the member resolutions, in member order."""
+        res = cls(class_name, members=members)
+        for member in members.values():
+            res.sites.update(member.sites)
+            if member.receiver_types:
+                res.receiver_types |= member.receiver_types
+            if member.new_types:
+                res.new_types |= member.new_types
+        res.edges = list(res.sites.values())
+        return res
 
 
 class AccessGraph:
@@ -88,36 +125,47 @@ def compute_access_graph(model: ClassModel) -> AccessGraph:
 
 def resolve_class(model: ClassModel, cls: ClassInfo) -> ClassResolution:
     """Resolve every body in one class, collecting access edges."""
-    res = ClassResolution(cls.name)
-    walker = _Walker(model, cls, res)
-    for member in cls.ordered_members():
-        if isinstance(member.decl, tree.FieldDecl):
-            walker.from_member, walker.initializer_of = INIT_FIELDS, member.name
-        else:
-            walker.from_member, walker.initializer_of = member.signature, None
-        walker.member(member.decl)
-    return res
+    walker = _Walker(model, cls)
+    return ClassResolution.of(cls.name, {
+        id(member.decl): walker.resolve(member, cls.path) for member in cls.ordered_members()
+    })
+
+
+def resolve_member(
+    model: ClassModel, cls: ClassInfo, member: MemberInfo, path: str | None
+) -> MemberResolution:
+    """Resolve one member of `cls`; errors name `path`, the file of its body."""
+    return _Walker(model, cls).resolve(member, path)
 
 
 class _Walker(tree.BodyWalker):
-    def __init__(self, model: ClassModel, cls: ClassInfo, res: ClassResolution):
+    def __init__(self, model: ClassModel, cls: ClassInfo):
         super().__init__()
         self.model = model
         self.cls = cls
-        self.res = res
+        self.path = cls.path
+        self.res = MemberResolution()
         self.from_member = ""
         self.initializer_of: str | None = None
 
+    def resolve(self, member: MemberInfo, path: str | None) -> MemberResolution:
+        self.res = MemberResolution()
+        self.path = path
+        if isinstance(member.decl, tree.FieldDecl):
+            self.from_member, self.initializer_of = INIT_FIELDS, member.name
+        else:
+            self.from_member, self.initializer_of = member.signature, None
+        self.member(member.decl)
+        return self.res
+
     def fail(self, message: str, span: Span) -> UnresolvedName:
-        return UnresolvedName(message, span, self.cls.path)
+        return UnresolvedName(message, span, self.path)
 
     def edge(self, kind: str, target: MemberInfo, basis: str, span: Span, node: tree.Expr) -> None:
-        edge = AccessEdge(
+        self.res.sites[id(node)] = AccessEdge(
             self.cls.name, self.from_member, kind, target.owner, target.signature,
             basis, span, self.initializer_of,
         )
-        self.res.edges.append(edge)
-        self.res.sites[id(node)] = edge
 
     # -- walker hooks -----------------------------------------------------
 
@@ -154,6 +202,7 @@ class _Walker(tree.BodyWalker):
             self.edge(READ, found, BASIS_BARE, e.span, e)
             return found.decl.decl_type.text()
         if isinstance(e, tree.This):
+            self.res.uses_this = True
             return self.cls.name
         if isinstance(e, tree.Super):
             if self.cls.superclass is None:
@@ -229,6 +278,7 @@ class _Walker(tree.BodyWalker):
         return None
 
     def static_member_access(self, class_name: str, e: tree.FieldAccess, kind: str) -> str | None:
+        self.res.class_refs.add(class_name)
         member = self.attr_on_type(class_name, e.name)
         if member is None:
             raise self.fail(
@@ -290,6 +340,7 @@ class _Walker(tree.BodyWalker):
         return _return_type(member)
 
     def static_call(self, class_name: str, e: tree.Call, arg_types) -> str | None:
+        self.res.class_refs.add(class_name)
         target_cls = self.model.classes[class_name]
         candidates = self.method_candidates(
             target_cls, e.name, own_class=(class_name == self.cls.name)
@@ -326,7 +377,7 @@ class _Walker(tree.BodyWalker):
                     f"constructor call new {e.type_name}({', '.join(t or '?' for t in arg_types)}) "
                     f"matches {len(exact) or len(matching)} overloads",
                     e.span,
-                    self.cls.path,
+                    self.path,
                 )
             matching = exact
         self.edge(CALL, matching[0], BASIS_RECEIVER, e.span, e)
@@ -384,7 +435,7 @@ class _Walker(tree.BodyWalker):
             raise AmbiguousCall(
                 f"no overload of {e.name!r} takes {len(e.args)} argument(s)",
                 e.name_span,
-                self.cls.path,
+                self.path,
             )
         if len(arity) == 1:
             return arity[0]
@@ -396,7 +447,7 @@ class _Walker(tree.BodyWalker):
             f"({', '.join(t or '?' for t in arg_types)}) matches "
             f"{len(exact) or len(arity)} overloads",
             e.name_span,
-            self.cls.path,
+            self.path,
         )
 
 

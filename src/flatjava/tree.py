@@ -4,10 +4,11 @@ Nodes are plain dataclasses. Every node keeps the span of the source text it
 was parsed from; nodes synthesized by the flattener reuse the span of the
 construct they replace.
 
-The AST is never mutated after parsing. A rewrite builds new nodes only along
-a changed path and shares every untouched subtree, so a flattened class
-shares its unchanged bodies with its superclass's flattened view and with the
-classes as written.
+The AST is never mutated after parsing, except that a member declaration
+keeps the emitter's lines for it. A rewrite builds new nodes only along a
+changed path and shares every untouched subtree, so a flattened class shares
+its unchanged bodies with its superclass's flattened view and with the
+classes as written, and each distinct member is emitted once.
 """
 
 from __future__ import annotations
@@ -167,6 +168,12 @@ class Block(Stmt):
 # --- declarations ----------------------------------------------------------
 
 
+def _emitted():
+    """The emitter's lines for a member, kept on the node for as long as it
+    lives. A rewrite (`dataclasses.replace`) starts a new node without them."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass
 class Param(Node):
     decl_type: TypeRef
@@ -184,6 +191,7 @@ class FieldDecl(Node):
     init: Expr | None
     span: Span
     name_span: Span
+    emitted: list[str] | None = _emitted()
 
 
 @dataclass
@@ -197,6 +205,7 @@ class MethodDecl(Node):
     body: Block
     span: Span
     name_span: Span
+    emitted: list[str] | None = _emitted()
 
     def signature(self) -> str:
         return method_signature(self.name, [p.decl_type.text() for p in self.params])
@@ -210,6 +219,7 @@ class CtorDecl(Node):
     body: Block
     span: Span
     name_span: Span
+    emitted: list[str] | None = _emitted()
 
     def signature(self) -> str:
         return method_signature("<init>", [p.decl_type.text() for p in self.params])

@@ -128,6 +128,12 @@ EXPECTED_EDGES = {
             ("B", "use(A)", "call", "A", "twice()", "receiver"),
         ],
     },
+    "local_capture": {
+        "A": [("A", "run()", "read", "A", "x", "bare")],
+        "B": [],
+        "C": [("C", "run()", "read", "C", "s", "class")],
+        "D": [],
+    },
     "offset_collision": {
         "C3": [("C3", "g()", "read", "C3", "a", "bare")],
         "C2": [("C2", "h()", "read", "C2", "b", "bare")],

@@ -105,6 +105,25 @@ def test_non_ascii_digits_are_illegal_characters(tmp_path, field, column, char):
     assert f"A.java:2:{column}: illegal character {char!r}" in result.output
 
 
+@pytest.mark.parametrize("command", [["flatten"], ["compare", "--format", "json"]])
+def test_flattened_class_error_names_file_of_body(tmp_path, command):
+    # m(null) resolves in A, but B's m(Foo) makes it ambiguous in flattened B;
+    # the call is in A.java, and B.java has 5 lines.
+    (tmp_path / "A.java").write_text(
+        "class A {\n    int m(String s) {\n        return 1;\n    }\n\n"
+        "    int run() {\n        return m(null);\n    }\n}\n"
+    )
+    (tmp_path / "B.java").write_text(
+        "class B extends A {\n    int m(Foo s) {\n        return 2;\n    }\n}\n"
+    )
+    result = runner.invoke(main, [command[0], str(tmp_path), *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert (
+        f"{tmp_path / 'A.java'}:7:16: call 'm' with argument types (null) matches 2 overloads"
+        in result.output
+    )
+
+
 def test_unexpected_exception_exit_3_without_traceback(tmp_path, monkeypatch):
     def broken(model):
         raise RuntimeError("boom")

@@ -1,0 +1,200 @@
+"""The flattener derives each flattened class's resolution; it must equal a
+full resolution of the flattened declaration.
+
+`resolve_class` on the flattened declaration, in the model with the class
+replaced by it, is the reference. Every derived resolution must have the
+same multiset of edge keys, the same receiver and `new` types, and an entry
+with the same key for every reference node the reference resolves. Where
+the reference raises, flattening must raise the same error type and
+message.
+
+A pulled body that kept a stale name would still agree with a resolution of
+itself, so on the fixtures and generated hierarchies each pulled body's
+references to the superclass must also target, in the flattened class, the
+members they were renamed to. The bodies of `CHANGING` are exempt: there a
+reference means something else once the body sits in the subclass.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+from flatjava import FlatJavaError, flattener
+from flatjava.model import class_info_from_decl
+from flatjava.resolver import resolve_class
+
+from conftest import CORPUS, load_model, model_from_sources
+from genclasses import random_hierarchy_sources
+from hiergen import CONFIGS, build_sources
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except FlatJavaError as err:
+        return None, (type(err), err.message)
+
+
+def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> int:
+    """Flatten, comparing each derived resolution with the reference; returns classes checked."""
+    derive = flattener._resolve_changed
+    checked = []
+
+    def compared(model, cls, decl, *carried):
+        info = class_info_from_decl(decl, cls.package, cls.path)
+        reference, expected_error = _outcome(
+            lambda: resolve_class(model.with_class(info), info)
+        )
+        derived, error = _outcome(lambda: derive(model, cls, decl, *carried))
+        assert error == expected_error, cls.name
+        checked.append(cls.name)
+        if error is not None:
+            raise error[0](error[1])
+        assert_same_resolution(derived, reference, cls.name)
+        return derived
+
+    monkeypatch.setattr(flattener, "_resolve_changed", compared)
+    try:
+        flattened = flattener.flatten_model(model, graph)
+    except FlatJavaError:
+        return len(checked)
+    if follows_renames:
+        for name, flat in flattened.items():
+            superclass = model.classes[name].superclass
+            if superclass is not None:
+                assert_follows_renames(flat, flattened[superclass])
+    return len(checked)
+
+
+def assert_follows_renames(flat, fsuper) -> None:
+    """Each pulled body's bare, `this.` and static references to fsuper's
+    members target, in `flat`, the members those became."""
+    pulled = list(zip(
+        [fate for fate in flat.fates if fate.pulls], [m for m in flat.members if m.pulled]
+    ))
+    final = {(fate.member.kind, fate.member.signature): m.signature for fate, m in pulled}
+    for fate, member in pulled:
+        if getattr(member.decl, "init", None) is not getattr(fate.member.decl, "init", None):
+            continue  # a folded constructor assignment replaced the initializer
+        source = fsuper.resolution.members[id(fate.member.decl)].sites.values()
+        carried = flat.resolution.members[id(member.decl)].sites.values()
+        expected = Counter(
+            (e.kind, final[("method" if e.kind == "call" else "attribute", e.to_member)])
+            for e in source
+            if e.to_class == fsuper.name and e.basis in ("bare", "this", "class")
+        )
+        actual = Counter(
+            (e.kind, e.to_member)
+            for e in carried
+            if e.to_class == flat.name and e.basis in ("bare", "this")
+        )
+        assert actual == expected, (flat.name, member.signature)
+
+
+def assert_same_resolution(derived, reference, name) -> None:
+    assert Counter(e.key() for e in derived.edges) == Counter(
+        e.key() for e in reference.edges
+    ), name
+    assert derived.receiver_types == reference.receiver_types, name
+    assert derived.new_types == reference.new_types, name
+    assert derived.sites.keys() == reference.sites.keys(), name
+    for node, edge in reference.sites.items():
+        assert derived.sites[node].key() == edge.key(), (name, edge)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_derived_resolution_on_fixtures(name, monkeypatch):
+    model, graph = load_model(name)
+    check_flatten(model, graph, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_derived_resolution_on_generated_hierarchies(seed, monkeypatch):
+    sources = random_hierarchy_sources(random.Random(40_000 + seed))
+    assert check_flatten(*model_from_sources(*sources), monkeypatch) >= 1
+
+
+def test_derived_resolution_on_decision_table(monkeypatch):
+    for config in CONFIGS:
+        assert check_flatten(*model_from_sources(*build_sources(*config)), monkeypatch) == 1
+
+
+# Bodies whose resolution changes once they sit in the flattened class, each
+# of which the flattener must resolve again rather than carry over.
+CHANGING = {
+    "overload_added_ambiguous": (
+        "class A { int m(String s) { return 1; } int run() { return m(null); } }",
+        "class B extends A { int m(Foo s) { return 2; } }",
+    ),
+    "overload_added_resolvable": (
+        "class A { int m(String s) { return 1; } int run() { return m(\"a\"); } }",
+        "class B extends A { int m(int s) { return 2; } }",
+    ),
+    "private_overload_pulled_into_own_call": (
+        "class A { private int m(int s) { return 1; } public int run() { return m(1); } }",
+        "class B extends A { int m(String s) { return 2; } int go() { return m(null); } }",
+    ),
+    "receiver_typed_by_superclass": (
+        "class R { public int x; }",
+        "class A extends R { int y; int run(A o) { return o.x + o.y; } }",
+        "class B extends A { int x; }",
+    ),
+    "private_through_superclass_receiver": (
+        "class A { private int p; public int run(A o) { return o.p; } }",
+        "class B extends A { }",
+    ),
+    "this_as_argument": (
+        "class A { int f(A a) { return 1; } int f(B b) { return 2; } int run() { return f(this); } }",
+        "class B extends A { }",
+    ),
+    "this_as_constructor_argument": (
+        "class T { T(A a) { } T(B b) { } }",
+        "class A { void run() { T t = new T(this); } }",
+        "class B extends A { }",
+    ),
+    "this_as_receiver": (
+        "class A { int x; int run() { return (this).x; } }",
+        "class B extends A { int x; }",
+    ),
+    "static_qualifier_of_subclass": (
+        "class A { public static int s; int run() { return B.s; } }",
+        "class B extends A { }",
+    ),
+    "static_qualifier_obscured_by_attribute": (
+        "class T { static int s; }",
+        "class A { int run() { return T.s; } }",
+        "class B extends A { int T; }",
+    ),
+    "own_body_reads_shadowed_ancestor": (
+        "class R { public int y; }",
+        "class S extends R { private int y; int get() { return y; } }",
+        "class C extends S { int run() { return y; } }",
+    ),
+    "own_body_reads_renamed_ancestor": (
+        "class R { public int y; }",
+        "class S extends R { private int y; }",
+        "class C extends S { int run() { return y; } }",
+    ),
+    "own_call_to_private_overload": (
+        "class R { public int m(int a) { return 1; } }",
+        "class S extends R { private int m(long a) { return 2; } public int k() { return m(1L); } }",
+        "class C extends S { int run() { return m(1); } }",
+    ),
+    "own_static_self_qualifier": (
+        "class A { public static int s; }",
+        "class B extends A { int run() { return B.s; } }",
+    ),
+    "super_call_into_overloads": (
+        "class A { public int m(int a) { return 1; } }",
+        "class B extends A { int m(String s) { return 3; } int run(int a) { return super.m(a); } }",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANGING))
+def test_derived_resolution_where_bodies_change(name, monkeypatch):
+    model, graph = model_from_sources(*CHANGING[name])
+    assert check_flatten(model, graph, monkeypatch, follows_renames=False) >= 1

@@ -77,21 +77,6 @@ def test_long_double_literals_roundtrip():
     assert token_signature(tokenize(emitted)) == token_signature(tokenize(source))
 
 
-def test_indent_two():
-    unit = parse_source("class A{int x;}")
-    assert emit(unit, EmitOptions(indent=2)) == "class A {\n  int x;\n}\n"
-
-
-def test_invalid_indent_rejected():
-    with pytest.raises(ValueError):
-        EmitOptions(indent=3)
-
-
-def test_newline_option():
-    unit = parse_source("class A{}")
-    assert emit(unit, EmitOptions(newline="\r\n")) == "class A {\r\n}\r\n"
-
-
 def test_provenance_comments_on_flattened_output():
     _, _, flattened = flatten_fixture("private_accessor_pair")
     text = emit(flattened["B"], EmitOptions(provenance=True))

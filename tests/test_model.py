@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -201,3 +202,69 @@ def test_model_document_matches_schema():
     document = model_document(model, graph)
     jsonschema.validate(document, load_schema("model_v1"))
     assert document["schema"] == "model/v1"
+
+
+# --- overload scan ----------------------------------------------------------
+
+
+def _random_overloading_hierarchy(rng) -> list[str]:
+    """Classes in a random forest whose methods share a few names."""
+    sources = []
+    for i in range(rng.randint(2, 6)):
+        parent = f" extends K{rng.randrange(i)}" if i and rng.random() < 0.8 else ""
+        lines = [f"class K{i}{parent} {{"]
+        for field in rng.sample(["a", "b", "c"], rng.randint(0, 3)):
+            lines.append(f"    {'static ' if rng.random() < 0.3 else ''}int {field};")
+        signatures = set()
+        for _ in range(rng.randint(0, 7)):
+            name = rng.choice(["m", "n", "k"])
+            params = tuple(rng.choice(["int", "long", "String"]) for _ in range(rng.randint(0, 2)))
+            if (name, params) in signatures:
+                continue
+            signatures.add((name, params))
+            modifiers = rng.choice(["", "static ", "final ", "private "])
+            args = ", ".join(f"{t} p{j}" for j, t in enumerate(params))
+            lines.append(f"    {modifiers}void {name}({args}) {{\n    }}")
+        lines.append("}")
+        sources.append("\n".join(lines) + "\n")
+    return sources
+
+
+def _brute_force_pairings(model):
+    """Overrides and overloads by comparing every member pair, in model order."""
+    overrides, overloads = [], []
+    for name in model.order:
+        info = model.classes[name]
+        for sup in model.superclass_chain(name):
+            for attr in info.attributes.values():
+                for other in sup.attributes.values():
+                    if other.name == attr.name:
+                        overrides.append((attr, other))
+            for method in info.methods.values():
+                for other in sup.methods.values():
+                    if other.signature == method.signature:
+                        overrides.append((method, other))
+                for other in sup.methods.values():
+                    if other.name == method.name and other.signature != method.signature:
+                        overloads.append((method, other))
+    return overrides, overloads
+
+
+def _ids(pairs) -> list[tuple[int, int]]:
+    return [(id(sub), id(sup)) for sub, sup in pairs]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_overloads_and_overrides_match_brute_force(seed):
+    model, _ = model_from_sources(*_random_overloading_hierarchy(random.Random(seed)))
+    overrides, overloads = _brute_force_pairings(model)
+    assert _ids((r.sub, r.sup) for r in model.overrides) == _ids(overrides)
+    assert _ids(model.overloads) == _ids(overloads)
+
+
+def test_generated_hierarchies_include_overloads():
+    with_overloads = sum(
+        1 for seed in range(60)
+        if model_from_sources(*_random_overloading_hierarchy(random.Random(seed)))[0].overloads
+    )
+    assert with_overloads >= 30
