@@ -25,8 +25,8 @@ from .model import build_model, classify_members
 from .parser import parse_source
 from .report import (
     FORMATS,
-    dump_json,
-    plan_document,
+    plan_document,  # noqa: F401 - benchmark/tracing.py wraps cli.plan_document
+    plan_json,
     render_compare,
     render_metrics,
 )
@@ -147,14 +147,13 @@ def flatten(paths, out, provenance, strict, include_object_root) -> None:
         target.write_text(emit(flattened[name], options), encoding="utf-8")
         click.echo(str(target))
 
-    plan = plan_document(flattened)
     if out_dir:
         plan_dir = out_dir
     else:
         first = next(n for n in model.order if not model.classes[n].synthetic)
         plan_dir = Path(model.classes[first].path or ".").parent
     plan_path = plan_dir / "flatten.plan.json"
-    plan_path.write_text(dump_json(plan), encoding="utf-8")
+    plan_path.write_text(plan_json(flattened), encoding="utf-8")
     click.echo(str(plan_path))
 
     diagnostics = list(model.diagnostics)

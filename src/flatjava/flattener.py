@@ -31,9 +31,10 @@ as unsupported for flattening.
 
 Each class is resolved once, as written. A flattened class's resolution is
 derived, not resolved again: from the superclass's flattened resolution, the
-subclass's own resolution and the rename maps. Only a pulled body that
-references a member renamed or collapsed at this level is walked; every
-other member keeps its node, and its edges are carried over. The few bodies
+subclass's own resolution and the rename maps. A body's sites are relative
+to the class that holds it, so only a pulled body that references a member
+renamed or collapsed at this level is walked; every other pulled member
+keeps its node and the superclass's resolution object of it. The few bodies
 whose resolution can change in the flattened class are resolved again there
 (`_resolve_changed`).
 """
@@ -70,11 +71,12 @@ from .resolver import (
     BASIS_THIS,
     CALL,
     INIT_FIELDS,
+    LOCAL_BASES,
     READ,
-    AccessEdge,
     AccessGraph,
     ClassResolution,
     MemberResolution,
+    Site,
     resolve_class,  # noqa: F401 - benchmark/tracing.py wraps flattener.resolve_class
     resolve_member,
 )
@@ -93,6 +95,7 @@ class FlatMember:
     kind: str  # attribute | method | ctor
     name: str
     signature: str
+    declared_signature: str  # the signature `provenance` declares it under
     visibility: str
     is_static: bool
     is_final: bool
@@ -257,14 +260,14 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
     work = list(pulled)
     while work:
         source = members[work.pop()]
-        for edge in resolutions[id(source.decl)].sites.values():
-            if edge.to_class != fsuper.name:
+        for site in resolutions[id(source.decl)].sites.values():
+            if site.to_class is not None and site.to_class != fsuper.name:
                 continue
-            if edge.kind == CALL:
-                target = (METHOD, edge.to_member)
+            if site.kind == CALL:
+                target = (METHOD, site.to_member)
             else:
-                target = (ATTRIBUTE, edge.to_member)
-                accessed.add(edge.to_member)
+                target = (ATTRIBUTE, site.to_member)
+                accessed.add(site.to_member)
             if target in members and target not in pulled:
                 pulled.add(target)
                 work.append(target)
@@ -276,7 +279,7 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
 
 def _flat_member(info: MemberInfo, decl, provenance: str, pulled: bool) -> FlatMember:
     return FlatMember(
-        decl, info.kind, info.name, info.signature, info.visibility,
+        decl, info.kind, info.name, info.signature, info.signature, info.visibility,
         info.is_static, info.is_final, provenance, pulled,
     )
 
@@ -326,14 +329,16 @@ def rewrite_references(
     Inside pulled bodies, references to renamed members switch to the new
     names and class-qualified static references to pulled members collapse
     to local ones. In the subclass's own bodies, `super.` references become
-    bare references to the pulled (possibly renamed) member. Either becomes
-    a `this.` reference where a local would capture the bare name.
+    bare references to the pulled member, and bare or `this.` references to
+    an inherited member follow it to the name it is pulled under. Either
+    becomes a `this.` reference where a local would capture the bare name.
 
     `own` is the subclass's resolution. A pulled body is walked only when
     it references a member renamed or collapsed at this level; every other
-    pulled member keeps its node, and its edges are fsuper's, now from and
-    to this class. The few bodies whose resolution can change in the
-    flattened class are resolved again there (see `_resolve_changed`).
+    pulled member keeps its node and shares fsuper's resolution of it, whose
+    sites are relative to the class that holds the body. The few bodies
+    whose resolution can change in the flattened class are resolved again
+    there (see `_resolve_changed`).
     """
     rewrites: list[RewriteDirective] = []
     name = cls.name
@@ -341,18 +346,18 @@ def rewrite_references(
     resolutions: list[MemberResolution] = []
     unsure: list[int] = []  # members whose carried resolution may not hold
 
-    # Rewrite the subclass's own bodies: super references become local ones.
-    sub_rewriter = _SubBodyRewriter(cls, own.sites, fates, rewrites)
+    # Rewrite the subclass's own bodies to reach inherited members by their final names.
+    sub_rewriter = _SubBodyRewriter(cls, fates, rewrites)
     for info in cls.ordered_members():
         source = own.members[id(info.decl)]
-        decl, sites, sure = sub_rewriter.rewrite(info.decl, _source_of(info.kind, info.signature))
+        decl, sites, sure = sub_rewriter.rewrite(info.decl, source.sites)
         if not sure or _retyped(model, source, name):
             unsure.append(len(members))
         members.append(_flat_member(info, decl, name, pulled=False))
         resolutions.append(source.with_sites(sites))
 
     # Take the pulled members, apply renames and body rewrites.
-    pulled_rewriter = _PulledBodyRewriter(name, fsuper, fates, rewrites)
+    pulled_rewriter = _PulledBodyRewriter(fsuper.name, fates, rewrites)
     renamed = pulled_rewriter.renamed
     super_resolutions = fsuper.resolution.members
     for fate in fates:
@@ -360,27 +365,21 @@ def rewrite_references(
             continue
         member = fate.member
         decl = member.decl
-        source = super_resolutions[id(decl)]
-        final_name = fate.new_name or member.name
-        signature = _final_signature(member, fate.new_name)
-        source_of = _source_of(member.kind, signature)
+        resolution = super_resolutions[id(decl)]
         if member.name in inline_inits and member.kind == ATTRIBUTE:
             decl = replace(decl, init=inline_inits[member.name])
             resolution = MemberResolution()
-        else:
-            sites = _carry_sites(source.sites, name, source_of, renamed, fsuper.name)
-            if sites is None:
-                decl, sites, _ = pulled_rewriter.rewrite(decl, source_of)
-                # The walk collapsed every static reference qualified by fsuper.
-                resolution = source.with_sites(sites, source.class_refs - {fsuper.name})
-            else:
-                resolution = source.with_sites(sites)
+        elif _touched(resolution, renamed, fsuper.name):
+            decl, sites, _ = pulled_rewriter.rewrite(decl, resolution.sites)
+            # The walk collapsed every static reference qualified by fsuper.
+            resolution = resolution.with_sites(sites, resolution.class_refs - {fsuper.name})
         if fate.new_name:
-            decl = replace(decl, name=final_name)
+            decl = replace(decl, name=fate.new_name)
         if decl is not member.decl or not member.pulled:
             member = FlatMember(
-                decl, member.kind, final_name, signature, member.visibility,
-                member.is_static, member.is_final, member.provenance, True,
+                decl, member.kind, fate.new_name or member.name,
+                _final_signature(member, fate.new_name), member.declared_signature,
+                member.visibility, member.is_static, member.is_final, member.provenance, True,
                 renamed=member.renamed or fate.new_name is not None,
             )
         # `this` changes type when a body moves down a level.
@@ -518,15 +517,6 @@ def _analyze_super_ctors(
 
 # --- body rewriting ---------------------------------------------------------
 
-_LOCAL_BASES = (BASIS_BARE, BASIS_THIS)
-
-
-def _source_of(kind: str, signature: str) -> tuple[str, str | None]:
-    """The `from_member` and `initializer_of` of the edges from a member's body."""
-    if kind == ATTRIBUTE:
-        return INIT_FIELDS, signature
-    return signature, None
-
 
 def _renamed_signature(signature: str, name: str) -> str:
     return name + signature[signature.index("("):]
@@ -540,23 +530,16 @@ def _final_signature(member: FlatMember, new_name: str | None) -> str:
     return _renamed_signature(member.signature, new_name)
 
 
-def _carry_sites(sites, class_name: str, source_of, renamed, super_name: str):
-    """A pulled body's edges, now from `class_name`, and to it where bare or `this.`.
-
-    None if a reference targets a member that `renamed` holds or a static
-    member of `super_name`: then the body changes, and must be walked.
-    """
-    from_member, initializer_of = source_of
-    carried = {}
-    for node, e in sites.items():
-        if e.to_member in renamed or e.basis == BASIS_CLASS and e.to_class == super_name:
-            return None
-        carried[node] = AccessEdge(
-            class_name, from_member, e.kind,
-            class_name if e.basis in _LOCAL_BASES else e.to_class,
-            e.to_member, e.basis, e.span, initializer_of,
-        )
-    return carried
+def _touched(resolution: MemberResolution, renamed: set[str], super_name: str) -> bool:
+    """Whether a pulled body references a member that `renamed` holds or a
+    static member of `super_name`: then the body changes, and must be walked."""
+    if not resolution.sites:
+        return False
+    if resolution.reaches(renamed):
+        return True
+    return bool(resolution.class_refs) and any(
+        s.basis == BASIS_CLASS and s.to_class == super_name for s in resolution.sites.values()
+    )
 
 
 def _retyped(model: ClassModel, resolution: MemberResolution, root: str) -> bool:
@@ -596,9 +579,9 @@ def _resolve_changed(
     redo = set(unsure)
     for i, resolution in enumerate(resolutions):
         if overloaded and any(
-            e.kind == CALL and e.basis in _LOCAL_BASES
-            and e.to_member[:e.to_member.index("(")] in overloaded
-            for e in resolution.sites.values()
+            s.kind == CALL and s.basis in LOCAL_BASES
+            and s.to_member[:s.to_member.index("(")] in overloaded
+            for s in resolution.sites.values()
         ):
             redo.add(i)
         elif resolution.class_refs:
@@ -616,51 +599,49 @@ def _resolve_changed(
                 flat_model, flat_info, infos[id(member.decl)],
                 model.classes[member.provenance].path,
             )
-    return ClassResolution.of(
-        cls.name, {id(m.decl): r for m, r in zip(members, resolutions)}
-    )
+    return ClassResolution(cls.name, decl.members, resolutions)
 
 
 class _Carrier(tree.BodyWalker):
-    """Rewrites a body and carries the edge of each reference it meets.
+    """Rewrites a body and carries the site of each reference it meets.
 
     Subclasses supply `reference`, which returns a reference node's rewrite
     (or the node itself), the member it targets and the basis it has now.
-    The carried edges are from the flattened class, and to it where the
-    reference is bare or through `this`.
+    A carried site that is bare or through `this` targets the flattened
+    class itself.
     """
 
-    def __init__(self, class_name: str, sites: dict[int, AccessEdge], rewrites):
+    def __init__(self, rewrites: list[RewriteDirective]):
         super().__init__()
-        self.class_name = class_name
-        self.sites = sites
         self.rewrites = rewrites
-        self.carried: dict[int, AccessEdge] = {}
+        self.sites: dict[int, Site] = {}
+        self.carried: dict[int, Site] = {}
         self.sure = True
-        self.from_member = ""
-        self.initializer_of: str | None = None
 
-    def rewrite(self, decl, source: tuple[str, str | None]):
-        """The rewritten member, its carried edges, and whether they are exact."""
-        self.from_member, self.initializer_of = source
+    def rewrite(self, decl, sites: dict[int, Site]):
+        """The member rewritten from its `sites`, its carried sites, and
+        whether they are exact."""
+        self.sites = sites
         self.carried = {}
         self.sure = True
         return self.member(decl), self.carried, self.sure
 
-    def reference(self, e: tree.Expr, edge: AccessEdge) -> tuple[tree.Expr, str, str]:
+    def reference(self, e: tree.Expr, site: Site) -> tuple[tree.Expr, str, str]:
         raise NotImplementedError  # pragma: no cover - supplied by subclasses
 
     def expr(self, e: tree.Expr) -> tree.Expr:
-        edge = self.sites.get(id(e))
-        if edge is None:
+        site = self.sites.get(id(e))
+        if site is None:
             return tree.map_children(e, self.expr)
-        out, to_member, basis = self.reference(e, edge)
-        self.carried[id(out)] = AccessEdge(
-            self.class_name, self.from_member, edge.kind,
-            self.class_name if basis in _LOCAL_BASES else edge.to_class,
-            to_member, basis, getattr(out, "name_span", out.span), self.initializer_of,
+        out, to_member, basis = self.reference(e, site)
+        self.carried[id(out)] = Site(
+            site.kind, None if basis in LOCAL_BASES else site.to_class,
+            to_member, basis, getattr(out, "name_span", out.span),
         )
         return out
+
+    def record(self, span, old: str, new: str, owner: str) -> None:
+        self.rewrites.append(RewriteDirective((span.start, span.end), old, new, owner))
 
     def local(self, name: str, span, name_span) -> tuple[tree.Expr, str]:
         """A bare reference to attribute `name`, and its basis.
@@ -671,54 +652,57 @@ class _Carrier(tree.BodyWalker):
             return tree.FieldAccess(tree.This(span), name, span, name_span), BASIS_THIS
         return tree.Name(name, span), BASIS_BARE
 
+    def rename_ref(self, e: tree.Expr, site: Site, new_name: str, owner: str):
+        """A bare or `this.` reference, now to the member named `new_name`."""
+        if isinstance(e, tree.Name):
+            self.record(e.span, e.ident, new_name, owner)
+            out, basis = self.local(new_name, e.span, e.span)
+            return out, new_name, basis
+        self.record(e.name_span, e.name, new_name, owner)
+        if isinstance(e, tree.Call):
+            call = tree.map_children(replace(e, name=new_name), self.expr)
+            return call, _renamed_signature(site.to_member, new_name), site.basis
+        return replace(e, name=new_name), new_name, site.basis
+
 
 class _SubBodyRewriter(_Carrier):
-    """Rewrites `super.` references in the subclass's own bodies.
+    """Rewrites the subclass's own references to inherited members.
 
-    A bare or `this.` reference to an inherited member stays exact only if
-    that member is pulled under its own name; otherwise the body is unsure.
+    `super.` references become bare ones, and bare or `this.` references
+    follow an inherited member that is pulled under another name. A
+    reference to an inherited member that is not pulled makes the body
+    unsure.
     """
 
-    def __init__(self, cls, sites, fates, rewrites):
-        super().__init__(cls.name, sites, rewrites)
+    def __init__(self, cls: ClassInfo, fates: list[MemberFate], rewrites):
+        super().__init__(rewrites)
         self.cls = cls
-        # A signature names one member of fsuper: attribute names hold no "(".
-        self.fates = {f.member.signature: f for f in fates}
+        # fsuper's members by where they were declared, and under which signature.
+        self.fates = {(f.member.provenance, f.member.declared_signature): f for f in fates}
 
-    def fate(self, edge: AccessEdge) -> MemberFate | None:
-        """The fate of the inherited member an edge targets."""
-        fate = self.fates.get(edge.to_member)
-        if fate is None or fate.member.provenance != edge.to_class:
-            return None
-        if fate.member.kind != (METHOD if edge.kind == CALL else ATTRIBUTE):
-            return None
-        return fate
-
-    def reference(self, e, edge):
-        if edge.basis != BASIS_SUPER:
-            if edge.basis in _LOCAL_BASES and edge.to_class != self.cls.name:
-                fate = self.fate(edge)
-                if fate is None or not fate.pulls or fate.new_name is not None:
+    def reference(self, e, site):
+        fate = self.fates.get((site.to_class, site.to_member))
+        if site.basis != BASIS_SUPER:
+            if site.basis in LOCAL_BASES and site.to_class is not None:
+                if fate is None or not fate.pulls:
                     self.sure = False
-            return tree.map_children(e, self.expr), edge.to_member, edge.basis
-        fate = self.fate(edge)
+                elif fate.new_name or fate.member.signature != site.to_member:
+                    pulled_as = fate.new_name or fate.member.name
+                    return self.rename_ref(e, site, pulled_as, fate.member.provenance)
+            return tree.map_children(e, self.expr), site.to_member, site.basis
         if fate is None or not fate.pulls:
             raise DanglingSuperRef(
-                f"'super.{edge.to_member}' in {self.cls.name} targets a member that "
+                f"'super.{site.to_member}' in {self.cls.name} targets a member that "
                 "was not pulled down",
                 e.span,
                 self.cls.path,
             )
         new_name = fate.new_name or fate.member.name
-        self.rewrites.append(
-            RewriteDirective(
-                (e.span.start, e.span.end), f"super.{e.name}", new_name, fate.member.provenance
-            )
-        )
+        self.record(e.span, f"super.{e.name}", new_name, fate.member.provenance)
         if isinstance(e, tree.Call):
             args = [self.expr(a) for a in e.args]
             call = tree.Call(None, new_name, args, e.span, e.name_span)
-            return call, _renamed_signature(edge.to_member, new_name), BASIS_BARE
+            return call, _renamed_signature(site.to_member, new_name), BASIS_BARE
         out, basis = self.local(new_name, e.span, e.name_span)
         return out, new_name, basis
 
@@ -726,9 +710,9 @@ class _SubBodyRewriter(_Carrier):
 class _PulledBodyRewriter(_Carrier):
     """Rewrites references inside bodies taken down from the superclass."""
 
-    def __init__(self, class_name: str, fsuper: FlattenedClass, fates: list[MemberFate], rewrites):
-        super().__init__(class_name, fsuper.resolution.sites, rewrites)
-        self.super_name = fsuper.name
+    def __init__(self, super_name: str, fates: list[MemberFate], rewrites):
+        super().__init__(rewrites)
+        self.super_name = super_name
         self.attr_renames: dict[str, str] = {}
         self.method_renames: dict[str, str] = {}
         for f in fates:
@@ -740,49 +724,27 @@ class _PulledBodyRewriter(_Carrier):
         # What a reference in a pulled body must target for the body to change.
         self.renamed = self.attr_renames.keys() | self.method_renames.keys()
 
-    def _record(self, span, old: str, new: str) -> None:
-        self.rewrites.append(
-            RewriteDirective((span.start, span.end), old, new, self.super_name)
-        )
-
-    def reference(self, e, edge):
-        if edge.to_class != self.super_name:
-            return tree.map_children(e, self.expr), edge.to_member, edge.basis
-        if isinstance(e, tree.Name):
-            new_name = self.attr_renames.get(edge.to_member)
+    def reference(self, e, site):
+        if site.to_class is None:
+            renames = self.method_renames if site.kind == CALL else self.attr_renames
+            new_name = renames.get(site.to_member)
             if new_name:
-                self._record(e.span, e.ident, new_name)
-                out, basis = self.local(new_name, e.span, e.span)
-                return out, new_name, basis
-            return e, edge.to_member, edge.basis
-        if isinstance(e, tree.FieldAccess):
-            if edge.basis == BASIS_THIS:
-                new_name = self.attr_renames.get(edge.to_member)
-                if new_name:
-                    self._record(e.name_span, e.name, new_name)
-                    return replace(e, name=new_name), new_name, BASIS_THIS
-                return e, edge.to_member, edge.basis
-            if edge.basis == BASIS_CLASS:
-                # Qualified static access to a member that now lives here:
-                # whatever a pulled body references is pulled (pulled_closure).
-                new_name = self.attr_renames.get(edge.to_member, edge.to_member)
-                self._record(e.span, f"{_receiver_text(e.receiver)}.{e.name}", new_name)
-                out, basis = self.local(new_name, e.span, e.name_span)
-                return out, new_name, basis
-        if isinstance(e, tree.Call):
-            if edge.basis in _LOCAL_BASES:
-                new_name = self.method_renames.get(edge.to_member)
-                if new_name:
-                    self._record(e.name_span, e.name, new_name)
-                    call = tree.map_children(replace(e, name=new_name), self.expr)
-                    return call, _renamed_signature(edge.to_member, new_name), edge.basis
-            elif edge.basis == BASIS_CLASS:
-                new_name = self.method_renames.get(edge.to_member, e.name)
-                self._record(e.span, f"{_receiver_text(e.receiver)}.{e.name}", new_name)
+                return self.rename_ref(e, site, new_name, self.super_name)
+        elif site.to_class == self.super_name and site.basis == BASIS_CLASS:
+            # Qualified static access to a member that now lives here:
+            # whatever a pulled body references is pulled (pulled_closure).
+            old = f"{_receiver_text(e.receiver)}.{e.name}"
+            if isinstance(e, tree.Call):
+                new_name = self.method_renames.get(site.to_member, e.name)
+                self.record(e.span, old, new_name, self.super_name)
                 args = [self.expr(a) for a in e.args]
                 call = tree.Call(None, new_name, args, e.span, e.name_span)
-                return call, _renamed_signature(edge.to_member, new_name), BASIS_BARE
-        return tree.map_children(e, self.expr), edge.to_member, edge.basis
+                return call, _renamed_signature(site.to_member, new_name), BASIS_BARE
+            new_name = self.attr_renames.get(site.to_member, site.to_member)
+            self.record(e.span, old, new_name, self.super_name)
+            out, basis = self.local(new_name, e.span, e.name_span)
+            return out, new_name, basis
+        return tree.map_children(e, self.expr), site.to_member, site.basis
 
 
 def _receiver_text(receiver: tree.Expr) -> str:

@@ -127,11 +127,14 @@ def _measure(
     methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]
     attr_names = {f.name for f in fields}
 
-    used_by: dict[str, set[str]] = {}
-    for e in resolution.edges:
-        if e.kind in (READ, WRITE) and e.to_class == name and e.to_member in attr_names:
-            used_by.setdefault(e.from_member, set()).add(e.to_member)
-    lcom1, lcom2 = lcom_values([used_by.get(m.signature(), set()) for m in methods])
+    use_sets = []
+    for m in methods:
+        own = resolution.members.get(id(m))
+        use_sets.append({
+            s.to_member for s in own.sites.values()
+            if s.kind in (READ, WRITE) and s.to_class in (None, name) and s.to_member in attr_names
+        } if own else set())
+    lcom1, lcom2 = lcom_values(use_sets)
 
     sloc = sum(
         1 for line in emit(decl, EmitOptions(provenance=False)).splitlines() if line.strip()

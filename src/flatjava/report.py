@@ -3,6 +3,11 @@
 Document shapes are versioned: metrics reports are `report/v1`, comparison
 reports `compare/v1`, flatten plans `plan/v1`, and model dumps `model/v1`.
 JSON Schema files for each live in the `schemas` package directory.
+
+`dump_json` writes any document as `json.dumps(..., indent=2)` would. The
+plan, which lists every fate of every flattened class and so grows with
+depth squared on a chain, has its own fixed-layout writer, `plan_json`;
+`plan_document` stays as the plan's document form.
 """
 
 from __future__ import annotations
@@ -175,6 +180,67 @@ def plan_document(flattened: dict[str, FlattenedClass]) -> dict:
         ]
         classes.append({"name": name, "fates": fates, "rewrites": rewrites})
     return {"schema": "plan/v1", "classes": classes}
+
+
+# A class, fate and rewrite of `plan_document`, as `json.dumps(..., indent=2)`
+# lays each out at its depth in the plan.
+_CLASS = """
+    {
+      "name": %s,
+      "fates": %s,
+      "rewrites": %s
+    }"""
+_FATE = """
+        {
+          "member": %s,
+          "kind": %s,
+          "provenance": %s,
+          "decision": %s,
+          "rule": %s,
+          "new_name": %s
+        }"""
+_REWRITE = """
+        {
+          "span": [
+            %d,
+            %d
+          ],
+          "old": %s,
+          "new": %s,
+          "target_owner": %s
+        }"""
+
+
+def plan_json(flattened: dict[str, FlattenedClass]) -> str:
+    """`dump_json(plan_document(flattened))`, byte for byte, without the document.
+
+    The plan lists every fate of every flattened class, so on a chain it
+    grows with depth squared. This writer fills one fixed layout per fate
+    and per rewrite instead of walking a nested document.
+    """
+    enc = _encode_string
+    classes = []
+    for name, flat in flattened.items():
+        fates = [
+            _FATE % (
+                enc(f.member.signature), enc(f.member.kind), enc(f.member.provenance),
+                enc(f.decision), enc(f.rule), "null" if f.new_name is None else enc(f.new_name),
+            )
+            for f in flat.fates
+        ]
+        rewrites = [
+            _REWRITE % (r.span[0], r.span[1], enc(r.old), enc(r.new), enc(r.target_owner))
+            for r in flat.rewrites
+        ]
+        classes.append(_CLASS % (enc(name), _items(fates, 6), _items(rewrites, 6)))
+    return '{\n  "schema": "plan/v1",\n  "classes": %s\n}\n' % _items(classes, 2)
+
+
+def _items(items: list[str], indent: int) -> str:
+    """A JSON list of laid-out items whose closing bracket is at `indent`."""
+    if not items:
+        return "[]"
+    return "[" + ",".join(items) + "\n" + " " * indent + "]"
 
 
 def model_document(model: ClassModel, graph: AccessGraph | None = None) -> dict:

@@ -8,11 +8,19 @@ sees visible members only. Locals shadow fields and never produce edges.
 Overload resolution is exact-match: filter by arity, then require parameter
 type names to equal the computed argument type names. A lone arity match
 wins without type checks; anything else unresolvable is an error.
+
+Each body resolves to a `MemberResolution` whose sites are relative to the
+class that holds the body: a bare or `this.` reference to that class's own
+member names no class, and no site names the member it comes from. So a
+body pulled unchanged into a subclass keeps its resolution object. A
+`ClassResolution` holds one per member; the absolute `AccessEdge`s of the
+class are built from them only when something asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from . import tree
@@ -31,6 +39,8 @@ BASIS_THIS = "this"
 BASIS_SUPER = "super"
 BASIS_CLASS = "class"
 BASIS_RECEIVER = "receiver"
+# Bases whose references reach the holding class's own members.
+LOCAL_BASES = (BASIS_BARE, BASIS_THIS)
 
 _PRIMITIVES = frozenset({"int", "long", "double", "boolean", "void"})
 
@@ -49,15 +59,35 @@ class AccessEdge(NamedTuple):
         return self[:6]
 
 
+class Site(NamedTuple):
+    """One reference in a body, relative to the class that holds the body.
+
+    A bare or `this.` reference to a member of that class has no `to_class`:
+    like the edge's source, it follows the body into whichever class holds
+    it, so a body pulled unchanged into a subclass keeps its sites.
+    """
+
+    kind: str  # read | write | call
+    to_class: str | None  # None: the holder's own member, reached bare or through `this`
+    to_member: str  # attribute name or method signature
+    basis: str  # bare | this | super | class | receiver
+    span: Span
+
+
 @dataclass(slots=True)
 class MemberResolution:
-    """The resolution of one field initializer or body."""
+    """The resolution of one field initializer or body.
 
-    # The edge of each reference node (Name, FieldAccess, Call, New or
+    It holds nothing about the member or class that holds the body, so a
+    flattened class shares it with its superclass for every pulled member
+    that no rename touches.
+    """
+
+    # The site of each reference node (Name, FieldAccess, Call, New or
     # assignment target), keyed by the node's identity: offsets are not
     # unique once bodies from several files share one flattened class.
     # The resolved declaration keeps every keyed node alive.
-    sites: dict[int, AccessEdge] = field(default_factory=dict)
+    sites: dict[int, Site] = field(default_factory=dict)
     receiver_types: set[str] = field(default_factory=set)
     new_types: set[str] = field(default_factory=set)
     # Classes named as the qualifier of a static access.
@@ -65,47 +95,78 @@ class MemberResolution:
     # Whether `this` is used as a value, not as a receiver: its type is the
     # class, which changes when the body is pulled into a subclass.
     uses_this: bool = False
+    # The `to_member` of every site, built by `reaches` on first use.
+    reached: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def with_sites(self, sites: dict[int, AccessEdge], class_refs: set[str] | None = None):
-        """This resolution with other sites, for a body carried into another class."""
+    def reaches(self, names) -> bool:
+        """Whether a site targets a member (of any class) named in `names`."""
+        if self.reached is None:
+            self.reached = frozenset(s.to_member for s in self.sites.values())
+        return not self.reached.isdisjoint(names)
+
+    def with_sites(self, sites: dict[int, Site], class_refs: set[str] | None = None):
+        """This resolution with other sites, for a body rewritten in another class."""
         return MemberResolution(
             sites, self.receiver_types, self.new_types,
             self.class_refs if class_refs is None else class_refs, self.uses_this,
         )
 
 
-@dataclass
 class ClassResolution:
-    """The resolution of every member of a class, and their union."""
+    """The resolution of every member of a class.
 
-    class_name: str
-    edges: list[AccessEdge] = field(default_factory=list)
-    sites: dict[int, AccessEdge] = field(default_factory=dict)
-    receiver_types: set[str] = field(default_factory=set)
-    new_types: set[str] = field(default_factory=set)
-    # Each member's own resolution, keyed by the identity of its declaration.
-    members: dict[int, MemberResolution] = field(default_factory=dict)
+    The union over the members (`sites`, `edges`, `receiver_types`,
+    `new_types`) is built on first use: flattening and the metrics read the
+    member resolutions themselves.
+    """
 
-    @classmethod
-    def of(cls, class_name: str, members: dict[int, MemberResolution]) -> "ClassResolution":
-        """The union of the member resolutions, in member order."""
-        res = cls(class_name, members=members)
-        for member in members.values():
-            res.sites.update(member.sites)
-            if member.receiver_types:
-                res.receiver_types |= member.receiver_types
-            if member.new_types:
-                res.new_types |= member.new_types
-        res.edges = list(res.sites.values())
-        return res
+    def __init__(self, class_name: str, decls: list | None = None,
+                 resolutions: list[MemberResolution] | None = None):
+        self.class_name = class_name
+        # The members' declarations, in member order.
+        self.decls = decls or []
+        # Each member's own resolution, keyed by the identity of its declaration.
+        self.members: dict[int, MemberResolution] = {
+            id(d): r for d, r in zip(self.decls, resolutions or ())
+        }
+
+    @cached_property
+    def sites(self) -> dict[int, AccessEdge]:
+        """The absolute edge of every reference node, in member order."""
+        name = self.class_name
+        sites: dict[int, AccessEdge] = {}
+        for decl in self.decls:
+            if isinstance(decl, tree.FieldDecl):
+                from_member, initializer_of = INIT_FIELDS, decl.name
+            else:
+                from_member, initializer_of = decl.signature(), None
+            for node, s in self.members[id(decl)].sites.items():
+                sites[node] = AccessEdge(
+                    name, from_member, s.kind, s.to_class or name, s.to_member, s.basis,
+                    s.span, initializer_of,
+                )
+        return sites
+
+    @cached_property
+    def edges(self) -> list[AccessEdge]:
+        return list(self.sites.values())
+
+    @cached_property
+    def receiver_types(self) -> set[str]:
+        return set().union(*(r.receiver_types for r in self.members.values()))
+
+    @cached_property
+    def new_types(self) -> set[str]:
+        return set().union(*(r.new_types for r in self.members.values()))
 
 
 class AccessGraph:
     def __init__(self, resolutions: dict[str, ClassResolution]):
         self.resolutions = resolutions
-        self.edges: list[AccessEdge] = []
-        for name in resolutions:
-            self.edges.extend(resolutions[name].edges)
+
+    @cached_property
+    def edges(self) -> list[AccessEdge]:
+        return [e for name in self.resolutions for e in self.resolutions[name].edges]
 
     def edges_from(self, class_name: str) -> list[AccessEdge]:
         edges = self.resolutions[class_name].edges if class_name in self.resolutions else []
@@ -126,9 +187,10 @@ def compute_access_graph(model: ClassModel) -> AccessGraph:
 def resolve_class(model: ClassModel, cls: ClassInfo) -> ClassResolution:
     """Resolve every body in one class, collecting access edges."""
     walker = _Walker(model, cls)
-    return ClassResolution.of(cls.name, {
-        id(member.decl): walker.resolve(member, cls.path) for member in cls.ordered_members()
-    })
+    members = cls.ordered_members()
+    return ClassResolution(
+        cls.name, [m.decl for m in members], [walker.resolve(m, cls.path) for m in members]
+    )
 
 
 def resolve_member(
@@ -145,16 +207,10 @@ class _Walker(tree.BodyWalker):
         self.cls = cls
         self.path = cls.path
         self.res = MemberResolution()
-        self.from_member = ""
-        self.initializer_of: str | None = None
 
     def resolve(self, member: MemberInfo, path: str | None) -> MemberResolution:
         self.res = MemberResolution()
         self.path = path
-        if isinstance(member.decl, tree.FieldDecl):
-            self.from_member, self.initializer_of = INIT_FIELDS, member.name
-        else:
-            self.from_member, self.initializer_of = member.signature, None
         self.member(member.decl)
         return self.res
 
@@ -162,9 +218,9 @@ class _Walker(tree.BodyWalker):
         return UnresolvedName(message, span, self.path)
 
     def edge(self, kind: str, target: MemberInfo, basis: str, span: Span, node: tree.Expr) -> None:
-        self.res.sites[id(node)] = AccessEdge(
-            self.cls.name, self.from_member, kind, target.owner, target.signature,
-            basis, span, self.initializer_of,
+        local = basis in LOCAL_BASES and target.owner == self.cls.name
+        self.res.sites[id(node)] = Site(
+            kind, None if local else target.owner, target.signature, basis, span
         )
 
     # -- walker hooks -----------------------------------------------------

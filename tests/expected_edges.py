@@ -134,6 +134,19 @@ EXPECTED_EDGES = {
         "C": [("C", "run()", "read", "C", "s", "class")],
         "D": [],
     },
+    "renamed_ancestor": {
+        "R": [],
+        "S": [("S", "get()", "read", "S", "y", "bare")],
+        "C": [
+            ("C", "run()", "read", "R", "y", "bare"),
+            ("C", "shadowed()", "read", "R", "y", "bare"),
+        ],
+        "T": [],
+        "U": [
+            ("U", "run()", "read", "R", "y", "bare"),
+            ("U", "sup()", "read", "R", "y", "super"),
+        ],
+    },
     "offset_collision": {
         "C3": [("C3", "g()", "read", "C3", "a", "bare")],
         "C2": [("C2", "h()", "read", "C2", "b", "bare")],

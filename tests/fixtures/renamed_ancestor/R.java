@@ -1,0 +1,3 @@
+class R {
+    public int y = 1;
+}

@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from flatjava import FlatJavaError, flattener
+from flatjava import FlatJavaError, emit, flattener
 from flatjava.model import class_info_from_decl
 from flatjava.resolver import resolve_class
 
@@ -84,12 +84,12 @@ def assert_follows_renames(flat, fsuper) -> None:
         expected = Counter(
             (e.kind, final[("method" if e.kind == "call" else "attribute", e.to_member)])
             for e in source
-            if e.to_class == fsuper.name and e.basis in ("bare", "this", "class")
+            if (e.to_class or fsuper.name) == fsuper.name and e.basis in ("bare", "this", "class")
         )
         actual = Counter(
             (e.kind, e.to_member)
             for e in carried
-            if e.to_class == flat.name and e.basis in ("bare", "this")
+            if (e.to_class or flat.name) == flat.name and e.basis in ("bare", "this")
         )
         assert actual == expected, (flat.name, member.signature)
 
@@ -123,7 +123,7 @@ def test_derived_resolution_on_decision_table(monkeypatch):
 
 
 # Bodies whose resolution changes once they sit in the flattened class, each
-# of which the flattener must resolve again rather than carry over.
+# of which the flattener must rewrite or resolve again rather than carry over.
 CHANGING = {
     "overload_added_ambiguous": (
         "class A { int m(String s) { return 1; } int run() { return m(null); } }",
@@ -169,14 +169,19 @@ CHANGING = {
         "class B extends A { int T; }",
     ),
     "own_body_reads_shadowed_ancestor": (
-        "class R { public int y; }",
-        "class S extends R { private int y; int get() { return y; } }",
+        "class R { public int y = 1; }",
+        "class S extends R { private int y = 2; int get() { return y; } }",
         "class C extends S { int run() { return y; } }",
     ),
     "own_body_reads_renamed_ancestor": (
-        "class R { public int y; }",
-        "class S extends R { private int y; }",
+        "class R { public int y = 1; }",
+        "class S extends R { private int y = 2; }",
         "class C extends S { int run() { return y; } }",
+    ),
+    "own_body_calls_renamed_ancestor": (
+        "class R { public int m() { return 1; } }",
+        "class S extends R { private int m() { return 2; } int k() { return m(); } }",
+        "class C extends S { int run() { return m() + this.m(); } }",
     ),
     "own_call_to_private_overload": (
         "class R { public int m(int a) { return 1; } }",
@@ -194,7 +199,87 @@ CHANGING = {
 }
 
 
+# Own bodies that read an inherited member which reaches the flattened class
+# under another name: the reference follows it there.
+REWRITTEN = {
+    "own_body_reads_shadowed_ancestor": ("C", "return y$R;", [("y", "y$R", "R")]),
+    "own_body_reads_renamed_ancestor": ("C", "return y$R;", [("y", "y$R", "R")]),
+    "own_body_calls_renamed_ancestor": (
+        "C", "return m$R() + this.m$R();", [("m", "m$R", "R"), ("m", "m$R", "R")],
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CHANGING))
 def test_derived_resolution_where_bodies_change(name, monkeypatch):
     model, graph = model_from_sources(*CHANGING[name])
     assert check_flatten(model, graph, monkeypatch, follows_renames=False) >= 1
+    if name in REWRITTEN:
+        class_name, line, rewrites = REWRITTEN[name]
+        flat = flattener.flatten_model(model, graph)[class_name]
+        assert line in emit(flat)
+        assert [(r.old, r.new, r.target_owner) for r in flat.rewrites] == rewrites
+
+
+def shared_resolutions(flat, fsuper) -> int:
+    """Check that each pulled member whose body nothing at this level
+    changes keeps fsuper's resolution object; returns how many do.
+
+    A body changes when it references a member renamed here or a static
+    member qualified by the superclass, or when it is resolved again: it
+    uses `this` as a value, has a receiver type or static qualifier, or
+    calls a name the flattened class overloads.
+    """
+    renamed = {
+        f.member.name if f.member.kind == "attribute" else f.member.signature
+        for f in flat.fates if f.new_name
+    }
+    names = Counter(m.name for m in flat.members if m.kind == "method")
+    pulled = zip([f for f in flat.fates if f.pulls], [m for m in flat.members if m.pulled])
+    shared = 0
+    for fate, member in pulled:
+        source = fsuper.resolution.members[id(fate.member.decl)]
+        if getattr(member.decl, "init", None) is not getattr(fate.member.decl, "init", None):
+            continue  # a folded constructor assignment replaced the initializer
+        if source.uses_this or source.receiver_types or source.class_refs:
+            continue
+        if any(
+            s.to_member in renamed
+            or s.kind == "call" and names[s.to_member[:s.to_member.index("(")]] > 1
+            for s in source.sites.values()
+        ):
+            continue
+        assert flat.resolution.members[id(member.decl)] is source, (flat.name, member.name)
+        shared += 1
+    return shared
+
+
+def check_sharing(model, flattened) -> int:
+    return sum(
+        shared_resolutions(flat, flattened[model.classes[name].superclass])
+        for name, flat in flattened.items()
+        if model.classes[name].superclass is not None
+    )
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_untouched_pulled_members_share_resolution_on_fixtures(name):
+    model, graph = load_model(name)
+    try:
+        flattened = flattener.flatten_model(model, graph)
+    except FlatJavaError:
+        return
+    check_sharing(model, flattened)
+
+
+def test_untouched_pulled_members_share_resolution_on_a_chain():
+    sources = ["class C0 { public int a = 1; public int f() { return a; } public int g() { return a; } }"]
+    for i in range(1, 6):
+        sources.append(
+            f"class C{i} extends C{i - 1} {{ public int g() {{ return {i}; }} "
+            f"public int h{i}() {{ return f() + g(); }} }}"
+        )
+    model, graph = model_from_sources(*sources)
+    flattened = flattener.flatten_model(model, graph)
+    # f, a and every h below the direct superclass come down unchanged.
+    assert check_sharing(model, flattened) >= 5 * 3

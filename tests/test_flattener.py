@@ -390,10 +390,10 @@ def test_dangling_super_ref_guard():
     )
     cls = model.classes["B"]
     resolution = resolve_class(model, cls)
-    rewriter = _SubBodyRewriter(cls, resolution.sites, [], [])
+    rewriter = _SubBodyRewriter(cls, [], [])
     method = [m for m in cls.decl.members][0]
     with pytest.raises(DanglingSuperRef):
-        rewriter.member(method)
+        rewriter.rewrite(method, resolution.members[id(method)].sites)
 
 
 # --- structural laws ----------------------------------------------------------

@@ -1,16 +1,22 @@
-"""Report serialization: the indented JSON writer matches `json.dumps`."""
+"""Report serialization: the indented JSON writer and the plan writer match
+`json.dumps`."""
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatjava import FlatJavaError, flatten_model
+from flatjava.flattener import FlatMember, FlattenedClass, MemberFate, RewriteDirective
 from flatjava.metrics import compare
-from flatjava.report import compare_document, dump_json, plan_document
+from flatjava.report import compare_document, dump_json, plan_document, plan_json
 
-from conftest import CORPUS, flatten_fixture
+from conftest import CORPUS, flatten_fixture, model_from_sources
+from genclasses import random_hierarchy_sources
+from hiergen import CONFIGS, build_sources
 
 _strings = st.text(
     alphabet=st.one_of(
@@ -49,3 +55,56 @@ def test_plan_and_compare_documents_match_json_dumps(name):
     model, graph, flattened = flatten_fixture(name)
     for document in (plan_document(flattened), compare_document(compare(model, graph, flattened))):
         assert dump_json(document) == json.dumps(document, indent=2) + "\n"
+
+
+def assert_plan_matches(flattened) -> None:
+    assert plan_json(flattened) == json.dumps(plan_document(flattened), indent=2) + "\n"
+
+
+def test_plan_json_of_no_classes():
+    assert_plan_matches({})
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_plan_json_matches_json_dumps_on_fixtures(name):
+    assert_plan_matches(flatten_fixture(name)[2])
+
+
+def test_plan_json_matches_json_dumps_on_generated_hierarchies():
+    written = 0
+    for seed in range(100):
+        try:
+            flattened = flatten_model(*model_from_sources(*random_hierarchy_sources(random.Random(seed))))
+        except FlatJavaError:
+            continue
+        assert_plan_matches(flattened)
+        written += 1
+    assert written >= 50
+
+
+def test_plan_json_matches_json_dumps_on_decision_table():
+    for config in CONFIGS:
+        flattened = flatten_model(*model_from_sources(*build_sources(*config)))
+        assert any(not f.fates for f in flattened.values())  # the root
+        assert_plan_matches(flattened)
+
+
+def _flat_class(name, fates, rewrites) -> FlattenedClass:
+    return FlattenedClass(name, None, None, [], None, fates, rewrites)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(_strings, _strings, st.one_of(st.none(), _strings),
+                          st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4),
+       st.booleans(), st.booleans())
+def test_plan_json_escapes_like_json_dumps(entries, with_fates, with_rewrites):
+    fates = [
+        MemberFate(FlatMember(None, "method", a, a, a, "public", False, False, b, True),
+                   "PullDown", "R5", new)
+        for a, b, new, _, _ in entries
+    ] if with_fates else []
+    rewrites = [
+        RewriteDirective((start, end), a, b, new or "")
+        for a, b, new, start, end in entries
+    ] if with_rewrites else []
+    assert_plan_matches({"A": _flat_class("A", [], []), "B\u00e9\"": _flat_class("B", fates, rewrites)})
