@@ -5,10 +5,16 @@ Exit codes: 0 on success, 1 when --strict and diagnostics were produced,
 exception, reported as one `internal error:` line instead of a traceback).
 Errors follow a first-error-per-file policy. FLATJAVA_COLOR=0|1 forces
 diagnostics coloring off or on.
+
+The cyclic garbage collector is paused while a command runs: the pipeline
+builds large, long-lived trees that it would scan again and again, and a
+command makes no reference cycles for it to free, so the pause cannot grow
+memory. It is re-enabled afterwards, on every exit path, if it was on.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from pathlib import Path
@@ -101,9 +107,12 @@ def _finish(diagnostics: list[Diagnostic], strict: bool) -> None:
 
 
 class _Guarded(click.Group):
-    """Turns an exception that escapes a command into exit code 3."""
+    """Runs a command with the cyclic collector paused, and turns an
+    exception that escapes it into exit code 3."""
 
     def invoke(self, ctx: click.Context):
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
@@ -112,6 +121,9 @@ class _Guarded(click.Group):
             # A fault of the tool, not of its input: keep it apart from exit 2.
             click.secho(f"internal error: {err!r}", fg="red", err=True, color=_color())
             raise SystemExit(3)
+        finally:
+            if collecting:
+                gc.enable()
 
 
 @click.group(cls=_Guarded)

@@ -18,6 +18,10 @@ pairwise. Fate rules:
 "Accessed" and "reachable" are computed as one fixed point: the pulled set
 starts with the visible members and grows through read/write/call edges
 whose source is a pulled method or the initializer of a pulled attribute.
+Whatever the superclass's view pulled from further up is pulled again, and
+its bodies reach no member the superclass declares itself, so each view
+carries its pulled members' part of the fixed point down, renamed, and only
+the superclass's own members are walked (`pulled_closure`).
 Pulled bodies are bound statically: a self-call to a method the subclass
 overrides calls the renamed superclass copy.
 An overridden pairing with a static mismatch or a final superclass member
@@ -44,6 +48,7 @@ from __future__ import annotations
 import copy  # noqa: F401 - benchmark/tracing.py wraps flattener.copy.deepcopy
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 
 from . import tree
 from .errors import (
@@ -138,6 +143,11 @@ class FlattenedClass:
     fates: list[MemberFate] = field(default_factory=list)
     rewrites: list[RewriteDirective] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # The pulled members' part of the superclass view's fixed point, under
+    # their names here: their (kind, signature) keys and the attributes that
+    # their bodies read or write. None for a root, or where a pulled body's
+    # resolution changed here (`rewrite_references`).
+    carried: tuple[set[tuple[str, str]], set[str]] | None = None
 
     def member_decls(self) -> list:
         return [m.decl for m in self.members]
@@ -252,12 +262,22 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
     method's body, or a pulled attribute's initializer. Returns the
     (kind, signature) of every pulled member, and the attributes that an
     edge from a pulled source reads or writes, which tells R4a from R4b.
+
+    Each member fsuper pulled was reached from a visible member there, and
+    still is: renames keep the edges, and pulled bodies, bound statically,
+    reach no member fsuper declares itself. So where fsuper carries that
+    part of the fixed point, the worklist starts from it and walks only
+    fsuper's own members, which come first in `fsuper.members`.
     """
-    members = {(m.kind, m.signature): m for m in fsuper.members}
-    pulled = {key for key, m in members.items() if m.kind != CTOR and m.visible}
+    if fsuper.carried is None:
+        sources, pulled, accessed = fsuper.members, set(), set()
+    else:
+        sources = takewhile(lambda m: not m.pulled, fsuper.members)
+        pulled, accessed = set(fsuper.carried[0]), set(fsuper.carried[1])
+    members = {(m.kind, m.signature): m for m in sources}
+    work = [key for key, m in members.items() if m.kind != CTOR and m.visible]
+    pulled.update(work)
     resolutions = fsuper.resolution.members
-    accessed: set[str] = set()
-    work = list(pulled)
     while work:
         source = members[work.pop()]
         for site in resolutions[id(source.decl)].sites.values():
@@ -288,7 +308,7 @@ def _flatten_against_super(
     model: ClassModel, cls: ClassInfo, own: ClassResolution, fsuper: FlattenedClass
 ) -> FlattenedClass:
     diagnostics: list[Diagnostic] = []
-    pulled, accessed = pulled_closure(fsuper)
+    closure = pulled, accessed = pulled_closure(fsuper)
     fates = [
         _method_fate(cls, m, pulled) if m.kind == METHOD
         else _attribute_fate(cls, m, accessed) if m.kind == ATTRIBUTE
@@ -310,7 +330,7 @@ def _flatten_against_super(
             )
 
     _assign_names(cls, fates, diagnostics)
-    flat = rewrite_references(model, cls, own, fsuper, fates, inline_inits)
+    flat = rewrite_references(model, cls, own, fsuper, fates, inline_inits, closure)
     flat.diagnostics = diagnostics
     return flat
 
@@ -322,6 +342,7 @@ def rewrite_references(
     fsuper: FlattenedClass,
     fates: list[MemberFate],
     inline_inits: dict[str, tree.Expr],
+    closure: tuple[set[tuple[str, str]], set[str]] | None = None,
 ) -> FlattenedClass:
     """Take members into the subclass, fix every affected reference, and
     carry each body's resolution over to the flattened class.
@@ -339,6 +360,11 @@ def rewrite_references(
     sites are relative to the class that holds the body. The few bodies
     whose resolution can change in the flattened class are resolved again
     there (see `_resolve_changed`).
+
+    `closure` is fsuper's `pulled_closure`. The result carries it, renamed,
+    unless a pulled body may reach other members here than the renamed ones
+    it reached in fsuper: its initializer was replaced by a folded
+    constructor assignment, or it is resolved again.
     """
     rewrites: list[RewriteDirective] = []
     name = cls.name
@@ -360,6 +386,7 @@ def rewrite_references(
     pulled_rewriter = _PulledBodyRewriter(fsuper.name, fates, rewrites)
     renamed = pulled_rewriter.renamed
     super_resolutions = fsuper.resolution.members
+    own_count = len(members)
     for fate in fates:
         if not fate.pulls:
             continue
@@ -369,6 +396,7 @@ def rewrite_references(
         if member.name in inline_inits and member.kind == ATTRIBUTE:
             decl = replace(decl, init=inline_inits[member.name])
             resolution = MemberResolution()
+            closure = None  # the initializer no longer reaches what it did
         elif _touched(resolution, renamed, fsuper.name):
             decl, sites, _ = pulled_rewriter.rewrite(decl, resolution.sites)
             # The walk collapsed every static reference qualified by fsuper.
@@ -393,7 +421,23 @@ def rewrite_references(
         cls.decl.span, cls.decl.name_span,
     )
     resolution = _resolve_changed(model, cls, new_decl, members, resolutions, unsure)
-    return FlattenedClass(name, cls.package, new_decl, members, resolution, fates, rewrites)
+    flat = FlattenedClass(name, cls.package, new_decl, members, resolution, fates, rewrites)
+    # A pulled body resolved again may reach other members here.
+    if closure is not None and max(unsure, default=-1) < own_count:
+        flat.carried = _renamed_closure(closure, pulled_rewriter)
+    return flat
+
+
+def _renamed_closure(closure, renames: _PulledBodyRewriter):
+    """fsuper's pulled set and accessed attributes under the names the
+    members are pulled under: every pulled member, and only those."""
+    pulled, accessed = closure
+    attrs, methods = renames.attr_renames, renames.method_renames
+    pulled = pulled - {(ATTRIBUTE, a) for a in attrs} - {(METHOD, s) for s in methods}
+    pulled.update((ATTRIBUTE, a) for a in attrs.values())
+    pulled.update((METHOD, _renamed_signature(s, n)) for s, n in methods.items())
+    moved = accessed & attrs.keys()
+    return pulled, (accessed - moved) | {attrs[a] for a in moved}
 
 
 def _assign_names(cls: ClassInfo, fates: list[MemberFate], diagnostics: list[Diagnostic]) -> None:
@@ -571,29 +615,29 @@ def _resolve_changed(
     class as a static qualifier that is now also an attribute name. Those
     bodies are resolved again in the flattened class, in member order, so
     the first error is the one a resolution of the whole class would raise;
-    it names the file the body came from.
+    it names the file the body came from. Each index resolved again is
+    added to `unsure`.
     """
     names = Counter(m.name for m in members if m.kind == METHOD)
     overloaded = {name for name, count in names.items() if count > 1}
     attr_names = None
-    redo = set(unsure)
     for i, resolution in enumerate(resolutions):
         if overloaded and any(
             s.kind == CALL and s.basis in LOCAL_BASES
             and s.to_member[:s.to_member.index("(")] in overloaded
             for s in resolution.sites.values()
         ):
-            redo.add(i)
+            unsure.append(i)
         elif resolution.class_refs:
             if attr_names is None:
                 attr_names = {m.name for m in members if m.kind == ATTRIBUTE}
             if not attr_names.isdisjoint(resolution.class_refs):
-                redo.add(i)
-    if redo:
+                unsure.append(i)
+    if unsure:
         flat_info = class_info_from_decl(decl, cls.package, cls.path)
         flat_model = model.with_class(flat_info)
         infos = {id(info.decl): info for info in flat_info.all_members()}
-        for i in sorted(redo):
+        for i in sorted(set(unsure)):
             member = members[i]
             resolutions[i] = resolve_member(
                 flat_model, flat_info, infos[id(member.decl)],

@@ -3,12 +3,20 @@
 Visibility follows the single rule used throughout the tool: a member is
 visible to subclasses unless it is private. Package boundaries do not
 restrict visibility here; crossing one only produces a diagnostic.
+
+Classification costs time in proportion to the declared members and the
+diagnostics it makes: each class looks its members up in an index of its
+ancestors' members by name, carried down from its superclass and split so
+that a member meets only the ancestors whose pairing with it is illegal.
+The full override and overload pairings, whose number grows with the square
+of a chain's depth, are built only when something reads them.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import tree
 from .errors import (
@@ -83,9 +91,24 @@ class OverrideRelation:
 class ClassModel:
     classes: dict[str, ClassInfo]
     order: list[str]  # topological: superclasses first, lexicographic ties
-    overrides: list[OverrideRelation] = field(default_factory=list)
-    overloads: list[tuple[MemberInfo, MemberInfo]] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    @property
+    def overrides(self) -> list[OverrideRelation]:
+        """Each subclass member paired with the matching member of every
+        direct or transitive superclass (see `classify_members`)."""
+        return self._pairings[0]
+
+    @property
+    def overloads(self) -> list[tuple[MemberInfo, MemberInfo]]:
+        """Each subclass method paired with every superclass method of the
+        same name and another signature."""
+        return self._pairings[1]
+
+    @cached_property
+    def _pairings(self) -> tuple[list[OverrideRelation], list[tuple[MemberInfo, MemberInfo]]]:
+        # Built on first read: nothing on the command line reads them.
+        return _pair_members(self)
 
     def superclass_chain(self, name: str) -> list[ClassInfo]:
         """Superclasses of `name`, nearest first."""
@@ -104,7 +127,7 @@ class ClassModel:
         order = list(self.order)
         if info.name not in order:
             order.append(info.name)
-        return ClassModel(classes, order, self.overrides, self.overloads, self.diagnostics)
+        return ClassModel(classes, order, self.diagnostics)
 
 
 def override_legality(sub: MemberInfo, sup: MemberInfo) -> str:
@@ -242,10 +265,29 @@ def classify_members(model: ClassModel) -> ClassModel:
     type, methods by full signature. Same-name methods with different
     signatures are overloads, never overrides. Illegal pairings (static
     mismatch, final superclass member) are diagnostics; flattening treats
-    them as non-overriding.
+    them as non-overriding. The pairings themselves are built on first read
+    of `model.overrides` or `model.overloads`.
     """
-    model.overrides = []
-    model.overloads = []
+    model.diagnostics.extend(_illegal_overrides(model))
+    for name in model.order:
+        info = model.classes[name]
+        for sup_info in model.superclass_chain(name):
+            if sup_info.package == info.package:
+                continue
+            for member in sup_info.attributes.values():
+                if member.visibility == "package":
+                    model.diagnostics.append(_divergence(info, member))
+            for member in sup_info.methods.values():
+                if member.visibility == "package":
+                    model.diagnostics.append(_divergence(info, member))
+    return model
+
+
+def _pair_members(model: ClassModel):
+    """Every override and overload pairing: classes in model order, each
+    with its superclasses nearest first, attributes before methods."""
+    overrides: list[OverrideRelation] = []
+    overloads: list[tuple[MemberInfo, MemberInfo]] = []
     # Each class's methods grouped by name, in declaration order.
     by_name: dict[str, dict[str, list[MemberInfo]]] = {}
     for name in model.order:
@@ -259,7 +301,7 @@ def classify_members(model: ClassModel) -> ClassModel:
             for attr in info.attributes.values():
                 sup_attr = sup_info.attributes.get(attr.name)
                 if sup_attr is not None:
-                    model.overrides.append(
+                    overrides.append(
                         OverrideRelation(
                             attr, sup_attr, "attribute-override",
                             override_legality(attr, sup_attr),
@@ -268,7 +310,7 @@ def classify_members(model: ClassModel) -> ClassModel:
             for method in info.methods.values():
                 sup_method = sup_info.methods.get(method.signature)
                 if sup_method is not None:
-                    model.overrides.append(
+                    overrides.append(
                         OverrideRelation(
                             method, sup_method, "method-override",
                             override_legality(method, sup_method),
@@ -276,43 +318,90 @@ def classify_members(model: ClassModel) -> ClassModel:
                     )
                 for other in by_name[sup_info.name].get(method.name, ()):
                     if other.signature != method.signature:
-                        model.overloads.append((method, other))
+                        overloads.append((method, other))
+    return overrides, overloads
 
-    for relation in model.overrides:
-        if relation.legality == "illegal-static-mismatch":
-            model.diagnostics.append(
-                Diagnostic(
-                    ILLEGAL_OVERRIDE_STATIC,
-                    f"{relation.sub.owner}.{relation.sub.signature} and "
-                    f"{relation.sup.owner}.{relation.sup.signature} differ in staticness; "
-                    "treated as non-overriding",
-                    relation.sub.owner,
-                    relation.sub.span,
-                )
-            )
-        elif relation.legality == "illegal-final":
-            model.diagnostics.append(
-                Diagnostic(
-                    ILLEGAL_OVERRIDE_FINAL,
-                    f"{relation.sup.owner}.{relation.sup.signature} is final and cannot be "
-                    f"overridden by {relation.sub.owner}; treated as non-overriding",
-                    relation.sub.owner,
-                    relation.sub.span,
-                )
-            )
 
+def _illegal_overrides(model: ClassModel) -> list[Diagnostic]:
+    """A diagnostic per illegal override pairing, in the order of
+    `model.overrides`.
+
+    Each class's members find their same-named ancestors in an index
+    carried down from the superclass. An entry keeps apart the ancestors a
+    pairing with which is illegal, so the cost is one lookup per declared
+    member plus one step per illegal pairing.
+    """
+    parents = {info.superclass for info in model.classes.values()}
+    depth: dict[str, int] = {}
+    # Per class with subclasses: its own and its ancestors' attributes by
+    # name and methods by signature. An entry holds the members under one
+    # key, nearest first, as three linked lists `(member, rest)`: the final
+    # ones, the other static ones and the rest. A pairing with a final member
+    # is illegal, and so is one with a member of the other staticness.
+    index: dict[str, tuple[dict, dict]] = {}
+    diagnostics: list[Diagnostic] = []
     for name in model.order:
         info = model.classes[name]
-        for sup_info in model.superclass_chain(name):
-            if sup_info.package == info.package:
-                continue
-            for member in sup_info.attributes.values():
-                if member.visibility == "package":
-                    model.diagnostics.append(_divergence(info, member))
-            for member in sup_info.methods.values():
-                if member.visibility == "package":
-                    model.diagnostics.append(_divergence(info, member))
-    return model
+        groups = (info.attributes.values(), info.methods.values())
+        if info.superclass is None:
+            depth[name] = 0
+            above: tuple[dict, dict] = ({}, {})
+        else:
+            depth[name] = depth[info.superclass] + 1
+            above = index[info.superclass]
+            found = []
+            for group, (members, entries) in enumerate(zip(groups, above)):
+                for position, member in enumerate(members):
+                    entry = entries.get(member.signature)
+                    if entry is None:
+                        continue
+                    finals, statics, others = entry
+                    for legality, node in (
+                        ("illegal-final", finals),
+                        ("illegal-static-mismatch", others if member.is_static else statics),
+                    ):
+                        while node is not None:
+                            sup, node = node
+                            found.append((depth[name] - depth[sup.owner], group, position,
+                                          legality, member, sup))
+            found.sort(key=lambda f: f[:3])
+            diagnostics.extend(_illegal(legality, sub, sup) for *_, legality, sub, sup in found)
+        if name in parents:
+            index[name] = tuple(
+                _indexed(dict(entries), members) for members, entries in zip(groups, above)
+            )
+    return diagnostics
+
+
+def _indexed(entries: dict, members) -> dict:
+    for member in members:
+        finals, statics, others = entries.get(member.signature) or (None, None, None)
+        if member.is_final:
+            finals = (member, finals)
+        elif member.is_static:
+            statics = (member, statics)
+        else:
+            others = (member, others)
+        entries[member.signature] = (finals, statics, others)
+    return entries
+
+
+def _illegal(legality: str, sub: MemberInfo, sup: MemberInfo) -> Diagnostic:
+    if legality == "illegal-static-mismatch":
+        return Diagnostic(
+            ILLEGAL_OVERRIDE_STATIC,
+            f"{sub.owner}.{sub.signature} and {sup.owner}.{sup.signature} differ in "
+            "staticness; treated as non-overriding",
+            sub.owner,
+            sub.span,
+        )
+    return Diagnostic(
+        ILLEGAL_OVERRIDE_FINAL,
+        f"{sup.owner}.{sup.signature} is final and cannot be overridden by "
+        f"{sub.owner}; treated as non-overriding",
+        sub.owner,
+        sub.span,
+    )
 
 
 def _divergence(info: ClassInfo, member: MemberInfo) -> Diagnostic:

@@ -291,7 +291,7 @@ class _Walker(tree.BodyWalker):
     def field_access(self, e: tree.FieldAccess, kind: str) -> str | None:
         receiver = e.receiver
         if isinstance(receiver, tree.This):
-            member = self.cls.attributes.get(e.name)
+            member = self.lookup_attribute(e.name)
             if member is None:
                 raise self.fail(
                     f"class {self.cls.name} has no attribute {e.name!r}", e.name_span

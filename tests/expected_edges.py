@@ -147,6 +147,19 @@ EXPECTED_EDGES = {
             ("U", "sup()", "read", "R", "y", "super"),
         ],
     },
+    "this_inherited": {
+        "A": [("A", "get()", "read", "A", "x", "this")],
+        "B": [
+            ("B", "f()", "read", "A", "x", "this"),
+            ("B", "set(int)", "write", "A", "x", "this"),
+        ],
+        "C": [
+            ("C", "g()", "write", "C", "x", "this"),
+            ("C", "g()", "call", "B", "f()", "bare"),
+            ("C", "g()", "read", "C", "x", "this"),
+            ("C", "g()", "call", "A", "get()", "bare"),
+        ],
+    },
     "offset_collision": {
         "C3": [("C3", "g()", "read", "C3", "a", "bare")],
         "C2": [("C2", "h()", "read", "C2", "b", "bare")],

@@ -1,0 +1,7 @@
+class A {
+    int x = 1;
+
+    int get() {
+        return this.x;
+    }
+}

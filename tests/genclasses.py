@@ -4,6 +4,9 @@
 idempotence checks; `random_measured_class` additionally returns the exact
 per-method attribute-use sets its bodies were generated from, so cohesion
 values can be checked against bookkeeping that never touched the resolver.
+`random_hierarchy_sources` builds short chains with overrides, super
+references and private reach, and `random_overloading_hierarchy` forests
+whose static, final and private methods share a few names.
 """
 
 from __future__ import annotations
@@ -131,6 +134,29 @@ def random_hierarchy_sources(rng: random.Random, depth: int | None = None) -> li
         sources.append("\n".join(lines) + "\n")
         class_fields.append(fields)
         class_methods.append(methods)
+    return sources
+
+
+def random_overloading_hierarchy(rng: random.Random) -> list[str]:
+    """Classes in a random forest whose methods share a few names."""
+    sources = []
+    for i in range(rng.randint(2, 6)):
+        parent = f" extends K{rng.randrange(i)}" if i and rng.random() < 0.8 else ""
+        lines = [f"class K{i}{parent} {{"]
+        for field in rng.sample(["a", "b", "c"], rng.randint(0, 3)):
+            lines.append(f"    {'static ' if rng.random() < 0.3 else ''}int {field};")
+        signatures = set()
+        for _ in range(rng.randint(0, 7)):
+            name = rng.choice(["m", "n", "k"])
+            params = tuple(rng.choice(["int", "long", "String"]) for _ in range(rng.randint(0, 2)))
+            if (name, params) in signatures:
+                continue
+            signatures.add((name, params))
+            modifiers = rng.choice(["", "static ", "final ", "private "])
+            args = ", ".join(f"{t} p{j}" for j, t in enumerate(params))
+            lines.append(f"    {modifiers}void {name}({args}) {{\n    }}")
+        lines.append("}")
+        sources.append("\n".join(lines) + "\n")
     return sources
 
 

@@ -387,3 +387,15 @@ def test_long_concatenation_and_else_if_ladder_flatten(tmp_path):
     assert "f48 + \"f49=\" + f49;" in flat and "else if (k == 79)" in flat
     result = runner.invoke(main, ["compare", str(tmp_path)])
     assert result.exit_code == 0, result.output
+
+
+def test_this_access_to_private_ancestor_field_exit_2(tmp_path):
+    # `this.x` sees an inherited field like a bare `x` does; a private one
+    # stays out of reach.
+    (tmp_path / "A.java").write_text("class A {\n    private int x = 1;\n}\n")
+    (tmp_path / "B.java").write_text(
+        "class B extends A {\n    int f() {\n        return this.x;\n    }\n}\n"
+    )
+    result = runner.invoke(main, ["flatten", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"{tmp_path / 'B.java'}:3:21: class B has no attribute 'x'" in result.output

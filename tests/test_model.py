@@ -22,6 +22,7 @@ from flatjava.model import OBJECT_ROOT, override_legality
 from flatjava.report import load_schema, model_document
 
 from conftest import CORPUS, FIXTURES_DIR, load_model, model_from_sources
+from genclasses import random_overloading_hierarchy
 
 
 def test_single_class_model():
@@ -207,29 +208,6 @@ def test_model_document_matches_schema():
 # --- overload scan ----------------------------------------------------------
 
 
-def _random_overloading_hierarchy(rng) -> list[str]:
-    """Classes in a random forest whose methods share a few names."""
-    sources = []
-    for i in range(rng.randint(2, 6)):
-        parent = f" extends K{rng.randrange(i)}" if i and rng.random() < 0.8 else ""
-        lines = [f"class K{i}{parent} {{"]
-        for field in rng.sample(["a", "b", "c"], rng.randint(0, 3)):
-            lines.append(f"    {'static ' if rng.random() < 0.3 else ''}int {field};")
-        signatures = set()
-        for _ in range(rng.randint(0, 7)):
-            name = rng.choice(["m", "n", "k"])
-            params = tuple(rng.choice(["int", "long", "String"]) for _ in range(rng.randint(0, 2)))
-            if (name, params) in signatures:
-                continue
-            signatures.add((name, params))
-            modifiers = rng.choice(["", "static ", "final ", "private "])
-            args = ", ".join(f"{t} p{j}" for j, t in enumerate(params))
-            lines.append(f"    {modifiers}void {name}({args}) {{\n    }}")
-        lines.append("}")
-        sources.append("\n".join(lines) + "\n")
-    return sources
-
-
 def _brute_force_pairings(model):
     """Overrides and overloads by comparing every member pair, in model order."""
     overrides, overloads = [], []
@@ -256,7 +234,7 @@ def _ids(pairs) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("seed", range(60))
 def test_overloads_and_overrides_match_brute_force(seed):
-    model, _ = model_from_sources(*_random_overloading_hierarchy(random.Random(seed)))
+    model, _ = model_from_sources(*random_overloading_hierarchy(random.Random(seed)))
     overrides, overloads = _brute_force_pairings(model)
     assert _ids((r.sub, r.sup) for r in model.overrides) == _ids(overrides)
     assert _ids(model.overloads) == _ids(overloads)
@@ -265,6 +243,6 @@ def test_overloads_and_overrides_match_brute_force(seed):
 def test_generated_hierarchies_include_overloads():
     with_overloads = sum(
         1 for seed in range(60)
-        if model_from_sources(*_random_overloading_hierarchy(random.Random(seed)))[0].overloads
+        if model_from_sources(*random_overloading_hierarchy(random.Random(seed)))[0].overloads
     )
     assert with_overloads >= 30
