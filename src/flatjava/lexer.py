@@ -4,13 +4,16 @@ Every token records an exact span and the trivia (whitespace and comments)
 that precedes it, so concatenating ``leading + lexeme`` over the stream,
 end-of-input token included, reproduces the source text exactly.
 
-Two compiled patterns do the scanning. `_TRIVIA` matches the run of
-whitespace, ``//`` comments and closed ``/* */`` comments before a token;
-`_TOKEN` matches one token, with a named group per kind. No token holds a
-line break (string literals are single-line), so line and column follow
-from the line breaks in each trivia run. Only when `_TOKEN` fails does the
-lexer work out which error to raise: an unterminated block comment, an
-unterminated string literal, or an illegal character.
+One compiled pattern, `_SCAN`, does the scanning in a single `findall` over
+the source. Each match is one token: the run of whitespace, ``//`` comments
+and closed ``/* */`` comments before it, then the token in the group of its
+kind. A match with no token is the end of input, or, when its catch-all
+group holds a character, the first error. No token holds a line break
+(string literals are single-line), so offsets follow from the lengths of the
+matched pieces, and line and column from the line breaks in each trivia
+run. Only at an error does the lexer work out which one to raise: an
+unterminated block comment, an unterminated string literal, or an illegal
+character.
 """
 
 from __future__ import annotations
@@ -41,21 +44,24 @@ OPERATOR = "operator"
 PUNCT = "punctuation"
 EOI = "eoi"
 
-_TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*")
-
-# One group per token kind, named after it; a word is a keyword, a word
-# literal or an identifier. Numbers are ASCII digits with an optional
-# fraction and exponent; `L` marks only an integer, `D` any number. A `/`
-# before `*` starts an unterminated block comment, which _TRIVIA left.
-_TOKEN = re.compile(
+# The trivia before a token, then one group per token kind (a word is a
+# keyword, a word literal or an identifier), then any other character, which
+# is an error, or the end of the source. Numbers are ASCII digits with an
+# optional fraction and exponent; `L` marks only an integer, `D` any number.
+# Some alternative matches at every position, so the trivia run is never cut
+# short and consecutive matches tile the source.
+_SCAN = re.compile(
     r"""
-    (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<literal>
-        [0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?[dD]?|[eE][+-]?[0-9]+[dD]?|[lLdD]?)
-      | "(?:[^"\\\n]|\\.)*"
+    ((?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*)
+    (?:
+        ([A-Za-z_$][A-Za-z0-9_$]*)
+      | ([0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?[dD]?|[eE][+-]?[0-9]+[dD]?|[lLdD]?)
+        | "(?:[^"\\\n]|\\.)*")
+      | ([{}();,.\[\]])
+      | (&&|\|\||[=!<>]=|[=+\-*%<>!&|]|/(?!\*))
+      | ((?s:.))
+      | \Z
     )
-  | (?P<punctuation>[{}();,.\[\]])
-  | (?P<operator>&&|\|\||[=!<>]=|[=+\-*%<>!&|]|/(?!\*))
     """,
     re.VERBOSE,
 )
@@ -69,48 +75,48 @@ class Token(NamedTuple):
     span: Span
     leading: str = ""
 
-    def is_keyword(self, word: str) -> bool:
-        return self.kind == KEYWORD and self.lexeme == word
-
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize `source`, ending with a synthetic end-of-input token."""
-    trivia = _TRIVIA.match
-    token = _TOKEN.match
+    new = tuple.__new__  # a Token and its Span without their Python-level __new__
     word_kinds = _WORD_KINDS
     tokens: list[Token] = []
     append = tokens.append
     pos = 0
     line = 1
-    line_start = 0  # offset of the first character of `line`
-    while True:
-        start = trivia(source, pos).end()
-        leading = source[pos:start]
-        if "\n" in leading:
-            line += leading.count("\n")
-            line_start = pos + leading.rindex("\n") + 1
-        column = start - line_start + 1
-        m = token(source, start)
-        if m is None:
+    before_line = -1  # offset of the line break before `line`
+    for leading, word, literal, punct, op, bad in _SCAN.findall(source):
+        if leading:
+            if "\n" in leading:
+                line += leading.count("\n")
+                before_line = pos + leading.rindex("\n")
+            pos += len(leading)
+        if word:
+            lexeme, kind = word, word_kinds.get(word, IDENTIFIER)
+        elif literal:
+            lexeme, kind = literal, LITERAL
+        elif punct:
+            lexeme, kind = punct, PUNCT
+        elif op:
+            lexeme, kind = op, OPERATOR
+        else:
             break
-        pos = m.end()
-        lexeme = m.group()
-        kind = m.lastgroup
-        if kind == "word":
-            kind = word_kinds.get(lexeme, IDENTIFIER)
-        append(Token(kind, lexeme, Span(start, pos, line, column), leading))
-    if start == len(source):
-        append(Token(EOI, "", Span(start, start, line, column), leading))
+        end = pos + len(lexeme)
+        append(new(Token, (kind, lexeme, new(Span, (pos, end, line, pos - before_line)), leading)))
+        pos = end
+    span = Span(pos, pos, line, pos - before_line)
+    if not bad:
+        append(Token(EOI, "", span, leading))
         return tokens
-    if source.startswith("/*", start):
+    if bad == "/":  # a `/` that is no operator starts a block comment
         message, end = "unterminated block comment", len(source)
-    elif source[start] == '"':
+    elif bad == '"':
         # An unterminated literal runs to the end of its line.
-        line_end = source.find("\n", start)
+        line_end = source.find("\n", pos)
         message, end = "unterminated string literal", len(source) if line_end < 0 else line_end
     else:
-        message, end = f"illegal character {source[start]!r}", start + 1
-    raise LexError(message, Span(start, end, line, column))
+        message, end = f"illegal character {bad!r}", pos + 1
+    raise LexError(message, span._replace(end=end))
 
 
 def token_signature(tokens: list[Token]) -> list[tuple[str, str]]:

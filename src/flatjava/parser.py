@@ -5,23 +5,30 @@ methods, constructors, and a small statement/expression language. Anything
 legal in full Java but outside the subset raises UnsupportedFeature with the
 offending span; malformed input raises ParseError at the first error.
 
-Binary operators are parsed by precedence climbing, so an operand costs one
-call whatever its precedence level.
+The parser reads the token list through an index, and tests the current
+token by its lexeme. Binary operators are parsed by precedence climbing, and
+one call parses an operand with its prefix operators, member accesses and
+calls, so an operand costs two calls whatever its precedence level.
 
 Nesting is bounded: the syntax tree of a field initializer or of a method or
 constructor body may be at most MAX_NESTING nodes deep, counting each block,
 statement and expression (operator, parenthesis, member access, call) on its
 longest path. Deeper input raises UnsupportedFeature at the construct that
-goes past the limit. Each level costs at most five Python frames in the
-parser and in every later walker of the tree (resolver, rewriters, emitter),
-so at the limit they all stay well inside Python's default recursion limit.
+goes past the limit. A level costs the parser at most three Python frames
+(`parse_expr`, `parse_operand` and `parse_args` for the arguments of a call
+or `new`), two for a parenthesis, block or statement, and none for a prefix
+operator, a member access or an operator chaining to the left, which are
+loops. Later walkers of the tree take more: up to four frames a level in the
+resolver (nested blocks) and up to six in the flattener's rewrite of a
+pulled body (call arguments), about 900 frames at the limit, inside Python's
+default recursion limit of 1000.
 """
 
 from __future__ import annotations
 
 from . import tree
 from .errors import FlatJavaError, ParseError, UnsupportedFeature
-from .lexer import EOI, IDENTIFIER, KEYWORD, LITERAL, OPERATOR, PUNCT, Token, tokenize
+from .lexer import EOI, IDENTIFIER, KEYWORD, LITERAL, Token, tokenize
 from .spans import Span
 
 PRIMITIVE_TYPES = frozenset({"int", "long", "double", "boolean"})
@@ -43,7 +50,8 @@ _BINARY_LEVELS = (
     ("*", "/", "%"),
 )
 _PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
-_UNARY_OPS = ("-", "!", "+")
+_UNARY_OPS = frozenset({"-", "!", "+"})
+_VISIBILITIES = frozenset({"public", "protected", "private"})
 
 MAX_NESTING = 150
 
@@ -61,6 +69,13 @@ def parse_source(source: str, path: str | None = None) -> tree.CompilationUnit:
 
 
 class _Parser:
+    """Reads `tokens` through the index `pos` of the current token.
+
+    A lexeme tells the kind of every keyword, punctuation mark and operator
+    (string literals keep their quotes, and the end-of-input lexeme is
+    empty), so tests of the current token compare lexemes only.
+    """
+
     def __init__(self, tokens: list[Token], path: str | None = None):
         self.tokens = tokens
         self.pos = 0
@@ -74,47 +89,23 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        # `advance` never moves past EOI, so only lookahead needs the clamp.
-        if not ahead:
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
+    def expect(self, lexeme: str) -> Token:
+        """The current token, which must be the punctuation or keyword `lexeme`; moves past it."""
         tok = self.tokens[self.pos]
-        if tok.kind != EOI:
-            self.pos += 1
+        if tok.lexeme != lexeme:
+            raise self.error(f"expected '{lexeme}'", expected={lexeme})
+        self.pos += 1
         return tok
 
-    def at_keyword(self, word: str) -> bool:
-        return self.peek().is_keyword(word)
-
-    def at_punct(self, lexeme: str) -> bool:
-        tok = self.peek()
-        return tok.kind == PUNCT and tok.lexeme == lexeme
-
-    def at_operator(self, lexeme: str) -> bool:
-        tok = self.peek()
-        return tok.kind == OPERATOR and tok.lexeme == lexeme
-
-    def expect_punct(self, lexeme: str) -> Token:
-        if not self.at_punct(lexeme):
-            raise self.error(f"expected '{lexeme}'", expected={lexeme})
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise self.error(f"expected '{word}'", expected={word})
-        return self.advance()
-
     def expect_identifier(self, what: str = "identifier") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != IDENTIFIER:
             raise self.error(f"expected {what}", expected={"identifier"})
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def error(self, message: str, expected: set[str] | None = None) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         found = tok.lexeme if tok.kind != EOI else "end of input"
         return ParseError(
             f"{message}, found {found!r}",
@@ -125,295 +116,284 @@ class _Parser:
 
     def unsupported(self, feature: str, span: Span | None = None) -> UnsupportedFeature:
         return UnsupportedFeature(
-            f"unsupported feature: {feature}", span or self.peek().span, self.path
+            f"unsupported feature: {feature}", span or self.tokens[self.pos].span, self.path
         )
 
     def nest(self) -> None:
         """Go down one level; past MAX_NESTING the input is refused."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.too_deep(self.peek().span)
+            raise self.too_deep(self.tokens[self.pos].span)
 
     def too_deep(self, span: Span) -> UnsupportedFeature:
         return self.unsupported(f"nesting deeper than {MAX_NESTING} levels", span)
 
-    @staticmethod
-    def join(start: Span, end: Span) -> Span:
-        return Span(start.start, end.end, start.line, start.column)
-
     # -- declarations ---------------------------------------------------
 
     def parse_unit(self) -> tree.CompilationUnit:
-        start = self.peek().span
+        tokens = self.tokens
+        start = tokens[0].span
         package = None
-        if self.at_keyword("package"):
-            self.advance()
+        if tokens[0].lexeme == "package":
+            self.pos = 1
             parts = [self.expect_identifier("package name").lexeme]
-            while self.at_punct("."):
-                self.advance()
+            while tokens[self.pos].lexeme == ".":
+                self.pos += 1
                 parts.append(self.expect_identifier("package name").lexeme)
-            self.expect_punct(";")
+            self.expect(";")
             package = ".".join(parts)
-        for word in UNSUPPORTED_UNIT_KEYWORDS:
-            if self.at_keyword(word):
-                raise self.unsupported(f"'{word}' declarations")
+        word = tokens[self.pos].lexeme
+        if word in UNSUPPORTED_UNIT_KEYWORDS:
+            raise self.unsupported(f"'{word}' declarations")
         class_decl = self.parse_class()
-        if self.peek().kind != EOI:
+        if tokens[self.pos].kind != EOI:
             raise self.error("expected end of input after class declaration")
         return tree.CompilationUnit(
-            package, class_decl, self.join(start, class_decl.span), self.path
+            package, class_decl, _join(start, class_decl.span), self.path
         )
 
     def parse_class(self) -> tree.ClassDecl:
-        start = self.peek().span
+        tokens = self.tokens
+        start = tokens[self.pos].span
         visibility = self.parse_visibility()
-        self.expect_keyword("class")
+        self.expect("class")
         name_tok = self.expect_identifier("class name")
-        if self.at_operator("<"):
+        if tokens[self.pos].lexeme == "<":
             raise self.unsupported("generic type parameters")
         superclass = None
-        if self.at_keyword("extends"):
-            self.advance()
+        if tokens[self.pos].lexeme == "extends":
+            self.pos += 1
             superclass = self.expect_identifier("superclass name").lexeme
-            if self.at_operator("<"):
+            if tokens[self.pos].lexeme == "<":
                 raise self.unsupported("generic type arguments")
-        if self.at_keyword("implements"):
+        if tokens[self.pos].lexeme == "implements":
             raise self.unsupported("'implements' clauses")
-        self.expect_punct("{")
+        self.expect("{")
         members: list[tree.FieldDecl | tree.MethodDecl | tree.CtorDecl] = []
-        while not self.at_punct("}"):
-            if self.peek().kind == EOI:
+        while (tok := tokens[self.pos]).lexeme != "}":
+            if tok.kind == EOI:
                 raise self.error("expected '}' before end of input", expected={"}"})
             members.append(self.parse_member(name_tok.lexeme))
-        end = self.advance()  # '}'
+        self.pos += 1
         return tree.ClassDecl(
             visibility, name_tok.lexeme, superclass, members,
-            self.join(start, end.span), name_tok.span,
+            _join(start, tok.span), name_tok.span,
         )
 
     def parse_visibility(self) -> str:
-        for vis in ("public", "protected", "private"):
-            if self.at_keyword(vis):
-                self.advance()
-                return vis
+        word = self.tokens[self.pos].lexeme
+        if word in _VISIBILITIES:
+            self.pos += 1
+            return word
         return "package"
 
     def parse_member(self, class_name: str):
-        start = self.peek().span
-        if self.at_keyword("class"):
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        start = tok.span
+        if tok.lexeme == "class":
             raise self.unsupported("nested classes")
-        for word in UNSUPPORTED_MEMBER_KEYWORDS:
-            if self.at_keyword(word):
-                raise self.unsupported(f"'{word}' modifier")
+        if tok.lexeme in UNSUPPORTED_MEMBER_KEYWORDS:
+            raise self.unsupported(f"'{tok.lexeme}' modifier")
         visibility = self.parse_visibility()
-        is_static = False
-        is_final = False
-        if self.at_keyword("static"):
-            self.advance()
-            is_static = True
-        if self.at_keyword("final"):
-            self.advance()
-            is_final = True
+        is_static = tokens[self.pos].lexeme == "static"
+        if is_static:
+            self.pos += 1
+        is_final = tokens[self.pos].lexeme == "final"
+        if is_final:
+            self.pos += 1
 
-        if self.at_keyword("void"):
-            void_tok = self.advance()
+        tok = tokens[self.pos]
+        if tok.lexeme == "void":
+            self.pos += 1
             name_tok = self.expect_identifier("method name")
-            return self.parse_method(
-                start, visibility, is_static, is_final, None, name_tok, void_tok
-            )
+            return self.parse_method(start, visibility, is_static, is_final, None, name_tok)
 
-        tok = self.peek()
-        if tok.kind == IDENTIFIER and self.peek(1).kind == PUNCT and self.peek(1).lexeme == "(":
+        if tok.kind == IDENTIFIER and tokens[self.pos + 1].lexeme == "(":
             # Constructor: a bare identifier directly followed by '('.
             if is_static or is_final:
                 raise ParseError(
                     "constructors cannot be static or final", tok.span, path=self.path
                 )
-            name_tok = self.advance()
-            if name_tok.lexeme != class_name:
+            self.pos += 1
+            if tok.lexeme != class_name:
                 raise ParseError(
-                    f"constructor name {name_tok.lexeme!r} does not match class "
+                    f"constructor name {tok.lexeme!r} does not match class "
                     f"{class_name!r}",
-                    name_tok.span,
+                    tok.span,
                     path=self.path,
                 )
             params = self.parse_params()
             body = self.parse_block()
             return tree.CtorDecl(
-                visibility, name_tok.lexeme, params, body,
-                self.join(start, body.span), name_tok.span,
+                visibility, tok.lexeme, params, body, _join(start, body.span), tok.span,
             )
 
         decl_type = self.parse_type("member type")
         name_tok = self.expect_identifier("member name")
-        if self.at_punct("("):
-            return self.parse_method(
-                start, visibility, is_static, is_final, decl_type, name_tok, None
-            )
+        follow = tokens[self.pos].lexeme
+        if follow == "(":
+            return self.parse_method(start, visibility, is_static, is_final, decl_type, name_tok)
         init = None
-        if self.at_operator("="):
-            self.advance()
+        if follow == "=":
+            self.pos += 1
             init = self.parse_expr()
-        end = self.expect_punct(";")
+        end = self.expect(";")
         return tree.FieldDecl(
             visibility, is_static, is_final, decl_type, name_tok.lexeme, init,
-            self.join(start, end.span), name_tok.span,
+            _join(start, end.span), name_tok.span,
         )
 
-    def parse_method(self, start, visibility, is_static, is_final, return_type, name_tok, _void):
+    def parse_method(self, start, visibility, is_static, is_final, return_type, name_tok):
         params = self.parse_params()
         body = self.parse_block()
         return tree.MethodDecl(
             visibility, is_static, is_final, return_type, name_tok.lexeme, params, body,
-            self.join(start, body.span), name_tok.span,
+            _join(start, body.span), name_tok.span,
         )
 
     def parse_params(self) -> list[tree.Param]:
-        self.expect_punct("(")
+        tokens = self.tokens
+        self.expect("(")
         params: list[tree.Param] = []
-        if not self.at_punct(")"):
+        if tokens[self.pos].lexeme != ")":
             while True:
-                p_start = self.peek().span
+                p_start = tokens[self.pos].span
                 decl_type = self.parse_type("parameter type")
                 name_tok = self.expect_identifier("parameter name")
                 params.append(
-                    tree.Param(decl_type, name_tok.lexeme, self.join(p_start, name_tok.span))
+                    tree.Param(decl_type, name_tok.lexeme, _join(p_start, name_tok.span))
                 )
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_punct(")")
+                if tokens[self.pos].lexeme != ",":
+                    break
+                self.pos += 1
+        self.expect(")")
         return params
 
     def parse_type(self, what: str) -> tree.TypeRef:
-        tok = self.peek()
-        if tok.kind == KEYWORD:
-            if tok.lexeme in PRIMITIVE_TYPES:
-                self.advance()
-            elif tok.lexeme in UNSUPPORTED_TYPE_KEYWORDS:
-                raise self.unsupported(f"'{tok.lexeme}' type")
-            else:
-                raise self.error(f"expected {what}", expected={"type"})
-        elif tok.kind == IDENTIFIER:
-            self.advance()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind == IDENTIFIER or tok.lexeme in PRIMITIVE_TYPES:
+            self.pos += 1
+        elif tok.lexeme in UNSUPPORTED_TYPE_KEYWORDS:
+            raise self.unsupported(f"'{tok.lexeme}' type")
         else:
             raise self.error(f"expected {what}", expected={"type"})
-        if self.at_operator("<"):
+        follow = tokens[self.pos].lexeme
+        if follow == "<":
             raise self.unsupported("generic type arguments")
-        is_array = False
-        end_span = tok.span
-        if self.at_punct("["):
-            self.advance()
-            end_span = self.expect_punct("]").span
-            is_array = True
-        return tree.TypeRef(tok.lexeme, is_array, self.join(tok.span, end_span))
+        if follow == "[":
+            self.pos += 1
+            end = self.expect("]")
+            return tree.TypeRef(tok.lexeme, True, _join(tok.span, end.span))
+        return tree.TypeRef(tok.lexeme, False, tok.span)
 
     # -- statements -----------------------------------------------------
 
     def parse_block(self) -> tree.Block:
+        tokens = self.tokens
         self.nest()
-        start = self.expect_punct("{").span
+        start = self.expect("{").span
         statements: list[tree.Stmt] = []
-        while not self.at_punct("}"):
-            if self.peek().kind == EOI:
+        while (tok := tokens[self.pos]).lexeme != "}":
+            if tok.kind == EOI:
                 raise self.error("expected '}' before end of input", expected={"}"})
             statements.append(self.parse_stmt())
-        end = self.advance()
+        self.pos += 1
         self.depth -= 1
-        return tree.Block(statements, self.join(start, end.span))
+        return tree.Block(statements, _join(start, tok.span))
 
     def parse_stmt(self) -> tree.Stmt:
-        tok = self.peek()
-        if tok.kind == PUNCT and tok.lexeme == "{":
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        word = tok.lexeme
+        if word == "{":
             return self.parse_block()
         self.nest()
-        stmt = self.parse_non_block(tok)
+        kind = tok.kind
+        if kind == KEYWORD:
+            if word in UNSUPPORTED_STMT_KEYWORDS:
+                raise self.unsupported(f"'{word}' statements")
+            if word == "if":
+                stmt = self.parse_if()
+            elif word == "while":
+                stmt = self.parse_while()
+            elif word == "return":
+                stmt = self.parse_return()
+            elif word in PRIMITIVE_TYPES:
+                stmt = self.parse_local_decl()
+            elif word in UNSUPPORTED_TYPE_KEYWORDS:
+                raise self.unsupported(f"'{word}' type")
+            else:
+                stmt = self.parse_expr_or_assign()
+        elif kind == IDENTIFIER and (
+            (nxt := tokens[self.pos + 1]).kind == IDENTIFIER
+            or nxt.lexeme == "[" and tokens[self.pos + 2].lexeme == "]"
+        ):
+            stmt = self.parse_local_decl()
+        else:
+            stmt = self.parse_expr_or_assign()
         self.depth -= 1
         return stmt
 
-    def parse_non_block(self, tok: Token) -> tree.Stmt:
-        if tok.kind == KEYWORD:
-            if tok.lexeme in UNSUPPORTED_STMT_KEYWORDS:
-                raise self.unsupported(f"'{tok.lexeme}' statements")
-            if tok.lexeme == "if":
-                return self.parse_if()
-            if tok.lexeme == "while":
-                return self.parse_while()
-            if tok.lexeme == "return":
-                return self.parse_return()
-            if tok.lexeme in PRIMITIVE_TYPES:
-                return self.parse_local_decl()
-            if tok.lexeme in UNSUPPORTED_TYPE_KEYWORDS:
-                raise self.unsupported(f"'{tok.lexeme}' type")
-        if tok.kind == IDENTIFIER:
-            nxt = self.peek(1)
-            if nxt.kind == IDENTIFIER:
-                return self.parse_local_decl()
-            if (
-                nxt.kind == PUNCT
-                and nxt.lexeme == "["
-                and self.peek(2).kind == PUNCT
-                and self.peek(2).lexeme == "]"
-            ):
-                return self.parse_local_decl()
-        return self.parse_expr_or_assign()
-
     def parse_local_decl(self) -> tree.LocalDecl:
-        start = self.peek().span
+        start = self.tokens[self.pos].span
         decl_type = self.parse_type("local variable type")
         name_tok = self.expect_identifier("variable name")
         init = None
-        if self.at_operator("="):
-            self.advance()
+        if self.tokens[self.pos].lexeme == "=":
+            self.pos += 1
             init = self.parse_expr()
-        end = self.expect_punct(";")
-        return tree.LocalDecl(decl_type, name_tok.lexeme, init, self.join(start, end.span))
+        end = self.expect(";")
+        return tree.LocalDecl(decl_type, name_tok.lexeme, init, _join(start, end.span))
 
     def parse_if(self) -> tree.If:
-        start = self.advance().span  # 'if'
-        self.expect_punct("(")
+        start = self.tokens[self.pos].span  # 'if'
+        self.pos += 1
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect_punct(")")
+        self.expect(")")
         then_branch = self.parse_stmt()
         else_branch = None
-        end_span = _stmt_span(then_branch)
-        if self.at_keyword("else"):
-            self.advance()
+        end_span = then_branch.span
+        if self.tokens[self.pos].lexeme == "else":
+            self.pos += 1
             else_branch = self.parse_stmt()
-            end_span = _stmt_span(else_branch)
-        return tree.If(cond, then_branch, else_branch, self.join(start, end_span))
+            end_span = else_branch.span
+        return tree.If(cond, then_branch, else_branch, _join(start, end_span))
 
     def parse_while(self) -> tree.While:
-        start = self.advance().span
-        self.expect_punct("(")
+        start = self.tokens[self.pos].span  # 'while'
+        self.pos += 1
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect_punct(")")
+        self.expect(")")
         body = self.parse_stmt()
-        return tree.While(cond, body, self.join(start, _stmt_span(body)))
+        return tree.While(cond, body, _join(start, body.span))
 
     def parse_return(self) -> tree.Return:
-        start = self.advance().span
+        start = self.tokens[self.pos].span  # 'return'
+        self.pos += 1
         value = None
-        if not self.at_punct(";"):
+        if self.tokens[self.pos].lexeme != ";":
             value = self.parse_expr()
-        end = self.expect_punct(";")
-        return tree.Return(value, self.join(start, end.span))
+        end = self.expect(";")
+        return tree.Return(value, _join(start, end.span))
 
     def parse_expr_or_assign(self) -> tree.Stmt:
-        start = self.peek().span
+        start = self.tokens[self.pos].span
         expr = self.parse_expr()
-        if self.at_operator("="):
+        if self.tokens[self.pos].lexeme == "=":
             if not isinstance(expr, (tree.Name, tree.FieldAccess)):
                 raise ParseError(
                     "invalid assignment target", expr.span, path=self.path
                 )
-            self.advance()
+            self.pos += 1
             value = self.parse_expr()
-            end = self.expect_punct(";")
-            return tree.Assign(expr, value, self.join(start, end.span))
-        end = self.expect_punct(";")
-        return tree.ExprStmt(expr, self.join(start, end.span))
+            end = self.expect(";")
+            return tree.Assign(expr, value, _join(start, end.span))
+        end = self.expect(";")
+        return tree.ExprStmt(expr, _join(start, end.span))
 
     # -- expressions ----------------------------------------------------
 
@@ -423,115 +403,125 @@ class _Parser:
         Precedence climbing: each operator's right operand is parsed at the
         next tighter level, and operators of one level associate to the left.
         """
+        tokens = self.tokens
         above = self.depth
         if above >= MAX_NESTING:
-            raise self.too_deep(self.peek().span)
+            raise self.too_deep(tokens[self.pos].span)
         self.depth = above + 1
-        left = self.parse_unary()
+        left = self.parse_operand()
         height = self.height
-        while True:
-            tok = self.peek()
-            prec = _PRECEDENCE.get(tok.lexeme, -1) if tok.kind == OPERATOR else -1
-            if prec < level:
-                break
-            self.advance()
+        while (prec := _PRECEDENCE.get((tok := tokens[self.pos]).lexeme, -1)) >= level:
+            self.pos += 1
             right = self.parse_expr(prec + 1)
             height = max(height, self.height) + 1
-            left = tree.Binary(tok.lexeme, left, right, self.join(left.span, right.span))
+            left = tree.Binary(tok.lexeme, left, right, _join(left.span, right.span))
         self.depth = above
         if above + height > MAX_NESTING:
             raise self.too_deep(left.span)
         self.height = height
         return left
 
-    def parse_unary(self) -> tree.Expr:
-        tok = self.peek()
-        if tok.kind == OPERATOR and tok.lexeme in _UNARY_OPS:
-            self.advance()
-            self.nest()
-            operand = self.parse_unary()
-            self.depth -= 1
-            self.height += 1
-            return tree.Unary(tok.lexeme, operand, self.join(tok.span, operand.span))
-        return self.parse_postfix()
+    def parse_operand(self) -> tree.Expr:
+        """Prefix operators, a primary, then its member accesses and calls.
 
-    def parse_postfix(self) -> tree.Expr:
-        expr = self.parse_primary()
-        while self.at_punct("."):
-            self.advance()
+        Each prefix operator is a level above its operand, and each access
+        or call a level above its receiver; sets `height` to the levels in
+        the operand. One frame parses all of it, so an operand costs one
+        call beside its `parse_expr`.
+        """
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        prefixes = []
+        while tok.lexeme in _UNARY_OPS:
+            prefixes.append(tok)
+            self.pos += 1
+            self.nest()
+            tok = tokens[self.pos]
+
+        self.height = 1
+        kind = tok.kind
+        word = tok.lexeme
+        if kind == IDENTIFIER:
+            self.pos += 1
+            if tokens[self.pos].lexeme == "(":
+                args, end_span = self.parse_args()
+                self.height += 1
+                expr = tree.Call(None, word, args, _join(tok.span, end_span), tok.span)
+            else:
+                expr = tree.Name(word, tok.span)
+        elif kind == LITERAL:
+            self.pos += 1
+            expr = tree.Literal(_literal_kind(word), word, tok.span)
+        elif word == "(":
+            self.pos += 1
+            inner = self.parse_expr()
+            end = self.expect(")")
+            self.height += 1
+            expr = tree.Paren(inner, _join(tok.span, end.span))
+        elif word == "this":
+            self.pos += 1
+            expr = tree.This(tok.span)
+        elif word == "super":
+            self.pos += 1
+            if tokens[self.pos].lexeme != ".":
+                raise self.error("expected '.' after 'super'", expected={"."})
+            expr = tree.Super(tok.span)
+        elif word == "new":
+            self.pos += 1
+            type_tok = self.expect_identifier("class name after 'new'")
+            if tokens[self.pos].lexeme == "[":
+                raise self.unsupported("array creation")
+            args, end_span = self.parse_args()
+            self.height += 1
+            expr = tree.New(type_tok.lexeme, args, _join(tok.span, end_span))
+        elif word in UNSUPPORTED_STMT_KEYWORDS or word == "instanceof":
+            raise self.unsupported(f"'{word}' expressions")
+        else:
+            raise self.error("expected expression", expected={"expression"})
+
+        while tokens[self.pos].lexeme == ".":
+            self.pos += 1
             name_tok = self.expect_identifier("member name")
             height = self.height
-            if self.at_punct("("):
+            if tokens[self.pos].lexeme == "(":
                 args, end_span = self.parse_args()
                 self.height = max(height, self.height) + 1
                 expr = tree.Call(
-                    expr, name_tok.lexeme, args,
-                    self.join(expr.span, end_span), name_tok.span,
+                    expr, name_tok.lexeme, args, _join(expr.span, end_span), name_tok.span,
                 )
             else:
                 self.height = height + 1
                 expr = tree.FieldAccess(
-                    expr, name_tok.lexeme,
-                    self.join(expr.span, name_tok.span), name_tok.span,
+                    expr, name_tok.lexeme, _join(expr.span, name_tok.span), name_tok.span,
                 )
+        if prefixes:
+            for op in reversed(prefixes):
+                expr = tree.Unary(op.lexeme, expr, _join(op.span, expr.span))
+            self.depth -= len(prefixes)
+            self.height += len(prefixes)
         return expr
 
     def parse_args(self) -> tuple[list[tree.Expr], Span]:
         """The arguments and the closing span; sets `height` to the deepest argument's."""
-        self.expect_punct("(")
+        tokens = self.tokens
+        self.expect("(")
         args: list[tree.Expr] = []
         height = 0
-        if not self.at_punct(")"):
+        if tokens[self.pos].lexeme != ")":
             while True:
                 args.append(self.parse_expr())
                 height = max(height, self.height)
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
-        end = self.expect_punct(")")
+                if tokens[self.pos].lexeme != ",":
+                    break
+                self.pos += 1
+        end = self.expect(")")
         self.height = height
         return args, end.span
 
-    def parse_primary(self) -> tree.Expr:
-        tok = self.peek()
-        self.height = 1
-        if tok.kind == LITERAL:
-            self.advance()
-            return tree.Literal(_literal_kind(tok.lexeme), tok.lexeme, tok.span)
-        if tok.kind == IDENTIFIER:
-            self.advance()
-            if self.at_punct("("):
-                args, end_span = self.parse_args()
-                self.height += 1
-                return tree.Call(None, tok.lexeme, args, self.join(tok.span, end_span), tok.span)
-            return tree.Name(tok.lexeme, tok.span)
-        if tok.kind == KEYWORD:
-            if tok.lexeme == "this":
-                self.advance()
-                return tree.This(tok.span)
-            if tok.lexeme == "super":
-                self.advance()
-                if not self.at_punct("."):
-                    raise self.error("expected '.' after 'super'", expected={"."})
-                return tree.Super(tok.span)
-            if tok.lexeme == "new":
-                self.advance()
-                type_tok = self.expect_identifier("class name after 'new'")
-                if self.at_punct("["):
-                    raise self.unsupported("array creation")
-                args, end_span = self.parse_args()
-                self.height += 1
-                return tree.New(type_tok.lexeme, args, self.join(tok.span, end_span))
-            if tok.lexeme in UNSUPPORTED_STMT_KEYWORDS or tok.lexeme == "instanceof":
-                raise self.unsupported(f"'{tok.lexeme}' expressions")
-        if self.at_punct("("):
-            start = self.advance().span
-            inner = self.parse_expr()
-            end = self.expect_punct(")")
-            self.height += 1
-            return tree.Paren(inner, self.join(start, end.span))
-        raise self.error("expected expression", expected={"expression"})
+
+def _join(start: Span, end: Span) -> Span:
+    # tuple.__new__ builds the Span without its Python-level __new__.
+    return tuple.__new__(Span, (start.start, end.end, start.line, start.column))
 
 
 def _literal_kind(lexeme: str) -> str:
@@ -546,7 +536,3 @@ def _literal_kind(lexeme: str) -> str:
     if "." in lexeme or "e" in lexeme or "E" in lexeme or lexeme[-1] in "dD":
         return "double"
     return "int"
-
-
-def _stmt_span(stmt: tree.Stmt) -> Span:
-    return stmt.span

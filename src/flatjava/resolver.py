@@ -43,6 +43,8 @@ BASIS_RECEIVER = "receiver"
 LOCAL_BASES = (BASIS_BARE, BASIS_THIS)
 
 _PRIMITIVES = frozenset({"int", "long", "double", "boolean", "void"})
+_BOOLEAN_OPS = frozenset({"&&", "||", "==", "!=", "<", "<=", ">", ">="})
+_new_tuple = tuple.__new__  # a NamedTuple without its Python-level __new__
 
 
 class AccessEdge(NamedTuple):
@@ -219,8 +221,8 @@ class _Walker(tree.BodyWalker):
 
     def edge(self, kind: str, target: MemberInfo, basis: str, span: Span, node: tree.Expr) -> None:
         local = basis in LOCAL_BASES and target.owner == self.cls.name
-        self.res.sites[id(node)] = Site(
-            kind, None if local else target.owner, target.signature, basis, span
+        self.res.sites[id(node)] = _new_tuple(
+            Site, (kind, None if local else target.owner, target.signature, basis, span)
         )
 
     # -- walker hooks -----------------------------------------------------
@@ -246,49 +248,41 @@ class _Walker(tree.BodyWalker):
 
     def type_of(self, e: tree.Expr) -> str | None:
         """Walk an expression, record edges, and return its static type name."""
-        if isinstance(e, tree.Literal):
-            return {"string": "String"}.get(e.kind, e.kind)
-        if isinstance(e, tree.Name):
-            local = self.local_type(e.ident)
-            if local is not None:
-                return local
-            found = self.lookup_attribute(e.ident)
-            if found is None:
-                raise self.fail(f"cannot resolve name {e.ident!r}", e.span)
-            self.edge(READ, found, BASIS_BARE, e.span, e)
-            return found.decl.decl_type.text()
-        if isinstance(e, tree.This):
-            self.res.uses_this = True
-            return self.cls.name
-        if isinstance(e, tree.Super):
-            if self.cls.superclass is None:
-                raise self.fail("'super' used in a class with no superclass", e.span)
-            return self.cls.superclass
-        if isinstance(e, tree.Paren):
-            return self.type_of(e.inner)
-        if isinstance(e, tree.Unary):
-            return self.type_of(e.operand)
-        if isinstance(e, tree.Binary):
-            left = self.type_of(e.left)
-            right = self.type_of(e.right)
-            if e.op in ("&&", "||", "==", "!=", "<", "<=", ">", ">="):
-                return "boolean"
-            if "String" in (left, right):
-                return "String"
-            if "double" in (left, right):
-                return "double"
-            if "long" in (left, right):
-                return "long"
-            return "int"
-        if isinstance(e, tree.FieldAccess):
-            return self.field_access(e, kind=READ)
-        if isinstance(e, tree.Call):
-            return self.call(e)
-        if isinstance(e, tree.New):
-            return self.new_expr(e)
-        raise TypeError(f"unknown expression {type(e).__name__}")  # pragma: no cover
+        return self.types_by_node[type(e)](self, e)
 
-    def field_access(self, e: tree.FieldAccess, kind: str) -> str | None:
+    def name_type(self, e: tree.Name) -> str | None:
+        local = self.local_type(e.ident)
+        if local is not None:
+            return local
+        found = self.lookup_attribute(e.ident)
+        if found is None:
+            raise self.fail(f"cannot resolve name {e.ident!r}", e.span)
+        self.edge(READ, found, BASIS_BARE, e.span, e)
+        return found.decl.decl_type.text()
+
+    def this_type(self, e: tree.This) -> str:
+        self.res.uses_this = True
+        return self.cls.name
+
+    def super_type(self, e: tree.Super) -> str:
+        if self.cls.superclass is None:
+            raise self.fail("'super' used in a class with no superclass", e.span)
+        return self.cls.superclass
+
+    def binary_type(self, e: tree.Binary) -> str:
+        left = self.type_of(e.left)
+        right = self.type_of(e.right)
+        if e.op in _BOOLEAN_OPS:
+            return "boolean"
+        if "String" in (left, right):
+            return "String"
+        if "double" in (left, right):
+            return "double"
+        if "long" in (left, right):
+            return "long"
+        return "int"
+
+    def field_access(self, e: tree.FieldAccess, kind: str = READ) -> str | None:
         receiver = e.receiver
         if isinstance(receiver, tree.This):
             member = self.lookup_attribute(e.name)
@@ -505,6 +499,20 @@ class _Walker(tree.BodyWalker):
             e.name_span,
             self.path,
         )
+
+    # The handler of each expression node type, for `type_of`.
+    types_by_node = {
+        tree.Literal: lambda self, e: "String" if e.kind == "string" else e.kind,
+        tree.Name: name_type,
+        tree.This: this_type,
+        tree.Super: super_type,
+        tree.Paren: lambda self, e: self.type_of(e.inner),
+        tree.Unary: lambda self, e: self.type_of(e.operand),
+        tree.Binary: binary_type,
+        tree.FieldAccess: field_access,
+        tree.Call: call,
+        tree.New: new_expr,
+    }
 
 
 def _types_match(member: MemberInfo, arg_types: list[str | None]) -> bool:

@@ -6,11 +6,12 @@ import re
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flatjava import LexError, Span, tokenize
 from flatjava.lexer import EOI, IDENTIFIER, KEYWORD, LITERAL, OPERATOR, PUNCT, token_signature
 
+import reference_lexer
 from conftest import CORPUS, fixture_sources
 
 
@@ -201,3 +202,36 @@ def test_tokens_and_spans_are_immutable_values():
     assert hash(token) == hash(tokenize("x")[0])
     with pytest.raises(AttributeError):
         token.span.line = 2
+
+
+# Pieces of Java-flavoured text. Drawn side by side they also glue into
+# longer tokens (`1e5d` + `L`), split comments (`/` + `/* c */`) and leave
+# trivia after the last token.
+_JAVA_PIECES = [
+    "class", "int", "long", "double", "boolean", "return", "this", "super", "new",
+    "if", "else", "while", "void", "static", "final", "private", "true", "false", "null",
+    "x", "$", "_", "$a", "_b1", "x$A", "e", "E", "L", "d",
+    "0", "7", "42", "7L", "7l", "1e5d", "2.5E-3", "3.5", "1.", "1e", "6D", "2.5e+7",
+    '"s"', '""', r'"a\"b"', r'"\\"', r'"tab\t"', '"open', '"esc\\', '"',
+    "// c", "//", "/* c */", "/**/", "/* \n */", "/*", "*/", "/", "*",
+    "{", "}", "(", ")", ";", ",", ".", "[", "]",
+    "=", "==", "!=", "<", "<=", ">", ">=", "+", "-", "%", "!", "&", "&&", "|", "||",
+    " ", "\t", "\n", "\r\n", "\r", "\n\n",
+    "\u0663", "\u00e9", "\u00a0", "#", "'", "@", "\\", "~",
+]
+
+
+@settings(max_examples=600)
+@given(st.lists(st.sampled_from(_JAVA_PIECES), max_size=30).map("".join))
+@example("//[0\tint/\t-")
+@example("x /* never closed")
+@example('a = "no end\nb')
+@example("int x; // trailing\n\t ")
+def test_lexer_agrees_with_reference(source):
+    def lex(tokenize_fn):
+        try:
+            return tokenize_fn(source)
+        except LexError as err:
+            return ("LexError", err.message, err.span)
+
+    assert lex(tokenize) == lex(reference_lexer.tokenize)
