@@ -8,8 +8,6 @@ a class together with its ancestors) is judged on the flattened view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 APPLICATIONS = (
     "refactoring",
     "adaptability",
@@ -22,11 +20,11 @@ APPLICATIONS = (
 )
 
 
-@dataclass(frozen=True)
 class Advisory:
-    application: str
-    view: str  # original | flattened
-    justification: str
+    def __init__(self, application: str, view: str, justification: str):
+        self.application = application
+        self.view = view  # original | flattened
+        self.justification = justification
 
 
 _ADVICE: dict[str, tuple[str, str]] = {

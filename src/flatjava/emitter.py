@@ -9,14 +9,12 @@ preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tree
 
 
-@dataclass(frozen=True)
 class EmitOptions:
-    provenance: bool = False
+    def __init__(self, provenance: bool = False):
+        self.provenance = provenance
 
 
 def emit(target, options: EmitOptions | None = None) -> str:

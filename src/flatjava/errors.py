@@ -7,7 +7,7 @@ exit code without stopping the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spans import Span
 
@@ -98,8 +98,7 @@ UNSUPPORTED_CTOR = "unsupported-constructor"
 FORCED_RENAME = "forced-rename"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     message: str
     class_name: str

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import copy  # noqa: F401 - benchmark/tracing.py wraps flattener.copy.deepcopy
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from itertools import takewhile
 
 from . import tree
@@ -94,60 +93,74 @@ DROP_ANOMALY = "DropAnomaly"
 RULE_CTOR = "CTOR"
 
 
-@dataclass(slots=True)
 class FlatMember:
-    decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl
-    kind: str  # attribute | method | ctor
-    name: str
-    signature: str
-    declared_signature: str  # the signature `provenance` declares it under
-    visibility: str
-    is_static: bool
-    is_final: bool
-    provenance: str  # original declaring class
-    pulled: bool
-    renamed: bool = False  # renamed at any flattening step
+    __slots__ = ("decl", "kind", "name", "signature", "declared_signature", "visibility",
+                 "is_static", "is_final", "provenance", "pulled", "renamed")
+
+    def __init__(self, decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl, kind: str,
+                 name: str, signature: str, declared_signature: str, visibility: str,
+                 is_static: bool, is_final: bool, provenance: str, pulled: bool,
+                 renamed: bool = False):
+        self.decl = decl
+        self.kind = kind  # attribute | method | ctor
+        self.name = name
+        self.signature = signature
+        # The signature `provenance` declares it under.
+        self.declared_signature = declared_signature
+        self.visibility = visibility
+        self.is_static = is_static
+        self.is_final = is_final
+        self.provenance = provenance  # original declaring class
+        self.pulled = pulled
+        self.renamed = renamed  # renamed at any flattening step
 
     @property
     def visible(self) -> bool:
         return self.visibility != "private"
 
 
-@dataclass(slots=True)
 class MemberFate:
-    member: FlatMember
-    decision: str  # PullDown | PullDownRenamed | Drop | DropAnomaly
-    rule: str  # R1..R8 or CTOR
-    new_name: str | None = None
+    __slots__ = ("member", "decision", "rule", "new_name")
+
+    def __init__(self, member: FlatMember, decision: str, rule: str, new_name: str | None = None):
+        self.member = member
+        self.decision = decision  # PullDown | PullDownRenamed | Drop | DropAnomaly
+        self.rule = rule  # R1..R8 or CTOR
+        self.new_name = new_name
 
     @property
     def pulls(self) -> bool:
         return self.decision in (PULL_DOWN, PULL_DOWN_RENAMED)
 
 
-@dataclass(frozen=True)
 class RewriteDirective:
-    span: tuple[int, int]
-    old: str
-    new: str
-    target_owner: str
+    def __init__(self, span: tuple[int, int], old: str, new: str, target_owner: str):
+        self.span = span
+        self.old = old
+        self.new = new
+        self.target_owner = target_owner
 
 
-@dataclass
 class FlattenedClass:
-    name: str
-    package: str | None
-    decl: tree.ClassDecl
-    members: list[FlatMember]
-    resolution: ClassResolution
-    fates: list[MemberFate] = field(default_factory=list)
-    rewrites: list[RewriteDirective] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    # The pulled members' part of the superclass view's fixed point, under
-    # their names here: their (kind, signature) keys and the attributes that
-    # their bodies read or write. None for a root, or where a pulled body's
-    # resolution changed here (`rewrite_references`).
-    carried: tuple[set[tuple[str, str]], set[str]] | None = None
+    def __init__(self, name: str, package: str | None, decl: tree.ClassDecl,
+                 members: list[FlatMember], resolution: ClassResolution,
+                 fates: list[MemberFate] | None = None,
+                 rewrites: list[RewriteDirective] | None = None,
+                 diagnostics: list[Diagnostic] | None = None,
+                 carried: tuple[set[tuple[str, str]], set[str]] | None = None):
+        self.name = name
+        self.package = package
+        self.decl = decl
+        self.members = members
+        self.resolution = resolution
+        self.fates = [] if fates is None else fates
+        self.rewrites = [] if rewrites is None else rewrites
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        # The pulled members' part of the superclass view's fixed point, under
+        # their names here: their (kind, signature) keys and the attributes that
+        # their bodies read or write. None for a root, or where a pulled body's
+        # resolution changed here (`rewrite_references`).
+        self.carried = carried
 
     def member_decls(self) -> list:
         return [m.decl for m in self.members]
@@ -394,7 +407,7 @@ def rewrite_references(
         decl = member.decl
         resolution = super_resolutions[id(decl)]
         if member.name in inline_inits and member.kind == ATTRIBUTE:
-            decl = replace(decl, init=inline_inits[member.name])
+            decl = tree.replace(decl, init=inline_inits[member.name])
             resolution = MemberResolution()
             closure = None  # the initializer no longer reaches what it did
         elif _touched(resolution, renamed, fsuper.name):
@@ -402,7 +415,7 @@ def rewrite_references(
             # The walk collapsed every static reference qualified by fsuper.
             resolution = resolution.with_sites(sites, resolution.class_refs - {fsuper.name})
         if fate.new_name:
-            decl = replace(decl, name=fate.new_name)
+            decl = tree.replace(decl, name=fate.new_name)
         if decl is not member.decl or not member.pulled:
             member = FlatMember(
                 decl, member.kind, fate.new_name or member.name,
@@ -704,9 +717,12 @@ class _Carrier(tree.BodyWalker):
             return out, new_name, basis
         self.record(e.name_span, e.name, new_name, owner)
         if isinstance(e, tree.Call):
-            call = tree.map_children(replace(e, name=new_name), self.expr)
+            # The receiver is absent or `this`, which holds no reference; the
+            # arguments are mapped here, not through `map_children`, to keep
+            # nested renamed calls at four frames per level.
+            call = tree.replace(e, name=new_name, args=tree.mapped(self.expr, e.args))
             return call, _renamed_signature(site.to_member, new_name), site.basis
-        return replace(e, name=new_name), new_name, site.basis
+        return tree.replace(e, name=new_name), new_name, site.basis
 
 
 class _SubBodyRewriter(_Carrier):

@@ -14,8 +14,6 @@ return types, constructor calls, and receiver types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tree
 from .emitter import EmitOptions, emit
 from .flattener import FlattenedClass
@@ -29,16 +27,17 @@ FLATTENED = "flattened"
 _METRIC_FIELDS = ("noa", "nom", "sloc", "lcom1", "lcom2", "cbo")
 
 
-@dataclass(frozen=True)
 class MetricsRecord:
-    class_name: str
-    view: str
-    noa: int
-    nom: int
-    sloc: int
-    lcom1: int
-    lcom2: int
-    cbo: int
+    def __init__(self, class_name: str, view: str, noa: int, nom: int, sloc: int, lcom1: int,
+                 lcom2: int, cbo: int):
+        self.class_name = class_name
+        self.view = view
+        self.noa = noa
+        self.nom = nom
+        self.sloc = sloc
+        self.lcom1 = lcom1
+        self.lcom2 = lcom2
+        self.cbo = cbo
 
     def as_dict(self) -> dict:
         return {
@@ -53,13 +52,14 @@ class MetricsRecord:
         }
 
 
-@dataclass(frozen=True)
 class ComparisonRow:
-    class_name: str
-    original: MetricsRecord
-    flattened: MetricsRecord
-    deltas: dict[str, int]
-    rule_counts: dict[str, int]
+    def __init__(self, class_name: str, original: MetricsRecord, flattened: MetricsRecord,
+                 deltas: dict[str, int], rule_counts: dict[str, int]):
+        self.class_name = class_name
+        self.original = original
+        self.flattened = flattened
+        self.deltas = deltas
+        self.rule_counts = rule_counts
 
 
 def lcom_values(use_sets: list[set[str]]) -> tuple[int, int]:

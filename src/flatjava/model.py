@@ -15,7 +15,6 @@ of a chain's depth, are built only when something reads them.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import tree
@@ -38,34 +37,40 @@ CTOR = "ctor"
 OBJECT_ROOT = "Object"
 
 
-@dataclass
 class MemberInfo:
-    owner: str
-    name: str
-    kind: str  # attribute | method | ctor
-    visibility: str
-    is_static: bool
-    is_final: bool
-    signature: str  # attributes: the name; methods/ctors: name(paramtypes)
-    decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl
-    span: Span
+    def __init__(self, owner: str, name: str, kind: str, visibility: str, is_static: bool,
+                 is_final: bool, signature: str,
+                 decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl, span: Span):
+        self.owner = owner
+        self.name = name
+        self.kind = kind  # attribute | method | ctor
+        self.visibility = visibility
+        self.is_static = is_static
+        self.is_final = is_final
+        self.signature = signature  # attributes: the name; methods/ctors: name(paramtypes)
+        self.decl = decl
+        self.span = span
 
     @property
     def visible(self) -> bool:
         return self.visibility != "private"
 
 
-@dataclass
 class ClassInfo:
-    name: str
-    package: str | None
-    superclass: str | None
-    decl: tree.ClassDecl
-    path: str | None = None
-    synthetic: bool = False
-    attributes: dict[str, MemberInfo] = field(default_factory=dict)
-    methods: dict[str, MemberInfo] = field(default_factory=dict)
-    ctors: list[MemberInfo] = field(default_factory=list)
+    def __init__(self, name: str, package: str | None, superclass: str | None,
+                 decl: tree.ClassDecl, path: str | None = None, synthetic: bool = False,
+                 attributes: dict[str, MemberInfo] | None = None,
+                 methods: dict[str, MemberInfo] | None = None,
+                 ctors: list[MemberInfo] | None = None):
+        self.name = name
+        self.package = package
+        self.superclass = superclass
+        self.decl = decl
+        self.path = path
+        self.synthetic = synthetic
+        self.attributes = {} if attributes is None else attributes
+        self.methods = {} if methods is None else methods
+        self.ctors = [] if ctors is None else ctors
 
     def ordered_members(self) -> list[MemberInfo]:
         by_id = {id(m.decl): m for m in self.all_members()}
@@ -75,23 +80,24 @@ class ClassInfo:
         return list(self.attributes.values()) + list(self.methods.values()) + self.ctors
 
 
-@dataclass(frozen=True)
 class OverrideRelation:
-    sub: MemberInfo
-    sup: MemberInfo
-    kind: str  # attribute-override | method-override
-    legality: str  # ok | illegal-static-mismatch | illegal-final
+    def __init__(self, sub: MemberInfo, sup: MemberInfo, kind: str, legality: str):
+        self.sub = sub
+        self.sup = sup
+        self.kind = kind  # attribute-override | method-override
+        self.legality = legality  # ok | illegal-static-mismatch | illegal-final
 
     @property
     def legal(self) -> bool:
         return self.legality == "ok"
 
 
-@dataclass
 class ClassModel:
-    classes: dict[str, ClassInfo]
-    order: list[str]  # topological: superclasses first, lexicographic ties
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, classes: dict[str, ClassInfo], order: list[str],
+                 diagnostics: list[Diagnostic] | None = None):
+        self.classes = classes
+        self.order = order  # topological: superclasses first, lexicographic ties
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def overrides(self) -> list[OverrideRelation]:

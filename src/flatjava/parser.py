@@ -19,8 +19,8 @@ goes past the limit. A level costs the parser at most three Python frames
 or `new`), two for a parenthesis, block or statement, and none for a prefix
 operator, a member access or an operator chaining to the left, which are
 loops. Later walkers of the tree take more: up to four frames a level in the
-resolver (nested blocks) and up to six in the flattener's rewrite of a
-pulled body (call arguments), about 900 frames at the limit, inside Python's
+resolver (nested blocks) and in the flattener's rewrite of a pulled body
+(renamed call arguments), about 600 frames at the limit, inside Python's
 default recursion limit of 1000.
 """
 

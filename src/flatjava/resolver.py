@@ -19,7 +19,6 @@ class are built from them only when something asks for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -76,7 +75,6 @@ class Site(NamedTuple):
     span: Span
 
 
-@dataclass(slots=True)
 class MemberResolution:
     """The resolution of one field initializer or body.
 
@@ -85,20 +83,25 @@ class MemberResolution:
     that no rename touches.
     """
 
-    # The site of each reference node (Name, FieldAccess, Call, New or
-    # assignment target), keyed by the node's identity: offsets are not
-    # unique once bodies from several files share one flattened class.
-    # The resolved declaration keeps every keyed node alive.
-    sites: dict[int, Site] = field(default_factory=dict)
-    receiver_types: set[str] = field(default_factory=set)
-    new_types: set[str] = field(default_factory=set)
-    # Classes named as the qualifier of a static access.
-    class_refs: set[str] = field(default_factory=set)
-    # Whether `this` is used as a value, not as a receiver: its type is the
-    # class, which changes when the body is pulled into a subclass.
-    uses_this: bool = False
-    # The `to_member` of every site, built by `reaches` on first use.
-    reached: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("sites", "receiver_types", "new_types", "class_refs", "uses_this", "reached")
+
+    def __init__(self, sites: dict[int, Site] | None = None,
+                 receiver_types: set[str] | None = None, new_types: set[str] | None = None,
+                 class_refs: set[str] | None = None, uses_this: bool = False):
+        # The site of each reference node (Name, FieldAccess, Call, New or
+        # assignment target), keyed by the node's identity: offsets are not
+        # unique once bodies from several files share one flattened class.
+        # The resolved declaration keeps every keyed node alive.
+        self.sites = {} if sites is None else sites
+        self.receiver_types = set() if receiver_types is None else receiver_types
+        self.new_types = set() if new_types is None else new_types
+        # Classes named as the qualifier of a static access.
+        self.class_refs = set() if class_refs is None else class_refs
+        # Whether `this` is used as a value, not as a receiver: its type is the
+        # class, which changes when the body is pulled into a subclass.
+        self.uses_this = uses_this
+        # The `to_member` of every site, built by `reaches` on first use.
+        self.reached: frozenset[str] | None = None
 
     def reaches(self, names) -> bool:
         """Whether a site targets a member (of any class) named in `names`."""

@@ -1,8 +1,10 @@
 """AST node types for the Java subset, and the one traversal of member bodies.
 
-Nodes are plain dataclasses. Every node keeps the span of the source text it
-was parsed from; nodes synthesized by the flattener reuse the span of the
-construct they replace.
+Nodes are plain classes. Each one's fields are the parameters of its
+`__init__`, in order, and are listed in its `__match_args__`, which drives
+`repr`, `==` and `replace`. Nodes compare by value and are unhashable. Every
+node keeps the span of the source text it was parsed from; nodes synthesized
+by the flattener reuse the span of the construct they replace.
 
 The AST is never mutated after parsing, except that a member declaration
 keeps the emitter's lines for it. A rewrite builds new nodes only along a
@@ -14,7 +16,6 @@ classes as written, and each distinct member is emitted once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
 
 from .spans import Span
 
@@ -22,7 +23,38 @@ VISIBILITIES = ("public", "package", "protected", "private")
 
 
 class Node:
-    pass
+    __match_args__: tuple[str, ...] = ()
+    __hash__ = None  # compared by value, so never a key
+
+    def __init_subclass__(cls):
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+
+    def _compared(self) -> list:
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+def replace(node: Node, **fields) -> Node:
+    """A new node of `node`'s type, with `fields` changed and the others kept.
+
+    It goes through `__init__`, so a member declaration starts without the
+    emitter's lines (`emitted`) of the node it was made from.
+    """
+    for name in node.__match_args__:
+        if name not in fields:
+            fields[name] = getattr(node, name)
+    return type(node)(**fields)
 
 
 class Expr(Node):
@@ -36,211 +68,219 @@ class Stmt(Node):
 # --- expressions -----------------------------------------------------------
 
 
-@dataclass
 class Literal(Expr):
-    kind: str  # int | long | double | string | boolean | null
-    lexeme: str
-    span: Span
+    def __init__(self, kind: str, lexeme: str, span: Span):
+        self.kind = kind  # int | long | double | string | boolean | null
+        self.lexeme = lexeme
+        self.span = span
 
 
-@dataclass
 class Name(Expr):
-    ident: str
-    span: Span
+    def __init__(self, ident: str, span: Span):
+        self.ident = ident
+        self.span = span
 
 
-@dataclass
 class This(Expr):
-    span: Span
+    def __init__(self, span: Span):
+        self.span = span
 
 
-@dataclass
 class Super(Expr):
-    span: Span
+    def __init__(self, span: Span):
+        self.span = span
 
 
-@dataclass
 class FieldAccess(Expr):
-    receiver: Expr
-    name: str
-    span: Span
-    name_span: Span
+    def __init__(self, receiver: Expr, name: str, span: Span, name_span: Span):
+        self.receiver = receiver
+        self.name = name
+        self.span = span
+        self.name_span = name_span
 
 
-@dataclass
 class Call(Expr):
-    receiver: Expr | None  # None means a bare call
-    name: str
-    args: list[Expr]
-    span: Span
-    name_span: Span
+    def __init__(self, receiver: Expr | None, name: str, args: list[Expr], span: Span,
+                 name_span: Span):
+        self.receiver = receiver  # None means a bare call
+        self.name = name
+        self.args = args
+        self.span = span
+        self.name_span = name_span
 
 
-@dataclass
 class New(Expr):
-    type_name: str
-    args: list[Expr]
-    span: Span
+    def __init__(self, type_name: str, args: list[Expr], span: Span):
+        self.type_name = type_name
+        self.args = args
+        self.span = span
 
 
-@dataclass
 class Unary(Expr):
-    op: str
-    operand: Expr
-    span: Span
+    def __init__(self, op: str, operand: Expr, span: Span):
+        self.op = op
+        self.operand = operand
+        self.span = span
 
 
-@dataclass
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
-    span: Span
+    def __init__(self, op: str, left: Expr, right: Expr, span: Span):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.span = span
 
 
-@dataclass
 class Paren(Expr):
-    inner: Expr
-    span: Span
+    def __init__(self, inner: Expr, span: Span):
+        self.inner = inner
+        self.span = span
 
 
 # --- statements ------------------------------------------------------------
 
 
-@dataclass
 class TypeRef(Node):
-    name: str
-    is_array: bool
-    span: Span
+    def __init__(self, name: str, is_array: bool, span: Span):
+        self.name = name
+        self.is_array = is_array
+        self.span = span
 
     def text(self) -> str:
         return self.name + "[]" if self.is_array else self.name
 
 
-@dataclass
 class LocalDecl(Stmt):
-    decl_type: TypeRef
-    name: str
-    init: Expr | None
-    span: Span
+    def __init__(self, decl_type: TypeRef, name: str, init: Expr | None, span: Span):
+        self.decl_type = decl_type
+        self.name = name
+        self.init = init
+        self.span = span
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Expr
-    span: Span
+    def __init__(self, expr: Expr, span: Span):
+        self.expr = expr
+        self.span = span
 
 
-@dataclass
 class Assign(Stmt):
-    target: Expr  # Name or FieldAccess
-    value: Expr
-    span: Span
+    def __init__(self, target: Expr, value: Expr, span: Span):
+        self.target = target  # Name or FieldAccess
+        self.value = value
+        self.span = span
 
 
-@dataclass
 class If(Stmt):
-    cond: Expr
-    then_branch: Stmt
-    else_branch: Stmt | None
-    span: Span
+    def __init__(self, cond: Expr, then_branch: Stmt, else_branch: Stmt | None, span: Span):
+        self.cond = cond
+        self.then_branch = then_branch
+        self.else_branch = else_branch
+        self.span = span
 
 
-@dataclass
 class While(Stmt):
-    cond: Expr
-    body: Stmt
-    span: Span
+    def __init__(self, cond: Expr, body: Stmt, span: Span):
+        self.cond = cond
+        self.body = body
+        self.span = span
 
 
-@dataclass
 class Return(Stmt):
-    value: Expr | None
-    span: Span
+    def __init__(self, value: Expr | None, span: Span):
+        self.value = value
+        self.span = span
 
 
-@dataclass
 class Block(Stmt):
-    statements: list[Stmt]
-    span: Span
+    def __init__(self, statements: list[Stmt], span: Span):
+        self.statements = statements
+        self.span = span
 
 
 # --- declarations ----------------------------------------------------------
+#
+# A member declaration's `emitted` holds the emitter's lines for it, for as
+# long as the node lives. It is not a field: `repr` and `==` leave it out.
 
 
-def _emitted():
-    """The emitter's lines for a member, kept on the node for as long as it
-    lives. A rewrite (`dataclasses.replace`) starts a new node without them."""
-    return field(default=None, init=False, repr=False, compare=False)
-
-
-@dataclass
 class Param(Node):
-    decl_type: TypeRef
-    name: str
-    span: Span
+    def __init__(self, decl_type: TypeRef, name: str, span: Span):
+        self.decl_type = decl_type
+        self.name = name
+        self.span = span
 
 
-@dataclass
 class FieldDecl(Node):
-    visibility: str
-    is_static: bool
-    is_final: bool
-    decl_type: TypeRef
-    name: str
-    init: Expr | None
-    span: Span
-    name_span: Span
-    emitted: list[str] | None = _emitted()
+    def __init__(self, visibility: str, is_static: bool, is_final: bool, decl_type: TypeRef,
+                 name: str, init: Expr | None, span: Span, name_span: Span):
+        self.visibility = visibility
+        self.is_static = is_static
+        self.is_final = is_final
+        self.decl_type = decl_type
+        self.name = name
+        self.init = init
+        self.span = span
+        self.name_span = name_span
+        self.emitted = None
 
 
-@dataclass
 class MethodDecl(Node):
-    visibility: str
-    is_static: bool
-    is_final: bool
-    return_type: TypeRef | None  # None means void
-    name: str
-    params: list[Param]
-    body: Block
-    span: Span
-    name_span: Span
-    emitted: list[str] | None = _emitted()
+    def __init__(self, visibility: str, is_static: bool, is_final: bool,
+                 return_type: TypeRef | None, name: str, params: list[Param], body: Block,
+                 span: Span, name_span: Span):
+        self.visibility = visibility
+        self.is_static = is_static
+        self.is_final = is_final
+        self.return_type = return_type  # None means void
+        self.name = name
+        self.params = params
+        self.body = body
+        self.span = span
+        self.name_span = name_span
+        self.emitted = None
 
     def signature(self) -> str:
         return method_signature(self.name, [p.decl_type.text() for p in self.params])
 
 
-@dataclass
 class CtorDecl(Node):
-    visibility: str
-    name: str
-    params: list[Param]
-    body: Block
-    span: Span
-    name_span: Span
-    emitted: list[str] | None = _emitted()
+    def __init__(self, visibility: str, name: str, params: list[Param], body: Block, span: Span,
+                 name_span: Span):
+        self.visibility = visibility
+        self.name = name
+        self.params = params
+        self.body = body
+        self.span = span
+        self.name_span = name_span
+        self.emitted = None
 
     def signature(self) -> str:
         return method_signature("<init>", [p.decl_type.text() for p in self.params])
 
 
-@dataclass
 class ClassDecl(Node):
-    visibility: str
-    name: str
-    superclass: str | None
-    members: list[FieldDecl | MethodDecl | CtorDecl]
-    span: Span
-    name_span: Span
+    def __init__(self, visibility: str, name: str, superclass: str | None,
+                 members: list[FieldDecl | MethodDecl | CtorDecl], span: Span, name_span: Span):
+        self.visibility = visibility
+        self.name = name
+        self.superclass = superclass
+        self.members = members
+        self.span = span
+        self.name_span = name_span
 
 
-@dataclass
 class CompilationUnit(Node):
-    package: str | None
-    class_decl: ClassDecl
-    span: Span
-    path: str | None = field(default=None, compare=False)
+    def __init__(self, package: str | None, class_decl: ClassDecl, span: Span,
+                 path: str | None = None):
+        self.package = package
+        self.class_decl = class_decl
+        self.span = span
+        self.path = path
+
+    def _compared(self) -> list:
+        # Where the unit was read from is not part of its value.
+        return [self.package, self.class_decl, self.span]
 
 
 def method_signature(name: str, param_types: list[str]) -> str:
@@ -260,7 +300,11 @@ def rebuilt(node: Node, **fields) -> Node:
 
 def mapped(fn, items: list) -> list:
     """`items` itself when `fn` returns every item unchanged, else the new list."""
-    new = [fn(item) for item in items]
+    # A loop, not a comprehension: a comprehension is one more frame for
+    # each level of nested call arguments.
+    new = []
+    for item in items:
+        new.append(fn(item))
     return items if all(map(operator.is_, new, items)) else new
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from flatjava import (
 from flatjava.errors import ANOMALY_MEMBER, FORCED_RENAME, UNSUPPORTED_CTOR, DanglingSuperRef
 from flatjava.flattener import _SubBodyRewriter
 from flatjava.model import ATTRIBUTE, METHOD
+from flatjava.parser import MAX_NESTING
 from flatjava.resolver import resolve_class
 
 from conftest import (
@@ -328,6 +330,33 @@ def test_this_call_renamed_in_pulled_body():
     flattened = flatten_model(model, graph)
     emitted = emit(flattened["B"])
     assert "this.f$A();" in emitted
+
+
+def _call_from_depth(depth: int, fn):
+    """`fn()`, called with `depth` frames on the stack, counting this one."""
+    frame, here = sys._getframe(), 0
+    while frame is not None:
+        frame, here = frame.f_back, here + 1
+    return fn() if here >= depth else _call_from_depth(depth, fn)
+
+
+def test_nested_renamed_calls_flatten_from_deep_in_the_stack():
+    # B overrides f, so every call in the pulled initializer is renamed. The
+    # rewrite spends at most 4 frames per level of nested arguments, so the
+    # deepest initializer the parser accepts flattens under Python's default
+    # recursion limit with 250 frames of callers.
+    calls = MAX_NESTING - 1
+    model, graph = model_from_sources(
+        f"class A {{ int f(int a) {{ return a; }} int x = {'f(' * calls}1{')' * calls}; }}",
+        "class B extends A { int f(int a) { return a + 1; } }",
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        flattened = _call_from_depth(250, lambda: flatten_model(model, graph))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert f"int x = {'f$A(' * calls}1{')' * calls};" in emit(flattened["B"])
 
 
 def test_super_ref_in_subclass_constructor_rewritten():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from unittest import mock
 
 import pytest
@@ -199,7 +198,7 @@ def _height(node) -> int:
         return max((_height(n) for n in node), default=0)
     if not isinstance(node, (tree.Expr, tree.Stmt)):
         return 0
-    return 1 + max((_height(getattr(node, f.name)) for f in dataclasses.fields(node)), default=0)
+    return 1 + max((_height(getattr(node, name)) for name in node.__match_args__), default=0)
 
 
 _exprs = st.recursive(
