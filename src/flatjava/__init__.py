@@ -7,7 +7,7 @@ size/cohesion/coupling on either view.
 """
 
 from .advisory import APPLICATIONS, Advisory, advise
-from .emitter import EmitOptions, emit
+from .emitter import emit
 from .errors import (
     AmbiguousCall,
     DanglingSuperRef,

@@ -12,15 +12,13 @@ from __future__ import annotations
 from . import tree
 
 
-class EmitOptions:
-    def __init__(self, provenance: bool = False):
-        self.provenance = provenance
+def emit(target, *, provenance: bool = False) -> str:
+    """Emit a CompilationUnit, ClassDecl, or FlattenedClass as source text.
 
-
-def emit(target, options: EmitOptions | None = None) -> str:
-    """Emit a CompilationUnit, ClassDecl, or FlattenedClass as source text."""
-    options = options or EmitOptions()
-    writer = _Writer(options)
+    With `provenance`, each member a FlattenedClass pulled down is preceded
+    by a comment naming its origin.
+    """
+    writer = _Writer()
     if isinstance(target, tree.CompilationUnit):
         writer.unit(target.package, target.class_decl, {})
     elif isinstance(target, tree.ClassDecl):
@@ -28,18 +26,15 @@ def emit(target, options: EmitOptions | None = None) -> str:
     else:
         # FlattenedClass (duck-typed to avoid a circular import): carries the
         # package, the rewritten ClassDecl, and per-member provenance.
-        provenance = {}
-        if options.provenance:
-            provenance = {
-                id(m.decl): m.provenance for m in target.members if m.pulled
-            }
-        writer.unit(target.package, target.decl, provenance)
+        origins = {}
+        if provenance:
+            origins = {id(m.decl): m.provenance for m in target.members if m.pulled}
+        writer.unit(target.package, target.decl, origins)
     return writer.text()
 
 
 class _Writer:
-    def __init__(self, options: EmitOptions):
-        self.options = options
+    def __init__(self):
         self.lines: list[str] = []
 
     def text(self) -> str:

@@ -162,9 +162,6 @@ class FlattenedClass:
         # resolution changed here (`rewrite_references`).
         self.carried = carried
 
-    def member_decls(self) -> list:
-        return [m.decl for m in self.members]
-
     def attributes(self) -> list[FlatMember]:
         return [m for m in self.members if m.kind == ATTRIBUTE]
 

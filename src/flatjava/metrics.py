@@ -15,7 +15,7 @@ return types, constructor calls, and receiver types.
 from __future__ import annotations
 
 from . import tree
-from .emitter import EmitOptions, emit
+from .emitter import emit
 from .flattener import FlattenedClass
 from .model import ClassModel
 from .resolver import AccessGraph, ClassResolution, READ, WRITE
@@ -136,9 +136,7 @@ def _measure(
         } if own else set())
     lcom1, lcom2 = lcom_values(use_sets)
 
-    sloc = sum(
-        1 for line in emit(decl, EmitOptions(provenance=False)).splitlines() if line.strip()
-    )
+    sloc = sum(1 for line in emit(decl).splitlines() if line.strip())
 
     referenced: set[str] = set()
     for f in fields:

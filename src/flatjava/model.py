@@ -8,8 +8,8 @@ Classification costs time in proportion to the declared members and the
 diagnostics it makes: each class looks its members up in an index of its
 ancestors' members by name, carried down from its superclass and split so
 that a member meets only the ancestors whose pairing with it is illegal.
-The full override and overload pairings, whose number grows with the square
-of a chain's depth, are built only when something reads them.
+The full override pairings, whose number grows with the square of a
+chain's depth, are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -99,21 +99,11 @@ class ClassModel:
         self.order = order  # topological: superclasses first, lexicographic ties
         self.diagnostics = [] if diagnostics is None else diagnostics
 
-    @property
+    @cached_property
     def overrides(self) -> list[OverrideRelation]:
         """Each subclass member paired with the matching member of every
-        direct or transitive superclass (see `classify_members`)."""
-        return self._pairings[0]
-
-    @property
-    def overloads(self) -> list[tuple[MemberInfo, MemberInfo]]:
-        """Each subclass method paired with every superclass method of the
-        same name and another signature."""
-        return self._pairings[1]
-
-    @cached_property
-    def _pairings(self) -> tuple[list[OverrideRelation], list[tuple[MemberInfo, MemberInfo]]]:
-        # Built on first read: nothing on the command line reads them.
+        direct or transitive superclass (see `classify_members`). Built on
+        first read: no command reads them."""
         return _pair_members(self)
 
     def superclass_chain(self, name: str) -> list[ClassInfo]:
@@ -271,8 +261,8 @@ def classify_members(model: ClassModel) -> ClassModel:
     type, methods by full signature. Same-name methods with different
     signatures are overloads, never overrides. Illegal pairings (static
     mismatch, final superclass member) are diagnostics; flattening treats
-    them as non-overriding. The pairings themselves are built on first read
-    of `model.overrides` or `model.overloads`.
+    them as non-overriding. The override pairings themselves are built on
+    first read of `model.overrides`.
     """
     model.diagnostics.extend(_illegal_overrides(model))
     for name in model.order:
@@ -289,18 +279,10 @@ def classify_members(model: ClassModel) -> ClassModel:
     return model
 
 
-def _pair_members(model: ClassModel):
-    """Every override and overload pairing: classes in model order, each
-    with its superclasses nearest first, attributes before methods."""
+def _pair_members(model: ClassModel) -> list[OverrideRelation]:
+    """Every override pairing: classes in model order, each with its
+    superclasses nearest first, attributes before methods."""
     overrides: list[OverrideRelation] = []
-    overloads: list[tuple[MemberInfo, MemberInfo]] = []
-    # Each class's methods grouped by name, in declaration order.
-    by_name: dict[str, dict[str, list[MemberInfo]]] = {}
-    for name in model.order:
-        groups: dict[str, list[MemberInfo]] = {}
-        for method in model.classes[name].methods.values():
-            groups.setdefault(method.name, []).append(method)
-        by_name[name] = groups
     for name in model.order:
         info = model.classes[name]
         for sup_info in model.superclass_chain(name):
@@ -322,10 +304,7 @@ def _pair_members(model: ClassModel):
                             override_legality(method, sup_method),
                         )
                     )
-                for other in by_name[sup_info.name].get(method.name, ()):
-                    if other.signature != method.signature:
-                        overloads.append((method, other))
-    return overrides, overloads
+    return overrides
 
 
 def _illegal_overrides(model: ClassModel) -> list[Diagnostic]:

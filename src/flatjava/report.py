@@ -1,8 +1,8 @@
 """Report documents and serialization (JSON, CSV, markdown).
 
 Document shapes are versioned: metrics reports are `report/v1`, comparison
-reports `compare/v1`, flatten plans `plan/v1`, and model dumps `model/v1`.
-JSON Schema files for each live in the `schemas` package directory.
+reports `compare/v1` and flatten plans `plan/v1`. JSON Schema files for
+each live in the `schemas` package directory.
 
 `dump_json` writes any document as `json.dumps(..., indent=2)` would. The
 plan, which lists every fate of every flattened class and so grows with
@@ -20,8 +20,6 @@ from json.encoder import encode_basestring_ascii as _encode_string
 
 from .flattener import FlattenedClass
 from .metrics import ComparisonRow, MetricsRecord
-from .model import ClassModel
-from .resolver import AccessGraph
 
 RULE_IDS = ("R1", "R2", "R3", "R4a", "R4b", "R4c", "R5", "R6", "R7", "R8", "CTOR")
 
@@ -241,74 +239,6 @@ def _items(items: list[str], indent: int) -> str:
     if not items:
         return "[]"
     return "[" + ",".join(items) + "\n" + " " * indent + "]"
-
-
-def model_document(model: ClassModel, graph: AccessGraph | None = None) -> dict:
-    classes = []
-    for name in model.order:
-        info = model.classes[name]
-        members = [
-            {
-                "name": m.name,
-                "kind": m.kind,
-                "visibility": m.visibility,
-                "visible": m.visible,
-                "static": m.is_static,
-                "final": m.is_final,
-                "signature": m.signature,
-                "span": m.span.to_json(),
-            }
-            for m in info.ordered_members()
-        ]
-        classes.append(
-            {
-                "name": name,
-                "package": info.package,
-                "superclass": info.superclass,
-                "synthetic": info.synthetic,
-                "members": members,
-            }
-        )
-    overrides = [
-        {
-            "subclass": rel.sub.owner,
-            "superclass": rel.sup.owner,
-            "member": rel.sub.signature,
-            "kind": rel.kind,
-            "legality": rel.legality,
-        }
-        for rel in model.overrides
-    ]
-    overloads = [
-        {
-            "subclass": sub.owner,
-            "sub_signature": sub.signature,
-            "superclass": sup.owner,
-            "super_signature": sup.signature,
-        }
-        for sub, sup in model.overloads
-    ]
-    edges = []
-    if graph is not None:
-        for edge in graph.edges:
-            edges.append(
-                {
-                    "from_class": edge.from_class,
-                    "from_member": edge.from_member,
-                    "kind": edge.kind,
-                    "to_class": edge.to_class,
-                    "to_member": edge.to_member,
-                    "basis": edge.basis,
-                    "span": edge.span.to_json(),
-                }
-            )
-    return {
-        "schema": "model/v1",
-        "classes": classes,
-        "overrides": overrides,
-        "overloads": overloads,
-        "access_edges": edges,
-    }
 
 
 # --- table rendering --------------------------------------------------------

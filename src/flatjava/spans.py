@@ -20,8 +20,5 @@ class Span(NamedTuple):
     def slice(self, text: str) -> str:
         return text[self.start : self.end]
 
-    def to_json(self) -> list[int]:
-        return [self.start, self.end, self.line, self.column]
-
 
 EMPTY_SPAN = Span(0, 0, 1, 1)

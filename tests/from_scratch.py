@@ -23,8 +23,8 @@ from flatjava.resolver import CALL
 
 
 def classify(model):
-    """(overrides, overloads, diagnostics) of an unclassified model."""
-    overrides, overloads, diagnostics = [], [], []
+    """(overrides, diagnostics) of an unclassified model."""
+    overrides, diagnostics = [], []
     for name in model.order:
         info = model.classes[name]
         for sup_info in model.superclass_chain(name):
@@ -40,9 +40,6 @@ def classify(model):
                         overrides.append(OverrideRelation(
                             method, other, "method-override", override_legality(method, other)
                         ))
-                for other in sup_info.methods.values():
-                    if other.name == method.name and other.signature != method.signature:
-                        overloads.append((method, other))
 
     for relation in overrides:
         sub, sup = relation.sub, relation.sup
@@ -77,7 +74,7 @@ def classify(model):
                         info.name,
                         member.span,
                     ))
-    return overrides, overloads, diagnostics
+    return overrides, diagnostics
 
 
 def pulled_closure(fsuper):

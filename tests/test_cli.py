@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +21,8 @@ from conftest import FIXTURES_DIR, golden_path
 jsonschema = pytest.importorskip("jsonschema")
 
 runner = CliRunner()
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def copy_fixture(name, tmp_path):
@@ -232,16 +238,148 @@ def test_advise_unknown_application_usage_error():
 
 def test_color_env_var(tmp_path):
     src_dir = copy_fixture("ctor_unsupported", tmp_path)
-    on = runner.invoke(
-        main, ["flatten", str(src_dir), "--out", str(tmp_path / "o1")],
-        env={"FLATJAVA_COLOR": "1"},
+    runs = {
+        color: runner.invoke(
+            main, ["flatten", str(src_dir), "--out", str(tmp_path / f"o{color}")],
+            env={"FLATJAVA_COLOR": color},
+        )
+        for color in ("1", "0", None)
+    }
+    warning = "warning: [unsupported-constructor] B: constructor of superclass A does more"
+    assert runs["1"].stderr.startswith(f"\x1b[33m{warning}")
+    assert runs["1"].stderr.endswith("\x1b[0m\n")
+    assert runs["1"].stderr == f"\x1b[33m{runs['0'].stderr[:-1]}\x1b[0m\n"
+    # Unset, color follows whether stderr is a terminal; here it is not.
+    assert runs["0"].stderr == runs[None].stderr
+    assert runs["0"].stderr.startswith(warning) and "\x1b" not in runs["0"].stderr
+    assert runs["1"].stdout == runs["0"].stdout.replace("o0", "o1")
+
+    bad = tmp_path / "G.java"
+    bad.write_text((FIXTURES_DIR / "invalid" / "for_loop.java").read_text())
+    on = runner.invoke(main, ["flatten", str(bad)], env={"FLATJAVA_COLOR": "1"})
+    assert on.exit_code == 2
+    assert on.stderr == f"\x1b[31merror: {bad}:3:9: unsupported feature: 'for' statements\x1b[0m\n"
+
+
+def module_env() -> dict[str, str]:
+    """The environment for `python -m flatjava.cli` on this checkout's
+    sources, with FLATJAVA_COLOR unset."""
+    env = {k: v for k, v in os.environ.items() if k != "FLATJAVA_COLOR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_color_follows_terminal_when_unset(tmp_path):
+    pty = pytest.importorskip("pty")
+    src_dir = copy_fixture("ctor_unsupported", tmp_path)
+    controller, terminal = pty.openpty()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatjava.cli", "flatten", str(src_dir), "--out",
+             str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=terminal, env=module_env(), timeout=60,
+        )
+        os.close(terminal)
+        seen = b""
+        while True:
+            try:
+                chunk = os.read(controller, 4096)
+            except OSError:  # EIO once the terminal side is closed and drained
+                break
+            if not chunk:
+                break
+            seen += chunk
+    finally:
+        os.close(controller)
+    assert proc.returncode == 0
+    assert seen.startswith(b"\x1b[33mwarning: [unsupported-constructor] B: ")
+    assert seen.rstrip().endswith(b"\x1b[0m")
+    assert b"\x1b" not in proc.stdout
+
+
+def test_running_the_module_reads_sys_argv():
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatjava.cli", "advise", "refactoring"],
+        capture_output=True, text=True, env=module_env(), timeout=60,
     )
-    off = runner.invoke(
-        main, ["flatten", str(src_dir), "--out", str(tmp_path / "o2")],
-        env={"FLATJAVA_COLOR": "0"},
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["application: refactoring", "recommended view: original"]
+    assert len(lines) == 3 and lines[2].startswith("why: ")
+
+
+def written(root):
+    return sorted(
+        str(p.relative_to(root)) for p in root.rglob("*")
+        if p.name.endswith(".flat.java") or p.name == "flatten.plan.json"
     )
-    assert "\x1b[" in on.output
-    assert "\x1b[" not in off.output
+
+
+USAGE_ERRORS = {
+    "out_is_a_file": ["flatten", "{src}", "--out", "{file}"],
+    "missing_path": ["flatten", "{src}", "{src}/Nope.java"],
+    "abbreviated_option": ["flatten", "{src}", "--prov"],
+    "unknown_option": ["compare", "{src}", "--provenance"],
+    "option_missing_value": ["flatten", "{src}", "--out"],
+    "no_paths": ["flatten"],
+    "missing_view": ["metrics", "{src}"],
+    "bad_view": ["metrics", "{src}", "--view", "both"],
+    "bad_format": ["compare", "{src}", "--format", "xml"],
+    "no_command": [],
+    "unknown_command": ["flattn", "{src}"],
+    "no_application": ["advise"],
+    "extra_application": ["advise", "refactoring", "maintainability"],
+    "advise_option": ["advise", "refactoring", "--strict"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_and_write_nothing(tmp_path, case):
+    src_dir = copy_fixture("chain3", tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    args = [a.format(src=src_dir, file=afile) for a in USAGE_ERRORS[case]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    assert written(tmp_path) == []
+    assert afile.read_text() == "keep\n"
+
+
+def test_paths_may_follow_options(tmp_path):
+    src_dir = copy_fixture("chain3", tmp_path)
+    c1, c2, c3 = (str(src_dir / f"{c}.java") for c in ("c1", "c2", "c3"))
+    mixed = runner.invoke(main, ["flatten", c1, "--strict", c2, c3, "--out", str(tmp_path / "o1")])
+    plain = runner.invoke(main, ["flatten", c1, c2, c3, "--strict", "--out", str(tmp_path / "o2")])
+    assert mixed.exit_code == plain.exit_code == 0, mixed.output
+    assert mixed.stdout == plain.stdout.replace("o2", "o1")
+    one, two = tmp_path / "o1", tmp_path / "o2"
+    assert written(one) == written(two) == ["c1.flat.java", "c2.flat.java", "c3.flat.java",
+                                            "flatten.plan.json"]
+    for name in written(one):
+        assert (one / name).read_text() == (two / name).read_text()
+
+
+def test_option_value_after_equals_sign(tmp_path):
+    src_dir = copy_fixture("identity_rich", tmp_path)
+    joined = runner.invoke(main, ["metrics", str(src_dir), "--view=original", "--format=csv"])
+    split = runner.invoke(main, ["metrics", str(src_dir), "--view", "original", "--format", "csv"])
+    assert joined.exit_code == 0, joined.output
+    assert joined.stdout == split.stdout
+    assert joined.stdout.startswith("name,view,")
+
+
+def test_interrupt_exits_1_without_traceback(tmp_path, monkeypatch):
+    def interrupted(model):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("flatjava.cli.compute_access_graph", interrupted)
+    src_dir = copy_fixture("identity_minimal", tmp_path)
+    result = runner.invoke(main, ["compare", str(src_dir)])
+    assert result.exit_code == 1
+    assert result.output == "\nAborted!\n"
 
 
 def test_determinism_two_cli_runs(tmp_path):

@@ -1,8 +1,8 @@
 """Oracle tests for the linear classification and the carried closure.
 
 `classify_members` finds illegal overrides through an index of same-named
-ancestors and builds the override and overload pairings only when they are
-read; `pulled_closure` starts from the part of the fixed point that the
+ancestors and builds the override pairings only when they are read;
+`pulled_closure` starts from the part of the fixed point that the
 superclass's view carries down. Both must agree exactly with the
 from-scratch versions in `from_scratch.py`: the same pairings in the same
 order with the same members, the same diagnostics, the same pulled and
@@ -45,13 +45,10 @@ def check(units, monkeypatch) -> list:
     """Classify and flatten `units` against the references; returns the
     flattened views whose closure was derived from a carried part."""
     model = build_model(units)
-    overrides, overloads, diagnostics = classify(model)
+    overrides, diagnostics = classify(model)
     classify_members(model)
     assert [(id(r.sub), id(r.sup), r.kind, r.legality) for r in model.overrides] == [
         (id(r.sub), id(r.sup), r.kind, r.legality) for r in overrides
-    ]
-    assert [(id(sub), id(sup)) for sub, sup in model.overloads] == [
-        (id(sub), id(sup)) for sub, sup in overloads
     ]
     assert model.overrides is model.overrides  # built once, on first read
     assert model.diagnostics == diagnostics

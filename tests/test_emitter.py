@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from flatjava import EmitOptions, emit, parse_source, tokenize
+from flatjava import emit, parse_source, tokenize
 from flatjava.lexer import token_signature
 
 from conftest import CORPUS, fixture_sources, flatten_fixture
@@ -79,7 +79,7 @@ def test_long_double_literals_roundtrip():
 
 def test_provenance_comments_on_flattened_output():
     _, _, flattened = flatten_fixture("private_accessor_pair")
-    text = emit(flattened["B"], EmitOptions(provenance=True))
+    text = emit(flattened["B"], provenance=True)
     assert "// pulled from A" in text
     assert text.index("// pulled from A") < text.index("private int x;")
     # Off by default.
@@ -88,7 +88,7 @@ def test_provenance_comments_on_flattened_output():
 
 def test_provenance_comment_with_renamed_member():
     _, _, flattened = flatten_fixture("override_attr_rename_accessed")
-    text = emit(flattened["B"], EmitOptions(provenance=True))
+    text = emit(flattened["B"], provenance=True)
     assert "int x$A;" in text
     assert "// pulled from A" in text
 

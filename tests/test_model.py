@@ -19,7 +19,6 @@ from flatjava.errors import (
     PACKAGE_VISIBILITY_DIVERGENCE,
 )
 from flatjava.model import OBJECT_ROOT, override_legality
-from flatjava.report import load_schema, model_document
 
 from conftest import CORPUS, FIXTURES_DIR, load_model, model_from_sources
 from genclasses import random_overloading_hierarchy
@@ -107,7 +106,6 @@ def test_overload_is_not_override():
         "class A { void f(String s) { } }", "class B extends A { void f(int a) { } }"
     )
     assert model.overrides == []
-    assert len(model.overloads) == 1
 
 
 def test_signature_matching_exhaustive():
@@ -197,14 +195,6 @@ def test_include_object_root():
     assert model.order[0] == OBJECT_ROOT
 
 
-def test_model_document_matches_schema():
-    jsonschema = pytest.importorskip("jsonschema")
-    model, graph = load_model("deep_mixed")
-    document = model_document(model, graph)
-    jsonschema.validate(document, load_schema("model_v1"))
-    assert document["schema"] == "model/v1"
-
-
 # --- overload scan ----------------------------------------------------------
 
 
@@ -235,14 +225,15 @@ def _ids(pairs) -> list[tuple[int, int]]:
 @pytest.mark.parametrize("seed", range(60))
 def test_overloads_and_overrides_match_brute_force(seed):
     model, _ = model_from_sources(*random_overloading_hierarchy(random.Random(seed)))
-    overrides, overloads = _brute_force_pairings(model)
+    overrides, _ = _brute_force_pairings(model)
     assert _ids((r.sub, r.sup) for r in model.overrides) == _ids(overrides)
-    assert _ids(model.overloads) == _ids(overloads)
 
 
 def test_generated_hierarchies_include_overloads():
     with_overloads = sum(
         1 for seed in range(60)
-        if model_from_sources(*random_overloading_hierarchy(random.Random(seed)))[0].overloads
+        if _brute_force_pairings(
+            model_from_sources(*random_overloading_hierarchy(random.Random(seed)))[0]
+        )[1]
     )
     assert with_overloads >= 30
