@@ -1,10 +1,11 @@
 """The `flatjava` command line, built on the standard library's argparse.
 
 Exit codes: 0 on success, 1 when --strict and diagnostics were produced,
-2 on a usage error or on lex/parse/model/flatten errors, 3 on an internal
-error (any other exception, reported as one `internal error:` line instead
-of a traceback). Errors follow a first-error-per-file policy. Diagnostics
-are red (errors) or yellow (warnings) when stderr is a terminal;
+2 on a usage error, on a source file that cannot be read or is not valid
+UTF-8, or on lex/parse/model/flatten errors, 3 on an internal error (any
+other exception, reported as one `internal error:` line instead of a
+traceback). Errors follow a first-error-per-file policy. Diagnostics are
+red (errors) or yellow (warnings) when stderr is a terminal;
 FLATJAVA_COLOR=0|1 forces coloring off or on. Each output line is flushed
 as it is written, so stdout and stderr keep their order when mixed.
 
@@ -81,7 +82,7 @@ def _load(paths: list[str], include_object_root: bool):
     for path in files:
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             _echo_colored(f"error: cannot read {path}: {err}", RED)
             failed = True
             continue

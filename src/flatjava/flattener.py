@@ -74,7 +74,6 @@ from .resolver import (
     BASIS_SUPER,
     BASIS_THIS,
     CALL,
-    INIT_FIELDS,
     LOCAL_BASES,
     READ,
     AccessGraph,
@@ -216,7 +215,7 @@ def rename(member_name: str, owner: str, taken: set[str]) -> str:
 
 
 def _method_fate(sub: ClassInfo, member: FlatMember, pulled: set[tuple[str, str]]) -> MemberFate:
-    overridden = _method_overridden(sub, member)
+    overridden = _overridden(sub.methods.get(member.signature), member)
     if member.visible:
         if overridden:
             return MemberFate(member, PULL_DOWN_RENAMED, "R6")
@@ -227,7 +226,7 @@ def _method_fate(sub: ClassInfo, member: FlatMember, pulled: set[tuple[str, str]
 
 
 def _attribute_fate(sub: ClassInfo, member: FlatMember, accessed: set[str]) -> MemberFate:
-    overridden = _attr_overridden(sub, member)
+    overridden = _overridden(sub.attributes.get(member.name), member)
     was_accessed = member.name in accessed
     if overridden:
         if was_accessed:
@@ -242,26 +241,9 @@ def _attribute_fate(sub: ClassInfo, member: FlatMember, accessed: set[str]) -> M
     return MemberFate(member, DROP_ANOMALY, "R3")
 
 
-def _attr_overridden(sub: ClassInfo, member: FlatMember) -> bool:
-    own = sub.attributes.get(member.name)
-    if own is None:
-        return False
-    return override_legality(own, _as_member_info(member)) == "ok"
-
-
-def _method_overridden(sub: ClassInfo, member: FlatMember) -> bool:
-    own = sub.methods.get(member.signature)
-    if own is None:
-        return False
-    return override_legality(own, _as_member_info(member)) == "ok"
-
-
-def _as_member_info(member: FlatMember) -> MemberInfo:
-    return MemberInfo(
-        member.provenance, member.name, member.kind, member.visibility,
-        member.is_static, member.is_final, member.signature, member.decl,
-        member.decl.span,
-    )
+def _overridden(own: MemberInfo | None, member: FlatMember) -> bool:
+    """Whether the subclass's member `own`, if any, legally overrides `member`."""
+    return own is not None and override_legality(own, member) == "ok"
 
 
 def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[str]]:
@@ -546,10 +528,12 @@ def _analyze_super_ctors(
             )
             return {}
         assignments.append((target_name, stmt.value))
+    resolutions = fsuper.resolution.members
     init_reads = {
-        e.to_member
-        for e in fsuper.resolution.edges
-        if e.from_member == INIT_FIELDS and e.kind == READ and e.to_class == fsuper.name
+        s.to_member
+        for d in fsuper.resolution.decls if isinstance(d, tree.FieldDecl)
+        for s in resolutions[id(d)].sites.values()
+        if s.kind == READ and s.to_class in (None, fsuper.name)
     }
     assigned = {name for name, _ in assignments}
     clashing = sorted(assigned & init_reads)

@@ -85,14 +85,11 @@ def lcom_values(use_sets: list[set[str]]) -> tuple[int, int]:
 def measure_original(model: ClassModel, graph: AccessGraph, name: str) -> MetricsRecord:
     cls = model.classes[name]
     resolution = graph.resolutions.get(name) or ClassResolution(name)
-    return _measure(
-        model, name, ORIGINAL, cls.decl, resolution,
-        superclass=cls.superclass,
-    )
+    return _measure(model, name, ORIGINAL, cls.decl, resolution)
 
 
 def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:
-    return _measure(model, flat.name, FLATTENED, flat.decl, flat.resolution, superclass=None)
+    return _measure(model, flat.name, FLATTENED, flat.decl, flat.resolution)
 
 
 def compare(
@@ -121,7 +118,6 @@ def _measure(
     view: str,
     decl: tree.ClassDecl,
     resolution: ClassResolution,
-    superclass: str | None,
 ) -> MetricsRecord:
     fields = [m for m in decl.members if isinstance(m, tree.FieldDecl)]
     methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]

@@ -127,7 +127,10 @@ class ClassModel:
 
 
 def override_legality(sub: MemberInfo, sup: MemberInfo) -> str:
-    """Legality of an override pairing per the static/final constraints."""
+    """Legality of an override pairing per the static/final constraints.
+
+    Reads only `is_final` and `is_static`, so `sup` may be a `FlatMember`.
+    """
     if sup.is_final:
         return "illegal-final"
     if sub.is_static != sup.is_static:

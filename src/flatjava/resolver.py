@@ -267,11 +267,6 @@ class _Walker(tree.BodyWalker):
         self.res.uses_this = True
         return self.cls.name
 
-    def super_type(self, e: tree.Super) -> str:
-        if self.cls.superclass is None:
-            raise self.fail("'super' used in a class with no superclass", e.span)
-        return self.cls.superclass
-
     def binary_type(self, e: tree.Binary) -> str:
         left = self.type_of(e.left)
         right = self.type_of(e.right)
@@ -285,39 +280,59 @@ class _Walker(tree.BodyWalker):
             return "long"
         return "int"
 
-    def field_access(self, e: tree.FieldAccess, kind: str = READ) -> str | None:
-        receiver = e.receiver
+    def qualifier(self, receiver: tree.Expr | None) -> tuple[str, ClassInfo | None]:
+        """The basis of a member access and the class its lookup starts at.
+
+        The class is None for `super` in a root class and for a receiver of
+        an unmodeled type. A name that no local or attribute shadows
+        qualifies a static access when it names a class.
+        """
+        if receiver is None:
+            return BASIS_BARE, self.cls
         if isinstance(receiver, tree.This):
-            member = self.lookup_attribute(e.name)
-            if member is None:
-                raise self.fail(
-                    f"class {self.cls.name} has no attribute {e.name!r}", e.name_span
-                )
-            self.edge(kind, member, BASIS_THIS, e.name_span, e)
-            return member.decl.decl_type.text()
+            return BASIS_THIS, self.cls
         if isinstance(receiver, tree.Super):
-            member = self.lookup_super_attribute(e.name)
-            if member is None:
-                raise self.fail(
-                    f"no visible attribute {e.name!r} in superclasses of {self.cls.name}",
-                    e.name_span,
-                )
-            self.edge(kind, member, BASIS_SUPER, e.name_span, e)
-            return member.decl.decl_type.text()
+            superclass = self.cls.superclass
+            return BASIS_SUPER, None if superclass is None else self.model.classes[superclass]
         if isinstance(receiver, tree.Name):
             name = receiver.ident
             if self.local_type(name) is None and self.lookup_attribute(name) is None:
-                if name in self.model.classes:
-                    return self.static_member_access(name, e, kind)
-                raise self.fail(f"cannot resolve name {name!r}", receiver.span)
+                if name not in self.model.classes:
+                    raise self.fail(f"cannot resolve name {name!r}", receiver.span)
+                self.res.class_refs.add(name)
+                return BASIS_CLASS, self.model.classes[name]
         receiver_type = self.type_of(receiver)
-        return self.typed_member_access(receiver_type, e, kind)
+        if receiver_type is None or receiver_type not in self.model.classes:
+            return BASIS_RECEIVER, None  # external receiver type: unmodeled, no edge
+        self.res.receiver_types.add(receiver_type)
+        return BASIS_RECEIVER, self.model.classes[receiver_type]
+
+    def field_access(self, e: tree.FieldAccess, kind: str = READ) -> str | None:
+        basis, owner = self.qualifier(e.receiver)
+        if basis == BASIS_THIS:
+            member = self.lookup_attribute(e.name)
+            message = f"class {self.cls.name} has no attribute {e.name!r}"
+        elif basis == BASIS_SUPER:
+            member = self.lookup_super_attribute(e.name)
+            message = f"no visible attribute {e.name!r} in superclasses of {self.cls.name}"
+        elif owner is None:
+            return None
+        else:
+            member = self.attr_on_type(owner.name, e.name)
+            message = f"class {owner.name} has no accessible attribute {e.name!r}"
+        if member is None:
+            raise self.fail(message, e.name_span)
+        if basis == BASIS_CLASS and not member.is_static:
+            raise self.fail(f"attribute {owner.name}.{e.name} is not static", e.name_span)
+        self.edge(kind, member, basis, e.name_span, e)
+        return member.decl.decl_type.text()
 
     def attr_on_type(self, type_name: str, name: str) -> MemberInfo | None:
         """Nearest accessible attribute walking `type_name`'s chain.
 
         Private members are accessible only when declared by the accessing
-        class itself.
+        class itself. Unlike `lookup_attribute`, the walk stops at the nearest
+        declaration even when it is inaccessible.
         """
         current: str | None = type_name
         while current is not None:
@@ -330,78 +345,20 @@ class _Walker(tree.BodyWalker):
             current = info.superclass
         return None
 
-    def static_member_access(self, class_name: str, e: tree.FieldAccess, kind: str) -> str | None:
-        self.res.class_refs.add(class_name)
-        member = self.attr_on_type(class_name, e.name)
-        if member is None:
-            raise self.fail(
-                f"class {class_name} has no accessible attribute {e.name!r}", e.name_span
-            )
-        if not member.is_static:
-            raise self.fail(
-                f"attribute {class_name}.{e.name} is not static", e.name_span
-            )
-        self.edge(kind, member, BASIS_CLASS, e.name_span, e)
-        return member.decl.decl_type.text()
-
-    def typed_member_access(self, receiver_type: str | None, e: tree.FieldAccess, kind: str):
-        if receiver_type is None or receiver_type not in self.model.classes:
-            return None  # external receiver type: unmodeled, no edge
-        self.res.receiver_types.add(receiver_type)
-        member = self.attr_on_type(receiver_type, e.name)
-        if member is None:
-            raise self.fail(
-                f"class {receiver_type} has no accessible attribute {e.name!r}",
-                e.name_span,
-            )
-        self.edge(kind, member, BASIS_RECEIVER, e.name_span, e)
-        return member.decl.decl_type.text()
-
     def call(self, e: tree.Call) -> str | None:
         arg_types = [self.type_of(a) for a in e.args]
-        receiver = e.receiver
-        if receiver is None or isinstance(receiver, tree.This):
-            basis = BASIS_BARE if receiver is None else BASIS_THIS
-            candidates = self.method_candidates(self.cls, e.name, own_class=True)
-            member = self.pick_overload(candidates, e, arg_types)
-            self.edge(CALL, member, basis, e.name_span, e)
-            return _return_type(member)
-        if isinstance(receiver, tree.Super):
-            if self.cls.superclass is None:
-                raise self.fail("'super' used in a class with no superclass", receiver.span)
-            start = self.model.classes[self.cls.superclass]
-            candidates = self.method_candidates(start, e.name, own_class=False)
-            member = self.pick_overload(candidates, e, arg_types)
-            self.edge(CALL, member, BASIS_SUPER, e.name_span, e)
-            return _return_type(member)
-        if isinstance(receiver, tree.Name):
-            name = receiver.ident
-            if self.local_type(name) is None and self.lookup_attribute(name) is None:
-                if name in self.model.classes:
-                    return self.static_call(name, e, arg_types)
-                raise self.fail(f"cannot resolve name {name!r}", receiver.span)
-        receiver_type = self.type_of(receiver)
-        if receiver_type is None or receiver_type not in self.model.classes:
+        basis, owner = self.qualifier(e.receiver)
+        if owner is None:
+            if basis == BASIS_SUPER:
+                raise self.fail("'super' used in a class with no superclass", e.receiver.span)
             return None
-        self.res.receiver_types.add(receiver_type)
-        target_cls = self.model.classes[receiver_type]
-        candidates = self.method_candidates(
-            target_cls, e.name, own_class=(receiver_type == self.cls.name)
-        )
+        # Private methods are candidates only in the accessing class itself;
+        # a superclass never has its subclass's name.
+        candidates = self.method_candidates(owner, e.name, own_class=owner.name == self.cls.name)
         member = self.pick_overload(candidates, e, arg_types)
-        self.edge(CALL, member, BASIS_RECEIVER, e.name_span, e)
-        return _return_type(member)
-
-    def static_call(self, class_name: str, e: tree.Call, arg_types) -> str | None:
-        self.res.class_refs.add(class_name)
-        target_cls = self.model.classes[class_name]
-        candidates = self.method_candidates(
-            target_cls, e.name, own_class=(class_name == self.cls.name)
-        )
-        member = self.pick_overload(candidates, e, arg_types)
-        if not member.is_static:
-            raise self.fail(f"method {class_name}.{member.signature} is not static", e.name_span)
-        self.edge(CALL, member, BASIS_CLASS, e.name_span, e)
+        if basis == BASIS_CLASS and not member.is_static:
+            raise self.fail(f"method {owner.name}.{member.signature} is not static", e.name_span)
+        self.edge(CALL, member, basis, e.name_span, e)
         return _return_type(member)
 
     def new_expr(self, e: tree.New) -> str:
@@ -410,15 +367,10 @@ class _Walker(tree.BodyWalker):
         if e.type_name not in self.model.classes:
             return e.type_name  # external constructor: allowed, unresolved
         target_cls = self.model.classes[e.type_name]
-        if not target_cls.ctors:
-            if e.args:
-                raise self.fail(
-                    f"class {e.type_name} has no constructor taking {len(e.args)} argument(s)",
-                    e.span,
-                )
-            return e.type_name
         matching = [c for c in target_cls.ctors if len(c.decl.params) == len(e.args)]
         if not matching:
+            if not target_cls.ctors and not e.args:
+                return e.type_name  # the implicit no-arg constructor: no edge
             raise self.fail(
                 f"class {e.type_name} has no constructor taking {len(e.args)} argument(s)",
                 e.span,
@@ -439,17 +391,8 @@ class _Walker(tree.BodyWalker):
     # -- lookup helpers ---------------------------------------------------
 
     def lookup_attribute(self, name: str) -> MemberInfo | None:
-        member = self.cls.attributes.get(name)
-        if member is not None:
-            return member
-        current = self.cls.superclass
-        while current is not None:
-            info = self.model.classes[current]
-            member = info.attributes.get(name)
-            if member is not None and member.visible:
-                return member
-            current = info.superclass
-        return None
+        """The class's own attribute, else the nearest visible inherited one."""
+        return self.cls.attributes.get(name) or self.lookup_super_attribute(name)
 
     def lookup_super_attribute(self, name: str) -> MemberInfo | None:
         current = self.cls.superclass
@@ -503,12 +446,12 @@ class _Walker(tree.BodyWalker):
             self.path,
         )
 
-    # The handler of each expression node type, for `type_of`.
+    # The handler of each expression node type, for `type_of`. The parser
+    # makes `super` only a receiver, which `qualifier` takes.
     types_by_node = {
         tree.Literal: lambda self, e: "String" if e.kind == "string" else e.kind,
         tree.Name: name_type,
         tree.This: this_type,
-        tree.Super: super_type,
         tree.Paren: lambda self, e: self.type_of(e.inner),
         tree.Unary: lambda self, e: self.type_of(e.operand),
         tree.Binary: binary_type,

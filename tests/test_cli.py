@@ -99,6 +99,23 @@ def test_flatten_reports_first_error_per_file(tmp_path):
     assert result.output.count("error:") == 2
 
 
+@pytest.mark.parametrize("command", ["flatten", "metrics", "compare"])
+def test_source_not_utf8_exit_2_names_file(tmp_path, command):
+    bad = tmp_path / "A.java"
+    bad.write_bytes(b"class A { }\n\xff\xfe")
+    (tmp_path / "B.java").write_text("class B extends A { }\n")
+    out = tmp_path / "out"
+    extra = {"flatten": ["--out", str(out)], "metrics": ["--view", "original"], "compare": []}
+    args = [command, str(tmp_path), *extra[command]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output == (
+        f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 12: "
+        "invalid start byte\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field,column,char",
     [("int x = ٣٤;", 13, "٣"), ("int y = 1²;", 14, "²")],
