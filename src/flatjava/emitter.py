@@ -71,36 +71,21 @@ class _Writer:
             self.lines.extend(member.emitted)
 
     def write_member(self, member) -> None:
+        prefix = _vis_prefix(member.visibility)
+        if not isinstance(member, tree.CtorDecl):
+            if member.is_static:
+                prefix += "static "
+            if member.is_final:
+                prefix += "final "
         if isinstance(member, tree.FieldDecl):
-            text = (
-                _vis_prefix(member.visibility)
-                + ("static " if member.is_static else "")
-                + ("final " if member.is_final else "")
-                + f"{member.decl_type.text()} {member.name}"
-            )
+            text = prefix + f"{member.decl_type.text()} {member.name}"
             if member.init is not None:
                 text += f" = {_expr(member.init)}"
             self.line(1, text + ";")
-        elif isinstance(member, tree.MethodDecl):
-            ret = member.return_type.text() if member.return_type else "void"
-            head = (
-                _vis_prefix(member.visibility)
-                + ("static " if member.is_static else "")
-                + ("final " if member.is_final else "")
-                + f"{ret} {member.name}({_params(member.params)})"
-            )
-            self.line(1, head + " {")
-            for stmt in member.body.statements:
-                self.stmt(stmt, 2)
-            self.line(1, "}")
-        elif isinstance(member, tree.CtorDecl):
-            head = _vis_prefix(member.visibility) + f"{member.name}({_params(member.params)})"
-            self.line(1, head + " {")
-            for stmt in member.body.statements:
-                self.stmt(stmt, 2)
-            self.line(1, "}")
-        else:  # pragma: no cover - guarded by the parser
-            raise TypeError(f"unknown member node {type(member).__name__}")
+            return
+        if isinstance(member, tree.MethodDecl):
+            prefix += (member.return_type.text() if member.return_type else "void") + " "
+        self.nested(1, f"{prefix}{member.name}({_params(member.params)})", member.body)
 
     def stmt(self, stmt: tree.Stmt, level: int) -> None:
         if isinstance(stmt, tree.LocalDecl):
@@ -115,53 +100,42 @@ class _Writer:
         elif isinstance(stmt, tree.Return):
             self.line(level, "return;" if stmt.value is None else f"return {_expr(stmt.value)};")
         elif isinstance(stmt, tree.Block):
-            self.line(level, "{")
-            for inner in stmt.statements:
-                self.stmt(inner, level + 1)
-            self.line(level, "}")
+            self.nested(level, "", stmt)
         elif isinstance(stmt, tree.While):
-            head = f"while ({_expr(stmt.cond)})"
-            if isinstance(stmt.body, tree.Block):
-                self.line(level, head + " {")
-                for inner in stmt.body.statements:
-                    self.stmt(inner, level + 1)
-                self.line(level, "}")
-            else:
-                self.line(level, head)
-                self.stmt(stmt.body, level + 1)
+            self.nested(level, f"while ({_expr(stmt.cond)})", stmt.body)
         elif isinstance(stmt, tree.If):
             self.if_stmt(stmt, level, "")
         else:  # pragma: no cover
             raise TypeError(f"unknown statement node {type(stmt).__name__}")
 
     def if_stmt(self, stmt: tree.If, level: int, lead: str) -> None:
-        head = lead + f"if ({_expr(stmt.cond)})"
-        then_is_block = isinstance(stmt.then_branch, tree.Block)
-        if then_is_block:
-            self.line(level, head + " {")
-            for inner in stmt.then_branch.statements:
+        els = stmt.else_branch
+        self.nested(level, lead + f"if ({_expr(stmt.cond)})", stmt.then_branch, els is None)
+        if els is not None:
+            # A braced `then` closes on the line that starts the `else`.
+            lead = "} else" if isinstance(stmt.then_branch, tree.Block) else "else"
+            if isinstance(els, tree.If):
+                self.if_stmt(els, level, lead + " ")
+            else:
+                self.nested(level, lead, els)
+
+    def nested(self, level: int, head: str, body: tree.Stmt, close: bool = True) -> None:
+        """`head`, then `body` one level in. A block's statements go between
+        `head {` and a closing brace, which `close` false leaves out.
+
+        A method body, a bare block, and each branch of a `while` or `if`
+        are written here, at three frames per nesting level at most
+        (`stmt`, `if_stmt`, `nested`).
+        """
+        if isinstance(body, tree.Block):
+            self.line(level, f"{head} {{" if head else "{")
+            for inner in body.statements:
                 self.stmt(inner, level + 1)
-            if stmt.else_branch is None:
+            if close:
                 self.line(level, "}")
-                return
-            close = "} else"
         else:
             self.line(level, head)
-            self.stmt(stmt.then_branch, level + 1)
-            if stmt.else_branch is None:
-                return
-            close = "else"
-        els = stmt.else_branch
-        if isinstance(els, tree.If):
-            self.if_stmt(els, level, close + " ")
-        elif isinstance(els, tree.Block):
-            self.line(level, close + " {")
-            for inner in els.statements:
-                self.stmt(inner, level + 1)
-            self.line(level, "}")
-        else:
-            self.line(level, close)
-            self.stmt(els, level + 1)
+            self.stmt(body, level + 1)
 
 
 def _vis_prefix(visibility: str) -> str:

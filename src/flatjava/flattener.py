@@ -19,9 +19,10 @@ pairwise. Fate rules:
 starts with the visible members and grows through read/write/call edges
 whose source is a pulled method or the initializer of a pulled attribute.
 Whatever the superclass's view pulled from further up is pulled again, and
-its bodies reach no member the superclass declares itself, so each view
-carries its pulled members' part of the fixed point down, renamed, and only
-the superclass's own members are walked (`pulled_closure`).
+its bodies reach no member the superclass declares itself. So that part of
+the pulled set is the view's pulled members; each view carries down only
+the attributes they access, renamed, and only the superclass's own members
+are walked (`pulled_closure`).
 Pulled bodies are bound statically: a self-call to a method the subclass
 overrides calls the renamed superclass copy.
 An overridden pairing with a static mismatch or a final superclass member
@@ -94,12 +95,11 @@ RULE_CTOR = "CTOR"
 
 class FlatMember:
     __slots__ = ("decl", "kind", "name", "signature", "declared_signature", "visibility",
-                 "is_static", "is_final", "provenance", "pulled", "renamed")
+                 "is_static", "is_final", "provenance", "pulled")
 
     def __init__(self, decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl, kind: str,
                  name: str, signature: str, declared_signature: str, visibility: str,
-                 is_static: bool, is_final: bool, provenance: str, pulled: bool,
-                 renamed: bool = False):
+                 is_static: bool, is_final: bool, provenance: str, pulled: bool):
         self.decl = decl
         self.kind = kind  # attribute | method | ctor
         self.name = name
@@ -111,7 +111,6 @@ class FlatMember:
         self.is_final = is_final
         self.provenance = provenance  # original declaring class
         self.pulled = pulled
-        self.renamed = renamed  # renamed at any flattening step
 
     @property
     def visible(self) -> bool:
@@ -146,7 +145,7 @@ class FlattenedClass:
                  fates: list[MemberFate] | None = None,
                  rewrites: list[RewriteDirective] | None = None,
                  diagnostics: list[Diagnostic] | None = None,
-                 carried: tuple[set[tuple[str, str]], set[str]] | None = None):
+                 carried: set[str] | None = None):
         self.name = name
         self.package = package
         self.decl = decl
@@ -155,10 +154,10 @@ class FlattenedClass:
         self.fates = [] if fates is None else fates
         self.rewrites = [] if rewrites is None else rewrites
         self.diagnostics = [] if diagnostics is None else diagnostics
-        # The pulled members' part of the superclass view's fixed point, under
-        # their names here: their (kind, signature) keys and the attributes that
-        # their bodies read or write. None for a root, or where a pulled body's
-        # resolution changed here (`rewrite_references`).
+        # The attributes that the pulled members' bodies read or write, under
+        # their names here: with the pulled members themselves, their part of
+        # the superclass view's fixed point. None for a root, or where a pulled
+        # body's resolution changed here (`rewrite_references`).
         self.carried = carried
 
     def attributes(self) -> list[FlatMember]:
@@ -257,15 +256,17 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
 
     Each member fsuper pulled was reached from a visible member there, and
     still is: renames keep the edges, and pulled bodies, bound statically,
-    reach no member fsuper declares itself. So where fsuper carries that
-    part of the fixed point, the worklist starts from it and walks only
-    fsuper's own members, which come first in `fsuper.members`.
+    reach no member fsuper declares itself. So where fsuper carries the
+    attributes its pulled members access, the worklist starts from those
+    and the pulled members, and walks only fsuper's own members, which come
+    first in `fsuper.members`.
     """
     if fsuper.carried is None:
         sources, pulled, accessed = fsuper.members, set(), set()
     else:
         sources = takewhile(lambda m: not m.pulled, fsuper.members)
-        pulled, accessed = set(fsuper.carried[0]), set(fsuper.carried[1])
+        pulled = {(m.kind, m.signature) for m in fsuper.members if m.pulled}
+        accessed = set(fsuper.carried)
     members = {(m.kind, m.signature): m for m in sources}
     work = [key for key, m in members.items() if m.kind != CTOR and m.visible]
     pulled.update(work)
@@ -300,7 +301,7 @@ def _flatten_against_super(
     model: ClassModel, cls: ClassInfo, own: ClassResolution, fsuper: FlattenedClass
 ) -> FlattenedClass:
     diagnostics: list[Diagnostic] = []
-    closure = pulled, accessed = pulled_closure(fsuper)
+    pulled, accessed = pulled_closure(fsuper)
     fates = [
         _method_fate(cls, m, pulled) if m.kind == METHOD
         else _attribute_fate(cls, m, accessed) if m.kind == ATTRIBUTE
@@ -322,7 +323,7 @@ def _flatten_against_super(
             )
 
     _assign_names(cls, fates, diagnostics)
-    flat = rewrite_references(model, cls, own, fsuper, fates, inline_inits, closure)
+    flat = rewrite_references(model, cls, own, fsuper, fates, inline_inits, accessed)
     flat.diagnostics = diagnostics
     return flat
 
@@ -334,7 +335,7 @@ def rewrite_references(
     fsuper: FlattenedClass,
     fates: list[MemberFate],
     inline_inits: dict[str, tree.Expr],
-    closure: tuple[set[tuple[str, str]], set[str]] | None = None,
+    accessed: set[str] | None,
 ) -> FlattenedClass:
     """Take members into the subclass, fix every affected reference, and
     carry each body's resolution over to the flattened class.
@@ -353,10 +354,10 @@ def rewrite_references(
     whose resolution can change in the flattened class are resolved again
     there (see `_resolve_changed`).
 
-    `closure` is fsuper's `pulled_closure`. The result carries it, renamed,
-    unless a pulled body may reach other members here than the renamed ones
-    it reached in fsuper: its initializer was replaced by a folded
-    constructor assignment, or it is resolved again.
+    `accessed` is the attribute set of fsuper's `pulled_closure`. The result
+    carries it, renamed, unless a pulled body may reach other members here
+    than the renamed ones it reached in fsuper: its initializer was replaced
+    by a folded constructor assignment, or it is resolved again.
     """
     rewrites: list[RewriteDirective] = []
     name = cls.name
@@ -388,7 +389,7 @@ def rewrite_references(
         if member.name in inline_inits and member.kind == ATTRIBUTE:
             decl = tree.replace(decl, init=inline_inits[member.name])
             resolution = MemberResolution()
-            closure = None  # the initializer no longer reaches what it did
+            accessed = None  # the initializer no longer reaches what it did
         elif _touched(resolution, renamed, fsuper.name):
             decl, sites, _ = pulled_rewriter.rewrite(decl, resolution.sites)
             # The walk collapsed every static reference qualified by fsuper.
@@ -400,7 +401,6 @@ def rewrite_references(
                 decl, member.kind, fate.new_name or member.name,
                 _final_signature(member, fate.new_name), member.declared_signature,
                 member.visibility, member.is_static, member.is_final, member.provenance, True,
-                renamed=member.renamed or fate.new_name is not None,
             )
         # `this` changes type when a body moves down a level.
         if resolution.uses_this or _retyped(model, resolution, fsuper.name):
@@ -415,21 +415,10 @@ def rewrite_references(
     resolution = _resolve_changed(model, cls, new_decl, members, resolutions, unsure)
     flat = FlattenedClass(name, cls.package, new_decl, members, resolution, fates, rewrites)
     # A pulled body resolved again may reach other members here.
-    if closure is not None and max(unsure, default=-1) < own_count:
-        flat.carried = _renamed_closure(closure, pulled_rewriter)
+    if accessed is not None and max(unsure, default=-1) < own_count:
+        attrs = pulled_rewriter.attr_renames
+        flat.carried = (accessed - attrs.keys()) | {attrs[a] for a in accessed & attrs.keys()}
     return flat
-
-
-def _renamed_closure(closure, renames: _PulledBodyRewriter):
-    """fsuper's pulled set and accessed attributes under the names the
-    members are pulled under: every pulled member, and only those."""
-    pulled, accessed = closure
-    attrs, methods = renames.attr_renames, renames.method_renames
-    pulled = pulled - {(ATTRIBUTE, a) for a in attrs} - {(METHOD, s) for s in methods}
-    pulled.update((ATTRIBUTE, a) for a in attrs.values())
-    pulled.update((METHOD, _renamed_signature(s, n)) for s, n in methods.items())
-    moved = accessed & attrs.keys()
-    return pulled, (accessed - moved) | {attrs[a] for a in moved}
 
 
 def _assign_names(cls: ClassInfo, fates: list[MemberFate], diagnostics: list[Diagnostic]) -> None:
@@ -439,42 +428,32 @@ def _assign_names(cls: ClassInfo, fates: list[MemberFate], diagnostics: list[Dia
     attribute and method names, so renamed members read unambiguously.
     """
     taken = {m.name for m in cls.all_members() if m.kind != CTOR}
-    attr_names = set(cls.attributes)
-    method_sigs = set(cls.methods)
+    # (kind, signature) of every member in the growing class; an attribute's
+    # signature is its name.
+    keys = {(m.kind, m.signature) for m in cls.all_members()}
     for fate in fates:
         if not fate.pulls:
             continue
         member = fate.member
+        key = (member.kind, member.signature)
         if fate.decision == PULL_DOWN_RENAMED:
             fate.new_name = rename(member.name, member.provenance, taken)
-        elif member.kind == ATTRIBUTE and member.name in attr_names:
+        elif key in keys:
             fate.new_name = rename(member.name, member.provenance, taken)
-            diagnostics.append(
-                Diagnostic(
-                    FORCED_RENAME,
-                    f"{member.provenance}.{member.name} is not a legal override of the "
-                    f"subclass member but shares its name; pulled as {fate.new_name}",
-                    cls.name,
-                    member.decl.span,
-                )
-            )
-        elif member.kind == METHOD and member.signature in method_sigs:
-            fate.new_name = rename(member.name, member.provenance, taken)
+            shared = "name" if member.kind == ATTRIBUTE else "signature"
             diagnostics.append(
                 Diagnostic(
                     FORCED_RENAME,
                     f"{member.provenance}.{member.signature} is not a legal override of the "
-                    f"subclass member but shares its signature; pulled as {fate.new_name}",
+                    f"subclass member but shares its {shared}; pulled as {fate.new_name}",
                     cls.name,
                     member.decl.span,
                 )
             )
-        final_name = fate.new_name or member.name
-        taken.add(final_name)
-        if member.kind == ATTRIBUTE:
-            attr_names.add(final_name)
-        elif member.kind == METHOD:
-            method_sigs.add(_final_signature(member, fate.new_name))
+        taken.add(fate.new_name or member.name)
+        if fate.new_name:
+            key = (member.kind, _final_signature(member, fate.new_name))
+        keys.add(key)
 
 
 def _analyze_super_ctors(
@@ -484,21 +463,21 @@ def _analyze_super_ctors(
     diagnostics: list[Diagnostic],
 ) -> dict[str, tree.Expr]:
     """Fold an inlinable no-arg superclass constructor into field initializers."""
+
+    def unsupported(message: str, span) -> dict[str, tree.Expr]:
+        diagnostics.append(Diagnostic(UNSUPPORTED_CTOR, message, cls.name, span))
+        return {}
+
     ctors = [m for m in fsuper.members if m.kind == CTOR]
     if not ctors:
         return {}
     no_arg = [c for c in ctors if not c.decl.params]
     if not no_arg:
-        diagnostics.append(
-            Diagnostic(
-                UNSUPPORTED_CTOR,
-                f"superclass {fsuper.name} declares only parameterized constructors; "
-                "implicit constructor chaining cannot be flattened",
-                cls.name,
-                ctors[0].decl.span,
-            )
+        return unsupported(
+            f"superclass {fsuper.name} declares only parameterized constructors; "
+            "implicit constructor chaining cannot be flattened",
+            ctors[0].decl.span,
         )
-        return {}
     ctor = no_arg[0]
     attr_names = {m.name for m in fsuper.attributes()}
     assignments: list[tuple[str, tree.Expr]] = []
@@ -516,17 +495,12 @@ def _analyze_super_ctors(
             or target_name not in attr_names
             or not isinstance(stmt.value, tree.Literal)
         ):
-            diagnostics.append(
-                Diagnostic(
-                    UNSUPPORTED_CTOR,
-                    f"constructor of superclass {fsuper.name} does more than assign "
-                    "literals to fields; its effects are not carried into the "
-                    "flattened class",
-                    cls.name,
-                    stmt.span,
-                )
+            return unsupported(
+                f"constructor of superclass {fsuper.name} does more than assign "
+                "literals to fields; its effects are not carried into the "
+                "flattened class",
+                stmt.span,
             )
-            return {}
         assignments.append((target_name, stmt.value))
     resolutions = fsuper.resolution.members
     init_reads = {
@@ -538,17 +512,12 @@ def _analyze_super_ctors(
     assigned = {name for name, _ in assignments}
     clashing = sorted(assigned & init_reads)
     if clashing:
-        diagnostics.append(
-            Diagnostic(
-                UNSUPPORTED_CTOR,
-                f"constructor of superclass {fsuper.name} assigns field(s) "
-                f"{', '.join(clashing)} that field initializers read; inlining would "
-                "reorder initialization",
-                cls.name,
-                ctor.decl.span,
-            )
+        return unsupported(
+            f"constructor of superclass {fsuper.name} assigns field(s) "
+            f"{', '.join(clashing)} that field initializers read; inlining would "
+            "reorder initialization",
+            ctor.decl.span,
         )
-        return {}
     pulled = {f.member.name for f in fates if f.member.kind == ATTRIBUTE and f.pulls}
     return {name: expr for name, expr in assignments if name in pulled}
 
@@ -690,6 +659,18 @@ class _Carrier(tree.BodyWalker):
             return tree.FieldAccess(tree.This(span), name, span, name_span), BASIS_THIS
         return tree.Name(name, span), BASIS_BARE
 
+    def collapse(self, e: tree.Expr, site: Site, old: str, new_name: str, owner: str):
+        """A qualified reference, written `old`, as a bare one to the member
+        named `new_name`: a call, or an attribute reference from `local`."""
+        self.record(e.span, old, new_name, owner)
+        if isinstance(e, tree.Call):
+            # `map`, not a comprehension, keeps nested collapsed calls at
+            # three frames per level.
+            call = tree.Call(None, new_name, list(map(self.expr, e.args)), e.span, e.name_span)
+            return call, _renamed_signature(site.to_member, new_name), BASIS_BARE
+        out, basis = self.local(new_name, e.span, e.name_span)
+        return out, new_name, basis
+
     def rename_ref(self, e: tree.Expr, site: Site, new_name: str, owner: str):
         """A bare or `this.` reference, now to the member named `new_name`."""
         if isinstance(e, tree.Name):
@@ -739,13 +720,7 @@ class _SubBodyRewriter(_Carrier):
                 self.cls.path,
             )
         new_name = fate.new_name or fate.member.name
-        self.record(e.span, f"super.{e.name}", new_name, fate.member.provenance)
-        if isinstance(e, tree.Call):
-            args = [self.expr(a) for a in e.args]
-            call = tree.Call(None, new_name, args, e.span, e.name_span)
-            return call, _renamed_signature(site.to_member, new_name), BASIS_BARE
-        out, basis = self.local(new_name, e.span, e.name_span)
-        return out, new_name, basis
+        return self.collapse(e, site, f"super.{e.name}", new_name, fate.member.provenance)
 
 
 class _PulledBodyRewriter(_Carrier):
@@ -766,29 +741,15 @@ class _PulledBodyRewriter(_Carrier):
         self.renamed = self.attr_renames.keys() | self.method_renames.keys()
 
     def reference(self, e, site):
+        renames = self.method_renames if site.kind == CALL else self.attr_renames
         if site.to_class is None:
-            renames = self.method_renames if site.kind == CALL else self.attr_renames
             new_name = renames.get(site.to_member)
             if new_name:
                 return self.rename_ref(e, site, new_name, self.super_name)
         elif site.to_class == self.super_name and site.basis == BASIS_CLASS:
             # Qualified static access to a member that now lives here:
             # whatever a pulled body references is pulled (pulled_closure).
-            old = f"{_receiver_text(e.receiver)}.{e.name}"
-            if isinstance(e, tree.Call):
-                new_name = self.method_renames.get(site.to_member, e.name)
-                self.record(e.span, old, new_name, self.super_name)
-                args = [self.expr(a) for a in e.args]
-                call = tree.Call(None, new_name, args, e.span, e.name_span)
-                return call, _renamed_signature(site.to_member, new_name), BASIS_BARE
-            new_name = self.attr_renames.get(site.to_member, site.to_member)
-            self.record(e.span, old, new_name, self.super_name)
-            out, basis = self.local(new_name, e.span, e.name_span)
-            return out, new_name, basis
+            # The qualifier of a class basis is a class name.
+            old = f"{e.receiver.ident}.{e.name}"
+            return self.collapse(e, site, old, renames.get(site.to_member, e.name), self.super_name)
         return tree.map_children(e, self.expr), site.to_member, site.basis
-
-
-def _receiver_text(receiver: tree.Expr) -> str:
-    if isinstance(receiver, tree.Name):
-        return receiver.ident
-    return "<receiver>"

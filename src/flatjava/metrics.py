@@ -83,9 +83,7 @@ def lcom_values(use_sets: list[set[str]]) -> tuple[int, int]:
 
 
 def measure_original(model: ClassModel, graph: AccessGraph, name: str) -> MetricsRecord:
-    cls = model.classes[name]
-    resolution = graph.resolutions.get(name) or ClassResolution(name)
-    return _measure(model, name, ORIGINAL, cls.decl, resolution)
+    return _measure(model, name, ORIGINAL, model.classes[name].decl, graph.resolutions[name])
 
 
 def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:

@@ -284,8 +284,9 @@ class _Walker(tree.BodyWalker):
         """The basis of a member access and the class its lookup starts at.
 
         The class is None for `super` in a root class and for a receiver of
-        an unmodeled type. A name that no local or attribute shadows
-        qualifies a static access when it names a class.
+        an unmodeled class or array type; a primitive receiver is an error.
+        A name that no local or attribute shadows qualifies a static access
+        when it names a class.
         """
         if receiver is None:
             return BASIS_BARE, self.cls
@@ -302,6 +303,8 @@ class _Walker(tree.BodyWalker):
                 self.res.class_refs.add(name)
                 return BASIS_CLASS, self.model.classes[name]
         receiver_type = self.type_of(receiver)
+        if receiver_type in _PRIMITIVES:
+            raise self.fail(f"{receiver_type} cannot be dereferenced", receiver.span)
         if receiver_type is None or receiver_type not in self.model.classes:
             return BASIS_RECEIVER, None  # external receiver type: unmodeled, no edge
         self.res.receiver_types.add(receiver_type)

@@ -554,3 +554,15 @@ def test_this_access_to_private_ancestor_field_exit_2(tmp_path):
     result = runner.invoke(main, ["flatten", str(tmp_path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"{tmp_path / 'B.java'}:3:21: class B has no attribute 'x'" in result.output
+
+
+def test_member_of_primitive_receiver_exit_2(tmp_path):
+    # An `int` has no members; the access is outside the subset, not an
+    # unmodeled external type.
+    (tmp_path / "A.java").write_text("class A {\n    int x;\n}\n")
+    (tmp_path / "B.java").write_text(
+        "class B extends A {\n    int f() {\n        return super.x.y;\n    }\n}\n"
+    )
+    result = runner.invoke(main, ["metrics", str(tmp_path), "--view", "original"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {tmp_path / 'B.java'}:3:16: int cannot be dereferenced\n"

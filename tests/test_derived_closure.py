@@ -131,8 +131,8 @@ def test_a_chain_carries_renamed_members(monkeypatch):
     carried = check(_units(*sources), monkeypatch)
     # Every view below C0 carries the part that its superclass's view pulled.
     assert [flat.name for flat in carried] == ["C1", "C2", "C3", "C4"]
-    assert ("attribute", "a$C0") in carried[-1].carried[0]
-    assert "a$C0" in carried[-1].carried[1]
+    assert ("attribute", "a$C0") in {(m.kind, m.signature) for m in carried[-1].members if m.pulled}
+    assert "a$C0" in carried[-1].carried
 
 
 # Views whose pulled bodies reach other members than they reached in the

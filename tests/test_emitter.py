@@ -68,6 +68,94 @@ def test_nonblock_while_body():
     assert "        while (v > 0)\n            v = v - 1;" in emit(unit)
 
 
+# Statements of `void f(boolean c, int v)`, and their exact emitted lines.
+LAYOUTS = {
+    "then_braced": (
+        "if(c){v=1;}",
+        ["if (c) {", "    v = 1;", "}"],
+    ),
+    "then_braced_else_braced": (
+        "if(c){v=1;}else{v=2;}",
+        ["if (c) {", "    v = 1;", "} else {", "    v = 2;", "}"],
+    ),
+    "then_braced_else_unbraced": (
+        "if(c){v=1;}else v=2;",
+        ["if (c) {", "    v = 1;", "} else", "    v = 2;"],
+    ),
+    "then_braced_else_if": (
+        "if(c){v=1;}else if(v>0){v=2;}else v=3;",
+        ["if (c) {", "    v = 1;", "} else if (v > 0) {", "    v = 2;", "} else", "    v = 3;"],
+    ),
+    "then_unbraced": (
+        "if(c)v=1;",
+        ["if (c)", "    v = 1;"],
+    ),
+    "then_unbraced_else_braced": (
+        "if(c)v=1;else{v=2;}",
+        ["if (c)", "    v = 1;", "else {", "    v = 2;", "}"],
+    ),
+    "then_unbraced_else_unbraced": (
+        "if(c)v=1;else v=2;",
+        ["if (c)", "    v = 1;", "else", "    v = 2;"],
+    ),
+    "then_unbraced_else_if": (
+        "if(c)v=1;else if(v>0)v=2;else{v=3;}",
+        ["if (c)", "    v = 1;", "else if (v > 0)", "    v = 2;", "else {", "    v = 3;", "}"],
+    ),
+    "while_braced": (
+        "while(v>0){v=v-1;}",
+        ["while (v > 0) {", "    v = v - 1;", "}"],
+    ),
+    "while_unbraced": (
+        "while(v>0)v=v-1;",
+        ["while (v > 0)", "    v = v - 1;"],
+    ),
+    "nested_block": (
+        "{v=1;{v=2;}}",
+        ["{", "    v = 1;", "    {", "        v = 2;", "    }", "}"],
+    ),
+    "empty_blocks": (
+        "{}if(c){}else{}while(c){}",
+        ["{", "}", "if (c) {", "} else {", "}", "while (c) {", "}"],
+    ),
+    "nested_unbraced": (
+        "while(c)if(c)while(c)v=1;else return;",
+        ["while (c)", "    if (c)", "        while (c)", "            v = 1;",
+         "    else", "        return;"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUTS))
+def test_statement_layout(case):
+    body, lines = LAYOUTS[case]
+    unit = parse_source("class A{void f(boolean c,int v){" + body + "}}")
+    assert emit(unit) == (
+        "class A {\n"
+        "    void f(boolean c, int v) {\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + "    }\n"
+        "}\n"
+    )
+
+
+def test_member_modifiers_and_empty_bodies_layout():
+    unit = parse_source(
+        "class A{protected static final int k=1;A(){}public static final void g(){}}"
+    )
+    assert emit(unit) == (
+        "class A {\n"
+        "    protected static final int k = 1;\n"
+        "\n"
+        "    A() {\n"
+        "    }\n"
+        "\n"
+        "    public static final void g() {\n"
+        "    }\n"
+        "}\n"
+    )
+
+
 def test_long_double_literals_roundtrip():
     source = "class A{long big=42L;double d=2.5e-1;void f(){big=big+1;}}"
     unit = parse_source(source)

@@ -450,7 +450,7 @@ def flattened_surface(flat):
     return {
         (m.kind, m.signature)
         for m in flat.members
-        if m.kind != "ctor" and m.visible and not m.renamed
+        if m.kind != "ctor" and m.visible and m.signature == m.declared_signature
     }
 
 

@@ -151,6 +151,27 @@ CASES = {
         ("class A { void g(int a) { } void g(long a) { } void f(String s) { g(s.x); } }",),
         AmbiguousCall, "<mem0>:1:67: call 'g' with argument types (?) matches 2 overloads",
     ),
+    # a receiver of primitive type has no members
+    "primitive_super_field": (
+        ("class A { int x; }", "class B extends A { int f() { return super.x.y; } }"),
+        UnresolvedName, "<mem1>:1:38: int cannot be dereferenced",
+    ),
+    "primitive_call_result": (
+        ("class A { int f() { return 1; } int g() { return this.f().x; } }",),
+        UnresolvedName, "<mem0>:1:50: int cannot be dereferenced",
+    ),
+    "primitive_call_on_field": (
+        ("class A { long x; int g() { return x.h(); } }",),
+        UnresolvedName, "<mem0>:1:36: long cannot be dereferenced",
+    ),
+    "primitive_parenthesized": (
+        ("class A { int g(boolean b) { return (b && b).x; } }",),
+        UnresolvedName, "<mem0>:1:37: boolean cannot be dereferenced",
+    ),
+    "primitive_write_target": (
+        ("class A { int g(double d) { d.x = 1; return 0; } }",),
+        UnresolvedName, "<mem0>:1:29: double cannot be dereferenced",
+    ),
     # constructors
     "new_no_ctors_with_args": (
         ("class C { }", "class A { void f() { new C(1); } }"),
@@ -181,6 +202,17 @@ def test_lookup_error_text(case):
         model_from_sources(*sources)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == text
+
+
+def test_unmodeled_class_and_array_receivers_stay_external():
+    _, graph = model_from_sources(
+        "class A { int[] a; String s; int g() { return a.length + s.length(); } }"
+    )
+    (g,) = [r for d, r in graph.resolutions["A"].members.items() if r.sites]
+    assert [(s.kind, s.to_member, s.basis) for s in g.sites.values()] == [
+        ("read", "a", "bare"), ("read", "s", "bare"),
+    ]
+    assert not g.receiver_types
 
 
 def test_receiver_bookkeeping():
