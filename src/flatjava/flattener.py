@@ -22,7 +22,8 @@ Whatever the superclass's view pulled from further up is pulled again, and
 its bodies reach no member the superclass declares itself. So that part of
 the pulled set is the view's pulled members; each view carries down only
 the attributes they access, renamed, and only the superclass's own members
-are walked (`pulled_closure`).
+are walked (`pulled_closure`). Their fates, fixed by kind and visibility
+(R1, R2, R5, R7), are carried down too and shared by every level below.
 Pulled bodies are bound statically: a self-call to a method the subclass
 overrides calls the renamed superclass copy.
 An overridden pairing with a static mismatch or a final superclass member
@@ -118,13 +119,14 @@ class FlatMember:
 
 
 class MemberFate:
-    __slots__ = ("member", "decision", "rule", "new_name")
+    __slots__ = ("member", "decision", "rule", "new_name", "plan")
 
     def __init__(self, member: FlatMember, decision: str, rule: str, new_name: str | None = None):
         self.member = member
         self.decision = decision  # PullDown | PullDownRenamed | Drop | DropAnomaly
         self.rule = rule  # R1..R8 or CTOR
         self.new_name = new_name
+        self.plan: str | None = None  # its plan entry, once `report.plan_json` wrote it
 
     @property
     def pulls(self) -> bool:
@@ -143,9 +145,7 @@ class FlattenedClass:
     def __init__(self, name: str, package: str | None, decl: tree.ClassDecl,
                  members: list[FlatMember], resolution: ClassResolution,
                  fates: list[MemberFate] | None = None,
-                 rewrites: list[RewriteDirective] | None = None,
-                 diagnostics: list[Diagnostic] | None = None,
-                 carried: set[str] | None = None):
+                 rewrites: list[RewriteDirective] | None = None):
         self.name = name
         self.package = package
         self.decl = decl
@@ -153,12 +153,15 @@ class FlattenedClass:
         self.resolution = resolution
         self.fates = [] if fates is None else fates
         self.rewrites = [] if rewrites is None else rewrites
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.diagnostics: list[Diagnostic] = []
         # The attributes that the pulled members' bodies read or write, under
         # their names here: with the pulled members themselves, their part of
         # the superclass view's fixed point. None for a root, or where a pulled
         # body's resolution changed here (`rewrite_references`).
-        self.carried = carried
+        self.carried: set[str] | None = None
+        # Where `carried` is set, each pulled member's fate one level down, where
+        # nothing touches it, by (kind, signature) in member order.
+        self.repulled: dict[tuple[str, str], MemberFate] = {}
 
     def attributes(self) -> list[FlatMember]:
         return [m for m in self.members if m.kind == ATTRIBUTE]
@@ -261,13 +264,8 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
     and the pulled members, and walks only fsuper's own members, which come
     first in `fsuper.members`.
     """
-    if fsuper.carried is None:
-        sources, pulled, accessed = fsuper.members, set(), set()
-    else:
-        sources = takewhile(lambda m: not m.pulled, fsuper.members)
-        pulled = {(m.kind, m.signature) for m in fsuper.members if m.pulled}
-        accessed = set(fsuper.carried)
-    members = {(m.kind, m.signature): m for m in sources}
+    pulled, accessed = set(fsuper.repulled), set(fsuper.carried or ())
+    members = {(m.kind, m.signature): m for m in fsuper.members[:len(fsuper.members) - len(pulled)]}
     work = [key for key, m in members.items() if m.kind != CTOR and m.visible]
     pulled.update(work)
     resolutions = fsuper.resolution.members
@@ -302,15 +300,20 @@ def _flatten_against_super(
 ) -> FlattenedClass:
     diagnostics: list[Diagnostic] = []
     pulled, accessed = pulled_closure(fsuper)
-    fates = [
-        _method_fate(cls, m, pulled) if m.kind == METHOD
-        else _attribute_fate(cls, m, accessed) if m.kind == ATTRIBUTE
-        else MemberFate(m, DROP, RULE_CTOR)
-        for m in fsuper.members
-    ]
+
+    def decide(member: FlatMember) -> MemberFate:
+        if member.kind == METHOD:
+            return _method_fate(cls, member, pulled)
+        if member.kind == ATTRIBUTE:
+            return _attribute_fate(cls, member, accessed)
+        return MemberFate(member, DROP, RULE_CTOR)
+
+    # Each member fsuper pulled keeps the fate fsuper carries down for it.
+    first = len(fsuper.members) - len(fsuper.repulled)
+    fates = [*map(decide, fsuper.members[:first]), *fsuper.repulled.values()]
     inline_inits = _analyze_super_ctors(cls, fsuper, fates, diagnostics)
 
-    for fate in fates:
+    for fate in fates[:first]:
         if fate.decision == DROP_ANOMALY:
             diagnostics.append(
                 Diagnostic(
@@ -322,8 +325,8 @@ def _flatten_against_super(
                 )
             )
 
-    _assign_names(cls, fates, diagnostics)
-    flat = rewrite_references(model, cls, own, fsuper, fates, inline_inits, accessed)
+    kept = _assign_names(cls, fates, fsuper.repulled, decide, diagnostics)
+    flat = rewrite_references(model, cls, own, fsuper, fates, kept, inline_inits, accessed)
     flat.diagnostics = diagnostics
     return flat
 
@@ -334,6 +337,7 @@ def rewrite_references(
     own: ClassResolution,
     fsuper: FlattenedClass,
     fates: list[MemberFate],
+    kept: dict[tuple[str, str], MemberFate],
     inline_inits: dict[str, tree.Expr],
     accessed: set[str] | None,
 ) -> FlattenedClass:
@@ -357,7 +361,9 @@ def rewrite_references(
     `accessed` is the attribute set of fsuper's `pulled_closure`. The result
     carries it, renamed, unless a pulled body may reach other members here
     than the renamed ones it reached in fsuper: its initializer was replaced
-    by a folded constructor assignment, or it is resolved again.
+    by a folded constructor assignment, or it is resolved again. Then it also
+    carries the pulled members' fates; the last of them, `kept` by (kind,
+    signature), fsuper carried down, and their members keep fsuper's nodes.
     """
     rewrites: list[RewriteDirective] = []
     name = cls.name
@@ -365,8 +371,14 @@ def rewrite_references(
     resolutions: list[MemberResolution] = []
     unsure: list[int] = []  # members whose carried resolution may not hold
 
+    if inline_inits:
+        kept = {}  # a folded initializer changes what fsuper carried down
+    walked = fates[:len(fates) - len(kept)]
+    slots = dict(kept)  # fsuper's fates by their members' (kind, signature)
+    slots.update(((f.member.kind, f.member.signature), f) for f in walked)
+
     # Rewrite the subclass's own bodies to reach inherited members by their final names.
-    sub_rewriter = _SubBodyRewriter(cls, fates, rewrites)
+    sub_rewriter = _SubBodyRewriter(cls, slots, rewrites)
     for info in cls.ordered_members():
         source = own.members[id(info.decl)]
         decl, sites, sure = sub_rewriter.rewrite(info.decl, source.sites)
@@ -376,11 +388,12 @@ def rewrite_references(
         resolutions.append(source.with_sites(sites))
 
     # Take the pulled members, apply renames and body rewrites.
-    pulled_rewriter = _PulledBodyRewriter(fsuper.name, fates, rewrites)
+    pulled_rewriter = _PulledBodyRewriter(fsuper.name, walked, rewrites)
     renamed = pulled_rewriter.renamed
     super_resolutions = fsuper.resolution.members
     own_count = len(members)
-    for fate in fates:
+    repulled: dict[tuple[str, str], MemberFate] = {}
+    for fate in walked:
         if not fate.pulls:
             continue
         member = fate.member
@@ -407,6 +420,10 @@ def rewrite_references(
             unsure.append(len(members))
         members.append(member)
         resolutions.append(resolution)
+        repulled[member.kind, member.signature] = _repulled(fate, member)
+    members += fsuper.members[len(walked):]
+    resolutions += list(super_resolutions.values())[len(walked):]
+    repulled.update(kept)
 
     new_decl = tree.ClassDecl(
         cls.decl.visibility, name, None, [m.decl for m in members],
@@ -418,20 +435,38 @@ def rewrite_references(
     if accessed is not None and max(unsure, default=-1) < own_count:
         attrs = pulled_rewriter.attr_renames
         flat.carried = (accessed - attrs.keys()) | {attrs[a] for a in accessed & attrs.keys()}
+        flat.repulled = repulled
     return flat
 
 
-def _assign_names(cls: ClassInfo, fates: list[MemberFate], diagnostics: list[Diagnostic]) -> None:
+def _repulled(fate: MemberFate, member: FlatMember) -> MemberFate:
+    """The fate of `member`, pulled by `fate`, one level down where nothing touches it."""
+    if member is fate.member:
+        return fate  # pulled unchanged: a PullDown with no new name
+    rules = ("R1", "R2") if member.kind == ATTRIBUTE else ("R5", "R7")
+    return MemberFate(member, PULL_DOWN, rules[not member.visible])
+
+
+def _assign_names(cls: ClassInfo, fates: list[MemberFate], carried: dict, decide,
+                  diagnostics: list[Diagnostic]) -> dict:
     """Pick final names in declaration order; rename on demand for collisions.
 
     The freshness ladder avoids every member name in the growing class, both
     attribute and method names, so renamed members read unambiguously.
+    Returns the last fates, `carried` down by fsuper, which keep their names
+    unless the subclass declares one's (kind, signature) or a rename takes
+    it: then `decide` decides them all afresh, and none is kept.
     """
     taken = {m.name for m in cls.all_members() if m.kind != CTOR}
     # (kind, signature) of every member in the growing class; an attribute's
     # signature is its name.
     keys = {(m.kind, m.signature) for m in cls.all_members()}
-    for fate in fates:
+    first = len(fates) - len(carried)
+    for i, fate in enumerate(fates):
+        if i == first and keys.isdisjoint(carried):
+            return carried
+        if i >= first:
+            fate = fates[i] = decide(fate.member)
         if not fate.pulls:
             continue
         member = fate.member
@@ -454,6 +489,7 @@ def _assign_names(cls: ClassInfo, fates: list[MemberFate], diagnostics: list[Dia
         if fate.new_name:
             key = (member.kind, _final_signature(member, fate.new_name))
         keys.add(key)
+    return {}
 
 
 def _analyze_super_ctors(
@@ -468,7 +504,7 @@ def _analyze_super_ctors(
         diagnostics.append(Diagnostic(UNSUPPORTED_CTOR, message, cls.name, span))
         return {}
 
-    ctors = [m for m in fsuper.members if m.kind == CTOR]
+    ctors = [m for m in takewhile(lambda m: not m.pulled, fsuper.members) if m.kind == CTOR]
     if not ctors:
         return {}
     no_arg = [c for c in ctors if not c.decl.params]
@@ -696,22 +732,32 @@ class _SubBodyRewriter(_Carrier):
     unsure.
     """
 
-    def __init__(self, cls: ClassInfo, fates: list[MemberFate], rewrites):
+    def __init__(self, cls: ClassInfo, slots: dict[tuple[str, str], MemberFate], rewrites):
         super().__init__(rewrites)
         self.cls = cls
-        # fsuper's members by where they were declared, and under which signature.
-        self.fates = {(f.member.provenance, f.member.declared_signature): f for f in fates}
+        self.slots = slots  # fsuper's fates by their members' (kind, signature)
+
+    def fate(self, site: Site) -> MemberFate | None:
+        """The fate of fsuper's member declared where `site` says it was."""
+        origin = (site.to_class, site.to_member)
+        fate = self.slots.get((METHOD if site.kind == CALL else ATTRIBUTE, site.to_member))
+        if fate is None or (fate.member.provenance, fate.member.declared_signature) != origin:
+            # Renamed above fsuper: look for where it was declared.
+            fate = next((f for f in self.slots.values()
+                         if (f.member.provenance, f.member.declared_signature) == origin), None)
+        return fate
 
     def reference(self, e, site):
-        fate = self.fates.get((site.to_class, site.to_member))
         if site.basis != BASIS_SUPER:
             if site.basis in LOCAL_BASES and site.to_class is not None:
+                fate = self.fate(site)
                 if fate is None or not fate.pulls:
                     self.sure = False
                 elif fate.new_name or fate.member.signature != site.to_member:
                     pulled_as = fate.new_name or fate.member.name
                     return self.rename_ref(e, site, pulled_as, fate.member.provenance)
             return tree.map_children(e, self.expr), site.to_member, site.basis
+        fate = self.fate(site)
         if fate is None or not fate.pulls:
             raise DanglingSuperRef(
                 f"'super.{site.to_member}' in {self.cls.name} targets a member that "

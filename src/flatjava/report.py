@@ -18,7 +18,7 @@ import json
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode_string
 
-from .flattener import FlattenedClass
+from .flattener import FlattenedClass, MemberFate
 from .metrics import ComparisonRow, MetricsRecord
 
 RULE_IDS = ("R1", "R2", "R3", "R4a", "R4b", "R4c", "R5", "R6", "R7", "R8", "CTOR")
@@ -218,24 +218,26 @@ def plan_json(flattened: dict[str, FlattenedClass]) -> str:
 
     The plan lists every fate of every flattened class, so on a chain it
     grows with depth squared. This writer fills one fixed layout per fate
-    and per rewrite instead of walking a nested document.
+    and per rewrite instead of walking a nested document. A fate shared by
+    every level that pulls its member again keeps its entry (`MemberFate.plan`).
     """
     enc = _encode_string
     classes = []
     for name, flat in flattened.items():
-        fates = [
-            _FATE % (
-                enc(f.member.signature), enc(f.member.kind), enc(f.member.provenance),
-                enc(f.decision), enc(f.rule), "null" if f.new_name is None else enc(f.new_name),
-            )
-            for f in flat.fates
-        ]
+        fates = [f.plan or _fate_plan(f) for f in flat.fates]
         rewrites = [
             _REWRITE % (r.span[0], r.span[1], enc(r.old), enc(r.new), enc(r.target_owner))
             for r in flat.rewrites
         ]
         classes.append(_CLASS % (enc(name), _items(fates, 6), _items(rewrites, 6)))
     return '{\n  "schema": "plan/v1",\n  "classes": %s\n}\n' % _items(classes, 2)
+
+
+def _fate_plan(f: MemberFate) -> str:
+    m, enc = f.member, _encode_string
+    f.plan = _FATE % (enc(m.signature), enc(m.kind), enc(m.provenance), enc(f.decision),
+                      enc(f.rule), "null" if f.new_name is None else enc(f.new_name))
+    return f.plan
 
 
 def _items(items: list[str], indent: int) -> str:

@@ -131,9 +131,8 @@ class ClassResolution:
         # The members' declarations, in member order.
         self.decls = decls or []
         # Each member's own resolution, keyed by the identity of its declaration.
-        self.members: dict[int, MemberResolution] = {
-            id(d): r for d, r in zip(self.decls, resolutions or ())
-        }
+        self.members: dict[int, MemberResolution] = dict(
+            zip(map(id, self.decls), resolutions or ()))
 
     @cached_property
     def sites(self) -> dict[int, AccessEdge]:
@@ -476,8 +475,6 @@ def _types_match(member: MemberInfo, arg_types: list[str | None]) -> bool:
     return True
 
 
-def _return_type(member: MemberInfo) -> str | None:
-    decl = member.decl
-    if isinstance(decl, tree.MethodDecl) and decl.return_type is not None:
-        return decl.return_type.text()
-    return None
+def _return_type(member: MemberInfo) -> str:
+    return_type = member.decl.return_type
+    return "void" if return_type is None else return_type.text()

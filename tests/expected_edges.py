@@ -147,6 +147,15 @@ EXPECTED_EDGES = {
             ("U", "sup()", "read", "R", "y", "super"),
         ],
     },
+    "rename_collision_carried": {
+        "A": [("A", "a()", "read", "A", "v$B", "bare")],
+        "B": [("B", "b()", "read", "B", "v", "bare")],
+        "C": [
+            ("C", "c()", "read", "C", "v", "bare"),
+            ("C", "c()", "read", "A", "v$B", "bare"),
+        ],
+        "D": [("D", "d()", "read", "C", "v", "bare")],
+    },
     "this_inherited": {
         "A": [("A", "get()", "read", "A", "x", "this")],
         "B": [

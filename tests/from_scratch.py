@@ -1,22 +1,37 @@
-"""From-scratch reference versions of the classification and the closure.
+"""From-scratch reference versions of the classification, the closure and the fates.
 
 `classify` pairs every member of every class with every superclass member,
 class by class and ancestor by ancestor, and derives the illegal-override
 diagnostics from those pairings. `pulled_closure` runs the fixed point over
-every member of the superclass's flattened view. The library does less
-work for the same results: it looks members up in an index of same-named
-ancestors and builds the pairings only when they are read, and it carries
-each view's pulled part of the fixed point down to the next class. The
+every member of the superclass's flattened view. `flatten_against_super`
+decides the fate of every member of that view through the rule table, and
+names every pulled one, before the library's `rewrite_references` takes
+each of them. The library does less work for the same results: it looks
+members up in an index of same-named ancestors and builds the pairings only
+when they are read, and it carries each view's pulled part of the fixed
+point, and the fates of its pulled members, down to the next class. The
 oracle tests demand exact agreement.
 """
 
 from __future__ import annotations
 
+from flatjava import flattener
 from flatjava.errors import (
+    ANOMALY_MEMBER,
+    FORCED_RENAME,
     ILLEGAL_OVERRIDE_FINAL,
     ILLEGAL_OVERRIDE_STATIC,
     PACKAGE_VISIBILITY_DIVERGENCE,
     Diagnostic,
+)
+from flatjava.flattener import (
+    DROP,
+    DROP_ANOMALY,
+    PULL_DOWN_RENAMED,
+    RULE_CTOR,
+    MemberFate,
+    _final_signature,
+    rename,
 )
 from flatjava.model import ATTRIBUTE, CTOR, METHOD, OverrideRelation, override_legality
 from flatjava.resolver import CALL
@@ -98,3 +113,57 @@ def pulled_closure(fsuper):
                 pulled.add(target)
                 work.append(target)
     return pulled, accessed
+
+
+def flatten_against_super(model, cls, own, fsuper):
+    """The flattened view of `cls`, every fate decided against `fsuper`."""
+    diagnostics = []
+    pulled, accessed = pulled_closure(fsuper)
+    fates = [
+        flattener._method_fate(cls, m, pulled) if m.kind == METHOD
+        else flattener._attribute_fate(cls, m, accessed) if m.kind == ATTRIBUTE
+        else MemberFate(m, DROP, RULE_CTOR)
+        for m in fsuper.members
+    ]
+    inline_inits = flattener._analyze_super_ctors(cls, fsuper, fates, diagnostics)
+    for fate in fates:
+        if fate.decision == DROP_ANOMALY:
+            diagnostics.append(Diagnostic(
+                ANOMALY_MEMBER,
+                f"{fate.member.provenance}.{fate.member.signature} is invisible and "
+                f"inaccessible; not pulled down (rule {fate.rule})",
+                cls.name,
+                fate.member.decl.span,
+            ))
+    assign_names(cls, fates, diagnostics)
+    # No fate is kept from fsuper, so every pulled member is taken again.
+    flat = flattener.rewrite_references(model, cls, own, fsuper, fates, {}, inline_inits, accessed)
+    flat.diagnostics = diagnostics
+    return flat
+
+
+def assign_names(cls, fates, diagnostics):
+    """Final names for every pulled fate, in declaration order."""
+    taken = {m.name for m in cls.all_members() if m.kind != CTOR}
+    keys = {(m.kind, m.signature) for m in cls.all_members()}
+    for fate in fates:
+        if not fate.pulls:
+            continue
+        member = fate.member
+        key = (member.kind, member.signature)
+        if fate.decision == PULL_DOWN_RENAMED:
+            fate.new_name = rename(member.name, member.provenance, taken)
+        elif key in keys:
+            fate.new_name = rename(member.name, member.provenance, taken)
+            shared = "name" if member.kind == ATTRIBUTE else "signature"
+            diagnostics.append(Diagnostic(
+                FORCED_RENAME,
+                f"{member.provenance}.{member.signature} is not a legal override of the "
+                f"subclass member but shares its {shared}; pulled as {fate.new_name}",
+                cls.name,
+                member.decl.span,
+            ))
+        taken.add(fate.new_name or member.name)
+        if fate.new_name:
+            key = (member.kind, _final_signature(member, fate.new_name))
+        keys.add(key)

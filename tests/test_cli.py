@@ -566,3 +566,13 @@ def test_member_of_primitive_receiver_exit_2(tmp_path):
     result = runner.invoke(main, ["metrics", str(tmp_path), "--view", "original"])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"error: {tmp_path / 'B.java'}:3:16: int cannot be dereferenced\n"
+
+
+@pytest.mark.parametrize("access", ["v().x", "v().f()"])
+def test_member_of_void_call_result_exit_2(tmp_path, access):
+    (tmp_path / "A.java").write_text(
+        f"class A {{\n    void v() {{ }}\n\n    int g() {{\n        return {access};\n    }}\n}}\n"
+    )
+    result = runner.invoke(main, ["metrics", str(tmp_path), "--view", "original"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {tmp_path / 'A.java'}:5:16: void cannot be dereferenced\n"

@@ -89,6 +89,25 @@ def test_plan_json_matches_json_dumps_on_decision_table():
         assert_plan_matches(flattened)
 
 
+def test_plan_json_matches_json_dumps_on_a_deep_chain():
+    # Each class overrides v, a and f(); w, h, g() and k() are pulled down
+    # unchanged through every level below C0, so their fates repeat.
+    sources = [
+        "class C0 { private int a = 0; public int v = 0; public int w = 0; private int h = 0; "
+        "public int f() { return a + v; } public int g() { return h + k(); } "
+        "private int k() { return w; } }"
+    ]
+    for i in range(1, 12):
+        sources.append(
+            f"class C{i} extends C{i - 1} {{ private int a = {i}; public int v = {i}; "
+            f"public int f() {{ return a + v + super.f(); }} }}"
+        )
+    flattened = flatten_model(*model_from_sources(*sources))
+    assert {f.rule for f in flattened["C11"].fates} == {"R1", "R2", "R4a", "R5", "R6", "R7"}
+    assert_plan_matches(flattened)
+    assert_plan_matches(flattened)  # again, from what the first plan left behind
+
+
 def _flat_class(name, fates, rewrites) -> FlattenedClass:
     return FlattenedClass(name, None, None, [], None, fates, rewrites)
 

@@ -172,6 +172,15 @@ CASES = {
         ("class A { int g(double d) { d.x = 1; return 0; } }",),
         UnresolvedName, "<mem0>:1:29: double cannot be dereferenced",
     ),
+    # a void call has no value to dereference
+    "void_call_field": (
+        ("class A { void v() { } int g() { return v().x; } }",),
+        UnresolvedName, "<mem0>:1:41: void cannot be dereferenced",
+    ),
+    "void_call_call": (
+        ("class A { void v() { } int g() { return v().f(); } }",),
+        UnresolvedName, "<mem0>:1:41: void cannot be dereferenced",
+    ),
     # constructors
     "new_no_ctors_with_args": (
         ("class C { }", "class A { void f() { new C(1); } }"),
