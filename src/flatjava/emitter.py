@@ -33,6 +33,13 @@ def emit(target, *, provenance: bool = False) -> str:
     return writer.text()
 
 
+def member_lines(member) -> list[str]:
+    """The lines `emit` writes for a member declaration, kept on its node."""
+    if member.emitted is None:
+        _Writer().member(member)
+    return member.emitted
+
+
 class _Writer:
     def __init__(self):
         self.lines: list[str] = []

@@ -40,9 +40,10 @@ derived, not resolved again: from the superclass's flattened resolution, the
 subclass's own resolution and the rename maps. A body's sites are relative
 to the class that holds it, so only a pulled body that references a member
 renamed or collapsed at this level is walked; every other pulled member
-keeps its node and the superclass's resolution object of it. The few bodies
-whose resolution can change in the flattened class are resolved again there
-(`_resolve_changed`).
+keeps its node and the superclass's resolution object of it. Likewise the
+subclass's own body is walked only when one of its references changes. The
+few bodies whose resolution can change in the flattened class are resolved
+again there (`_resolve_changed`).
 """
 
 from __future__ import annotations
@@ -385,7 +386,7 @@ def rewrite_references(
         if not sure or _retyped(model, source, name):
             unsure.append(len(members))
         members.append(_flat_member(info, decl, name, pulled=False))
-        resolutions.append(source.with_sites(sites))
+        resolutions.append(source if sites is source.sites else source.with_sites(sites))
 
     # Take the pulled members, apply renames and body rewrites.
     pulled_rewriter = _PulledBodyRewriter(fsuper.name, walked, rewrites)
@@ -746,6 +747,27 @@ class _SubBodyRewriter(_Carrier):
             fate = next((f for f in self.slots.values()
                          if (f.member.provenance, f.member.declared_signature) == origin), None)
         return fate
+
+    def rewrite(self, decl, sites: dict[int, Site]):
+        """As `_Carrier.rewrite`, walking the body only when a reference in it
+        changes: a `super.` one, or a bare or `this.` one to an inherited
+        member pulled under another name or signature. Otherwise the member
+        is itself, its sites made relative to the flattened class."""
+        sure, inherited = True, False
+        for site in sites.values():
+            if site.basis == BASIS_SUPER:
+                return super().rewrite(decl, sites)
+            if site.basis in LOCAL_BASES and site.to_class is not None:
+                fate = self.fate(site)
+                if fate is None or not fate.pulls:
+                    sure = False
+                elif fate.new_name or fate.member.signature != site.to_member:
+                    return super().rewrite(decl, sites)
+                inherited = True
+        if inherited:
+            sites = {node: Site(s.kind, None, s.to_member, s.basis, s.span)
+                     if s.basis in LOCAL_BASES else s for node, s in sites.items()}
+        return decl, sites, sure
 
     def reference(self, e, site):
         if site.basis != BASIS_SUPER:

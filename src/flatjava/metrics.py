@@ -2,23 +2,29 @@
 
 Size: NOA (attributes), NOM (methods, constructors excluded), SLOC counted
 on the canonical emission of the view so both views are measured with the
-same yardstick. Cohesion: LCOM1 is the number of method pairs sharing no
-attribute; LCOM2 is max(P - Q, 0) over non-sharing/sharing pairs. A method
-"uses" an attribute through a direct read or write edge only. The use sets
-come from one pass over the class's edges, grouped by source method, and Q
-is counted from one bitmask of methods per attribute, so cohesion costs
-time linear in the edges plus the uses, not in the method pairs. Coupling:
+same yardstick. A view is sized from its members' emitted lines, which the
+emitter keeps on each node; a flattened view shares most of its nodes with
+its superclass's view, so each distinct member is written once. Cohesion:
+LCOM1 is the number of method pairs sharing no attribute; LCOM2 is
+max(P - Q, 0) over non-sharing/sharing pairs. A method "uses" an attribute
+through a direct read or write edge only. Each use set is computed once per
+member resolution, which an untouched pulled member shares down a chain;
+only references qualified by the measured class's own name are added per
+class. Q is counted from one bitmask of methods per attribute. Coupling:
 CBO counts the other model classes named in field types, parameter and
 return types, constructor calls, and receiver types.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter
+
 from . import tree
-from .emitter import emit
+from .emitter import emit, member_lines
 from .flattener import FlattenedClass
 from .model import ClassModel
-from .resolver import AccessGraph, ClassResolution, READ, WRITE
+from .resolver import CALL, AccessGraph, ClassResolution, MemberResolution
 from .resolver import resolve_class  # noqa: F401 - benchmark/tracing.py wraps metrics.resolve_class
 
 ORIGINAL = "original"
@@ -62,8 +68,9 @@ class ComparisonRow:
         self.rule_counts = rule_counts
 
 
-def lcom_values(use_sets: list[set[str]]) -> tuple[int, int]:
-    """(LCOM1, LCOM2) from per-method attribute-use sets."""
+def lcom_values(use_sets: list) -> tuple[int, int]:
+    """(LCOM1, LCOM2) from per-method attribute-use sets; a set may be any
+    iterable of attribute names, in which a name may repeat."""
     n = len(use_sets)
     if n < 2:
         return 0, 0
@@ -83,7 +90,11 @@ def lcom_values(use_sets: list[set[str]]) -> tuple[int, int]:
 
 
 def measure_original(model: ClassModel, graph: AccessGraph, name: str) -> MetricsRecord:
-    return _measure(model, name, ORIGINAL, model.classes[name].decl, graph.resolutions[name])
+    decl = model.classes[name].decl
+    # The class as written is emitted whole, which leaves each member's
+    # lines on its node for SLOC and for the flattened views that share it.
+    emit(decl)
+    return _measure(model, name, ORIGINAL, decl, graph.resolutions[name])
 
 
 def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:
@@ -103,53 +114,46 @@ def compare(
             field: getattr(flat, field) - getattr(original, field)
             for field in _METRIC_FIELDS
         }
-        rule_counts: dict[str, int] = {}
-        for fate in flattened[name].fates:
-            rule_counts[fate.rule] = rule_counts.get(fate.rule, 0) + 1
+        rule_counts = Counter(map(attrgetter("rule"), flattened[name].fates))
         rows.append(ComparisonRow(name, original, flat, deltas, rule_counts))
     return rows
 
 
-def _measure(
-    model: ClassModel,
-    name: str,
-    view: str,
-    decl: tree.ClassDecl,
-    resolution: ClassResolution,
-) -> MetricsRecord:
+def _measure(model: ClassModel, name: str, view: str, decl: tree.ClassDecl,
+             resolution: ClassResolution) -> MetricsRecord:
     fields = [m for m in decl.members if isinstance(m, tree.FieldDecl)]
     methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]
-    attr_names = {f.name for f in fields}
+    members = resolution.members
+    lcom1, lcom2 = lcom_values([_uses(members[id(m)], name) for m in methods])
+    # The emission is the class line, each member's lines with a blank line
+    # between members, and the closing brace; no line of a member is blank.
+    sloc = 2 + sum(map(len, map(member_lines, decl.members)))
 
-    use_sets = []
-    for m in methods:
-        own = resolution.members.get(id(m))
-        use_sets.append({
-            s.to_member for s in own.sites.values()
-            if s.kind in (READ, WRITE) and s.to_class in (None, name) and s.to_member in attr_names
-        } if own else set())
-    lcom1, lcom2 = lcom_values(use_sets)
-
-    sloc = sum(1 for line in emit(decl).splitlines() if line.strip())
-
-    referenced: set[str] = set()
-    for f in fields:
-        referenced.add(f.decl_type.name)
-    for m in methods:
-        if m.return_type is not None:
-            referenced.add(m.return_type.name)
-        for p in m.params:
-            referenced.add(p.decl_type.name)
+    referenced = {f.decl_type.name for f in fields}
+    referenced.update(m.return_type.name for m in methods if m.return_type is not None)
     for m in decl.members:
-        if isinstance(m, tree.CtorDecl):
-            for p in m.params:
-                referenced.add(p.decl_type.name)
-    referenced |= resolution.new_types
-    referenced |= resolution.receiver_types
-    cbo = sum(
-        1
-        for t in referenced
-        if t != name and t in model.classes and not model.classes[t].synthetic
-    )
-
+        if not isinstance(m, tree.FieldDecl):
+            referenced.update(p.decl_type.name for p in m.params)
+    referenced |= resolution.new_types | resolution.receiver_types
+    classes = model.classes
+    cbo = sum(t != name and t in classes and not classes[t].synthetic for t in referenced)
     return MetricsRecord(name, view, len(fields), len(methods), sloc, lcom1, lcom2, cbo)
+
+
+def _uses(resolution: MemberResolution, name: str) -> tuple[str, ...]:
+    """The attributes of class `name` that a body in it reads or writes.
+
+    Those reached through the holder's own members (no `to_class`) are kept
+    on the resolution. A reference qualified by `name` has a receiver or a
+    static qualifier, and counts only in `name`'s view, so it is added here.
+    """
+    used = resolution.used
+    if used is None:
+        used = resolution.used = tuple(dict.fromkeys(
+            s.to_member for s in resolution.sites.values() if s.to_class is None and s.kind != CALL
+        ))
+    if resolution.receiver_types or resolution.class_refs:
+        used += tuple(
+            s.to_member for s in resolution.sites.values() if s.to_class == name and s.kind != CALL
+        )
+    return used

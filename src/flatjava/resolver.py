@@ -83,7 +83,8 @@ class MemberResolution:
     that no rename touches.
     """
 
-    __slots__ = ("sites", "receiver_types", "new_types", "class_refs", "uses_this", "reached")
+    __slots__ = ("sites", "receiver_types", "new_types", "class_refs", "uses_this", "reached",
+                 "used")
 
     def __init__(self, sites: dict[int, Site] | None = None,
                  receiver_types: set[str] | None = None, new_types: set[str] | None = None,
@@ -102,6 +103,9 @@ class MemberResolution:
         self.uses_this = uses_this
         # The `to_member` of every site, built by `reaches` on first use.
         self.reached: frozenset[str] | None = None
+        # The attributes that sites with no `to_class` read or write, built by
+        # the metrics on first use.
+        self.used: tuple[str, ...] | None = None
 
     def reaches(self, names) -> bool:
         """Whether a site targets a member (of any class) named in `names`."""

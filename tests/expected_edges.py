@@ -189,4 +189,12 @@ EXPECTED_EDGES = {
             ("SmallCircle", "area()", "call", "Circle", "area()", "super"),
         ],
     },
+    "receiver_own_class": {
+        "A": [
+            ("A", "f(A)", "read", "A", "x", "receiver"),
+            ("A", "f(A)", "read", "A", "y", "bare"),
+            ("A", "g()", "read", "A", "x", "bare"),
+        ],
+        "B": [("B", "h()", "read", "A", "y", "bare")],
+    },
 }

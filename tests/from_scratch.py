@@ -1,4 +1,4 @@
-"""From-scratch reference versions of the classification, the closure and the fates.
+"""From-scratch reference versions of the classification, the closure, the fates and the metrics.
 
 `classify` pairs every member of every class with every superclass member,
 class by class and ancestor by ancestor, and derives the illegal-override
@@ -6,16 +6,21 @@ diagnostics from those pairings. `pulled_closure` runs the fixed point over
 every member of the superclass's flattened view. `flatten_against_super`
 decides the fate of every member of that view through the rule table, and
 names every pulled one, before the library's `rewrite_references` takes
-each of them. The library does less work for the same results: it looks
-members up in an index of same-named ancestors and builds the pairings only
-when they are read, and it carries each view's pulled part of the fixed
-point, and the fates of its pulled members, down to the next class. The
-oracle tests demand exact agreement.
+each of them. `rewrite_sub_body` walks a subclass's own body whatever its
+references. `measure` sizes a view from its whole emitted text and
+collects each method's use set from every site. The library does less work
+for the same results: it looks members up in an index of same-named
+ancestors and builds the pairings only when they are read, it carries each
+view's pulled part of the fixed point, and the fates of its pulled members,
+down to the next class, it walks a subclass's own body only when a
+reference in it changes, and it measures a view from the member parts it
+shares with its superclass's view. The oracle tests demand exact agreement.
 """
 
 from __future__ import annotations
 
-from flatjava import flattener
+from flatjava import flattener, tree
+from flatjava.emitter import emit
 from flatjava.errors import (
     ANOMALY_MEMBER,
     FORCED_RENAME,
@@ -34,7 +39,8 @@ from flatjava.flattener import (
     rename,
 )
 from flatjava.model import ATTRIBUTE, CTOR, METHOD, OverrideRelation, override_legality
-from flatjava.resolver import CALL
+from flatjava.metrics import MetricsRecord, lcom_values
+from flatjava.resolver import CALL, READ, WRITE
 
 
 def classify(model):
@@ -167,3 +173,50 @@ def assign_names(cls, fates, diagnostics):
         if fate.new_name:
             key = (member.kind, _final_signature(member, fate.new_name))
         keys.add(key)
+
+
+def rewrite_sub_body(rewriter, decl, sites):
+    """(member, carried sites, sure, rewrite directives) of a full walk of
+    the subclass body `decl` by a copy of `rewriter`."""
+    walker = flattener._SubBodyRewriter(rewriter.cls, rewriter.slots, [])
+    out, carried, sure = flattener._Carrier.rewrite(walker, decl, sites)
+    return out, carried, sure, walker.rewrites
+
+
+def measure(model, name, view, decl, resolution):
+    """The metrics of a view, SLOC counted on its emitted text.
+
+    The library counts the same lines except where a string literal holds a
+    character, such as a form feed, that `str.splitlines` breaks a line at.
+    """
+    fields = [m for m in decl.members if isinstance(m, tree.FieldDecl)]
+    methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]
+    attr_names = {f.name for f in fields}
+    use_sets = []
+    for m in methods:
+        own = resolution.members.get(id(m))
+        use_sets.append({
+            s.to_member for s in own.sites.values()
+            if s.kind in (READ, WRITE) and s.to_class in (None, name) and s.to_member in attr_names
+        } if own else set())
+    lcom1, lcom2 = lcom_values(use_sets)
+    sloc = sum(1 for line in emit(decl).splitlines() if line.strip())
+    referenced = set()
+    for f in fields:
+        referenced.add(f.decl_type.name)
+    for m in methods:
+        if m.return_type is not None:
+            referenced.add(m.return_type.name)
+        for p in m.params:
+            referenced.add(p.decl_type.name)
+    for m in decl.members:
+        if isinstance(m, tree.CtorDecl):
+            for p in m.params:
+                referenced.add(p.decl_type.name)
+    referenced |= resolution.new_types
+    referenced |= resolution.receiver_types
+    cbo = sum(
+        1 for t in referenced
+        if t != name and t in model.classes and not model.classes[t].synthetic
+    )
+    return MetricsRecord(name, view, len(fields), len(methods), sloc, lcom1, lcom2, cbo)

@@ -4,11 +4,13 @@
 ancestors and builds the override pairings only when they are read;
 `pulled_closure` starts from the part of the fixed point that the
 superclass's view carries down; and a member the superclass's view pulled
-keeps the fate that view carries down unless the subclass touches it. All
-must agree exactly with the from-scratch versions in `from_scratch.py`: the
-same pairings in the same order with the same members, the same
-diagnostics, the same pulled and accessed sets for every class, the same
-fates, the same members and the same plan.
+keeps the fate that view carries down unless the subclass touches it; and a
+subclass's own body is walked only when a reference in it changes. All must
+agree exactly with the from-scratch versions in `from_scratch.py`: the same
+pairings in the same order with the same members, the same diagnostics, the
+same pulled and accessed sets for every class, the same fates, the same
+members and the same plan, and for each own body the same node (the very
+same object where it is unchanged), carried sites, exactness and rewrites.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from flatjava.model import classify_members
 from flatjava.report import plan_json
 
 from conftest import CORPUS, load_units
-from from_scratch import classify, flatten_against_super, pulled_closure
+from from_scratch import classify, flatten_against_super, pulled_closure, rewrite_sub_body
 from genclasses import random_hierarchy_sources, random_overloading_hierarchy
 from hiergen import CONFIGS, build_sources
 
@@ -48,6 +50,10 @@ def _view(flat) -> tuple:
         emit(flat),
         flat.diagnostics,
     )
+
+
+def _directive(r) -> tuple:
+    return r.span, r.old, r.new, r.target_owner
 
 
 def check(units, monkeypatch) -> list:
@@ -74,6 +80,23 @@ def check(units, monkeypatch) -> list:
         return closure
 
     monkeypatch.setattr(flattener, "pulled_closure", compared)
+    rewrite = flattener._SubBodyRewriter.rewrite
+
+    def walked_too(rewriter, decl, sites):
+        first = len(rewriter.rewrites)
+        out, carried, sure = rewrite(rewriter, decl, sites)
+        walked, walked_carried, walked_sure, walked_rewrites = rewrite_sub_body(
+            rewriter, decl, sites)
+        assert (out is decl) == (walked is decl) and out == walked
+        assert sure == walked_sure
+        # A walk makes new nodes, whose sites can only be compared in order.
+        assert (carried if out is decl else list(carried.values())) == (
+            walked_carried if out is decl else list(walked_carried.values()))
+        assert [_directive(r) for r in rewriter.rewrites[first:]] == list(
+            map(_directive, walked_rewrites))
+        return out, carried, sure
+
+    monkeypatch.setattr(flattener._SubBodyRewriter, "rewrite", walked_too)
     flattened, error = _outcome(lambda: flattener.flatten_model(model, graph))
     monkeypatch.setattr(flattener, "_flatten_against_super", flatten_against_super)
     reference, reference_error = _outcome(lambda: flattener.flatten_model(model, graph))

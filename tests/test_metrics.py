@@ -3,21 +3,28 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flatjava import (
+    FlatJavaError,
     compare,
     flatten_model,
     lcom_values,
     measure_flattened,
     measure_original,
+    metrics,
 )
 from flatjava.metrics import ORIGINAL, FLATTENED
 
-from conftest import CORPUS, flatten_fixture, load_model, model_from_sources
-from genclasses import random_measured_class
+import from_scratch
+from conftest import CORPUS, fixture_files, flatten_fixture, load_model, model_from_sources
+from genclasses import random_hierarchy_sources, random_measured_class, random_overloading_hierarchy
+from hiergen import CONFIGS, build_sources
+
+BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
 
 def brute_force_pairs(use_sets):
@@ -301,3 +308,98 @@ def test_lcom_on_flattened_random_identity():
     original = measure_original(model, graph, "Solo")
     flat = measure_flattened(model, flattened["Solo"])
     assert original.as_dict() | {"view": FLATTENED} == flat.as_dict()
+
+
+def test_sloc_counts_each_emitted_line_once():
+    # A form feed or a line separator inside a string literal stays on the
+    # literal's line: the class line, the field and the closing brace.
+    source = 'class A { String s = "a\fb\u2028c"; }'
+    model, graph = model_from_sources(source, "class B extends A { }")
+    flattened = flatten_model(model, graph)
+    assert measure_original(model, graph, "A").sloc == 3
+    assert [measure_flattened(model, flattened[n]).sloc for n in "AB"] == [3, 3]
+
+
+def test_receiver_qualified_by_the_class_counts_only_in_its_view():
+    # A's f reads o.x and y, and g reads x. In B's view, f's o.x reads A's x,
+    # not B's, so f shares y with h only and nothing with g.
+    model, graph, flattened = flatten_fixture("receiver_own_class")
+    rows = {row.class_name: row for row in compare(model, graph, flattened)}
+    assert (rows["A"].flattened.lcom1, rows["A"].flattened.lcom2) == (0, 0)
+    assert (rows["B"].flattened.lcom1, rows["B"].flattened.lcom2) == (2, 1)
+
+
+def test_uses_kept_on_a_resolution_name_no_class():
+    # A body's resolution names no class, so the uses kept on it hold no
+    # reference qualified by a class: o.x counts in A's view, not in B's.
+    model, graph = load_model("receiver_own_class")
+    f = next(d for d in model.classes["A"].decl.members if d.name == "f")
+    resolution = graph.resolutions["A"].members[id(f)]
+    assert sorted(metrics._uses(resolution, "A")) == ["x", "y"]
+    assert metrics._uses(resolution, "B") == ("y",)
+    assert sorted(metrics._uses(resolution, "A")) == ["x", "y"]
+
+
+def _check_parts(sources: list[str]) -> None:
+    """Every record of `compare` and of `metrics --view flattened` on
+    `sources` equals the one measured from the view's whole text."""
+
+    def fresh():
+        # Each run parses anew, so no member has its lines yet.
+        model, graph = model_from_sources(*sources)
+        try:
+            return model, graph, flatten_model(model, graph)
+        except FlatJavaError:
+            return model, graph, None
+
+    model, graph, flattened = fresh()
+    if flattened is None:
+        return
+    names = [n for n in model.order if not model.classes[n].synthetic]
+    records = [measure_flattened(model, flattened[n]) for n in names]
+    for record in records:
+        flat = flattened[record.class_name]
+        expected = from_scratch.measure(model, flat.name, FLATTENED, flat.decl, flat.resolution)
+        assert record.as_dict() == expected.as_dict()
+
+    model, graph, flattened = fresh()
+    rows = compare(model, graph, flattened)
+    for row in rows:
+        name = row.class_name
+        decl, flat = model.classes[name].decl, flattened[name]
+        original = from_scratch.measure(model, name, ORIGINAL, decl, graph.resolutions[name])
+        expected = from_scratch.measure(model, name, FLATTENED, flat.decl, flat.resolution)
+        assert row.original.as_dict() == original.as_dict()
+        assert row.flattened.as_dict() == expected.as_dict()
+    assert [row.class_name for row in rows] == names
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_measured_parts_equal_text_on_fixtures(name):
+    _check_parts([p.read_text(encoding="utf-8") for p in fixture_files(name)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_measured_parts_equal_text_on_generated_hierarchies(seed):
+    rng = random.Random(80_000 + seed)
+    _check_parts(random_hierarchy_sources(rng, depth=3))
+    _check_parts(random_overloading_hierarchy(rng))
+
+
+def test_measured_parts_equal_text_on_decision_table():
+    for config in CONFIGS:
+        _check_parts(list(build_sources(*config)))
+
+
+def test_compare_emits_each_class_as_written_once(monkeypatch):
+    # A flattened view is sized from the lines of members that the classes
+    # as written, or the superclass's view, have already been emitted with.
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import workloads
+
+    emitted = []
+    emit = metrics.emit
+    monkeypatch.setattr(metrics, "emit", lambda target: emitted.append(target) or emit(target))
+    model, graph = model_from_sources(*workloads.deep_chain(40).sources.values())
+    compare(model, graph, flatten_model(model, graph))
+    assert len(emitted) == 40
