@@ -25,7 +25,6 @@ from .errors import (
     UnsupportedFeature,
 )
 from .flattener import (
-    FlatMember,
     FlattenedClass,
     MemberFate,
     RewriteDirective,

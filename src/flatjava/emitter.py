@@ -25,10 +25,10 @@ def emit(target, *, provenance: bool = False) -> str:
         writer.unit(None, target, {})
     else:
         # FlattenedClass (duck-typed to avoid a circular import): carries the
-        # package, the rewritten ClassDecl, and per-member provenance.
+        # package, the rewritten ClassDecl, and each member's declaring class.
         origins = {}
         if provenance:
-            origins = {id(m.decl): m.provenance for m in target.members if m.pulled}
+            origins = {id(m.decl): m.owner for m in target.members if m.pulled}
         writer.unit(target.package, target.decl, origins)
     return writer.text()
 

@@ -44,6 +44,10 @@ keeps its node and the superclass's resolution object of it. Likewise the
 subclass's own body is walked only when one of its references changes. The
 few bodies whose resolution can change in the flattened class are resolved
 again there (`_resolve_changed`).
+
+A view lists its members in declaration order, its own first, as the
+model's `MemberInfo` records wherever nothing changed them, and its
+resolution lists each member's resolution at the same position.
 """
 
 from __future__ import annotations
@@ -95,34 +99,10 @@ DROP_ANOMALY = "DropAnomaly"
 RULE_CTOR = "CTOR"
 
 
-class FlatMember:
-    __slots__ = ("decl", "kind", "name", "signature", "declared_signature", "visibility",
-                 "is_static", "is_final", "provenance", "pulled")
-
-    def __init__(self, decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl, kind: str,
-                 name: str, signature: str, declared_signature: str, visibility: str,
-                 is_static: bool, is_final: bool, provenance: str, pulled: bool):
-        self.decl = decl
-        self.kind = kind  # attribute | method | ctor
-        self.name = name
-        self.signature = signature
-        # The signature `provenance` declares it under.
-        self.declared_signature = declared_signature
-        self.visibility = visibility
-        self.is_static = is_static
-        self.is_final = is_final
-        self.provenance = provenance  # original declaring class
-        self.pulled = pulled
-
-    @property
-    def visible(self) -> bool:
-        return self.visibility != "private"
-
-
 class MemberFate:
     __slots__ = ("member", "decision", "rule", "new_name", "plan")
 
-    def __init__(self, member: FlatMember, decision: str, rule: str, new_name: str | None = None):
+    def __init__(self, member: MemberInfo, decision: str, rule: str, new_name: str | None = None):
         self.member = member
         self.decision = decision  # PullDown | PullDownRenamed | Drop | DropAnomaly
         self.rule = rule  # R1..R8 or CTOR
@@ -144,7 +124,7 @@ class RewriteDirective:
 
 class FlattenedClass:
     def __init__(self, name: str, package: str | None, decl: tree.ClassDecl,
-                 members: list[FlatMember], resolution: ClassResolution,
+                 members: list[MemberInfo], resolution: ClassResolution,
                  fates: list[MemberFate] | None = None,
                  rewrites: list[RewriteDirective] | None = None):
         self.name = name
@@ -164,12 +144,6 @@ class FlattenedClass:
         # nothing touches it, by (kind, signature) in member order.
         self.repulled: dict[tuple[str, str], MemberFate] = {}
 
-    def attributes(self) -> list[FlatMember]:
-        return [m for m in self.members if m.kind == ATTRIBUTE]
-
-    def methods(self) -> list[FlatMember]:
-        return [m for m in self.members if m.kind == METHOD]
-
 
 def flatten_model(model: ClassModel, graph: AccessGraph) -> dict[str, FlattenedClass]:
     """Flatten every class bottom-up, in `model.order`."""
@@ -184,13 +158,8 @@ def flatten_class(
 ) -> FlattenedClass:
     cls = model.classes[name]
     if cls.superclass is None:
-        # A root flattens to itself, and so does its resolution.
-        return FlattenedClass(
-            cls.name, cls.package, cls.decl,
-            [_flat_member(info, info.decl, cls.name, pulled=False)
-             for info in cls.ordered_members()],
-            graph.resolutions[name],
-        )
+        # A root flattens to itself, and so do its members and its resolution.
+        return FlattenedClass(cls.name, cls.package, cls.decl, cls.members, graph.resolutions[name])
     if cls.superclass not in flattened:
         raise FlattenError(
             f"superclass {cls.superclass!r} of {name!r} has not been flattened "
@@ -217,7 +186,7 @@ def rename(member_name: str, owner: str, taken: set[str]) -> str:
 # --- fate decisions ---------------------------------------------------------
 
 
-def _method_fate(sub: ClassInfo, member: FlatMember, pulled: set[tuple[str, str]]) -> MemberFate:
+def _method_fate(sub: ClassInfo, member: MemberInfo, pulled: set[tuple[str, str]]) -> MemberFate:
     overridden = _overridden(sub.methods.get(member.signature), member)
     if member.visible:
         if overridden:
@@ -228,7 +197,7 @@ def _method_fate(sub: ClassInfo, member: FlatMember, pulled: set[tuple[str, str]
     return MemberFate(member, DROP_ANOMALY, "R8")
 
 
-def _attribute_fate(sub: ClassInfo, member: FlatMember, accessed: set[str]) -> MemberFate:
+def _attribute_fate(sub: ClassInfo, member: MemberInfo, accessed: set[str]) -> MemberFate:
     overridden = _overridden(sub.attributes.get(member.name), member)
     was_accessed = member.name in accessed
     if overridden:
@@ -244,7 +213,7 @@ def _attribute_fate(sub: ClassInfo, member: FlatMember, accessed: set[str]) -> M
     return MemberFate(member, DROP_ANOMALY, "R3")
 
 
-def _overridden(own: MemberInfo | None, member: FlatMember) -> bool:
+def _overridden(own: MemberInfo | None, member: MemberInfo) -> bool:
     """Whether the subclass's member `own`, if any, legally overrides `member`."""
     return own is not None and override_legality(own, member) == "ok"
 
@@ -266,13 +235,12 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
     first in `fsuper.members`.
     """
     pulled, accessed = set(fsuper.repulled), set(fsuper.carried or ())
-    members = {(m.kind, m.signature): m for m in fsuper.members[:len(fsuper.members) - len(pulled)]}
-    work = [key for key, m in members.items() if m.kind != CTOR and m.visible]
+    own = fsuper.members[:len(fsuper.members) - len(pulled)]
+    sources = {(m.kind, m.signature): r for m, r in zip(own, fsuper.resolution.members)}
+    work = [(m.kind, m.signature) for m in own if m.kind != CTOR and m.visible]
     pulled.update(work)
-    resolutions = fsuper.resolution.members
     while work:
-        source = members[work.pop()]
-        for site in resolutions[id(source.decl)].sites.values():
+        for site in sources[work.pop()].sites.values():
             if site.to_class is not None and site.to_class != fsuper.name:
                 continue
             if site.kind == CALL:
@@ -280,7 +248,7 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
             else:
                 target = (ATTRIBUTE, site.to_member)
                 accessed.add(site.to_member)
-            if target in members and target not in pulled:
+            if target in sources and target not in pulled:
                 pulled.add(target)
                 work.append(target)
     return pulled, accessed
@@ -289,20 +257,13 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
 # --- flattening proper ------------------------------------------------------
 
 
-def _flat_member(info: MemberInfo, decl, provenance: str, pulled: bool) -> FlatMember:
-    return FlatMember(
-        decl, info.kind, info.name, info.signature, info.signature, info.visibility,
-        info.is_static, info.is_final, provenance, pulled,
-    )
-
-
 def _flatten_against_super(
     model: ClassModel, cls: ClassInfo, own: ClassResolution, fsuper: FlattenedClass
 ) -> FlattenedClass:
     diagnostics: list[Diagnostic] = []
     pulled, accessed = pulled_closure(fsuper)
 
-    def decide(member: FlatMember) -> MemberFate:
+    def decide(member: MemberInfo) -> MemberFate:
         if member.kind == METHOD:
             return _method_fate(cls, member, pulled)
         if member.kind == ATTRIBUTE:
@@ -319,7 +280,7 @@ def _flatten_against_super(
             diagnostics.append(
                 Diagnostic(
                     ANOMALY_MEMBER,
-                    f"{fate.member.provenance}.{fate.member.signature} is invisible and "
+                    f"{fate.member.owner}.{fate.member.signature} is invisible and "
                     f"inaccessible; not pulled down (rule {fate.rule})",
                     cls.name,
                     fate.member.decl.span,
@@ -368,7 +329,7 @@ def rewrite_references(
     """
     rewrites: list[RewriteDirective] = []
     name = cls.name
-    members: list[FlatMember] = []
+    members: list[MemberInfo] = []
     resolutions: list[MemberResolution] = []
     unsure: list[int] = []  # members whose carried resolution may not hold
 
@@ -380,41 +341,41 @@ def rewrite_references(
 
     # Rewrite the subclass's own bodies to reach inherited members by their final names.
     sub_rewriter = _SubBodyRewriter(cls, slots, rewrites)
-    for info in cls.ordered_members():
-        source = own.members[id(info.decl)]
-        decl, sites, sure = sub_rewriter.rewrite(info.decl, source.sites)
-        if not sure or _retyped(model, source, name):
+    for info, source in zip(cls.members, own.members):
+        decl, sites = sub_rewriter.rewrite(info.decl, source.sites)
+        if _retyped(model, source, name):
             unsure.append(len(members))
-        members.append(_flat_member(info, decl, name, pulled=False))
+        if decl is not info.decl:
+            info = MemberInfo(name, info.name, info.kind, info.visibility, info.is_static,
+                              info.is_final, info.signature, decl)
+        members.append(info)
         resolutions.append(source if sites is source.sites else source.with_sites(sites))
 
     # Take the pulled members, apply renames and body rewrites.
     pulled_rewriter = _PulledBodyRewriter(fsuper.name, walked, rewrites)
     renamed = pulled_rewriter.renamed
-    super_resolutions = fsuper.resolution.members
     own_count = len(members)
     repulled: dict[tuple[str, str], MemberFate] = {}
-    for fate in walked:
+    for fate, resolution in zip(walked, fsuper.resolution.members):
         if not fate.pulls:
             continue
         member = fate.member
         decl = member.decl
-        resolution = super_resolutions[id(decl)]
         if member.name in inline_inits and member.kind == ATTRIBUTE:
             decl = tree.replace(decl, init=inline_inits[member.name])
             resolution = MemberResolution()
             accessed = None  # the initializer no longer reaches what it did
         elif _touched(resolution, renamed, fsuper.name):
-            decl, sites, _ = pulled_rewriter.rewrite(decl, resolution.sites)
+            decl, sites = pulled_rewriter.rewrite(decl, resolution.sites)
             # The walk collapsed every static reference qualified by fsuper.
             resolution = resolution.with_sites(sites, resolution.class_refs - {fsuper.name})
         if fate.new_name:
             decl = tree.replace(decl, name=fate.new_name)
         if decl is not member.decl or not member.pulled:
-            member = FlatMember(
-                decl, member.kind, fate.new_name or member.name,
-                _final_signature(member, fate.new_name), member.declared_signature,
-                member.visibility, member.is_static, member.is_final, member.provenance, True,
+            member = MemberInfo(
+                member.owner, fate.new_name or member.name, member.kind, member.visibility,
+                member.is_static, member.is_final, _final_signature(member, fate.new_name), decl,
+                member.declared_signature, True,
             )
         # `this` changes type when a body moves down a level.
         if resolution.uses_this or _retyped(model, resolution, fsuper.name):
@@ -423,7 +384,7 @@ def rewrite_references(
         resolutions.append(resolution)
         repulled[member.kind, member.signature] = _repulled(fate, member)
     members += fsuper.members[len(walked):]
-    resolutions += list(super_resolutions.values())[len(walked):]
+    resolutions += fsuper.resolution.members[len(walked):]
     repulled.update(kept)
 
     new_decl = tree.ClassDecl(
@@ -440,7 +401,7 @@ def rewrite_references(
     return flat
 
 
-def _repulled(fate: MemberFate, member: FlatMember) -> MemberFate:
+def _repulled(fate: MemberFate, member: MemberInfo) -> MemberFate:
     """The fate of `member`, pulled by `fate`, one level down where nothing touches it."""
     if member is fate.member:
         return fate  # pulled unchanged: a PullDown with no new name
@@ -453,15 +414,18 @@ def _assign_names(cls: ClassInfo, fates: list[MemberFate], carried: dict, decide
     """Pick final names in declaration order; rename on demand for collisions.
 
     The freshness ladder avoids every member name in the growing class, both
-    attribute and method names, so renamed members read unambiguously.
-    Returns the last fates, `carried` down by fsuper, which keep their names
-    unless the subclass declares one's (kind, signature) or a rename takes
-    it: then `decide` decides them all afresh, and none is kept.
+    attribute and method names, even of members pulled later under their own
+    names, so renamed members read unambiguously. Returns the last fates,
+    `carried` down by fsuper, which keep their names unless the subclass
+    declares one's (kind, signature): then `decide` decides them all afresh,
+    and none is kept.
     """
-    taken = {m.name for m in cls.all_members() if m.kind != CTOR}
+    taken = {m.name for m in cls.members if m.kind != CTOR}
+    # A member pulled without a rename keeps its name, so no rename may take it.
+    taken.update(f.member.name for f in fates if f.decision == PULL_DOWN)
     # (kind, signature) of every member in the growing class; an attribute's
     # signature is its name.
-    keys = {(m.kind, m.signature) for m in cls.all_members()}
+    keys = {(m.kind, m.signature) for m in cls.members}
     first = len(fates) - len(carried)
     for i, fate in enumerate(fates):
         if i == first and keys.isdisjoint(carried):
@@ -473,14 +437,14 @@ def _assign_names(cls: ClassInfo, fates: list[MemberFate], carried: dict, decide
         member = fate.member
         key = (member.kind, member.signature)
         if fate.decision == PULL_DOWN_RENAMED:
-            fate.new_name = rename(member.name, member.provenance, taken)
+            fate.new_name = rename(member.name, member.owner, taken)
         elif key in keys:
-            fate.new_name = rename(member.name, member.provenance, taken)
+            fate.new_name = rename(member.name, member.owner, taken)
             shared = "name" if member.kind == ATTRIBUTE else "signature"
             diagnostics.append(
                 Diagnostic(
                     FORCED_RENAME,
-                    f"{member.provenance}.{member.signature} is not a legal override of the "
+                    f"{member.owner}.{member.signature} is not a legal override of the "
                     f"subclass member but shares its {shared}; pulled as {fate.new_name}",
                     cls.name,
                     member.decl.span,
@@ -516,7 +480,7 @@ def _analyze_super_ctors(
             ctors[0].decl.span,
         )
     ctor = no_arg[0]
-    attr_names = {m.name for m in fsuper.attributes()}
+    attr_names = {m.name for m in fsuper.members if m.kind == ATTRIBUTE}
     assignments: list[tuple[str, tree.Expr]] = []
     for stmt in ctor.decl.body.statements:
         target_name = None
@@ -539,11 +503,10 @@ def _analyze_super_ctors(
                 stmt.span,
             )
         assignments.append((target_name, stmt.value))
-    resolutions = fsuper.resolution.members
     init_reads = {
         s.to_member
-        for d in fsuper.resolution.decls if isinstance(d, tree.FieldDecl)
-        for s in resolutions[id(d)].sites.values()
+        for m, r in zip(fsuper.members, fsuper.resolution.members) if m.kind == ATTRIBUTE
+        for s in r.sites.values()
         if s.kind == READ and s.to_class in (None, fsuper.name)
     }
     assigned = {name for name, _ in assignments}
@@ -566,7 +529,7 @@ def _renamed_signature(signature: str, name: str) -> str:
     return name + signature[signature.index("("):]
 
 
-def _final_signature(member: FlatMember, new_name: str | None) -> str:
+def _final_signature(member: MemberInfo, new_name: str | None) -> str:
     if new_name is None:
         return member.signature
     if member.kind == ATTRIBUTE:
@@ -604,7 +567,7 @@ def _resolve_changed(
     model: ClassModel,
     cls: ClassInfo,
     decl: tree.ClassDecl,
-    members: list[FlatMember],
+    members: list[MemberInfo],
     resolutions: list[MemberResolution],
     unsure: list[int],
 ) -> ClassResolution:
@@ -636,12 +599,9 @@ def _resolve_changed(
     if unsure:
         flat_info = class_info_from_decl(decl, cls.package, cls.path)
         flat_model = model.with_class(flat_info)
-        infos = {id(info.decl): info for info in flat_info.all_members()}
         for i in sorted(set(unsure)):
-            member = members[i]
             resolutions[i] = resolve_member(
-                flat_model, flat_info, infos[id(member.decl)],
-                model.classes[member.provenance].path,
+                flat_model, flat_info, flat_info.members[i], model.classes[members[i].owner].path
             )
     return ClassResolution(cls.name, decl.members, resolutions)
 
@@ -660,15 +620,12 @@ class _Carrier(tree.BodyWalker):
         self.rewrites = rewrites
         self.sites: dict[int, Site] = {}
         self.carried: dict[int, Site] = {}
-        self.sure = True
 
     def rewrite(self, decl, sites: dict[int, Site]):
-        """The member rewritten from its `sites`, its carried sites, and
-        whether they are exact."""
+        """The member rewritten from its `sites`, and its carried sites."""
         self.sites = sites
         self.carried = {}
-        self.sure = True
-        return self.member(decl), self.carried, self.sure
+        return self.member(decl), self.carried
 
     def reference(self, e: tree.Expr, site: Site) -> tuple[tree.Expr, str, str]:
         raise NotImplementedError  # pragma: no cover - supplied by subclasses
@@ -728,9 +685,8 @@ class _SubBodyRewriter(_Carrier):
     """Rewrites the subclass's own references to inherited members.
 
     `super.` references become bare ones, and bare or `this.` references
-    follow an inherited member that is pulled under another name. A
-    reference to an inherited member that is not pulled makes the body
-    unsure.
+    follow an inherited member that is pulled under another name. Such a
+    reference reaches a visible member, and every visible member is pulled.
     """
 
     def __init__(self, cls: ClassInfo, slots: dict[tuple[str, str], MemberFate], rewrites):
@@ -742,42 +698,42 @@ class _SubBodyRewriter(_Carrier):
         """The fate of fsuper's member declared where `site` says it was."""
         origin = (site.to_class, site.to_member)
         fate = self.slots.get((METHOD if site.kind == CALL else ATTRIBUTE, site.to_member))
-        if fate is None or (fate.member.provenance, fate.member.declared_signature) != origin:
+        if fate is None or (fate.member.owner, fate.member.declared_signature) != origin:
             # Renamed above fsuper: look for where it was declared.
             fate = next((f for f in self.slots.values()
-                         if (f.member.provenance, f.member.declared_signature) == origin), None)
+                         if (f.member.owner, f.member.declared_signature) == origin), None)
         return fate
+
+    def moved(self, site: Site) -> MemberFate | None:
+        """The fate of the inherited member a bare or `this.` reference
+        reaches, where it is pulled under another name or signature."""
+        if site.basis in LOCAL_BASES and site.to_class is not None:
+            fate = self.fate(site)
+            if fate.new_name or fate.member.signature != site.to_member:
+                return fate
+        return None
 
     def rewrite(self, decl, sites: dict[int, Site]):
         """As `_Carrier.rewrite`, walking the body only when a reference in it
-        changes: a `super.` one, or a bare or `this.` one to an inherited
-        member pulled under another name or signature. Otherwise the member
-        is itself, its sites made relative to the flattened class."""
-        sure, inherited = True, False
+        changes: a `super.` one, or one that follows a `moved` member.
+        Otherwise the member is itself, its sites made relative to the
+        flattened class."""
+        inherited = False
         for site in sites.values():
-            if site.basis == BASIS_SUPER:
+            if site.basis == BASIS_SUPER or self.moved(site):
                 return super().rewrite(decl, sites)
-            if site.basis in LOCAL_BASES and site.to_class is not None:
-                fate = self.fate(site)
-                if fate is None or not fate.pulls:
-                    sure = False
-                elif fate.new_name or fate.member.signature != site.to_member:
-                    return super().rewrite(decl, sites)
-                inherited = True
+            inherited |= site.basis in LOCAL_BASES and site.to_class is not None
         if inherited:
             sites = {node: Site(s.kind, None, s.to_member, s.basis, s.span)
                      if s.basis in LOCAL_BASES else s for node, s in sites.items()}
-        return decl, sites, sure
+        return decl, sites
 
     def reference(self, e, site):
         if site.basis != BASIS_SUPER:
-            if site.basis in LOCAL_BASES and site.to_class is not None:
-                fate = self.fate(site)
-                if fate is None or not fate.pulls:
-                    self.sure = False
-                elif fate.new_name or fate.member.signature != site.to_member:
-                    pulled_as = fate.new_name or fate.member.name
-                    return self.rename_ref(e, site, pulled_as, fate.member.provenance)
+            fate = self.moved(site)
+            if fate:
+                pulled_as = fate.new_name or fate.member.name
+                return self.rename_ref(e, site, pulled_as, fate.member.owner)
             return tree.map_children(e, self.expr), site.to_member, site.basis
         fate = self.fate(site)
         if fate is None or not fate.pulls:
@@ -788,7 +744,7 @@ class _SubBodyRewriter(_Carrier):
                 self.cls.path,
             )
         new_name = fate.new_name or fate.member.name
-        return self.collapse(e, site, f"super.{e.name}", new_name, fate.member.provenance)
+        return self.collapse(e, site, f"super.{e.name}", new_name, fate.member.owner)
 
 
 class _PulledBodyRewriter(_Carrier):

@@ -123,8 +123,8 @@ def _measure(model: ClassModel, name: str, view: str, decl: tree.ClassDecl,
              resolution: ClassResolution) -> MetricsRecord:
     fields = [m for m in decl.members if isinstance(m, tree.FieldDecl)]
     methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]
-    members = resolution.members
-    lcom1, lcom2 = lcom_values([_uses(members[id(m)], name) for m in methods])
+    lcom1, lcom2 = lcom_values([_uses(r, name) for m, r in zip(decl.members, resolution.members)
+                                if isinstance(m, tree.MethodDecl)])
     # The emission is the class line, each member's lines with a blank line
     # between members, and the closing brace; no line of a member is blank.
     sloc = 2 + sum(map(len, map(member_lines, decl.members)))

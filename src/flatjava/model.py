@@ -1,4 +1,8 @@
-"""Class model: inheritance graph, member tables, override classification.
+"""Class model: inheritance graph, member records, override classification.
+
+A class holds one `MemberInfo` per member, in declaration order, and
+indexes of them by attribute name and method signature. The same record
+type describes the members of a flattened view (see `flattener`).
 
 Visibility follows the single rule used throughout the tool: a member is
 visible to subclasses unless it is private. Package boundaries do not
@@ -28,7 +32,7 @@ from .errors import (
     PACKAGE_VISIBILITY_DIVERGENCE,
     UnknownSuperclass,
 )
-from .spans import EMPTY_SPAN, Span
+from .spans import EMPTY_SPAN
 
 ATTRIBUTE = "attribute"
 METHOD = "method"
@@ -38,10 +42,14 @@ OBJECT_ROOT = "Object"
 
 
 class MemberInfo:
+    __slots__ = ("owner", "name", "kind", "visibility", "is_static", "is_final", "signature",
+                 "decl", "declared_signature", "pulled")
+
     def __init__(self, owner: str, name: str, kind: str, visibility: str, is_static: bool,
                  is_final: bool, signature: str,
-                 decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl, span: Span):
-        self.owner = owner
+                 decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl,
+                 declared_signature: str | None = None, pulled: bool = False):
+        self.owner = owner  # the declaring class, also in a flattened view
         self.name = name
         self.kind = kind  # attribute | method | ctor
         self.visibility = visibility
@@ -49,7 +57,9 @@ class MemberInfo:
         self.is_final = is_final
         self.signature = signature  # attributes: the name; methods/ctors: name(paramtypes)
         self.decl = decl
-        self.span = span
+        # The signature `owner` declares it under; a rename in a view changes `signature`.
+        self.declared_signature = signature if declared_signature is None else declared_signature
+        self.pulled = pulled  # taken down from a superclass into a flattened view
 
     @property
     def visible(self) -> bool:
@@ -58,26 +68,18 @@ class MemberInfo:
 
 class ClassInfo:
     def __init__(self, name: str, package: str | None, superclass: str | None,
-                 decl: tree.ClassDecl, path: str | None = None, synthetic: bool = False,
-                 attributes: dict[str, MemberInfo] | None = None,
-                 methods: dict[str, MemberInfo] | None = None,
-                 ctors: list[MemberInfo] | None = None):
+                 decl: tree.ClassDecl, path: str | None = None, synthetic: bool = False):
         self.name = name
         self.package = package
         self.superclass = superclass
         self.decl = decl
         self.path = path
         self.synthetic = synthetic
-        self.attributes = {} if attributes is None else attributes
-        self.methods = {} if methods is None else methods
-        self.ctors = [] if ctors is None else ctors
-
-    def ordered_members(self) -> list[MemberInfo]:
-        by_id = {id(m.decl): m for m in self.all_members()}
-        return [by_id[id(d)] for d in self.decl.members]
-
-    def all_members(self) -> list[MemberInfo]:
-        return list(self.attributes.values()) + list(self.methods.values()) + self.ctors
+        # Every member, in declaration order: `members[i].decl` is `decl.members[i]`.
+        self.members: list[MemberInfo] = []
+        self.attributes: dict[str, MemberInfo] = {}  # by name
+        self.methods: dict[str, MemberInfo] = {}  # by signature
+        self.ctors: list[MemberInfo] = []
 
 
 class OverrideRelation:
@@ -127,10 +129,7 @@ class ClassModel:
 
 
 def override_legality(sub: MemberInfo, sup: MemberInfo) -> str:
-    """Legality of an override pairing per the static/final constraints.
-
-    Reads only `is_final` and `is_static`, so `sup` may be a `FlatMember`.
-    """
+    """Legality of an override pairing per the static/final constraints."""
     if sup.is_final:
         return "illegal-final"
     if sub.is_static != sup.is_static:
@@ -158,9 +157,9 @@ def class_info_from_decl(
                     member.name_span,
                     path,
                 )
-            info.attributes[member.name] = MemberInfo(
+            info.attributes[member.name] = record = MemberInfo(
                 decl.name, member.name, ATTRIBUTE, member.visibility,
-                member.is_static, member.is_final, member.name, member, member.span,
+                member.is_static, member.is_final, member.name, member,
             )
         elif isinstance(member, tree.MethodDecl):
             sig = member.signature()
@@ -170,17 +169,17 @@ def class_info_from_decl(
                     member.name_span,
                     path,
                 )
-            info.methods[sig] = MemberInfo(
+            info.methods[sig] = record = MemberInfo(
                 decl.name, member.name, METHOD, member.visibility,
-                member.is_static, member.is_final, sig, member, member.span,
+                member.is_static, member.is_final, sig, member,
             )
         else:
-            info.ctors.append(
-                MemberInfo(
-                    decl.name, member.name, CTOR, member.visibility,
-                    False, False, member.signature(), member, member.span,
-                )
+            record = MemberInfo(
+                decl.name, member.name, CTOR, member.visibility,
+                False, False, member.signature(), member,
             )
+            info.ctors.append(record)
+        info.members.append(record)
     return info
 
 
@@ -381,14 +380,14 @@ def _illegal(legality: str, sub: MemberInfo, sup: MemberInfo) -> Diagnostic:
             f"{sub.owner}.{sub.signature} and {sup.owner}.{sup.signature} differ in "
             "staticness; treated as non-overriding",
             sub.owner,
-            sub.span,
+            sub.decl.span,
         )
     return Diagnostic(
         ILLEGAL_OVERRIDE_FINAL,
         f"{sup.owner}.{sup.signature} is final and cannot be overridden by "
         f"{sub.owner}; treated as non-overriding",
         sub.owner,
-        sub.span,
+        sub.decl.span,
     )
 
 
@@ -398,5 +397,5 @@ def _divergence(info: ClassInfo, member: MemberInfo) -> Diagnostic:
         f"{member.owner}.{member.signature} has package visibility but "
         f"{info.name} is in a different package; treating it as visible anyway",
         info.name,
-        member.span,
+        member.decl.span,
     )

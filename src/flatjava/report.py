@@ -165,7 +165,7 @@ def plan_document(flattened: dict[str, FlattenedClass]) -> dict:
                 {
                     "member": fate.member.signature,
                     "kind": fate.member.kind,
-                    "provenance": fate.member.provenance,
+                    "provenance": fate.member.owner,
                     "decision": fate.decision,
                     "rule": fate.rule,
                     "new_name": fate.new_name,
@@ -235,7 +235,7 @@ def plan_json(flattened: dict[str, FlattenedClass]) -> str:
 
 def _fate_plan(f: MemberFate) -> str:
     m, enc = f.member, _encode_string
-    f.plan = _FATE % (enc(m.signature), enc(m.kind), enc(m.provenance), enc(f.decision),
+    f.plan = _FATE % (enc(m.signature), enc(m.kind), enc(m.owner), enc(f.decision),
                       enc(f.rule), "null" if f.new_name is None else enc(f.new_name))
     return f.plan
 

@@ -13,8 +13,9 @@ Each body resolves to a `MemberResolution` whose sites are relative to the
 class that holds the body: a bare or `this.` reference to that class's own
 member names no class, and no site names the member it comes from. So a
 body pulled unchanged into a subclass keeps its resolution object. A
-`ClassResolution` holds one per member; the absolute `AccessEdge`s of the
-class are built from them only when something asks for them.
+`ClassResolution` holds one per member, in a list parallel to the class's
+member declarations; the absolute `AccessEdge`s of the class are built from
+them only when something asks for them.
 """
 
 from __future__ import annotations
@@ -134,21 +135,20 @@ class ClassResolution:
         self.class_name = class_name
         # The members' declarations, in member order.
         self.decls = decls or []
-        # Each member's own resolution, keyed by the identity of its declaration.
-        self.members: dict[int, MemberResolution] = dict(
-            zip(map(id, self.decls), resolutions or ()))
+        # Each member's own resolution: `members[i]` resolves `decls[i]`.
+        self.members: list[MemberResolution] = resolutions or []
 
     @cached_property
     def sites(self) -> dict[int, AccessEdge]:
         """The absolute edge of every reference node, in member order."""
         name = self.class_name
         sites: dict[int, AccessEdge] = {}
-        for decl in self.decls:
+        for decl, resolution in zip(self.decls, self.members):
             if isinstance(decl, tree.FieldDecl):
                 from_member, initializer_of = INIT_FIELDS, decl.name
             else:
                 from_member, initializer_of = decl.signature(), None
-            for node, s in self.members[id(decl)].sites.items():
+            for node, s in resolution.sites.items():
                 sites[node] = AccessEdge(
                     name, from_member, s.kind, s.to_class or name, s.to_member, s.basis,
                     s.span, initializer_of,
@@ -161,11 +161,11 @@ class ClassResolution:
 
     @cached_property
     def receiver_types(self) -> set[str]:
-        return set().union(*(r.receiver_types for r in self.members.values()))
+        return set().union(*(r.receiver_types for r in self.members))
 
     @cached_property
     def new_types(self) -> set[str]:
-        return set().union(*(r.new_types for r in self.members.values()))
+        return set().union(*(r.new_types for r in self.members))
 
 
 class AccessGraph:
@@ -195,9 +195,8 @@ def compute_access_graph(model: ClassModel) -> AccessGraph:
 def resolve_class(model: ClassModel, cls: ClassInfo) -> ClassResolution:
     """Resolve every body in one class, collecting access edges."""
     walker = _Walker(model, cls)
-    members = cls.ordered_members()
     return ClassResolution(
-        cls.name, [m.decl for m in members], [walker.resolve(m, cls.path) for m in members]
+        cls.name, cls.decl.members, [walker.resolve(m, cls.path) for m in cls.members]
     )
 
 

@@ -6,18 +6,18 @@ class D {
     public int v = 3;
 
     int c() {
-        return v + v$B$A;
+        return v + v$B;
     }
 
-    public int v$B = 2;
+    public int v$B$1 = 2;
 
     int b() {
-        return v$B;
+        return v$B$1;
     }
 
-    public int v$B$A = 1;
+    public int v$B = 1;
 
     int a() {
-        return v$B$A;
+        return v$B;
     }
 }

@@ -32,6 +32,7 @@ from flatjava.errors import (
 from flatjava.flattener import (
     DROP,
     DROP_ANOMALY,
+    PULL_DOWN,
     PULL_DOWN_RENAMED,
     RULE_CTOR,
     MemberFate,
@@ -70,7 +71,7 @@ def classify(model):
                 f"{sub.owner}.{sub.signature} and {sup.owner}.{sup.signature} differ in "
                 "staticness; treated as non-overriding",
                 sub.owner,
-                sub.span,
+                sub.decl.span,
             ))
         elif relation.legality == "illegal-final":
             diagnostics.append(Diagnostic(
@@ -78,7 +79,7 @@ def classify(model):
                 f"{sup.owner}.{sup.signature} is final and cannot be overridden by "
                 f"{sub.owner}; treated as non-overriding",
                 sub.owner,
-                sub.span,
+                sub.decl.span,
             ))
 
     for name in model.order:
@@ -93,7 +94,7 @@ def classify(model):
                         f"{member.owner}.{member.signature} has package visibility but "
                         f"{info.name} is in a different package; treating it as visible anyway",
                         info.name,
-                        member.span,
+                        member.decl.span,
                     ))
     return overrides, diagnostics
 
@@ -102,12 +103,13 @@ def pulled_closure(fsuper):
     """(pulled keys, accessed attribute names) over every member of fsuper."""
     members = {(m.kind, m.signature): m for m in fsuper.members}
     pulled = {key for key, m in members.items() if m.kind != CTOR and m.visible}
-    resolutions = fsuper.resolution.members
+    resolutions = {
+        (m.kind, m.signature): r for m, r in zip(fsuper.members, fsuper.resolution.members)
+    }
     accessed = set()
     work = list(pulled)
     while work:
-        source = members[work.pop()]
-        for site in resolutions[id(source.decl)].sites.values():
+        for site in resolutions[work.pop()].sites.values():
             if site.to_class is not None and site.to_class != fsuper.name:
                 continue
             if site.kind == CALL:
@@ -136,7 +138,7 @@ def flatten_against_super(model, cls, own, fsuper):
         if fate.decision == DROP_ANOMALY:
             diagnostics.append(Diagnostic(
                 ANOMALY_MEMBER,
-                f"{fate.member.provenance}.{fate.member.signature} is invisible and "
+                f"{fate.member.owner}.{fate.member.signature} is invisible and "
                 f"inaccessible; not pulled down (rule {fate.rule})",
                 cls.name,
                 fate.member.decl.span,
@@ -150,21 +152,23 @@ def flatten_against_super(model, cls, own, fsuper):
 
 def assign_names(cls, fates, diagnostics):
     """Final names for every pulled fate, in declaration order."""
-    taken = {m.name for m in cls.all_members() if m.kind != CTOR}
-    keys = {(m.kind, m.signature) for m in cls.all_members()}
+    taken = {m.name for m in cls.members if m.kind != CTOR}
+    # A member pulled without a rename keeps its name, so no rename may take it.
+    taken.update(f.member.name for f in fates if f.decision == PULL_DOWN)
+    keys = {(m.kind, m.signature) for m in cls.members}
     for fate in fates:
         if not fate.pulls:
             continue
         member = fate.member
         key = (member.kind, member.signature)
         if fate.decision == PULL_DOWN_RENAMED:
-            fate.new_name = rename(member.name, member.provenance, taken)
+            fate.new_name = rename(member.name, member.owner, taken)
         elif key in keys:
-            fate.new_name = rename(member.name, member.provenance, taken)
+            fate.new_name = rename(member.name, member.owner, taken)
             shared = "name" if member.kind == ATTRIBUTE else "signature"
             diagnostics.append(Diagnostic(
                 FORCED_RENAME,
-                f"{member.provenance}.{member.signature} is not a legal override of the "
+                f"{member.owner}.{member.signature} is not a legal override of the "
                 f"subclass member but shares its {shared}; pulled as {fate.new_name}",
                 cls.name,
                 member.decl.span,
@@ -176,11 +180,11 @@ def assign_names(cls, fates, diagnostics):
 
 
 def rewrite_sub_body(rewriter, decl, sites):
-    """(member, carried sites, sure, rewrite directives) of a full walk of
-    the subclass body `decl` by a copy of `rewriter`."""
+    """(member, carried sites, rewrite directives) of a full walk of the
+    subclass body `decl` by a copy of `rewriter`."""
     walker = flattener._SubBodyRewriter(rewriter.cls, rewriter.slots, [])
-    out, carried, sure = flattener._Carrier.rewrite(walker, decl, sites)
-    return out, carried, sure, walker.rewrites
+    out, carried = flattener._Carrier.rewrite(walker, decl, sites)
+    return out, carried, walker.rewrites
 
 
 def measure(model, name, view, decl, resolution):
@@ -193,12 +197,13 @@ def measure(model, name, view, decl, resolution):
     methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]
     attr_names = {f.name for f in fields}
     use_sets = []
-    for m in methods:
-        own = resolution.members.get(id(m))
+    for m, own in zip(decl.members, resolution.members):
+        if not isinstance(m, tree.MethodDecl):
+            continue
         use_sets.append({
             s.to_member for s in own.sites.values()
             if s.kind in (READ, WRITE) and s.to_class in (None, name) and s.to_member in attr_names
-        } if own else set())
+        })
     lcom1, lcom2 = lcom_values(use_sets)
     sloc = sum(1 for line in emit(decl).splitlines() if line.strip())
     referenced = set()

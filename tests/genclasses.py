@@ -5,7 +5,8 @@ idempotence checks; `random_measured_class` additionally returns the exact
 per-method attribute-use sets its bodies were generated from, so cohesion
 values can be checked against bookkeeping that never touched the resolver.
 `random_hierarchy_sources` builds short chains with overrides, super
-references and private reach, and `random_overloading_hierarchy` forests
+references and private reach, optionally with names of the `name$Owner`
+shape that renames make, and `random_overloading_hierarchy` forests
 whose static, final and private methods share a few names.
 """
 
@@ -61,15 +62,29 @@ def random_class_source(rng: random.Random, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_hierarchy_sources(rng: random.Random, depth: int | None = None) -> list[str]:
+def random_hierarchy_sources(
+    rng: random.Random, depth: int | None = None, owner_names: bool = False
+) -> list[str]:
     """A 2-3 level chain exercising overrides, super refs, and private reach.
 
     All methods are no-arg so calls never hit overload ranking; super
     references target visible members only, keeping every generated program
-    resolvable.
+    resolvable. With `owner_names`, about half the declared names take the
+    shape a rename gives, `name$Owner`: a name some class of the chain may
+    declare and that class, so a rename may meet a member that already has
+    its name.
     """
     depth = depth or rng.choice((2, 3))
     names = ["H0", "H1", "H2"][:depth]
+
+    def declared(prefix: str, level: int, i: int, taken: list[tuple[str, str]]) -> str:
+        if owner_names and rng.random() < 0.5:
+            owner = rng.randrange(depth)
+            name = f"{prefix}{owner}_{rng.randrange(4)}${names[owner]}"
+            if name not in {n for n, _ in taken}:
+                return name
+        return f"{prefix}{level}_{i}"
+
     sources = []
     class_fields: list[list[tuple[str, str]]] = []  # (name, visibility)
     class_methods: list[list[tuple[str, str]]] = []
@@ -79,23 +94,23 @@ def random_hierarchy_sources(rng: random.Random, depth: int | None = None) -> li
         methods: list[tuple[str, str]] = []
         for i in range(rng.randint(0, 4)):
             vis = rng.choice(_VIS)
-            field = f"a{level}_{i}"
+            field = declared("a", level, i, fields)
             fields.append((field, vis))
             lines.append(f"    {vis}int {field};")
         if level:
             # Override a random subset of the parent's members by name/signature.
             for parent_field, vis in class_fields[level - 1]:
-                if rng.random() < 0.3:
+                if rng.random() < 0.3 and parent_field not in {f for f, _ in fields}:
                     fields.append((parent_field, vis))
                     lines.append(f"    {vis}int {parent_field};")
             for parent_method, vis in class_methods[level - 1]:
-                if rng.random() < 0.3:
+                if rng.random() < 0.3 and parent_method not in {m for m, _ in methods}:
                     methods.append((parent_method, vis))
                     lines.append(f"    {vis}void {parent_method}() {{")
                     lines.append("    }")
         for i in range(rng.randint(0, 4)):
             vis = rng.choice(_VIS)
-            method = f"m{level}_{i}"
+            method = declared("m", level, i, methods)
             methods.append((method, vis))
             lines.append(f"    {vis}void {method}() {{")
             own_fields = [f for f, _ in fields]

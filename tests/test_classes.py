@@ -98,6 +98,7 @@ def test_record_defaults_are_not_shared():
     assert first.attributes is not second.attributes
     assert first.methods is not second.methods
     assert first.ctors is not second.ctors
+    assert first.members is not second.members
     assert ClassModel({}, []).diagnostics is not ClassModel({}, []).diagnostics
     one, two = FlattenedClass("A", None, decl, [], None), FlattenedClass("A", None, decl, [], None)
     assert one.fates is not two.fates

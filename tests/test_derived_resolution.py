@@ -69,6 +69,11 @@ def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> in
     return len(checked)
 
 
+def _resolution_of(view, member):
+    """The resolution of `member`, found by its position in `view`."""
+    return view.resolution.members[view.members.index(member)]
+
+
 def assert_follows_renames(flat, fsuper) -> None:
     """Each pulled body's bare, `this.` and static references to fsuper's
     members target, in `flat`, the members those became."""
@@ -79,8 +84,8 @@ def assert_follows_renames(flat, fsuper) -> None:
     for fate, member in pulled:
         if getattr(member.decl, "init", None) is not getattr(fate.member.decl, "init", None):
             continue  # a folded constructor assignment replaced the initializer
-        source = fsuper.resolution.members[id(fate.member.decl)].sites.values()
-        carried = flat.resolution.members[id(member.decl)].sites.values()
+        source = _resolution_of(fsuper, fate.member).sites.values()
+        carried = _resolution_of(flat, member).sites.values()
         expected = Counter(
             (e.kind, final[("method" if e.kind == "call" else "attribute", e.to_member)])
             for e in source
@@ -238,7 +243,7 @@ def shared_resolutions(flat, fsuper) -> int:
     pulled = zip([f for f in flat.fates if f.pulls], [m for m in flat.members if m.pulled])
     shared = 0
     for fate, member in pulled:
-        source = fsuper.resolution.members[id(fate.member.decl)]
+        source = _resolution_of(fsuper, fate.member)
         if getattr(member.decl, "init", None) is not getattr(fate.member.decl, "init", None):
             continue  # a folded constructor assignment replaced the initializer
         if source.uses_this or source.receiver_types or source.class_refs:
@@ -249,7 +254,7 @@ def shared_resolutions(flat, fsuper) -> int:
             for s in source.sites.values()
         ):
             continue
-        assert flat.resolution.members[id(member.decl)] is source, (flat.name, member.name)
+        assert _resolution_of(flat, member) is source, (flat.name, member.name)
         shared += 1
     return shared
 

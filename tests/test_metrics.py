@@ -333,8 +333,8 @@ def test_uses_kept_on_a_resolution_name_no_class():
     # A body's resolution names no class, so the uses kept on it hold no
     # reference qualified by a class: o.x counts in A's view, not in B's.
     model, graph = load_model("receiver_own_class")
-    f = next(d for d in model.classes["A"].decl.members if d.name == "f")
-    resolution = graph.resolutions["A"].members[id(f)]
+    f = next(i for i, d in enumerate(model.classes["A"].decl.members) if d.name == "f")
+    resolution = graph.resolutions["A"].members[f]
     assert sorted(metrics._uses(resolution, "A")) == ["x", "y"]
     assert metrics._uses(resolution, "B") == ("y",)
     assert sorted(metrics._uses(resolution, "A")) == ["x", "y"]

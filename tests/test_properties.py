@@ -75,11 +75,12 @@ def test_generated_hierarchy_no_dangling_renames(seed):
     model, graph = build_hierarchy(40_000 + seed)
     flattened = flatten_model(model, graph)
     for flat in flattened.values():
-        attr_names = [m.name for m in flat.attributes()]
-        method_sigs = [m.signature for m in flat.methods()]
+        attr_names = [m.name for m in flat.members if m.kind == "attribute"]
+        methods = [m for m in flat.members if m.kind == "method"]
+        method_sigs = [m.signature for m in methods]
         assert len(attr_names) == len(set(attr_names)), flat.name
         assert len(method_sigs) == len(set(method_sigs)), flat.name
-        declared = set(attr_names) | {m.name for m in flat.methods()}
+        declared = set(attr_names) | {m.name for m in methods}
         for fate in flat.fates:
             if fate.new_name is not None and fate.pulls:
                 assert fate.new_name in declared, (flat.name, fate.new_name)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatjava import FlatJavaError, flatten_model
-from flatjava.flattener import FlatMember, FlattenedClass, MemberFate, RewriteDirective
+from flatjava.flattener import FlattenedClass, MemberFate, RewriteDirective
+from flatjava.model import MemberInfo
 from flatjava.metrics import compare
 from flatjava.report import compare_document, dump_json, plan_document, plan_json
 
@@ -118,7 +119,7 @@ def _flat_class(name, fates, rewrites) -> FlattenedClass:
        st.booleans(), st.booleans())
 def test_plan_json_escapes_like_json_dumps(entries, with_fates, with_rewrites):
     fates = [
-        MemberFate(FlatMember(None, "method", a, a, a, "public", False, False, b, True),
+        MemberFate(MemberInfo(b, a, "method", "public", False, False, a, None, a, True),
                    "PullDown", "R5", new)
         for a, b, new, _, _ in entries
     ] if with_fates else []

@@ -217,7 +217,7 @@ def test_unmodeled_class_and_array_receivers_stay_external():
     _, graph = model_from_sources(
         "class A { int[] a; String s; int g() { return a.length + s.length(); } }"
     )
-    (g,) = [r for d, r in graph.resolutions["A"].members.items() if r.sites]
+    (g,) = [r for r in graph.resolutions["A"].members if r.sites]
     assert [(s.kind, s.to_member, s.basis) for s in g.sites.values()] == [
         ("read", "a", "bare"), ("read", "s", "bare"),
     ]
@@ -234,7 +234,7 @@ def test_receiver_bookkeeping():
         "+ this.v + self().v + p() + this.k(); } }",
     )
     resolution = graph.resolutions["A"]
-    body = {d.name: resolution.members[id(d)] for d in resolution.decls}
+    body = {d.name: r for d, r in zip(resolution.decls, resolution.members)}
     assert body["self"].uses_this and not body["self"].sites
     f = body["f"]
     assert not f.uses_this
