@@ -4,7 +4,8 @@ Formatting is fixed so output is byte-stable: K&R braces, one member per
 block with a blank line between members, single spaces around binary
 operators, no trailing whitespace. Emitted text re-lexes to the same
 (kind, lexeme) token stream as the AST it came from; original trivia is not
-preserved.
+preserved. The number of lines a member takes is known from the shape of its
+statements alone (`member_line_count`), which is what the metrics count.
 """
 
 from __future__ import annotations
@@ -33,11 +34,41 @@ def emit(target, *, provenance: bool = False) -> str:
     return writer.text()
 
 
-def member_lines(member) -> list[str]:
-    """The lines `emit` writes for a member declaration, kept on its node."""
-    if member.emitted is None:
-        _Writer().member(member)
-    return member.emitted
+def member_line_count(member) -> int:
+    """The number of lines `emit` writes for a member declaration.
+
+    It is counted from the shape of the member's statements, without
+    formatting an expression, and kept on the member's node, which
+    flattened classes share.
+    """
+    if isinstance(member, tree.FieldDecl):
+        return 1
+    if member.line_count is None:
+        member.line_count = _nested_lines(member.body)
+    return member.line_count
+
+
+def _stmt_lines(stmt: tree.Stmt) -> int:
+    """The lines `_Writer.stmt` writes for `stmt`."""
+    if isinstance(stmt, tree.Block):
+        return _nested_lines(stmt)
+    if isinstance(stmt, tree.While):
+        return _nested_lines(stmt.body)
+    if isinstance(stmt, tree.If):
+        els = stmt.else_branch
+        if els is None:
+            return _nested_lines(stmt.then_branch)
+        # A braced `then` shares its closing line with the `else`.
+        lines = _nested_lines(stmt.then_branch, close=False)
+        return lines + (_stmt_lines(els) if isinstance(els, tree.If) else _nested_lines(els))
+    return 1
+
+
+def _nested_lines(body: tree.Stmt, close: bool = True) -> int:
+    """The lines `_Writer.nested` writes for a head and `body`."""
+    if isinstance(body, tree.Block):
+        return 1 + sum(map(_stmt_lines, body.statements)) + close
+    return 1 + _stmt_lines(body)
 
 
 class _Writer:

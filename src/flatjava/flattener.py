@@ -41,7 +41,8 @@ subclass's own resolution and the rename maps. A body's sites are relative
 to the class that holds it, so only a pulled body that references a member
 renamed or collapsed at this level is walked; every other pulled member
 keeps its node and the superclass's resolution object of it. Likewise the
-subclass's own body is walked only when one of its references changes. The
+subclass's own body is walked only when one of its references changes. A
+walk follows only the paths to the references that change (`_Carrier`). The
 few bodies whose resolution can change in the flattened class are resolved
 again there (`_resolve_changed`).
 
@@ -53,6 +54,7 @@ resolution lists each member's resolution at the same position.
 from __future__ import annotations
 
 import copy  # noqa: F401 - benchmark/tracing.py wraps flattener.copy.deepcopy
+from bisect import bisect_left
 from collections import Counter
 from itertools import takewhile
 
@@ -353,7 +355,6 @@ def rewrite_references(
 
     # Take the pulled members, apply renames and body rewrites.
     pulled_rewriter = _PulledBodyRewriter(fsuper.name, walked, rewrites)
-    renamed = pulled_rewriter.renamed
     own_count = len(members)
     repulled: dict[tuple[str, str], MemberFate] = {}
     for fate, resolution in zip(walked, fsuper.resolution.members):
@@ -365,10 +366,11 @@ def rewrite_references(
             decl = tree.replace(decl, init=inline_inits[member.name])
             resolution = MemberResolution()
             accessed = None  # the initializer no longer reaches what it did
-        elif _touched(resolution, renamed, fsuper.name):
+        elif resolution.sites:
             decl, sites = pulled_rewriter.rewrite(decl, resolution.sites)
-            # The walk collapsed every static reference qualified by fsuper.
-            resolution = resolution.with_sites(sites, resolution.class_refs - {fsuper.name})
+            if decl is not member.decl:
+                # The walk collapsed every static reference qualified by fsuper.
+                resolution = resolution.with_sites(sites, resolution.class_refs - {fsuper.name})
         if fate.new_name:
             decl = tree.replace(decl, name=fate.new_name)
         if decl is not member.decl or not member.pulled:
@@ -537,18 +539,6 @@ def _final_signature(member: MemberInfo, new_name: str | None) -> str:
     return _renamed_signature(member.signature, new_name)
 
 
-def _touched(resolution: MemberResolution, renamed: set[str], super_name: str) -> bool:
-    """Whether a pulled body references a member that `renamed` holds or a
-    static member of `super_name`: then the body changes, and must be walked."""
-    if not resolution.sites:
-        return False
-    if resolution.reaches(renamed):
-        return True
-    return bool(resolution.class_refs) and any(
-        s.basis == BASIS_CLASS and s.to_class == super_name for s in resolution.sites.values()
-    )
-
-
 def _retyped(model: ClassModel, resolution: MemberResolution, root: str) -> bool:
     """Whether a receiver type or static qualifier of the body is `root` or
     one of its subclasses, whose member tables change when `root` is
@@ -609,10 +599,18 @@ def _resolve_changed(
 class _Carrier(tree.BodyWalker):
     """Rewrites a body and carries the site of each reference it meets.
 
-    Subclasses supply `reference`, which returns a reference node's rewrite
-    (or the node itself), the member it targets and the basis it has now.
-    A carried site that is bare or through `this` targets the flattened
-    class itself.
+    Subclasses supply `changes`, whether a site's reference is rewritten,
+    and `reference`, which returns a reference node's rewrite (or the node
+    itself), the member it targets and the basis it has now. A carried site
+    that is bare or through `this` targets the flattened class itself.
+
+    The walk descends only into the statements and expressions whose span
+    holds the offset of a site that changes, which spans nesting (see
+    `tree`) makes the paths to those sites, and returns every other subtree
+    as it is. A skipped local declaration still enters its scope, so that
+    `local` sees it. The carried sites start as every site made relative to
+    the flattened class; the walk replaces the entries of the nodes it
+    rebuilds.
     """
 
     def __init__(self, rewrites: list[RewriteDirective]):
@@ -620,25 +618,61 @@ class _Carrier(tree.BodyWalker):
         self.rewrites = rewrites
         self.sites: dict[int, Site] = {}
         self.carried: dict[int, Site] = {}
+        self.offsets: list[int] = []  # where the sites that change start, in order
 
     def rewrite(self, decl, sites: dict[int, Site]):
-        """The member rewritten from its `sites`, and its carried sites."""
-        self.sites = sites
-        self.carried = {}
-        return self.member(decl), self.carried
+        """The member rewritten from its `sites`, and its carried sites.
+
+        Where no reference changes, the member is itself, and so are `sites`
+        where they are relative to the flattened class already.
+        """
+        self.sites = self.carried = sites
+        self.offsets = offsets = []
+        inherited = []
+        for node, s in sites.items():
+            if self.changes(s):
+                offsets.append(s.span.start)
+            if s.basis in LOCAL_BASES and s.to_class is not None:
+                inherited.append(node)
+        if offsets or inherited:
+            offsets.sort()
+            self.carried = carried = dict(sites)
+            for node in inherited:
+                carried[node] = carried[node]._replace(to_class=None)
+        return self.member(decl) if offsets else decl, self.carried
+
+    def changes(self, site: Site) -> bool:
+        raise NotImplementedError  # pragma: no cover - supplied by subclasses
 
     def reference(self, e: tree.Expr, site: Site) -> tuple[tree.Expr, str, str]:
         raise NotImplementedError  # pragma: no cover - supplied by subclasses
 
+    def holds(self, span) -> bool:
+        """Whether `span` holds the offset of a site that changes."""
+        offsets = self.offsets
+        i = bisect_left(offsets, span.start)
+        return i < len(offsets) and offsets[i] < span.end
+
+    def stmt(self, stmt: tree.Stmt) -> tree.Stmt:
+        if self.holds(stmt.span):
+            return tree.BodyWalker.stmt(self, stmt)
+        if isinstance(stmt, tree.LocalDecl):
+            self.scopes[-1][stmt.name] = stmt.decl_type.text()
+        return stmt
+
     def expr(self, e: tree.Expr) -> tree.Expr:
+        if not self.holds(e.span):
+            return e
         site = self.sites.get(id(e))
         if site is None:
             return tree.map_children(e, self.expr)
         out, to_member, basis = self.reference(e, site)
-        self.carried[id(out)] = Site(
-            site.kind, None if basis in LOCAL_BASES else site.to_class,
-            to_member, basis, getattr(out, "name_span", out.span),
-        )
+        if out is not e:
+            del self.carried[id(e)]
+            self.carried[id(out)] = Site(
+                site.kind, None if basis in LOCAL_BASES else site.to_class,
+                to_member, basis, getattr(out, "name_span", out.span),
+            )
         return out
 
     def record(self, span, old: str, new: str, owner: str) -> None:
@@ -713,20 +747,9 @@ class _SubBodyRewriter(_Carrier):
                 return fate
         return None
 
-    def rewrite(self, decl, sites: dict[int, Site]):
-        """As `_Carrier.rewrite`, walking the body only when a reference in it
-        changes: a `super.` one, or one that follows a `moved` member.
-        Otherwise the member is itself, its sites made relative to the
-        flattened class."""
-        inherited = False
-        for site in sites.values():
-            if site.basis == BASIS_SUPER or self.moved(site):
-                return super().rewrite(decl, sites)
-            inherited |= site.basis in LOCAL_BASES and site.to_class is not None
-        if inherited:
-            sites = {node: Site(s.kind, None, s.to_member, s.basis, s.span)
-                     if s.basis in LOCAL_BASES else s for node, s in sites.items()}
-        return decl, sites
+    def changes(self, site: Site) -> bool:
+        """A `super.` reference, or one that follows a `moved` member."""
+        return site.basis == BASIS_SUPER or self.moved(site) is not None
 
     def reference(self, e, site):
         if site.basis != BASIS_SUPER:
@@ -761,8 +784,14 @@ class _PulledBodyRewriter(_Carrier):
                     self.attr_renames[f.member.name] = f.new_name
                 else:
                     self.method_renames[f.member.signature] = f.new_name
-        # What a reference in a pulled body must target for the body to change.
-        self.renamed = self.attr_renames.keys() | self.method_renames.keys()
+
+    def changes(self, site: Site) -> bool:
+        """A bare or `this.` reference to a renamed member, or a static one
+        qualified by the superclass."""
+        if site.to_class is None:
+            return site.to_member in (self.method_renames if site.kind == CALL
+                                      else self.attr_renames)
+        return site.to_class == self.super_name and site.basis == BASIS_CLASS
 
     def reference(self, e, site):
         renames = self.method_renames if site.kind == CALL else self.attr_renames

@@ -2,9 +2,10 @@
 
 Size: NOA (attributes), NOM (methods, constructors excluded), SLOC counted
 on the canonical emission of the view so both views are measured with the
-same yardstick. A view is sized from its members' emitted lines, which the
-emitter keeps on each node; a flattened view shares most of its nodes with
-its superclass's view, so each distinct member is written once. Cohesion:
+same yardstick. A member's lines are counted from the shape of its
+statements, without writing any text, and the count is kept on its node; a
+flattened view shares most of its nodes with its superclass's view, so each
+distinct member is counted once. Cohesion:
 LCOM1 is the number of method pairs sharing no attribute; LCOM2 is
 max(P - Q, 0) over non-sharing/sharing pairs. A method "uses" an attribute
 through a direct read or write edge only. Each use set is computed once per
@@ -21,10 +22,11 @@ from collections import Counter
 from operator import attrgetter
 
 from . import tree
-from .emitter import emit, member_lines
+from .emitter import member_line_count
 from .flattener import FlattenedClass
 from .model import ClassModel
 from .resolver import CALL, AccessGraph, ClassResolution, MemberResolution
+from .emitter import emit  # noqa: F401 - benchmark/tracing.py wraps metrics.emit
 from .resolver import resolve_class  # noqa: F401 - benchmark/tracing.py wraps metrics.resolve_class
 
 ORIGINAL = "original"
@@ -90,11 +92,7 @@ def lcom_values(use_sets: list) -> tuple[int, int]:
 
 
 def measure_original(model: ClassModel, graph: AccessGraph, name: str) -> MetricsRecord:
-    decl = model.classes[name].decl
-    # The class as written is emitted whole, which leaves each member's
-    # lines on its node for SLOC and for the flattened views that share it.
-    emit(decl)
-    return _measure(model, name, ORIGINAL, decl, graph.resolutions[name])
+    return _measure(model, name, ORIGINAL, model.classes[name].decl, graph.resolutions[name])
 
 
 def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:
@@ -127,7 +125,7 @@ def _measure(model: ClassModel, name: str, view: str, decl: tree.ClassDecl,
                                 if isinstance(m, tree.MethodDecl)])
     # The emission is the class line, each member's lines with a blank line
     # between members, and the closing brace; no line of a member is blank.
-    sloc = 2 + sum(map(len, map(member_lines, decl.members)))
+    sloc = 2 + sum(map(member_line_count, decl.members))
 
     referenced = {f.decl_type.name for f in fields}
     referenced.update(m.return_type.name for m in methods if m.return_type is not None)

@@ -174,9 +174,16 @@ def class_info_from_decl(
                 member.is_static, member.is_final, sig, member,
             )
         else:
+            sig = member.signature()
+            if any(c.signature == sig for c in info.ctors):
+                raise DuplicateMember(
+                    f"duplicate constructor {sig.replace('<init>', member.name)!r} in class "
+                    f"{decl.name}",
+                    member.name_span,
+                    path,
+                )
             record = MemberInfo(
-                decl.name, member.name, CTOR, member.visibility,
-                False, False, member.signature(), member,
+                decl.name, member.name, CTOR, member.visibility, False, False, sig, member,
             )
             info.ctors.append(record)
         info.members.append(record)

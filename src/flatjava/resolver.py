@@ -84,8 +84,7 @@ class MemberResolution:
     that no rename touches.
     """
 
-    __slots__ = ("sites", "receiver_types", "new_types", "class_refs", "uses_this", "reached",
-                 "used")
+    __slots__ = ("sites", "receiver_types", "new_types", "class_refs", "uses_this", "used")
 
     def __init__(self, sites: dict[int, Site] | None = None,
                  receiver_types: set[str] | None = None, new_types: set[str] | None = None,
@@ -102,17 +101,9 @@ class MemberResolution:
         # Whether `this` is used as a value, not as a receiver: its type is the
         # class, which changes when the body is pulled into a subclass.
         self.uses_this = uses_this
-        # The `to_member` of every site, built by `reaches` on first use.
-        self.reached: frozenset[str] | None = None
         # The attributes that sites with no `to_class` read or write, built by
         # the metrics on first use.
         self.used: tuple[str, ...] | None = None
-
-    def reaches(self, names) -> bool:
-        """Whether a site targets a member (of any class) named in `names`."""
-        if self.reached is None:
-            self.reached = frozenset(s.to_member for s in self.sites.values())
-        return not self.reached.isdisjoint(names)
 
     def with_sites(self, sites: dict[int, Site], class_refs: set[str] | None = None):
         """This resolution with other sites, for a body rewritten in another class."""

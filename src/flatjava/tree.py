@@ -4,13 +4,18 @@ Nodes are plain classes. Each one's fields are the parameters of its
 `__init__`, in order, and are listed in its `__match_args__`, which drives
 `repr`, `==` and `replace`. Nodes compare by value and are unhashable. Every
 node keeps the span of the source text it was parsed from; nodes synthesized
-by the flattener reuse the span of the construct they replace.
+by the flattener reuse the span of the construct they replace. Spans nest:
+every node's span encloses its children's spans and its own name span, in
+parsed trees and in the bodies the flattener rewrites. So the nodes whose
+span holds an offset are the path from a body's root to the reference there,
+which is all that a rewrite of that reference descends into.
 
 The AST is never mutated after parsing, except that a member declaration
-keeps the emitter's lines for it. A rewrite builds new nodes only along a
-changed path and shares every untouched subtree, so a flattened class shares
-its unchanged bodies with its superclass's flattened view and with the
-classes as written, and each distinct member is emitted once.
+keeps the emitter's lines for it and the number of lines. A rewrite builds
+new nodes only along a changed path and shares every untouched subtree, so a
+flattened class shares its unchanged bodies with its superclass's flattened
+view and with the classes as written, and each distinct member is emitted
+and counted once.
 """
 
 from __future__ import annotations
@@ -200,8 +205,9 @@ class Block(Stmt):
 
 # --- declarations ----------------------------------------------------------
 #
-# A member declaration's `emitted` holds the emitter's lines for it, for as
-# long as the node lives. It is not a field: `repr` and `==` leave it out.
+# A member declaration's `emitted` holds the emitter's lines for it, and a
+# method's or constructor's `line_count` their number, for as long as the
+# node lives. Neither is a field: `repr` and `==` leave them out.
 
 
 class Param(Node):
@@ -239,6 +245,7 @@ class MethodDecl(Node):
         self.span = span
         self.name_span = name_span
         self.emitted = None
+        self.line_count = None
 
     def signature(self) -> str:
         return method_signature(self.name, [p.decl_type.text() for p in self.params])
@@ -254,6 +261,7 @@ class CtorDecl(Node):
         self.span = span
         self.name_span = name_span
         self.emitted = None
+        self.line_count = None
 
     def signature(self) -> str:
         return method_signature("<init>", [p.decl_type.text() for p in self.params])

@@ -6,18 +6,22 @@ diagnostics from those pairings. `pulled_closure` runs the fixed point over
 every member of the superclass's flattened view. `flatten_against_super`
 decides the fate of every member of that view through the rule table, and
 names every pulled one, before the library's `rewrite_references` takes
-each of them. `rewrite_sub_body` walks a subclass's own body whatever its
-references. `measure` sizes a view from its whole emitted text and
-collects each method's use set from every site. The library does less work
-for the same results: it looks members up in an index of same-named
-ancestors and builds the pairings only when they are read, it carries each
-view's pulled part of the fixed point, and the fates of its pulled members,
-down to the next class, it walks a subclass's own body only when a
-reference in it changes, and it measures a view from the member parts it
-shares with its superclass's view. The oracle tests demand exact agreement.
+each of them. `rewrite_body` rewrites an own or a pulled body by visiting
+every statement and expression in it, whatever its references.
+`measure` sizes a view from its whole emitted text and collects each
+method's use set from every site. The library does less work for the same
+results: it looks members up in an index of same-named ancestors and builds
+the pairings only when they are read, it carries each view's pulled part of
+the fixed point, and the fates of its pulled members, down to the next
+class, it walks a body only when a reference in it changes and then only
+along the paths to those references, and it measures a view from the member
+parts it shares with its superclass's view, counting lines from statement
+shape. The oracle tests demand exact agreement.
 """
 
 from __future__ import annotations
+
+import copy
 
 from flatjava import flattener, tree
 from flatjava.emitter import emit
@@ -41,7 +45,7 @@ from flatjava.flattener import (
 )
 from flatjava.model import ATTRIBUTE, CTOR, METHOD, OverrideRelation, override_legality
 from flatjava.metrics import MetricsRecord, lcom_values
-from flatjava.resolver import CALL, READ, WRITE
+from flatjava.resolver import CALL, LOCAL_BASES, READ, WRITE, Site
 
 
 def classify(model):
@@ -179,12 +183,61 @@ def assign_names(cls, fates, diagnostics):
         keys.add(key)
 
 
-def rewrite_sub_body(rewriter, decl, sites):
-    """(member, carried sites, rewrite directives) of a full walk of the
-    subclass body `decl` by a copy of `rewriter`."""
-    walker = flattener._SubBodyRewriter(rewriter.cls, rewriter.slots, [])
-    out, carried = flattener._Carrier.rewrite(walker, decl, sites)
+class _FullWalk:
+    """The rewrite of a body by visiting every statement and expression in
+    it, carrying each site as the walk meets its node."""
+
+    def rewrite(self, decl, sites):
+        self.sites = sites
+        self.carried = {}
+        return self.member(decl), self.carried
+
+    def stmt(self, stmt):
+        return tree.BodyWalker.stmt(self, stmt)
+
+    def expr(self, e):
+        site = self.sites.get(id(e))
+        if site is None:
+            return tree.map_children(e, self.expr)
+        out, to_member, basis = self.reference(e, site)
+        self.carried[id(out)] = Site(
+            site.kind, None if basis in LOCAL_BASES else site.to_class,
+            to_member, basis, getattr(out, "name_span", out.span),
+        )
+        return out
+
+
+_FULL_WALKS = {}  # rewriter class -> the same with the full walk
+
+
+def rewrite_body(rewriter, decl, sites):
+    """(member, carried sites, rewrite directives) of a full walk of `decl`
+    by a copy of `rewriter`, an own-body or a pulled-body rewriter."""
+    kind = type(rewriter)
+    if kind not in _FULL_WALKS:
+        _FULL_WALKS[kind] = type(f"Full{kind.__name__}", (_FullWalk, kind), {})
+    walker = copy.copy(rewriter)
+    walker.__class__ = _FULL_WALKS[kind]
+    walker.rewrites = []
+    out, carried = walker.rewrite(decl, sites)
     return out, carried, walker.rewrites
+
+
+def by_position(decl, carried):
+    """`carried`, keyed by where each node sits in `decl` instead of by its
+    identity, so that the sites of two walks that built equal nodes compare."""
+    positioned = {}
+    todo = [((), decl)]
+    while todo:
+        path, item = todo.pop()
+        if isinstance(item, tree.Node):
+            if id(item) in carried:
+                positioned[path] = carried[id(item)]
+            todo.extend((path + (name,), getattr(item, name)) for name in item.__match_args__)
+        elif isinstance(item, list):
+            todo.extend((path + (i,), x) for i, x in enumerate(item))
+    assert len(positioned) == len(carried), "a carried site names no node of the member"
+    return positioned
 
 
 def measure(model, name, view, decl, resolution):

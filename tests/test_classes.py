@@ -108,7 +108,7 @@ def test_record_defaults_are_not_shared():
     for name in ("sites", "receiver_types", "new_types", "class_refs"):
         assert getattr(res, name) is not getattr(other, name), name
         assert not getattr(res, name)
-    assert res.reached is None and res.uses_this is False
+    assert res.used is None and res.uses_this is False
 
 
 def test_importing_the_cli_does_not_load_dataclasses():

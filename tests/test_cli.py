@@ -91,6 +91,16 @@ def test_flatten_model_error_exit_2(tmp_path):
     assert "cycle" in result.output
 
 
+def test_duplicate_constructor_exit_2_located(tmp_path):
+    (tmp_path / "A.java").write_text("class A {\n    A() { }\n    A() { }\n}\n")
+    (tmp_path / "B.java").write_text("class B extends A { }\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["flatten", str(tmp_path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{tmp_path / 'A.java'}:3:5: duplicate constructor 'A()' in class A" in result.output
+    assert not out.exists()
+
+
 def test_flatten_reports_first_error_per_file(tmp_path):
     (tmp_path / "A.java").write_text("class A { int x = ; }\n")
     (tmp_path / "B.java").write_text("class B { int y = ; }\n")

@@ -5,12 +5,14 @@ ancestors and builds the override pairings only when they are read;
 `pulled_closure` starts from the part of the fixed point that the
 superclass's view carries down; and a member the superclass's view pulled
 keeps the fate that view carries down unless the subclass touches it; and a
-subclass's own body is walked only when a reference in it changes. All must
-agree exactly with the from-scratch versions in `from_scratch.py`: the same
-pairings in the same order with the same members, the same diagnostics, the
-same pulled and accessed sets for every class, the same fates, the same
-members and the same plan, and for each own body the same node (the very
-same object where it is unchanged), carried sites, exactness and rewrites.
+body is walked only when a reference in it changes, and then only along the
+paths to those references. All must agree exactly with the from-scratch
+versions in `from_scratch.py`: the same pairings in the same order with the
+same members, the same diagnostics, the same pulled and accessed sets for
+every class, the same fates, the same members and the same plan, and for
+each own or pulled body the same node (the very same object where it is
+unchanged), the same carried sites at the same places in it, and the same
+rewrites in the same order.
 """
 
 from __future__ import annotations
@@ -21,13 +23,27 @@ from pathlib import Path
 
 import pytest
 
-from flatjava import FlatJavaError, build_model, compute_access_graph, emit, flattener, parse_source
+from flatjava import (
+    FlatJavaError,
+    build_model,
+    compute_access_graph,
+    emit,
+    flattener,
+    parse_source,
+    tree,
+)
 from flatjava.errors import ILLEGAL_OVERRIDE_FINAL, ILLEGAL_OVERRIDE_STATIC
 from flatjava.model import classify_members
 from flatjava.report import plan_json
 
 from conftest import CORPUS, load_units
-from from_scratch import classify, flatten_against_super, pulled_closure, rewrite_sub_body
+from from_scratch import (
+    by_position,
+    classify,
+    flatten_against_super,
+    pulled_closure,
+    rewrite_body,
+)
 from genclasses import random_hierarchy_sources, random_overloading_hierarchy
 from hiergen import CONFIGS, build_sources
 
@@ -80,21 +96,19 @@ def check(units, monkeypatch) -> list:
         return closure
 
     monkeypatch.setattr(flattener, "pulled_closure", compared)
-    rewrite = flattener._SubBodyRewriter.rewrite
+    rewrite = flattener._Carrier.rewrite
 
     def walked_too(rewriter, decl, sites):
         first = len(rewriter.rewrites)
         out, carried = rewrite(rewriter, decl, sites)
-        walked, walked_carried, walked_rewrites = rewrite_sub_body(rewriter, decl, sites)
+        walked, walked_carried, walked_rewrites = rewrite_body(rewriter, decl, sites)
         assert (out is decl) == (walked is decl) and out == walked
-        # A walk makes new nodes, whose sites can only be compared in order.
-        assert (carried if out is decl else list(carried.values())) == (
-            walked_carried if out is decl else list(walked_carried.values()))
+        assert by_position(out, carried) == by_position(walked, walked_carried)
         assert [_directive(r) for r in rewriter.rewrites[first:]] == list(
             map(_directive, walked_rewrites))
         return out, carried
 
-    monkeypatch.setattr(flattener._SubBodyRewriter, "rewrite", walked_too)
+    monkeypatch.setattr(flattener._Carrier, "rewrite", walked_too)
     flattened, error = _outcome(lambda: flattener.flatten_model(model, graph))
     monkeypatch.setattr(flattener, "_flatten_against_super", flatten_against_super)
     reference, reference_error = _outcome(lambda: flattener.flatten_model(model, graph))
@@ -249,3 +263,87 @@ def test_rule_table_work_grows_linearly_with_depth(monkeypatch):
         counts.append(len(decided))
     # 6,240 inherited slots against 360 when every slot is decided: 17.3.
     assert counts[1] <= 5 * counts[0], counts
+
+
+def _record_descents(monkeypatch, descended: list) -> None:
+    """Append (rewriter, node) for each statement and expression node that a
+    body rewrite descends into."""
+    walk_stmt = tree.BodyWalker.stmt
+
+    def stmt(walker, node):
+        if isinstance(walker, flattener._Carrier):
+            descended.append((walker, node))
+        return walk_stmt(walker, node)
+
+    map_children = tree.map_children
+    monkeypatch.setattr(tree.BodyWalker, "stmt", stmt)
+    monkeypatch.setattr(tree, "map_children",
+                        lambda e, fn: descended.append((fn.__self__, e)) or map_children(e, fn))
+    for rewriter in (flattener._SubBodyRewriter, flattener._PulledBodyRewriter):
+        reference = rewriter.reference
+        monkeypatch.setattr(rewriter, "reference", lambda self, e, site, reference=reference:
+                            descended.append((self, e)) or reference(self, e, site))
+
+
+def test_rewrite_descends_only_along_paths_to_changed_references(monkeypatch):
+    # B renames A's a, so f's references to it change, and g's super.f()
+    # collapses. Written without spaces, `int x=1;` ends where `a=2;` starts.
+    sources = {
+        flattener._PulledBodyRewriter:
+            "class A { public int a = 1; int f() { int x=1;a=2;if(x>0){x=a;}return x; } }",
+        flattener._SubBodyRewriter:
+            "class B extends A { public int a = 3; int g() { int y=1;super.f();return y; } }",
+    }
+    model = classify_members(build_model(_units(*sources.values())))
+    graph = compute_access_graph(model)
+    descended = []
+    _record_descents(monkeypatch, descended)
+    flat = flattener.flatten_model(model, graph)["B"]
+    assert [sources[type(w)][n.span.start:n.span.end] for w, n in descended] == [
+        "super.f();", "super.f()", "a=2;", "a", "if(x>0){x=a;}", "x=a;", "a",
+    ]
+    assert "int f() {\n        int x = 1;\n        a$A = 2;" in emit(flat)
+
+
+def _expressions(node) -> int:
+    """The expression nodes in a member."""
+    count = 0
+    todo = [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tree.Node):
+            count += isinstance(item, tree.Expr)
+            todo.extend(getattr(item, name) for name in item.__match_args__)
+        elif isinstance(item, list):
+            todo.extend(item)
+    return count
+
+
+def test_rewrites_descend_into_few_expressions_of_the_bodies_they_change(monkeypatch):
+    # A wide fan's statement-heavy bodies each change in a few references
+    # to a renamed member or through `super.`: the walk follows the paths
+    # to those and leaves the rest of each body as it is.
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import workloads
+
+    model = classify_members(build_model(_units(*workloads.wide_fan(11).sources.values())))
+    graph = compute_access_graph(model)
+    descended, counts = [], []
+    _record_descents(monkeypatch, descended)
+    rewrite = flattener._Carrier.rewrite
+
+    def counted(rewriter, decl, sites):
+        first = len(descended)
+        out, carried = rewrite(rewriter, decl, sites)
+        if out is not decl:
+            walked = {id(n) for _, n in descended[first:] if isinstance(n, tree.Expr)}
+            counts.append((len(walked), _expressions(decl)))
+        return out, carried
+
+    monkeypatch.setattr(flattener._Carrier, "rewrite", counted)
+    flattener.flatten_model(model, graph)
+    walked, expressions = map(sum, zip(*counts))
+    # 71 bodies change; the walk descends into 1,175 of their 10,894
+    # expression nodes, where a walk of every node takes 10,681.
+    assert len(counts) >= 40
+    assert walked * 4 <= expressions, (walked, expressions)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
-from flatjava import emit, parse_source, tokenize
+from flatjava import emit, emitter, parse_source, tokenize, tree
 from flatjava.lexer import token_signature
+from flatjava.spans import EMPTY_SPAN
 
 from conftest import CORPUS, fixture_sources, flatten_fixture
 
@@ -130,6 +132,7 @@ LAYOUTS = {
 def test_statement_layout(case):
     body, lines = LAYOUTS[case]
     unit = parse_source("class A{void f(boolean c,int v){" + body + "}}")
+    assert emitter.member_line_count(unit.class_decl.members[0]) == 2 + len(lines)
     assert emit(unit) == (
         "class A {\n"
         "    void f(boolean c, int v) {\n"
@@ -137,6 +140,57 @@ def test_statement_layout(case):
         + "    }\n"
         "}\n"
     )
+
+
+# --- line counts from statement shape ----------------------------------------
+
+_S = EMPTY_SPAN
+_COND = tree.Name("c", _S)
+_simple = st.sampled_from([
+    tree.Return(None, _S),
+    tree.Return(tree.Name("v", _S), _S),
+    tree.ExprStmt(tree.Call(None, "g", [], _S, _S), _S),
+    tree.Assign(tree.Name("v", _S), tree.Literal("int", "1", _S), _S),
+    tree.LocalDecl(tree.TypeRef("int", False, _S), "w", None, _S),
+])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.lists(inner, max_size=3).map(lambda statements: tree.Block(statements, _S)),
+        inner.map(lambda body: tree.While(_COND, body, _S)),
+        st.builds(lambda then, els: tree.If(_COND, then, els, _S), inner, st.none() | inner),
+        # An `else if` chain, each branch braced or not.
+        st.lists(st.tuples(inner, st.booleans()), min_size=2, max_size=4).map(_else_if_chain),
+    )
+
+
+def _else_if_chain(branches) -> tree.If:
+    chain = None
+    for body, braced in reversed(branches):
+        chain = tree.If(_COND, tree.Block([body], _S) if braced else body, chain, _S)
+    return chain
+
+
+_statements = st.lists(st.recursive(_simple, _compound, max_leaves=12), max_size=4)
+
+
+@given(_statements, st.booleans())
+def test_line_count_is_the_number_of_lines_written(statements, ctor):
+    body = tree.Block(statements, _S)
+    if ctor:
+        decl = tree.CtorDecl("public", "A", [], body, _S, _S)
+    else:
+        decl = tree.MethodDecl("package", False, False, None, "f", [], body, _S, _S)
+    writer = emitter._Writer()
+    writer.write_member(decl)
+    assert emitter.member_line_count(decl) == len(writer.lines)
+    assert decl.line_count == len(writer.lines)  # kept on the node
+
+
+def test_line_count_of_a_field_is_one():
+    decl = parse_source("class A { int x = 1 + 2; }").class_decl.members[0]
+    assert emitter.member_line_count(decl) == 1
 
 
 def test_member_modifiers_and_empty_bodies_layout():

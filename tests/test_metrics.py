@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from flatjava import (
     FlatJavaError,
+    cli,
     compare,
+    emitter,
     flatten_model,
     lcom_values,
     measure_flattened,
@@ -391,15 +395,23 @@ def test_measured_parts_equal_text_on_decision_table():
         _check_parts(list(build_sources(*config)))
 
 
-def test_compare_emits_each_class_as_written_once(monkeypatch):
-    # A flattened view is sized from the lines of members that the classes
-    # as written, or the superclass's view, have already been emitted with.
+def test_compare_and_metrics_write_no_java(tmp_path, monkeypatch):
+    # SLOC is counted from each member's statement shape, not from its text.
     monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
     import workloads
 
-    emitted = []
-    emit = metrics.emit
-    monkeypatch.setattr(metrics, "emit", lambda target: emitted.append(target) or emit(target))
-    model, graph = model_from_sources(*workloads.deep_chain(40).sources.values())
-    compare(model, graph, flatten_model(model, graph))
-    assert len(emitted) == 40
+    written = []
+    member = emitter._Writer.member
+    monkeypatch.setattr(emitter._Writer, "member",
+                        lambda writer, decl: written.append(decl) or member(writer, decl))
+    for module in (cli, emitter, metrics):
+        emit = module.emit
+        monkeypatch.setattr(module, "emit",
+                            lambda *a, emit=emit, **k: written.append(a) or emit(*a, **k))
+    workloads.deep_chain(40).write(tmp_path)
+    for args in (["compare", str(tmp_path), "--format", "json"],
+                 ["metrics", str(tmp_path), "--view", "original", "--format", "json"]):
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["classes"]) == 40
+    assert written == []

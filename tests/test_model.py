@@ -77,6 +77,18 @@ def test_duplicate_method_signature_rejected():
         model_from_sources("class A { void f(int a) { } void f(int b) { } }")
 
 
+def test_duplicate_constructor_signature_rejected():
+    with pytest.raises(DuplicateMember) as info:
+        model_from_sources("class A { A() { } A() { } }", "class B extends A { }")
+    assert info.value.message == "duplicate constructor 'A()' in class A"
+    assert info.value.span.column == 19  # the second constructor's name
+
+
+def test_constructor_overloads_allowed():
+    model, _ = model_from_sources("class A { A() { } A(int a) { } }")
+    assert len(model.classes["A"].ctors) == 2
+
+
 def test_overloads_within_one_class_allowed():
     model, _ = model_from_sources("class A { void f(int a) { } void f(String b) { } }")
     assert len(model.classes["A"].methods) == 2

@@ -38,10 +38,16 @@ def test_compare_under_tracer_records_every_layer(tmp_path, monkeypatch):
     tracer = Tracer()
     with tracer.installed():
         result = CliRunner().invoke(main, ["compare", str(src), "--format", "json"])
-    assert result.exit_code == 0, result.output
-    names = {span["name"] for span in tracer.spans}
-    for name in ("tokenize", "resolve_class", "emit", "measure_flattened"):
+        assert result.exit_code == 0, result.output
+        tracer.command = "flatten"
+        result = CliRunner().invoke(main, ["flatten", str(src), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+    names = {span["name"] for span in tracer.spans if span["command"] != "flatten"}
+    for name in ("tokenize", "resolve_class", "measure_flattened"):
         assert name in names, f"no {name} span: {sorted(names)}"
+    # `compare` writes no Java: only `flatten` emits.
+    emits = [span for span in tracer.spans if span["name"] == "emit"]
+    assert emits and all(span["command"] == "flatten" for span in emits)
 
 
 def _nodes(node) -> int:
