@@ -96,6 +96,9 @@ ILLEGAL_OVERRIDE_FINAL = "illegal-override-final"
 PACKAGE_VISIBILITY_DIVERGENCE = "package-visibility-divergence"
 UNSUPPORTED_CTOR = "unsupported-constructor"
 FORCED_RENAME = "forced-rename"
+# A call or `new` that binds to another member in the flattened class than
+# it did in the class it was written in.
+REBOUND_CALL = "rebound-call"
 
 
 class Diagnostic(NamedTuple):

@@ -25,7 +25,9 @@ the attributes they access, renamed, and only the superclass's own members
 are walked (`pulled_closure`). Their fates, fixed by kind and visibility
 (R1, R2, R5, R7), are carried down too and shared by every level below.
 Pulled bodies are bound statically: a self-call to a method the subclass
-overrides calls the renamed superclass copy.
+overrides calls the renamed superclass copy. A call whose overload changes
+in the flattened class, because the subclass adds one or `this` now has the
+subclass's type, is kept as written and reported (`rebound-call`).
 An overridden pairing with a static mismatch or a final superclass member
 is treated as non-overriding; if the un-renamed pull would then collide, the
 member is renamed anyway and a diagnostic records it.
@@ -41,10 +43,12 @@ subclass's own resolution and the rename maps. A body's sites are relative
 to the class that holds it, so only a pulled body that references a member
 renamed or collapsed at this level is walked; every other pulled member
 keeps its node and the superclass's resolution object of it. Likewise the
-subclass's own body is walked only when one of its references changes. A
-walk follows only the paths to the references that change (`_Carrier`). The
-few bodies whose resolution can change in the flattened class are resolved
-again there (`_resolve_changed`).
+subclass's own body is walked only when one of its references changes.
+One walker (`_Carrier`) rewrites both kinds of body, along only the paths
+to the references that change, and takes each reference's move from its
+site alone (`_own_move`, `_pulled_move`). The few bodies whose resolution
+can change in the flattened class are resolved again there
+(`_resolve_changed`).
 
 A view lists its members in declaration order, its own first, as the
 model's `MemberInfo` records wherever nothing changed them, and its
@@ -65,6 +69,7 @@ from .errors import (
     Diagnostic,
     FlattenError,
     FORCED_RENAME,
+    REBOUND_CALL,
     UNSUPPORTED_CTOR,
 )
 from .model import (
@@ -291,7 +296,7 @@ def _flatten_against_super(
 
     kept = _assign_names(cls, fates, fsuper.repulled, decide, diagnostics)
     flat = rewrite_references(model, cls, own, fsuper, fates, kept, inline_inits, accessed)
-    flat.diagnostics = diagnostics
+    flat.diagnostics[:0] = diagnostics
     return flat
 
 
@@ -320,7 +325,8 @@ def rewrite_references(
     pulled member keeps its node and shares fsuper's resolution of it, whose
     sites are relative to the class that holds the body. The few bodies
     whose resolution can change in the flattened class are resolved again
-    there (see `_resolve_changed`).
+    there (see `_resolve_changed`), and the result's diagnostics are the
+    calls that bind elsewhere there.
 
     `accessed` is the attribute set of fsuper's `pulled_closure`. The result
     carries it, renamed, unless a pulled body may reach other members here
@@ -338,13 +344,11 @@ def rewrite_references(
     if inline_inits:
         kept = {}  # a folded initializer changes what fsuper carried down
     walked = fates[:len(fates) - len(kept)]
-    slots = dict(kept)  # fsuper's fates by their members' (kind, signature)
-    slots.update(((f.member.kind, f.member.signature), f) for f in walked)
 
     # Rewrite the subclass's own bodies to reach inherited members by their final names.
-    sub_rewriter = _SubBodyRewriter(cls, slots, rewrites)
+    own_rewriter = _Carrier(_own_move(cls, fates), rewrites)
     for info, source in zip(cls.members, own.members):
-        decl, sites = sub_rewriter.rewrite(info.decl, source.sites)
+        decl, sites = own_rewriter.rewrite(info.decl, source.sites)
         if _retyped(model, source, name):
             unsure.append(len(members))
         if decl is not info.decl:
@@ -354,7 +358,8 @@ def rewrite_references(
         resolutions.append(source if sites is source.sites else source.with_sites(sites))
 
     # Take the pulled members, apply renames and body rewrites.
-    pulled_rewriter = _PulledBodyRewriter(fsuper.name, walked, rewrites)
+    renames = {(f.member.kind, f.member.signature): f.new_name for f in walked if f.new_name}
+    pulled_rewriter = _Carrier(_pulled_move(fsuper.name, renames), rewrites)
     own_count = len(members)
     repulled: dict[tuple[str, str], MemberFate] = {}
     for fate, resolution in zip(walked, fsuper.resolution.members):
@@ -393,11 +398,13 @@ def rewrite_references(
         cls.decl.visibility, name, None, [m.decl for m in members],
         cls.decl.span, cls.decl.name_span,
     )
-    resolution = _resolve_changed(model, cls, new_decl, members, resolutions, unsure)
+    rebound: list[Diagnostic] = []
+    resolution = _resolve_changed(model, cls, new_decl, members, resolutions, unsure, rebound)
     flat = FlattenedClass(name, cls.package, new_decl, members, resolution, fates, rewrites)
+    flat.diagnostics = rebound
     # A pulled body resolved again may reach other members here.
     if accessed is not None and max(unsure, default=-1) < own_count:
-        attrs = pulled_rewriter.attr_renames
+        attrs = {a: new_name for (kind, a), new_name in renames.items() if kind == ATTRIBUTE}
         flat.carried = (accessed - attrs.keys()) | {attrs[a] for a in accessed & attrs.keys()}
         flat.repulled = repulled
     return flat
@@ -560,6 +567,7 @@ def _resolve_changed(
     members: list[MemberInfo],
     resolutions: list[MemberResolution],
     unsure: list[int],
+    diagnostics: list[Diagnostic],
 ) -> ClassResolution:
     """The flattened class's resolution, from the carried member resolutions.
 
@@ -569,7 +577,8 @@ def _resolve_changed(
     bodies are resolved again in the flattened class, in member order, so
     the first error is the one a resolution of the whole class would raise;
     it names the file the body came from. Each index resolved again is
-    added to `unsure`.
+    added to `unsure`. A call or `new` that binds to another member there
+    than the carried site says is reported as `rebound-call`.
     """
     names = Counter(m.name for m in members if m.kind == METHOD)
     overloaded = {name for name, count in names.items() if count > 1}
@@ -590,47 +599,62 @@ def _resolve_changed(
         flat_info = class_info_from_decl(decl, cls.package, cls.path)
         flat_model = model.with_class(flat_info)
         for i in sorted(set(unsure)):
+            carried, member = resolutions[i].sites, members[i]
             resolutions[i] = resolve_member(
-                flat_model, flat_info, flat_info.members[i], model.classes[members[i].owner].path
+                flat_model, flat_info, flat_info.members[i], model.classes[member.owner].path
             )
+            for node, site in resolutions[i].sites.items():
+                was = carried.get(node)
+                if site.kind == CALL and was is not None and was.to_member != site.to_member:
+                    old, new = (s.to_member if s.to_class is None else f"{s.to_class}.{s.to_member}"
+                                for s in (was, site))
+                    diagnostics.append(Diagnostic(
+                        REBOUND_CALL,
+                        f"the call to {old} in {member.owner}.{member.declared_signature} "
+                        f"binds to {new} in the flattened class",
+                        cls.name,
+                        site.span,
+                    ))
     return ClassResolution(cls.name, decl.members, resolutions)
 
 
 class _Carrier(tree.BodyWalker):
     """Rewrites a body and carries the site of each reference it meets.
 
-    Subclasses supply `changes`, whether a site's reference is rewritten,
-    and `reference`, which returns a reference node's rewrite (or the node
-    itself), the member it targets and the basis it has now. A carried site
-    that is bare or through `this` targets the flattened class itself.
+    `move(site)` is the new name and the owner of the member a reference
+    reaches, where the reference changes, and None elsewhere. A bare or
+    `this.` reference that moves is renamed; a `super.` or class-qualified
+    one collapses to a bare one. Either becomes a `this.` reference where a
+    local would capture the bare name. A carried site that is bare or
+    through `this` targets the flattened class itself.
 
     The walk descends only into the statements and expressions whose span
-    holds the offset of a site that changes, which spans nesting (see
-    `tree`) makes the paths to those sites, and returns every other subtree
-    as it is. A skipped local declaration still enters its scope, so that
-    `local` sees it. The carried sites start as every site made relative to
-    the flattened class; the walk replaces the entries of the nodes it
-    rebuilds.
+    holds the offset of a site that moves, which spans nesting (see `tree`)
+    makes the paths to those sites, and returns every other subtree as it
+    is. A skipped local declaration still enters its scope, so that `local`
+    sees it. The carried sites start as every site made relative to the
+    flattened class; the walk replaces the entries of the nodes it rebuilds.
     """
 
-    def __init__(self, rewrites: list[RewriteDirective]):
+    def __init__(self, move, rewrites: list[RewriteDirective]):
         super().__init__()
+        self.move = move
         self.rewrites = rewrites
         self.sites: dict[int, Site] = {}
         self.carried: dict[int, Site] = {}
-        self.offsets: list[int] = []  # where the sites that change start, in order
+        self.offsets: list[int] = []  # where the sites that move start, in order
 
     def rewrite(self, decl, sites: dict[int, Site]):
         """The member rewritten from its `sites`, and its carried sites.
 
-        Where no reference changes, the member is itself, and so are `sites`
+        Where no reference moves, the member is itself, and so are `sites`
         where they are relative to the flattened class already.
         """
         self.sites = self.carried = sites
         self.offsets = offsets = []
         inherited = []
         for node, s in sites.items():
-            if self.changes(s):
+            if self.move(s) is not None:
                 offsets.append(s.span.start)
             if s.basis in LOCAL_BASES and s.to_class is not None:
                 inherited.append(node)
@@ -641,14 +665,8 @@ class _Carrier(tree.BodyWalker):
                 carried[node] = carried[node]._replace(to_class=None)
         return self.member(decl) if offsets else decl, self.carried
 
-    def changes(self, site: Site) -> bool:
-        raise NotImplementedError  # pragma: no cover - supplied by subclasses
-
-    def reference(self, e: tree.Expr, site: Site) -> tuple[tree.Expr, str, str]:
-        raise NotImplementedError  # pragma: no cover - supplied by subclasses
-
     def holds(self, span) -> bool:
-        """Whether `span` holds the offset of a site that changes."""
+        """Whether `span` holds the offset of a site that moves."""
         offsets = self.offsets
         i = bisect_left(offsets, span.start)
         return i < len(offsets) and offsets[i] < span.end
@@ -666,7 +684,11 @@ class _Carrier(tree.BodyWalker):
         site = self.sites.get(id(e))
         if site is None:
             return tree.map_children(e, self.expr)
-        out, to_member, basis = self.reference(e, site)
+        moved = self.move(site)
+        if moved is None:
+            out, to_member, basis = tree.map_children(e, self.expr), site.to_member, site.basis
+        else:
+            out, to_member, basis = self.reference(e, site, *moved)
         if out is not e:
             del self.carried[id(e)]
             self.carried[id(out)] = Site(
@@ -674,6 +696,33 @@ class _Carrier(tree.BodyWalker):
                 to_member, basis, getattr(out, "name_span", out.span),
             )
         return out
+
+    def reference(self, e: tree.Expr, site: Site, new_name: str, owner: str):
+        """The reference `e` rewritten to reach the member named `new_name`,
+        declared by `owner`; the member it targets now, and its basis."""
+        if site.basis in LOCAL_BASES:
+            if isinstance(e, tree.Name):
+                self.record(e.span, e.ident, new_name, owner)
+                out, basis = self.local(new_name, e.span, e.span)
+                return out, new_name, basis
+            self.record(e.name_span, e.name, new_name, owner)
+            if isinstance(e, tree.Call):
+                # The receiver is absent or `this`, which holds no reference; the
+                # arguments are mapped here, not through `map_children`, to keep
+                # nested renamed calls at three frames per level.
+                call = tree.replace(e, name=new_name, args=tree.mapped(self.expr, e.args))
+                return call, _renamed_signature(site.to_member, new_name), site.basis
+            return tree.replace(e, name=new_name), new_name, site.basis
+        # A `super.` or class-qualified reference, whose class qualifier is a name.
+        qualifier = "super" if site.basis == BASIS_SUPER else e.receiver.ident
+        self.record(e.span, f"{qualifier}.{e.name}", new_name, owner)
+        if isinstance(e, tree.Call):
+            # `map`, not a comprehension, keeps nested collapsed calls at
+            # two frames per level.
+            call = tree.Call(None, new_name, list(map(self.expr, e.args)), e.span, e.name_span)
+            return call, _renamed_signature(site.to_member, new_name), BASIS_BARE
+        out, basis = self.local(new_name, e.span, e.name_span)
+        return out, new_name, basis
 
     def record(self, span, old: str, new: str, owner: str) -> None:
         self.rewrites.append(RewriteDirective((span.start, span.end), old, new, owner))
@@ -687,122 +736,57 @@ class _Carrier(tree.BodyWalker):
             return tree.FieldAccess(tree.This(span), name, span, name_span), BASIS_THIS
         return tree.Name(name, span), BASIS_BARE
 
-    def collapse(self, e: tree.Expr, site: Site, old: str, new_name: str, owner: str):
-        """A qualified reference, written `old`, as a bare one to the member
-        named `new_name`: a call, or an attribute reference from `local`."""
-        self.record(e.span, old, new_name, owner)
-        if isinstance(e, tree.Call):
-            # `map`, not a comprehension, keeps nested collapsed calls at
-            # three frames per level.
-            call = tree.Call(None, new_name, list(map(self.expr, e.args)), e.span, e.name_span)
-            return call, _renamed_signature(site.to_member, new_name), BASIS_BARE
-        out, basis = self.local(new_name, e.span, e.name_span)
-        return out, new_name, basis
 
-    def rename_ref(self, e: tree.Expr, site: Site, new_name: str, owner: str):
-        """A bare or `this.` reference, now to the member named `new_name`."""
-        if isinstance(e, tree.Name):
-            self.record(e.span, e.ident, new_name, owner)
-            out, basis = self.local(new_name, e.span, e.span)
-            return out, new_name, basis
-        self.record(e.name_span, e.name, new_name, owner)
-        if isinstance(e, tree.Call):
-            # The receiver is absent or `this`, which holds no reference; the
-            # arguments are mapped here, not through `map_children`, to keep
-            # nested renamed calls at four frames per level.
-            call = tree.replace(e, name=new_name, args=tree.mapped(self.expr, e.args))
-            return call, _renamed_signature(site.to_member, new_name), site.basis
-        return tree.replace(e, name=new_name), new_name, site.basis
+def _own_move(cls: ClassInfo, fates: list[MemberFate]):
+    """The `move` of the subclass's own references to inherited members.
 
-
-class _SubBodyRewriter(_Carrier):
-    """Rewrites the subclass's own references to inherited members.
-
-    `super.` references become bare ones, and bare or `this.` references
-    follow an inherited member that is pulled under another name. Such a
+    A `super.` reference collapses, and a bare or `this.` one follows an
+    inherited member that is pulled under another name or signature. Such a
     reference reaches a visible member, and every visible member is pulled.
+    Each site names the member where it was declared, so fsuper's fates are
+    looked up by that. The index grows in member order only as far as the
+    sites need: they mostly reach fsuper's own members, which come first.
+    """
+    declared: dict[tuple[str, str], MemberFate] = {}
+    unseen = iter(fates)
+
+    def move(site: Site) -> tuple[str, str] | None:
+        if site.to_class is None or site.basis not in (BASIS_BARE, BASIS_THIS, BASIS_SUPER):
+            return None
+        key = (site.to_class, site.to_member)
+        while key not in declared and (fate := next(unseen, None)):
+            declared[fate.member.owner, fate.member.declared_signature] = fate
+        fate = declared.get(key)
+        if site.basis == BASIS_SUPER:
+            if fate is None or not fate.pulls:
+                raise DanglingSuperRef(
+                    f"'super.{site.to_member}' in {cls.name} targets a member that "
+                    "was not pulled down",
+                    site.span,
+                    cls.path,
+                )
+        elif not fate.new_name and fate.member.signature == site.to_member:
+            return None
+        return fate.new_name or fate.member.name, fate.member.owner
+
+    return move
+
+
+def _pulled_move(super_name: str, renames: dict[tuple[str, str], str]):
+    """The `move` of references inside bodies pulled from `super_name`.
+
+    A bare or `this.` reference to a member `renames` gives a new name follows
+    it, and a static reference qualified by the superclass collapses to the
+    member that now lives here: whatever a pulled body references is pulled
+    (`pulled_closure`).
     """
 
-    def __init__(self, cls: ClassInfo, slots: dict[tuple[str, str], MemberFate], rewrites):
-        super().__init__(rewrites)
-        self.cls = cls
-        self.slots = slots  # fsuper's fates by their members' (kind, signature)
-
-    def fate(self, site: Site) -> MemberFate | None:
-        """The fate of fsuper's member declared where `site` says it was."""
-        origin = (site.to_class, site.to_member)
-        fate = self.slots.get((METHOD if site.kind == CALL else ATTRIBUTE, site.to_member))
-        if fate is None or (fate.member.owner, fate.member.declared_signature) != origin:
-            # Renamed above fsuper: look for where it was declared.
-            fate = next((f for f in self.slots.values()
-                         if (f.member.owner, f.member.declared_signature) == origin), None)
-        return fate
-
-    def moved(self, site: Site) -> MemberFate | None:
-        """The fate of the inherited member a bare or `this.` reference
-        reaches, where it is pulled under another name or signature."""
-        if site.basis in LOCAL_BASES and site.to_class is not None:
-            fate = self.fate(site)
-            if fate.new_name or fate.member.signature != site.to_member:
-                return fate
+    def move(site: Site) -> tuple[str, str] | None:
+        key = (METHOD if site.kind == CALL else ATTRIBUTE, site.to_member)
+        if site.to_class is None:
+            return (renames[key], super_name) if key in renames else None
+        if site.to_class == super_name and site.basis == BASIS_CLASS:
+            return renames.get(key) or site.to_member.partition("(")[0], super_name
         return None
 
-    def changes(self, site: Site) -> bool:
-        """A `super.` reference, or one that follows a `moved` member."""
-        return site.basis == BASIS_SUPER or self.moved(site) is not None
-
-    def reference(self, e, site):
-        if site.basis != BASIS_SUPER:
-            fate = self.moved(site)
-            if fate:
-                pulled_as = fate.new_name or fate.member.name
-                return self.rename_ref(e, site, pulled_as, fate.member.owner)
-            return tree.map_children(e, self.expr), site.to_member, site.basis
-        fate = self.fate(site)
-        if fate is None or not fate.pulls:
-            raise DanglingSuperRef(
-                f"'super.{site.to_member}' in {self.cls.name} targets a member that "
-                "was not pulled down",
-                e.span,
-                self.cls.path,
-            )
-        new_name = fate.new_name or fate.member.name
-        return self.collapse(e, site, f"super.{e.name}", new_name, fate.member.owner)
-
-
-class _PulledBodyRewriter(_Carrier):
-    """Rewrites references inside bodies taken down from the superclass."""
-
-    def __init__(self, super_name: str, fates: list[MemberFate], rewrites):
-        super().__init__(rewrites)
-        self.super_name = super_name
-        self.attr_renames: dict[str, str] = {}
-        self.method_renames: dict[str, str] = {}
-        for f in fates:
-            if f.new_name is not None:
-                if f.member.kind == ATTRIBUTE:
-                    self.attr_renames[f.member.name] = f.new_name
-                else:
-                    self.method_renames[f.member.signature] = f.new_name
-
-    def changes(self, site: Site) -> bool:
-        """A bare or `this.` reference to a renamed member, or a static one
-        qualified by the superclass."""
-        if site.to_class is None:
-            return site.to_member in (self.method_renames if site.kind == CALL
-                                      else self.attr_renames)
-        return site.to_class == self.super_name and site.basis == BASIS_CLASS
-
-    def reference(self, e, site):
-        renames = self.method_renames if site.kind == CALL else self.attr_renames
-        if site.to_class is None:
-            new_name = renames.get(site.to_member)
-            if new_name:
-                return self.rename_ref(e, site, new_name, self.super_name)
-        elif site.to_class == self.super_name and site.basis == BASIS_CLASS:
-            # Qualified static access to a member that now lives here:
-            # whatever a pulled body references is pulled (pulled_closure).
-            # The qualifier of a class basis is a class name.
-            old = f"{e.receiver.ident}.{e.name}"
-            return self.collapse(e, site, old, renames.get(site.to_member, e.name), self.super_name)
-        return tree.map_children(e, self.expr), site.to_member, site.basis
+    return move

@@ -73,6 +73,10 @@ EXPECTED_EDGES = {
     },
     "chain_override_twice": {"c1": [], "c2": [], "c3": []},
     "overload_coexist": {"A": [], "B": []},
+    "overload_rebound": {
+        "A": [("A", "g()", "call", "A", "f(long)", "bare")],
+        "B": [],
+    },
     "static_members": {
         "A": [
             ("A", "bump()", "write", "A", "count", "class"),

@@ -21,8 +21,6 @@ shape. The oracle tests demand exact agreement.
 
 from __future__ import annotations
 
-import copy
-
 from flatjava import flattener, tree
 from flatjava.emitter import emit
 from flatjava.errors import (
@@ -150,7 +148,7 @@ def flatten_against_super(model, cls, own, fsuper):
     assign_names(cls, fates, diagnostics)
     # No fate is kept from fsuper, so every pulled member is taken again.
     flat = flattener.rewrite_references(model, cls, own, fsuper, fates, {}, inline_inits, accessed)
-    flat.diagnostics = diagnostics
+    flat.diagnostics[:0] = diagnostics
     return flat
 
 
@@ -183,7 +181,7 @@ def assign_names(cls, fates, diagnostics):
         keys.add(key)
 
 
-class _FullWalk:
+class _FullWalk(flattener._Carrier):
     """The rewrite of a body by visiting every statement and expression in
     it, carrying each site as the walk meets its node."""
 
@@ -199,7 +197,11 @@ class _FullWalk:
         site = self.sites.get(id(e))
         if site is None:
             return tree.map_children(e, self.expr)
-        out, to_member, basis = self.reference(e, site)
+        moved = self.move(site)
+        if moved is None:
+            out, to_member, basis = tree.map_children(e, self.expr), site.to_member, site.basis
+        else:
+            out, to_member, basis = self.reference(e, site, *moved)
         self.carried[id(out)] = Site(
             site.kind, None if basis in LOCAL_BASES else site.to_class,
             to_member, basis, getattr(out, "name_span", out.span),
@@ -207,18 +209,10 @@ class _FullWalk:
         return out
 
 
-_FULL_WALKS = {}  # rewriter class -> the same with the full walk
-
-
 def rewrite_body(rewriter, decl, sites):
     """(member, carried sites, rewrite directives) of a full walk of `decl`
-    by a copy of `rewriter`, an own-body or a pulled-body rewriter."""
-    kind = type(rewriter)
-    if kind not in _FULL_WALKS:
-        _FULL_WALKS[kind] = type(f"Full{kind.__name__}", (_FullWalk, kind), {})
-    walker = copy.copy(rewriter)
-    walker.__class__ = _FULL_WALKS[kind]
-    walker.rewrites = []
+    that moves each reference as `rewriter` does."""
+    walker = _FullWalk(rewriter.move, [])
     out, carried = walker.rewrite(decl, sites)
     return out, carried, walker.rewrites
 

@@ -266,40 +266,44 @@ def test_rule_table_work_grows_linearly_with_depth(monkeypatch):
 
 
 def _record_descents(monkeypatch, descended: list) -> None:
-    """Append (rewriter, node) for each statement and expression node that a
-    body rewrite descends into."""
+    """Append (member, node) for each statement and expression node that a
+    body rewrite descends into, with the member whose body holds it."""
+    walking = []  # the member being rewritten
+    walk_member = tree.BodyWalker.member
     walk_stmt = tree.BodyWalker.stmt
+
+    def member(walker, decl):
+        walking[:] = [decl]
+        return walk_member(walker, decl)
 
     def stmt(walker, node):
         if isinstance(walker, flattener._Carrier):
-            descended.append((walker, node))
+            descended.append((walking[0], node))
         return walk_stmt(walker, node)
 
     map_children = tree.map_children
+    reference = flattener._Carrier.reference
+    monkeypatch.setattr(flattener._Carrier, "member", member)
     monkeypatch.setattr(tree.BodyWalker, "stmt", stmt)
     monkeypatch.setattr(tree, "map_children",
-                        lambda e, fn: descended.append((fn.__self__, e)) or map_children(e, fn))
-    for rewriter in (flattener._SubBodyRewriter, flattener._PulledBodyRewriter):
-        reference = rewriter.reference
-        monkeypatch.setattr(rewriter, "reference", lambda self, e, site, reference=reference:
-                            descended.append((self, e)) or reference(self, e, site))
+                        lambda e, fn: descended.append((walking[0], e)) or map_children(e, fn))
+    monkeypatch.setattr(flattener._Carrier, "reference", lambda self, e, *moved:
+                        descended.append((walking[0], e)) or reference(self, e, *moved))
 
 
 def test_rewrite_descends_only_along_paths_to_changed_references(monkeypatch):
     # B renames A's a, so f's references to it change, and g's super.f()
     # collapses. Written without spaces, `int x=1;` ends where `a=2;` starts.
     sources = {
-        flattener._PulledBodyRewriter:
-            "class A { public int a = 1; int f() { int x=1;a=2;if(x>0){x=a;}return x; } }",
-        flattener._SubBodyRewriter:
-            "class B extends A { public int a = 3; int g() { int y=1;super.f();return y; } }",
+        "f": "class A { public int a = 1; int f() { int x=1;a=2;if(x>0){x=a;}return x; } }",
+        "g": "class B extends A { public int a = 3; int g() { int y=1;super.f();return y; } }",
     }
     model = classify_members(build_model(_units(*sources.values())))
     graph = compute_access_graph(model)
     descended = []
     _record_descents(monkeypatch, descended)
     flat = flattener.flatten_model(model, graph)["B"]
-    assert [sources[type(w)][n.span.start:n.span.end] for w, n in descended] == [
+    assert [sources[m.name][n.span.start:n.span.end] for m, n in descended] == [
         "super.f();", "super.f()", "a=2;", "a", "if(x>0){x=a;}", "x=a;", "a",
     ]
     assert "int f() {\n        int x = 1;\n        a$A = 2;" in emit(flat)

@@ -11,18 +11,22 @@ message.
 A pulled body that kept a stale name would still agree with a resolution of
 itself, so on the fixtures and generated hierarchies each pulled body's
 references to the superclass must also target, in the flattened class, the
-members they were renamed to. The bodies of `CHANGING` are exempt: there a
-reference means something else once the body sits in the subclass.
+members they were renamed to, except a call reported as `rebound-call`,
+which targets the member the report names. The bodies of `CHANGING` are
+exempt: there a reference means something else once the body sits in the
+subclass.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from flatjava import FlatJavaError, emit, flattener
+from flatjava.errors import REBOUND_CALL
 from flatjava.model import class_info_from_decl
 from flatjava.resolver import resolve_class
 
@@ -76,7 +80,8 @@ def _resolution_of(view, member):
 
 def assert_follows_renames(flat, fsuper) -> None:
     """Each pulled body's bare, `this.` and static references to fsuper's
-    members target, in `flat`, the members those became."""
+    members target, in `flat`, the members those became, or the members
+    that a `rebound-call` report of the body names."""
     pulled = list(zip(
         [fate for fate in flat.fates if fate.pulls], [m for m in flat.members if m.pulled]
     ))
@@ -96,6 +101,17 @@ def assert_follows_renames(flat, fsuper) -> None:
             for e in carried
             if (e.to_class or flat.name) == flat.name and e.basis in ("bare", "this")
         )
+        body = f"{member.owner}.{member.declared_signature}"
+        for d in flat.diagnostics:
+            if d.code != REBOUND_CALL:
+                continue
+            old, where, new = re.fullmatch(
+                r"the call to (\S+) in (\S+) binds to (\S+) in the flattened class", d.message
+            ).groups()
+            if where == body:
+                expected[("call", old)] -= 1
+                expected[("call", new)] += 1
+        expected += Counter()  # drop the counts that fell to zero
         assert actual == expected, (flat.name, member.signature)
 
 
@@ -215,10 +231,26 @@ REWRITTEN = {
 }
 
 
+# The bodies of `CHANGING` whose calls bind to another member in the
+# flattened class: (old target, new target) of each, reported as `rebound-call`.
+REBOUND = {
+    "this_as_argument": [("f(A)", "f(B)")],
+    "this_as_constructor_argument": [("T.<init>(A)", "T.<init>(B)")],
+}
+
+
 @pytest.mark.parametrize("name", sorted(CHANGING))
 def test_derived_resolution_where_bodies_change(name, monkeypatch):
     model, graph = model_from_sources(*CHANGING[name])
     assert check_flatten(model, graph, monkeypatch, follows_renames=False) >= 1
+    flattened, error = _outcome(lambda: flattener.flatten_model(model, graph))
+    if error is None:
+        rebound = [d.message for flat in flattened.values() for d in flat.diagnostics
+                   if d.code == REBOUND_CALL]
+        assert rebound == [
+            f"the call to {old} in A.run() binds to {new} in the flattened class"
+            for old, new in REBOUND.get(name, [])
+        ]
     if name in REWRITTEN:
         class_name, line, rewrites = REWRITTEN[name]
         flat = flattener.flatten_model(model, graph)[class_name]

@@ -18,7 +18,7 @@ from flatjava import (
     rename,
 )
 from flatjava.errors import ANOMALY_MEMBER, FORCED_RENAME, UNSUPPORTED_CTOR, DanglingSuperRef
-from flatjava.flattener import _SubBodyRewriter
+from flatjava.flattener import DROP_ANOMALY, MemberFate, _Carrier, _own_move
 from flatjava.model import ATTRIBUTE, METHOD
 from flatjava.parser import MAX_NESTING
 from flatjava.resolver import resolve_class
@@ -343,9 +343,9 @@ def _call_from_depth(depth: int, fn):
 
 def test_nested_renamed_calls_flatten_from_deep_in_the_stack():
     # B overrides f, so every call in the pulled initializer is renamed. The
-    # rewrite spends at most 4 frames per level of nested arguments, so the
+    # rewrite spends at most 3 frames per level of nested arguments, so the
     # deepest initializer the parser accepts flattens under Python's default
-    # recursion limit with 250 frames of callers.
+    # recursion limit with 400 frames of callers.
     calls = MAX_NESTING - 1
     model, graph = model_from_sources(
         f"class A {{ int f(int a) {{ return a; }} int x = {'f(' * calls}1{')' * calls}; }}",
@@ -354,7 +354,7 @@ def test_nested_renamed_calls_flatten_from_deep_in_the_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        flattened = _call_from_depth(250, lambda: flatten_model(model, graph))
+        flattened = _call_from_depth(400, lambda: flatten_model(model, graph))
     finally:
         sys.setrecursionlimit(limit)
     assert f"int x = {'f$A(' * calls}1{')' * calls};" in emit(flattened["B"])
@@ -413,17 +413,20 @@ def test_flatten_class_requires_flattened_superclass():
 
 
 def test_dangling_super_ref_guard():
-    # Force a rule-table violation: a super site whose fate index says Drop.
+    # Force a rule-table violation: a super site whose member has no fate,
+    # or a fate that says Drop.
     model, _ = model_from_sources(
         "class A { public int x; }",
         "class B extends A { void m() { super.x = 1; } }",
     )
     cls = model.classes["B"]
     resolution = resolve_class(model, cls)
-    rewriter = _SubBodyRewriter(cls, {}, [])
     method = [m for m in cls.decl.members][0]
-    with pytest.raises(DanglingSuperRef):
-        rewriter.rewrite(method, resolution.members[0].sites)
+    dropped = MemberFate(model.classes["A"].members[0], DROP_ANOMALY, "R3")
+    for fates in ([], [dropped]):
+        rewriter = _Carrier(_own_move(cls, fates), [])
+        with pytest.raises(DanglingSuperRef):
+            rewriter.rewrite(method, resolution.members[0].sites)
 
 
 # --- structural laws ----------------------------------------------------------

@@ -76,6 +76,10 @@ DIAGNOSTICS = {
         ["[unsupported-constructor] B: constructor of superclass A does more than assign "
          "literals to fields; its effects are not carried into the flattened class"],
     ),
+    "rebound_call": (
+        "overload_rebound",
+        ["[rebound-call] B: the call to f(long) in A.g() binds to f(int) in the flattened class"],
+    ),
     "ctor_assigns_initializer_read": (
         ("class A { int x = 1; int y = x; A() { x = 5; } }", "class B extends A {\n}\n"),
         ["[unsupported-constructor] B: constructor of superclass A assigns field(s) x that "
@@ -107,6 +111,21 @@ def test_cli_warning_line(tmp_path):
         "treated as non-overriding\n"
         "warning: [forced-rename] B: A.x is not a legal override of the subclass member but "
         "shares its name; pulled as x$A\n"
+    )
+
+
+def test_strict_fails_on_a_rebound_call(tmp_path):
+    source = tmp_path / "src"
+    shutil.copytree(FIXTURES_DIR / "overload_rebound", source)
+    shutil.rmtree(source / "expected")
+    args = ["flatten", str(source), "--out", str(tmp_path / "out")]
+    env = {"FLATJAVA_COLOR": "0"}
+    plain = CliRunner().invoke(main, args, env=env)
+    strict = CliRunner().invoke(main, [*args, "--strict"], env=env)
+    assert (plain.exit_code, strict.exit_code) == (0, 1), plain.output
+    assert strict.stderr == plain.stderr == (
+        "warning: [rebound-call] B: the call to f(long) in A.g() binds to f(int) in the "
+        "flattened class\n"
     )
 
 
