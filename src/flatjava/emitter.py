@@ -6,6 +6,9 @@ operators, no trailing whitespace. Emitted text re-lexes to the same
 (kind, lexeme) token stream as the AST it came from; original trivia is not
 preserved. The number of lines a member takes is known from the shape of its
 statements alone (`member_line_count`), which is what the metrics count.
+A flattened view's text is its head, its own members, and its pulled part
+as one chunk per level: the members pulled at that level, written once,
+then the chunks of its `base`, which every view below shares.
 """
 
 from __future__ import annotations
@@ -19,19 +22,44 @@ def emit(target, *, provenance: bool = False) -> str:
     With `provenance`, each member a FlattenedClass pulled down is preceded
     by a comment naming its origin.
     """
-    writer = _Writer()
     if isinstance(target, tree.CompilationUnit):
-        writer.unit(target.package, target.class_decl, {})
+        package, decl, pulled = target.package, target.class_decl, ()
+        own = decl.members
     elif isinstance(target, tree.ClassDecl):
-        writer.unit(None, target, {})
+        package, decl, own, pulled = None, target, target.members, ()
     else:
         # FlattenedClass (duck-typed to avoid a circular import): carries the
-        # package, the rewritten ClassDecl, and each member's declaring class.
-        origins = {}
-        if provenance:
-            origins = {id(m.decl): m.owner for m in target.members if m.pulled}
-        writer.unit(target.package, target.decl, origins)
-    return writer.text()
+        # package, the rewritten ClassDecl, and the text of its pulled part.
+        package, decl = target.package, target.decl
+        own = decl.members[:target.own]
+        pulled = target.pulled_part(
+            ("text", provenance), lambda view, inherited: _pulled(view, inherited, provenance), ()
+        )
+    head = f"package {package};\n\n" if package else ""
+    head += _vis_prefix(decl.visibility) + f"class {decl.name}"
+    if decl.superclass:
+        head += f" extends {decl.superclass}"
+    return "".join([head, " {", _chunk(own), *pulled, "}\n" if decl.members else "\n}\n"])
+
+
+def _pulled(view, inherited: tuple[str, ...], provenance: bool) -> tuple[str, ...]:
+    """The text of what `view` pulled at its level, as one chunk, before the
+    chunks `inherited` from further up."""
+    members = view.members[view.own:view.fresh]
+    chunk = _chunk([m.decl for m in members], [m.owner for m in members] if provenance else ())
+    return (chunk, *inherited) if chunk else inherited
+
+
+def _chunk(decls: list, owners=()) -> str:
+    """`decls` one after another, each after a blank line and, with
+    `owners`, a comment naming the class it was pulled from."""
+    writer = _Writer()
+    for i, decl in enumerate(decls):
+        writer.line(0, "")
+        if owners:
+            writer.line(1, f"// pulled from {owners[i]}")
+        writer.member(decl)
+    return "\n".join(writer.lines) + "\n" if decls else ""
 
 
 def member_line_count(member) -> int:
@@ -75,28 +103,8 @@ class _Writer:
     def __init__(self):
         self.lines: list[str] = []
 
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
     def line(self, level: int, content: str) -> None:
         self.lines.append("    " * level + content if content else "")
-
-    def unit(self, package: str | None, decl: tree.ClassDecl, provenance: dict[int, str]) -> None:
-        if package:
-            self.line(0, f"package {package};")
-            self.line(0, "")
-        head = _vis_prefix(decl.visibility) + f"class {decl.name}"
-        if decl.superclass:
-            head += f" extends {decl.superclass}"
-        self.line(0, head + " {")
-        for i, member in enumerate(decl.members):
-            if i:
-                self.line(0, "")
-            owner = provenance.get(id(member))
-            if owner:
-                self.line(1, f"// pulled from {owner}")
-            self.member(member)
-        self.line(0, "}")
 
     def member(self, member) -> None:
         """Write a member. Its lines depend on the node alone, so they are

@@ -52,15 +52,21 @@ can change in the flattened class are resolved again there
 
 A view lists its members in declaration order, its own first, as the
 model's `MemberInfo` records wherever nothing changed them, and its
-resolution lists each member's resolution at the same position.
+resolution lists each member's resolution at the same position. Where the
+superclass's view carried its pulled members' fates down and none of them
+changes here, the view ends with that view's pulled part as it is, nodes,
+resolutions and fates, and names that view its `base`; it builds only its
+own members and the superclass's own, pulled (`fresh`). What the method
+counts, the names taken, the emitted text, the plan and the metrics need
+of a pulled part is built once per level and reused by every view below
+(`FlattenedClass.pulled_part`).
 """
 
 from __future__ import annotations
 
 import copy  # noqa: F401 - benchmark/tracing.py wraps flattener.copy.deepcopy
 from bisect import bisect_left
-from collections import Counter
-from itertools import takewhile
+from itertools import islice
 
 from . import tree
 from .errors import (
@@ -150,6 +156,28 @@ class FlattenedClass:
         # Where `carried` is set, each pulled member's fate one level down, where
         # nothing touches it, by (kind, signature) in member order.
         self.repulled: dict[tuple[str, str], MemberFate] = {}
+        # The view is its `own` members, those it pulled at its level, up to
+        # `fresh`, and then, where `base` is set, `base`'s pulled part as it is:
+        # the same members, nodes, resolutions and carried fates.
+        self.own = self.fresh = len(members)
+        self.base: FlattenedClass | None = None
+        self.parts: dict = {}  # each consumer's layout of the pulled part
+
+    def pulled_part(self, key, build, empty):
+        """The view's pulled part as one consumer lays it out, kept under `key`.
+
+        `build(view, inherited)` lays out what `view` pulled at its level,
+        `members[own:fresh]`, followed by `inherited`: its base's layout, or
+        `empty`. Each view's layout is built once, bases first.
+        """
+        views, view = [], self
+        while view is not None and key not in view.parts:
+            views.append(view)
+            view = view.base
+        part = empty if view is None else view.parts[key]
+        for view in reversed(views):
+            part = view.parts[key] = build(view, part)
+        return part
 
 
 def flatten_model(model: ClassModel, graph: AccessGraph) -> dict[str, FlattenedClass]:
@@ -294,7 +322,7 @@ def _flatten_against_super(
                 )
             )
 
-    kept = _assign_names(cls, fates, fsuper.repulled, decide, diagnostics)
+    kept = _assign_names(cls, fates, fsuper, decide, diagnostics)
     flat = rewrite_references(model, cls, own, fsuper, fates, kept, inline_inits, accessed)
     flat.diagnostics[:0] = diagnostics
     return flat
@@ -390,24 +418,48 @@ def rewrite_references(
         members.append(member)
         resolutions.append(resolution)
         repulled[member.kind, member.signature] = _repulled(fate, member)
+    # The rest is fsuper's pulled part, where fsuper carried its fates down.
+    fresh = len(members)
+    methods = fsuper.pulled_part("methods", _methods_part, ({}, ())) if kept else ({}, ())
+    overloaded = _count_methods(methods, members)[1]
+    decls = [m.decl for m in members] + fsuper.decl.members[len(walked):]
     members += fsuper.members[len(walked):]
     resolutions += fsuper.resolution.members[len(walked):]
     repulled.update(kept)
 
-    new_decl = tree.ClassDecl(
-        cls.decl.visibility, name, None, [m.decl for m in members],
-        cls.decl.span, cls.decl.name_span,
-    )
+    new_decl = tree.ClassDecl(cls.decl.visibility, name, None, decls, cls.decl.span,
+                              cls.decl.name_span)
     rebound: list[Diagnostic] = []
-    resolution = _resolve_changed(model, cls, new_decl, members, resolutions, unsure, rebound)
+    resolution = _resolve_changed(model, cls, new_decl, members, resolutions, overloaded,
+                                  unsure, rebound)
     flat = FlattenedClass(name, cls.package, new_decl, members, resolution, fates, rewrites)
     flat.diagnostics = rebound
+    flat.own = own_count
+    if kept and max(unsure, default=-1) < fresh:
+        flat.base, flat.fresh = fsuper, fresh
     # A pulled body resolved again may reach other members here.
     if accessed is not None and max(unsure, default=-1) < own_count:
         attrs = {a: new_name for (kind, a), new_name in renames.items() if kind == ATTRIBUTE}
-        flat.carried = (accessed - attrs.keys()) | {attrs[a] for a in accessed & attrs.keys()}
+        flat.carried = accessed - attrs.keys()
+        flat.carried.update(new_name for a, new_name in attrs.items() if a in accessed)
         flat.repulled = repulled
     return flat
+
+
+def _methods_part(view: FlattenedClass, inherited: tuple) -> tuple[dict[str, int], set[str]]:
+    """How many methods of a pulled part have each name, and the names that repeat."""
+    return _count_methods(inherited, view.members[view.own:view.fresh])
+
+
+def _count_methods(counted: tuple, members: list[MemberInfo]) -> tuple[dict[str, int], set[str]]:
+    """`counted`, (count by name, names that repeat), with the methods of `members` counted."""
+    counts, repeated = dict(counted[0]), set(counted[1])
+    for m in members:
+        if m.kind == METHOD:
+            counts[m.name] = count = counts.get(m.name, 0) + 1
+            if count > 1:
+                repeated.add(m.name)
+    return counts, repeated
 
 
 def _repulled(fate: MemberFate, member: MemberInfo) -> MemberFate:
@@ -418,26 +470,29 @@ def _repulled(fate: MemberFate, member: MemberInfo) -> MemberFate:
     return MemberFate(member, PULL_DOWN, rules[not member.visible])
 
 
-def _assign_names(cls: ClassInfo, fates: list[MemberFate], carried: dict, decide,
+def _assign_names(cls: ClassInfo, fates: list[MemberFate], fsuper: FlattenedClass, decide,
                   diagnostics: list[Diagnostic]) -> dict:
     """Pick final names in declaration order; rename on demand for collisions.
 
     The freshness ladder avoids every member name in the growing class, both
     attribute and method names, even of members pulled later under their own
     names, so renamed members read unambiguously. Returns the last fates,
-    `carried` down by fsuper, which keep their names unless the subclass
+    carried down by fsuper, which keep their names unless the subclass
     declares one's (kind, signature): then `decide` decides them all afresh,
     and none is kept.
     """
+    carried = fsuper.repulled
+    first = len(fates) - len(carried)
     taken = {m.name for m in cls.members if m.kind != CTOR}
     # A member pulled without a rename keeps its name, so no rename may take it.
-    taken.update(f.member.name for f in fates if f.decision == PULL_DOWN)
+    taken.update(f.member.name for f in fates[:first] if f.decision == PULL_DOWN)
+    if carried:
+        taken |= fsuper.pulled_part("taken", _taken_part, frozenset())
     # (kind, signature) of every member in the growing class; an attribute's
     # signature is its name.
     keys = {(m.kind, m.signature) for m in cls.members}
-    first = len(fates) - len(carried)
     for i, fate in enumerate(fates):
-        if i == first and keys.isdisjoint(carried):
+        if i == first and carried.keys().isdisjoint(keys):
             return carried
         if i >= first:
             fate = fates[i] = decide(fate.member)
@@ -466,6 +521,12 @@ def _assign_names(cls: ClassInfo, fates: list[MemberFate], carried: dict, decide
     return {}
 
 
+def _taken_part(view: FlattenedClass, inherited: frozenset) -> frozenset:
+    """The names of the members of a pulled part that are pulled again unrenamed."""
+    fates = islice(view.repulled.values(), view.fresh - view.own)
+    return inherited.union(f.member.name for f in fates if f.decision == PULL_DOWN)
+
+
 def _analyze_super_ctors(
     cls: ClassInfo,
     fsuper: FlattenedClass,
@@ -478,7 +539,7 @@ def _analyze_super_ctors(
         diagnostics.append(Diagnostic(UNSUPPORTED_CTOR, message, cls.name, span))
         return {}
 
-    ctors = [m for m in takewhile(lambda m: not m.pulled, fsuper.members) if m.kind == CTOR]
+    ctors = [m for m in fsuper.members[:fsuper.own] if m.kind == CTOR]
     if not ctors:
         return {}
     no_arg = [c for c in ctors if not c.decl.params]
@@ -566,6 +627,7 @@ def _resolve_changed(
     decl: tree.ClassDecl,
     members: list[MemberInfo],
     resolutions: list[MemberResolution],
+    overloaded: set[str],
     unsure: list[int],
     diagnostics: list[Diagnostic],
 ) -> ClassResolution:
@@ -578,10 +640,9 @@ def _resolve_changed(
     the first error is the one a resolution of the whole class would raise;
     it names the file the body came from. Each index resolved again is
     added to `unsure`. A call or `new` that binds to another member there
-    than the carried site says is reported as `rebound-call`.
+    than the carried site says is reported as `rebound-call`. `overloaded`
+    holds the names of more than one method of the flattened class.
     """
-    names = Counter(m.name for m in members if m.kind == METHOD)
-    overloaded = {name for name, count in names.items() if count > 1}
     attr_names = None
     for i, resolution in enumerate(resolutions):
         if overloaded and any(

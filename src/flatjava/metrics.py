@@ -3,17 +3,18 @@
 Size: NOA (attributes), NOM (methods, constructors excluded), SLOC counted
 on the canonical emission of the view so both views are measured with the
 same yardstick. A member's lines are counted from the shape of its
-statements, without writing any text, and the count is kept on its node; a
-flattened view shares most of its nodes with its superclass's view, so each
-distinct member is counted once. Cohesion:
-LCOM1 is the number of method pairs sharing no attribute; LCOM2 is
-max(P - Q, 0) over non-sharing/sharing pairs. A method "uses" an attribute
-through a direct read or write edge only. Each use set is computed once per
-member resolution, which an untouched pulled member shares down a chain;
-only references qualified by the measured class's own name are added per
-class. Q is counted from one bitmask of methods per attribute. Coupling:
-CBO counts the other model classes named in field types, parameter and
-return types, constructor calls, and receiver types.
+statements, without writing any text, and the count is kept on its node.
+Cohesion: LCOM1 is the number of method pairs sharing no attribute; LCOM2
+is max(P - Q, 0) over non-sharing/sharing pairs. A method "uses" an
+attribute through a direct read or write edge only; each use set is kept
+on its member resolution, and only references qualified by the measured
+class's own name are added per class. Q is counted from one bitmask of
+methods per attribute: a method joining a set of methods adds the methods
+in the OR of its attributes' masks. Coupling: CBO counts the other model
+classes named in field types, parameter and return types, constructor
+calls, and receiver types. A flattened view is measured as its own members
+added to its pulled part, whose measures (NOA, NOM, SLOC, named types, Q
+and masks) each level adds once to those of its `base`'s part.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import tree
 from .emitter import member_line_count
 from .flattener import FlattenedClass
 from .model import ClassModel
-from .resolver import CALL, AccessGraph, ClassResolution, MemberResolution
+from .resolver import CALL, AccessGraph, MemberResolution
 from .emitter import emit  # noqa: F401 - benchmark/tracing.py wraps metrics.emit
 from .resolver import resolve_class  # noqa: F401 - benchmark/tracing.py wraps metrics.resolve_class
 
@@ -48,16 +49,8 @@ class MetricsRecord:
         self.cbo = cbo
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.class_name,
-            "view": self.view,
-            "noa": self.noa,
-            "nom": self.nom,
-            "sloc": self.sloc,
-            "lcom1": self.lcom1,
-            "lcom2": self.lcom2,
-            "cbo": self.cbo,
-        }
+        return {"name": self.class_name, "view": self.view,
+                **{field: getattr(self, field) for field in _METRIC_FIELDS}}
 
 
 class ComparisonRow:
@@ -73,30 +66,34 @@ class ComparisonRow:
 def lcom_values(use_sets: list) -> tuple[int, int]:
     """(LCOM1, LCOM2) from per-method attribute-use sets; a set may be any
     iterable of attribute names, in which a name may repeat."""
-    n = len(use_sets)
-    if n < 2:
-        return 0, 0
-    # Bit i of users[a] is set when method i uses attribute a.
-    users: dict[str, int] = {}
+    users, q = {}, 0
     for i, used in enumerate(use_sets):
-        for attr in used:
-            users[attr] = users.get(attr, 0) | 1 << i
-    q = 0
-    for i, used in enumerate(use_sets):
-        sharers = 0
-        for attr in used:
-            sharers |= users[attr]
-        q += (sharers >> (i + 1)).bit_count()  # later methods sharing with i
-    p = n * (n - 1) // 2 - q
+        q = _share(users, q, 1 << i, used)
+    p = len(use_sets) * (len(use_sets) - 1) // 2 - q
     return p, max(p - q, 0)
 
 
+def _share(users: dict[str, int], q: int, bit: int, used) -> int:
+    """Q once the method at `bit`, which uses the attributes `used`, joins the
+    methods whose bits `users` holds per attribute; `users` takes its bit."""
+    sharers = 0
+    for attr in used:
+        mask = users.get(attr, 0)
+        sharers |= mask
+        users[attr] = mask | bit
+    return q + (sharers & ~bit).bit_count()
+
+
 def measure_original(model: ClassModel, graph: AccessGraph, name: str) -> MetricsRecord:
-    return _measure(model, name, ORIGINAL, model.classes[name].decl, graph.resolutions[name])
+    part = _add(_EMPTY, model.classes[name].decl.members, graph.resolutions[name].members)
+    return _record(model, name, ORIGINAL, part)
 
 
 def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:
-    return _measure(model, flat.name, FLATTENED, flat.decl, flat.resolution)
+    part = flat.pulled_part("metrics", _measure_pulled, _EMPTY)
+    own = flat.own
+    return _record(model, flat.name, FLATTENED,
+                   _add(part, flat.decl.members[:own], flat.resolution.members[:own]))
 
 
 def compare(
@@ -117,40 +114,71 @@ def compare(
     return rows
 
 
-def _measure(model: ClassModel, name: str, view: str, decl: tree.ClassDecl,
-             resolution: ClassResolution) -> MetricsRecord:
-    fields = [m for m in decl.members if isinstance(m, tree.FieldDecl)]
-    methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]
-    lcom1, lcom2 = lcom_values([_uses(r, name) for m, r in zip(decl.members, resolution.members)
-                                if isinstance(m, tree.MethodDecl)])
+# The measures of a run of members: NOA, NOM, SLOC less the class's two
+# lines, the types they name, Q, each attribute's bitmask of the methods
+# that use it, and the (bit, resolution) of each method whose uses depend
+# on the class measured, which joins the bitmasks per class (`_record`).
+_EMPTY = (0, 0, 0, frozenset(), 0, {}, ())
+
+
+def _measure_pulled(view: FlattenedClass, inherited: tuple) -> tuple:
+    """The measures of what `view` pulled at its level and of `inherited`."""
+    own, fresh = view.own, view.fresh
+    return _add(inherited, view.decl.members[own:fresh], view.resolution.members[own:fresh])
+
+
+def _add(part: tuple, decls: list, resolutions: list[MemberResolution]) -> tuple:
+    """The measures of `part` and of the members `decls`, resolved by `resolutions`."""
+    noa, nom, sloc, types, q, users, qualified = part
+    types, users, qualified = set(types), dict(users), list(qualified)
+    sloc += sum(map(member_line_count, decls))
+    for decl, resolution in zip(decls, resolutions):
+        types.update(resolution.new_types, resolution.receiver_types)
+        if isinstance(decl, tree.FieldDecl):
+            noa += 1
+            types.add(decl.decl_type.name)
+            continue
+        types.update([p.decl_type.name for p in decl.params])
+        if isinstance(decl, tree.MethodDecl):
+            if decl.return_type is not None:
+                types.add(decl.return_type.name)
+            bit = 1 << nom
+            nom += 1
+            if resolution.receiver_types or resolution.class_refs:
+                qualified.append((bit, resolution))
+            else:
+                q = _share(users, q, bit, _uses(resolution))
+    return noa, nom, sloc, types, q, users, qualified
+
+
+def _record(model: ClassModel, name: str, view: str, part: tuple) -> MetricsRecord:
+    """The record of `name`'s view, measured as `part`, whose masks the
+    methods that `qualified` holds join as methods of `name`."""
+    noa, nom, sloc, types, q, users, qualified = part
+    for bit, resolution in qualified:
+        q = _share(users, q, bit, _uses(resolution, name))
+    classes = model.classes
+    cbo = sum(t != name and t in classes and not classes[t].synthetic for t in types)
+    p = nom * (nom - 1) // 2 - q
     # The emission is the class line, each member's lines with a blank line
     # between members, and the closing brace; no line of a member is blank.
-    sloc = 2 + sum(map(member_line_count, decl.members))
-
-    referenced = {f.decl_type.name for f in fields}
-    referenced.update(m.return_type.name for m in methods if m.return_type is not None)
-    for m in decl.members:
-        if not isinstance(m, tree.FieldDecl):
-            referenced.update(p.decl_type.name for p in m.params)
-    referenced |= resolution.new_types | resolution.receiver_types
-    classes = model.classes
-    cbo = sum(t != name and t in classes and not classes[t].synthetic for t in referenced)
-    return MetricsRecord(name, view, len(fields), len(methods), sloc, lcom1, lcom2, cbo)
+    return MetricsRecord(name, view, noa, nom, 2 + sloc, p, max(p - q, 0), cbo)
 
 
-def _uses(resolution: MemberResolution, name: str) -> tuple[str, ...]:
+def _uses(resolution: MemberResolution, name: str | None = None) -> tuple[str, ...]:
     """The attributes of class `name` that a body in it reads or writes.
 
     Those reached through the holder's own members (no `to_class`) are kept
-    on the resolution. A reference qualified by `name` has a receiver or a
-    static qualifier, and counts only in `name`'s view, so it is added here.
+    on the resolution; without `name`, they are all. A reference qualified
+    by `name` has a receiver or a static qualifier, and counts only in
+    `name`'s view, so it is added here.
     """
     used = resolution.used
     if used is None:
         used = resolution.used = tuple(dict.fromkeys(
             s.to_member for s in resolution.sites.values() if s.to_class is None and s.kind != CALL
         ))
-    if resolution.receiver_types or resolution.class_refs:
+    if name and (resolution.receiver_types or resolution.class_refs):
         used += tuple(
             s.to_member for s in resolution.sites.values() if s.to_class == name and s.kind != CALL
         )

@@ -6,8 +6,9 @@ each live in the `schemas` package directory.
 
 `dump_json` writes any document as `json.dumps(..., indent=2)` would. The
 plan, which lists every fate of every flattened class and so grows with
-depth squared on a chain, has its own fixed-layout writer, `plan_json`;
-`plan_document` stays as the plan's document form.
+depth squared on a chain, has its own fixed-layout writer, `plan_json`,
+which lays out the fates a view carries down once per level and reuses
+them below; `plan_document` stays as the plan's document form.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import io
 import json
 from importlib import resources
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_string
 
 from .flattener import FlattenedClass, MemberFate
@@ -104,11 +106,7 @@ def render_metrics(records: list[MetricsRecord], fmt: str) -> str:
         [r.class_name, r.view, r.noa, r.nom, r.sloc, r.lcom1, r.lcom2, r.cbo]
         for r in records
     ]
-    if fmt == "csv":
-        return _render_csv(header, rows)
-    if fmt == "markdown":
-        return _render_markdown(header, rows)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render_table(header, rows, fmt)
 
 
 # --- comparison report ------------------------------------------------------
@@ -145,53 +143,32 @@ def render_compare(rows: list[ComparisonRow], fmt: str) -> str:
             [row.class_name, o.noa, f.noa, o.nom, f.nom, o.sloc, f.sloc,
              o.lcom1, f.lcom1, o.lcom2, f.lcom2, o.cbo, f.cbo]
         )
-    if fmt == "csv":
-        return _render_csv(header, table)
-    if fmt == "markdown":
-        return _render_markdown(header, table)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render_table(header, table, fmt)
 
 
 # --- plan and model dumps ---------------------------------------------------
 
 
 def plan_document(flattened: dict[str, FlattenedClass]) -> dict:
-    classes = []
-    for name in flattened:
-        flat = flattened[name]
-        fates = []
-        for fate in flat.fates:
-            fates.append(
-                {
-                    "member": fate.member.signature,
-                    "kind": fate.member.kind,
-                    "provenance": fate.member.owner,
-                    "decision": fate.decision,
-                    "rule": fate.rule,
-                    "new_name": fate.new_name,
-                }
-            )
-        rewrites = [
-            {
-                "span": list(r.span),
-                "old": r.old,
-                "new": r.new,
-                "target_owner": r.target_owner,
-            }
-            for r in flat.rewrites
-        ]
-        classes.append({"name": name, "fates": fates, "rewrites": rewrites})
-    return {"schema": "plan/v1", "classes": classes}
+    return {"schema": "plan/v1", "classes": [
+        {
+            "name": name,
+            "fates": [
+                {"member": f.member.signature, "kind": f.member.kind, "provenance": f.member.owner,
+                 "decision": f.decision, "rule": f.rule, "new_name": f.new_name}
+                for f in flat.fates
+            ],
+            "rewrites": [
+                {"span": list(r.span), "old": r.old, "new": r.new, "target_owner": r.target_owner}
+                for r in flat.rewrites
+            ],
+        }
+        for name, flat in flattened.items()
+    ]}
 
 
-# A class, fate and rewrite of `plan_document`, as `json.dumps(..., indent=2)`
+# A fate and a rewrite of `plan_document`, as `json.dumps(..., indent=2)`
 # lays each out at its depth in the plan.
-_CLASS = """
-    {
-      "name": %s,
-      "fates": %s,
-      "rewrites": %s
-    }"""
 _FATE = """
         {
           "member": %s,
@@ -218,19 +195,43 @@ def plan_json(flattened: dict[str, FlattenedClass]) -> str:
 
     The plan lists every fate of every flattened class, so on a chain it
     grows with depth squared. This writer fills one fixed layout per fate
-    and per rewrite instead of walking a nested document. A fate shared by
-    every level that pulls its member again keeps its entry (`MemberFate.plan`).
+    and per rewrite instead of walking a nested document, and joins the
+    pieces once. A fate shared by every level that pulls its member again
+    keeps its entry (`MemberFate.plan`). Where a view ends with its base's
+    pulled part, its last fates are the ones the base carries down, and
+    their entries are the base's layout of that part, one fragment per
+    level (`_plan_part`).
     """
     enc = _encode_string
-    classes = []
+    out = ['{\n  "schema": "plan/v1",\n  "classes": ']
+    separator = "["
     for name, flat in flattened.items():
-        fates = [f.plan or _fate_plan(f) for f in flat.fates]
-        rewrites = [
+        base = flat.base
+        fates = _entries(flat.fates[:len(flat.fates) - len(base.repulled)] if base else flat.fates)
+        inherited = base.pulled_part("plan", _plan_part, ()) if base else ()
+        out += (separator, '\n    {\n      "name": ', enc(name), ',\n      "fates": ')
+        _items(out, (fates, *inherited) if fates else inherited, 6)
+        out.append(',\n      "rewrites": ')
+        _items(out, [
             _REWRITE % (r.span[0], r.span[1], enc(r.old), enc(r.new), enc(r.target_owner))
             for r in flat.rewrites
-        ]
-        classes.append(_CLASS % (enc(name), _items(fates, 6), _items(rewrites, 6)))
-    return '{\n  "schema": "plan/v1",\n  "classes": %s\n}\n' % _items(classes, 2)
+        ], 6)
+        out.append("\n    }")
+        separator = ","
+    out.append("\n  ]\n}\n" if flattened else "[]\n}\n")
+    return "".join(out)
+
+
+def _plan_part(view: FlattenedClass, inherited: tuple[str, ...]) -> tuple[str, ...]:
+    """The entries of the fates that `view` carries down for what it pulled
+    at its level, as one fragment, before the fragments `inherited`."""
+    fragment = _entries(islice(view.repulled.values(), view.fresh - view.own))
+    return (fragment, *inherited) if fragment else inherited
+
+
+def _entries(fates) -> str:
+    """The laid-out entries of `fates`, joined into one list fragment."""
+    return ",".join([f.plan or _fate_plan(f) for f in fates])
 
 
 def _fate_plan(f: MemberFate) -> str:
@@ -240,29 +241,28 @@ def _fate_plan(f: MemberFate) -> str:
     return f.plan
 
 
-def _items(items: list[str], indent: int) -> str:
-    """A JSON list of laid-out items whose closing bracket is at `indent`."""
-    if not items:
-        return "[]"
-    return "[" + ",".join(items) + "\n" + " " * indent + "]"
+def _items(out: list[str], items, indent: int) -> None:
+    """Append to `out` a JSON list of laid-out items, or of fragments of
+    them, whose closing bracket is at `indent`."""
+    out += ("[", ",".join(items), "\n" + " " * indent + "]") if items else ("[]",)
 
 
 # --- table rendering --------------------------------------------------------
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _render_markdown(header: list[str], rows: list[list]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
-    return "\n".join(lines) + "\n"
+def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue()
+    if fmt == "markdown":
+        lines = [
+            "| " + " | ".join(header) + " |",
+            "| " + " | ".join("---" for _ in header) + " |",
+        ]
+        for row in rows:
+            lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")

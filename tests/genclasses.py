@@ -65,7 +65,8 @@ def random_class_source(rng: random.Random, name: str) -> str:
 def random_hierarchy_sources(
     rng: random.Random, depth: int | None = None, owner_names: bool = False
 ) -> list[str]:
-    """A 2-3 level chain exercising overrides, super refs, and private reach.
+    """A chain of 2-3 levels, or `depth` up to 5, exercising overrides,
+    super refs, and private reach.
 
     All methods are no-arg so calls never hit overload ranking; super
     references target visible members only, keeping every generated program
@@ -75,7 +76,7 @@ def random_hierarchy_sources(
     its name.
     """
     depth = depth or rng.choice((2, 3))
-    names = ["H0", "H1", "H2"][:depth]
+    names = [f"H{level}" for level in range(depth)]
 
     def declared(prefix: str, level: int, i: int, taken: list[tuple[str, str]]) -> str:
         if owner_names and rng.random() < 0.5:

@@ -12,7 +12,10 @@ same members, the same diagnostics, the same pulled and accessed sets for
 every class, the same fates, the same members and the same plan, and for
 each own or pulled body the same node (the very same object where it is
 unchanged), the same carried sites at the same places in it, and the same
-rewrites in the same order.
+rewrites in the same order. A view that ends with its superclass view's
+pulled part (`base`) reuses that view's text, plan entries and metrics of
+the part; on chains where a middle level breaks that reuse, every view's
+text, plan and metrics must still agree with the from-scratch ones.
 """
 
 from __future__ import annotations
@@ -28,8 +31,11 @@ from flatjava import (
     build_model,
     compute_access_graph,
     emit,
+    emitter,
     flattener,
+    metrics,
     parse_source,
+    report,
     tree,
 )
 from flatjava.errors import ILLEGAL_OVERRIDE_FINAL, ILLEGAL_OVERRIDE_STATIC
@@ -46,6 +52,7 @@ from from_scratch import (
 )
 from genclasses import random_hierarchy_sources, random_overloading_hierarchy
 from hiergen import CONFIGS, build_sources
+from test_metrics import _check_parts
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -263,6 +270,114 @@ def test_rule_table_work_grows_linearly_with_depth(monkeypatch):
         counts.append(len(decided))
     # 6,240 inherited slots against 360 when every slot is decided: 17.3.
     assert counts[1] <= 5 * counts[0], counts
+
+
+def test_emit_plan_and_metrics_work_grows_linearly_with_depth(monkeypatch):
+    # Each view lays out the text, the plan entries and the measures of what
+    # it pulled at its level once, and reuses its base's for the rest.
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import workloads
+
+    work = Counter()
+    chunk, entries, uses = emitter._chunk, report._entries, metrics._uses
+
+    def lines(*args):
+        text = chunk(*args)
+        work["member lines"] += text.count("\n")
+        return text
+
+    def fate_entries(fates):
+        fates = list(fates)
+        work["fate entries"] += len(fates)
+        return entries(fates)
+
+    monkeypatch.setattr(emitter, "_chunk", lines)
+    monkeypatch.setattr(report, "_entries", fate_entries)
+    monkeypatch.setattr(metrics, "_uses", lambda *a: work.update(["uses"]) or uses(*a))
+    counts = []
+    for depth in (10, 40):
+        work.clear()
+        model = classify_members(build_model(_units(*workloads.deep_chain(depth).sources.values())))
+        graph = compute_access_graph(model)
+        flattened = flattener.flatten_model(model, graph)
+        for flat in flattened.values():
+            emit(flat)
+            emit(flat, provenance=True)
+        plan_json(flattened)
+        metrics.compare(model, graph, flattened)
+        counts.append(dict(work))
+    # 4.2x, 4.5x and 4.1x; laid out for every member of every view, each
+    # would grow about 15x.
+    for key, count in counts[1].items():
+        assert count <= 5 * counts[0][key], (key, counts)
+
+
+# Chains where a middle level cannot end with its superclass view's pulled
+# part as it is, and the names of the views that do.
+REUSE_BREAKS = {
+    # D redeclares A's f, which C's pulled part carries.
+    "redeclared_carried_signature": ((
+        "class A { public int a = 1; public int f() { return a; } }",
+        "class B extends A { public int b = 2; public int g() { return b; } }",
+        "class C extends B { public int c = 3; }",
+        "class D extends C { public int f() { return 4; } }",
+        "class E extends D { public int e = 5; }",
+    ), ["C", "E"]),
+    # Q folds P's constructor into the initializer of G's a.
+    "folded_constructor": ((
+        "class G { public int a = 0; public int g() { return a; } }",
+        "class H extends G { public int h = 1; }",
+        "class P extends H { P() { a = 1; } }",
+        "class Q extends P { public int q = 2; }",
+        "class R extends Q { }",
+    ), ["P"]),
+    # P carries nothing, so C walks P's view, and D reuses C's pulled part.
+    **{name: ((*sources, "class D extends C { public int d = 4; }"), ["D"])
+       for name, sources in NOT_CARRIED.items()},
+    # D's m(int) overloads A's m(long), so A's run(), in C's pulled part, is
+    # resolved again in D.
+    "tail_resolved_again": ((
+        "class A { public int m(long x) { return 1; } public int run() { return m(1); } }",
+        "class B extends A { public int b = 0; }",
+        "class C extends B { public int c = 0; }",
+        "class D extends C { public int m(int x) { return 2; } }",
+        "class E extends D { }",
+    ), ["C"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_BREAKS))
+def test_reuse_breaks_where_the_pulled_part_changes(name, monkeypatch):
+    sources, reusing = REUSE_BREAKS[name]
+    model = classify_members(build_model(_units(*sources)))
+    flattened = flattener.flatten_model(model, compute_access_graph(model))
+    assert [n for n, flat in flattened.items() if flat.base] == reusing
+    for flat in flattened.values():
+        if flat.base:
+            assert flat.members[flat.fresh:] == flat.base.members[flat.base.own:]
+    check(_units(*sources), monkeypatch)
+    _check_parts(list(sources))
+
+
+DEEP_SEEDS = range(40)
+
+
+@pytest.mark.parametrize("seed", DEEP_SEEDS)
+def test_reuse_on_generated_deep_chains(seed, monkeypatch):
+    sources = random_hierarchy_sources(random.Random(60_000 + seed), depth=4 + seed % 2)
+    check(_units(*sources), monkeypatch)
+    _check_parts(sources)
+
+
+def test_generated_deep_chains_reuse_a_part_twice():
+    # A view whose base has a base reuses that base's pulled part twice.
+    twice = 0
+    for seed in DEEP_SEEDS:
+        sources = random_hierarchy_sources(random.Random(60_000 + seed), depth=4 + seed % 2)
+        model = classify_members(build_model(_units(*sources)))
+        flattened = flattener.flatten_model(model, compute_access_graph(model))
+        twice += any(flat.base and flat.base.base for flat in flattened.values())
+    assert twice >= 30, twice
 
 
 def _record_descents(monkeypatch, descended: list) -> None:

@@ -1,9 +1,11 @@
 """The parser against a recorded golden: same trees, same errors.
 
 `parser_golden.json` holds, for every `.java` file under `fixtures/` and for
-500 seeded one-token mutations of them (a token deleted, duplicated or
-swapped with the next), the sha256 of `repr(tree)` or of the error it
-raised (class, message, span and expected set). It also holds the error of
+three seeded one-token mutations of each that lexes (a token deleted,
+duplicated or swapped with the next), the sha256 of `repr(tree)` or of the
+error it raised (class, message, span and expected set). Each file's
+mutations are drawn from a seed made of its path, so adding a fixture adds
+its own cases and leaves every other case as it was. It also holds the error of
 each nesting shape one level past MAX_NESTING, in readable form. A parser
 rewrite must reproduce all of it.
 
@@ -18,6 +20,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,7 @@ from flatjava.parser import MAX_NESTING
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_PATH = Path(__file__).parent / "parser_golden.json"
-MUTATIONS = 500
+MUTATIONS_PER_FILE = 3
 MUTATION_SEED = 20140
 
 
@@ -57,19 +60,16 @@ def _mutate(tokens, rng: random.Random) -> tuple[str, str]:
 
 def mutated_sources() -> dict[str, tuple[str, str]]:
     """Seeded mutations of the lexable fixtures: key -> (path, source)."""
-    pool = {}
+    cases = {}
     for path, source in _fixture_sources().items():
         try:
-            pool[path] = tokenize(source)
+            tokens = tokenize(source)
         except LexError:
             continue
-    names = sorted(pool)
-    rng = random.Random(MUTATION_SEED)
-    cases = {}
-    for n in range(MUTATIONS):
-        path = rng.choice(names)
-        op, source = _mutate(pool[path], rng)
-        cases[f"mutation/{n:03d}/{path}/{op}"] = (path, source)
+        rng = random.Random(f"{MUTATION_SEED}/{path}")
+        for n in range(MUTATIONS_PER_FILE):
+            op, mutated = _mutate(tokens, rng)
+            cases[f"mutation/{path}/{n}/{op}"] = (path, mutated)
     return cases
 
 
@@ -160,7 +160,8 @@ def golden() -> dict:
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden["digests"]) == sorted(_CASES)
-    assert sum(k.startswith("mutation/") for k in _CASES) == MUTATIONS
+    mutated = Counter(k.rsplit("/", 2)[0] for k in _CASES if k.startswith("mutation/"))
+    assert set(mutated.values()) == {MUTATIONS_PER_FILE}
 
 
 @pytest.mark.parametrize("prefix", ["fixture/", "mutation/", "deep/"])
