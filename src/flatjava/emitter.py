@@ -30,7 +30,7 @@ def emit(target, *, provenance: bool = False) -> str:
     else:
         # FlattenedClass (duck-typed to avoid a circular import): carries the
         # package, the rewritten ClassDecl, and the text of its pulled part.
-        package, decl = target.package, target.decl
+        package, decl = target.package, target.head_decl
         own = decl.members[:target.own]
         pulled = target.pulled_part(
             ("text", provenance), lambda view, inherited: _pulled(view, inherited, provenance), ()
@@ -39,13 +39,13 @@ def emit(target, *, provenance: bool = False) -> str:
     head += _vis_prefix(decl.visibility) + f"class {decl.name}"
     if decl.superclass:
         head += f" extends {decl.superclass}"
-    return "".join([head, " {", _chunk(own), *pulled, "}\n" if decl.members else "\n}\n"])
+    return "".join([head, " {", _chunk(own), *pulled, "}\n" if decl.members or pulled else "\n}\n"])
 
 
 def _pulled(view, inherited: tuple[str, ...], provenance: bool) -> tuple[str, ...]:
     """The text of what `view` pulled at its level, as one chunk, before the
     chunks `inherited` from further up."""
-    members = view.members[view.own:view.fresh]
+    members = view.head_members[view.own:]
     chunk = _chunk([m.decl for m in members], [m.owner for m in members] if provenance else ())
     return (chunk, *inherited) if chunk else inherited
 

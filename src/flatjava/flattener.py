@@ -56,17 +56,19 @@ resolution lists each member's resolution at the same position. Where the
 superclass's view carried its pulled members' fates down and none of them
 changes here, the view ends with that view's pulled part as it is, nodes,
 resolutions and fates, and names that view its `base`; it builds only its
-own members and the superclass's own, pulled (`fresh`). What the method
-counts, the names taken, the emitted text, the plan and the metrics need
-of a pulled part is built once per level and reused by every view below
-(`FlattenedClass.pulled_part`).
+own members and the superclass's own, pulled (`fresh`), and keeps only
+those. What the next class asks of the part by name is kept in an index
+that each level extends (`_part_index`), and what the emitted text, the
+plan and the metrics need of it is built once per level and reused by
+every view below (`FlattenedClass.pulled_part`).
 """
 
 from __future__ import annotations
 
 import copy  # noqa: F401 - benchmark/tracing.py wraps flattener.copy.deepcopy
 from bisect import bisect_left
-from itertools import islice
+from functools import cached_property
+from itertools import chain
 
 from . import tree
 from .errors import (
@@ -136,38 +138,90 @@ class RewriteDirective:
 
 
 class FlattenedClass:
+    """A flattened view: what it built itself, and the base it ends with.
+
+    `head_decl`, `head_members` and `head_resolution` hold the view's `own`
+    members and those it pulled at its level, up to `fresh`; `head_fates`
+    the fates it decided. Where `base` is set, the view goes on with
+    `base`'s pulled part as it is: the same members, nodes, resolutions and
+    carried fates. The whole view, `decl`, `members`, `resolution`, `fates`,
+    `repulled` and `carried`, is assembled from the bases on first read;
+    flattening, `emit`, the plan and the metrics read only the heads.
+    """
+
     def __init__(self, name: str, package: str | None, decl: tree.ClassDecl,
                  members: list[MemberInfo], resolution: ClassResolution,
                  fates: list[MemberFate] | None = None,
                  rewrites: list[RewriteDirective] | None = None):
         self.name = name
         self.package = package
-        self.decl = decl
-        self.members = members
-        self.resolution = resolution
-        self.fates = [] if fates is None else fates
+        self.head_decl, self.head_members, self.head_resolution = decl, members, resolution
+        self.head_fates = [] if fates is None else fates
         self.rewrites = [] if rewrites is None else rewrites
         self.diagnostics: list[Diagnostic] = []
-        # The attributes that the pulled members' bodies read or write, under
-        # their names here: with the pulled members themselves, their part of
-        # the superclass view's fixed point. None for a root, or where a pulled
-        # body's resolution changed here (`rewrite_references`).
-        self.carried: set[str] | None = None
-        # Where `carried` is set, each pulled member's fate one level down, where
-        # nothing touches it, by (kind, signature) in member order.
-        self.repulled: dict[tuple[str, str], MemberFate] = {}
-        # The view is its `own` members, those it pulled at its level, up to
-        # `fresh`, and then, where `base` is set, `base`'s pulled part as it is:
-        # the same members, nodes, resolutions and carried fates.
+        # Whether the pulled members, and the attributes their bodies access,
+        # are their part of the next class's fixed point: not for a root, nor
+        # where a pulled body's resolution changed here. Then the fates, one
+        # level down where nothing touches them, of those pulled at this level.
+        self.carries = False
+        self.head_repulled: list[MemberFate] = []
         self.own = self.fresh = len(members)
         self.base: FlattenedClass | None = None
         self.parts: dict = {}  # each consumer's layout of the pulled part
+        self.index: _PartIndex | None = None  # see `_part_index`
+
+    def bases(self):
+        """The views whose pulled parts this view ends with, nearest first."""
+        view = self.base
+        while view is not None:
+            yield view
+            view = view.base
+
+    def carried_fates(self):
+        """Where the view carries its pulled part down, that part's fates one level down."""
+        view = self if self.carries else None
+        while view is not None:
+            yield from view.head_repulled
+            view = view.base
+
+    @cached_property
+    def members(self) -> list[MemberInfo]:
+        if self.base is None:
+            return self.head_members
+        return self.head_members + [m for v in self.bases() for m in v.head_members[v.own:]]
+
+    @cached_property
+    def decl(self) -> tree.ClassDecl:
+        if self.base is None:
+            return self.head_decl
+        return tree.replace(self.head_decl, members=[m.decl for m in self.members])
+
+    @cached_property
+    def resolution(self) -> ClassResolution:
+        if self.base is None:
+            return self.head_resolution
+        return ClassResolution(self.name, self.decl.members, self.head_resolution.members + [
+            r for v in self.bases() for r in v.head_resolution.members[v.own:]])
+
+    @cached_property
+    def fates(self) -> list[MemberFate]:
+        return self.head_fates + [*self.base.carried_fates()] if self.base else self.head_fates
+
+    @cached_property
+    def repulled(self) -> dict[tuple[str, str], MemberFate]:
+        """The carried fates by their member's (kind, signature)."""
+        return {(f.member.kind, f.member.signature): f for f in self.carried_fates()}
+
+    @cached_property
+    def carried(self) -> set[str] | None:
+        """Where the view carries its pulled part down, the attributes its bodies access."""
+        return set(_part_index(self).accessed) if self.carries else None
 
     def pulled_part(self, key, build, empty):
         """The view's pulled part as one consumer lays it out, kept under `key`.
 
         `build(view, inherited)` lays out what `view` pulled at its level,
-        `members[own:fresh]`, followed by `inherited`: its base's layout, or
+        `head_members[own:]`, followed by `inherited`: its base's layout, or
         `empty`. Each view's layout is built once, bases first.
         """
         views, view = [], self
@@ -178,6 +232,48 @@ class FlattenedClass:
         for view in reversed(views):
             part = view.parts[key] = build(view, part)
         return part
+
+
+class _PartIndex:
+    """What the next class asks of a view's pulled part: its members' (kind,
+    signature), how many methods have each member name and the names that
+    repeat, and the method names its bodies call bare or through `this`, the
+    attributes they access there and the classes they qualify."""
+
+    def __init__(self):
+        self.keys: set[tuple[str, str]] = set()
+        self.names: dict[str, int] = {}
+        self.repeated: set[str] = set()
+        self.calls: set[str] = set()
+        self.accessed: set[str] = set()
+        self.qualifiers: set[str] = set()
+
+    def add(self, members: list[MemberInfo], resolutions: list[MemberResolution]) -> None:
+        names, calls, accessed = self.names, self.calls, self.accessed
+        for m, resolution in zip(members, resolutions):
+            self.keys.add((m.kind, m.signature))
+            names[m.name] = count = names.get(m.name, 0) + (m.kind == METHOD)
+            if count > 1:
+                self.repeated.add(m.name)
+            for s in resolution.sites.values():
+                if s.kind == CALL:
+                    if s.basis in LOCAL_BASES:
+                        calls.add(s.to_member[:s.to_member.index("(")])
+                elif s.to_class is None:
+                    accessed.add(s.to_member)
+            if resolution.class_refs:
+                self.qualifiers.update(resolution.class_refs)
+
+
+def _part_index(view: FlattenedClass) -> _PartIndex:
+    """The index of `view`'s pulled part. A view that ends with its base's
+    part and carries its own down takes the base's index over and adds what
+    it pulled; where none did, or a view below took it, it is built here."""
+    index = view.index
+    if index is None:
+        index = view.index = _PartIndex()
+        index.add(view.members[view.own:], view.resolution.members[view.own:])
+    return index
 
 
 def flatten_model(model: ClassModel, graph: AccessGraph) -> dict[str, FlattenedClass]:
@@ -264,16 +360,16 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
 
     Each member fsuper pulled was reached from a visible member there, and
     still is: renames keep the edges, and pulled bodies, bound statically,
-    reach no member fsuper declares itself. So where fsuper carries the
-    attributes its pulled members access, the worklist starts from those
-    and the pulled members, and walks only fsuper's own members, which come
-    first in `fsuper.members`.
+    reach no member fsuper declares itself. So where fsuper carries its
+    pulled part down, the worklist walks only fsuper's own members, and
+    returns only what they add: the rest of the fixed point is the carried
+    part itself, its members (`FlattenedClass.repulled`) and the attributes
+    their bodies access (`FlattenedClass.carried`).
     """
-    pulled, accessed = set(fsuper.repulled), set(fsuper.carried or ())
-    own = fsuper.members[:len(fsuper.members) - len(pulled)]
-    sources = {(m.kind, m.signature): r for m, r in zip(own, fsuper.resolution.members)}
+    own, resolutions = _walked(fsuper)
+    sources = {(m.kind, m.signature): r for m, r in zip(own, resolutions)}
     work = [(m.kind, m.signature) for m in own if m.kind != CTOR and m.visible]
-    pulled.update(work)
+    pulled, accessed = set(work), set()
     while work:
         for site in sources[work.pop()].sites.values():
             if site.to_class is not None and site.to_class != fsuper.name:
@@ -287,6 +383,14 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
                 pulled.add(target)
                 work.append(target)
     return pulled, accessed
+
+
+def _walked(fsuper: FlattenedClass) -> tuple[list[MemberInfo], list[MemberResolution]]:
+    """The members of fsuper that the next class decides, and their
+    resolutions: its own where it carries its pulled part down, else all."""
+    if not fsuper.carries:
+        return fsuper.members, fsuper.resolution.members
+    return fsuper.head_members[:fsuper.own], fsuper.head_resolution.members
 
 
 # --- flattening proper ------------------------------------------------------
@@ -305,12 +409,14 @@ def _flatten_against_super(
             return _attribute_fate(cls, member, accessed)
         return MemberFate(member, DROP, RULE_CTOR)
 
+    fates = list(map(decide, _walked(fsuper)[0]))
     # Each member fsuper pulled keeps the fate fsuper carries down for it.
-    first = len(fsuper.members) - len(fsuper.repulled)
-    fates = [*map(decide, fsuper.members[:first]), *fsuper.repulled.values()]
-    inline_inits = _analyze_super_ctors(cls, fsuper, fates, diagnostics)
+    pulls = fsuper.carries and (fsuper.base or fsuper.fresh > fsuper.own)
+    part = _part_index(fsuper) if pulls else None
+    inline_inits = _analyze_super_ctors(cls, fsuper, chain(fates, fsuper.carried_fates()),
+                                        diagnostics)
 
-    for fate in fates[:first]:
+    for fate in fates:
         if fate.decision == DROP_ANOMALY:
             diagnostics.append(
                 Diagnostic(
@@ -322,8 +428,19 @@ def _flatten_against_super(
                 )
             )
 
-    kept = _assign_names(cls, fates, fsuper, decide, diagnostics)
-    flat = rewrite_references(model, cls, own, fsuper, fates, kept, inline_inits, accessed)
+    kept = part
+    if part and not part.keys.isdisjoint((m.kind, m.signature) for m in cls.members):
+        # The subclass declares a carried member's (kind, signature): every
+        # carried member is decided afresh, against the whole fixed point.
+        pulled.update(fsuper.repulled)
+        accessed.update(part.accessed)
+        fates += [decide(f.member) for f in fsuper.carried_fates()]
+        kept = None
+    elif part and inline_inits:
+        fates += fsuper.carried_fates()  # a folded initializer changes what fsuper carried down
+        kept = None
+    _assign_names(cls, fates, part, diagnostics)
+    flat = rewrite_references(model, cls, own, fsuper, fates, kept, inline_inits)
     flat.diagnostics[:0] = diagnostics
     return flat
 
@@ -334,9 +451,8 @@ def rewrite_references(
     own: ClassResolution,
     fsuper: FlattenedClass,
     fates: list[MemberFate],
-    kept: dict[tuple[str, str], MemberFate],
+    kept: _PartIndex | None,
     inline_inits: dict[str, tree.Expr],
-    accessed: set[str] | None,
 ) -> FlattenedClass:
     """Take members into the subclass, fix every affected reference, and
     carry each body's resolution over to the flattened class.
@@ -356,12 +472,12 @@ def rewrite_references(
     there (see `_resolve_changed`), and the result's diagnostics are the
     calls that bind elsewhere there.
 
-    `accessed` is the attribute set of fsuper's `pulled_closure`. The result
-    carries it, renamed, unless a pulled body may reach other members here
-    than the renamed ones it reached in fsuper: its initializer was replaced
-    by a folded constructor assignment, or it is resolved again. Then it also
-    carries the pulled members' fates; the last of them, `kept` by (kind,
-    signature), fsuper carried down, and their members keep fsuper's nodes.
+    `fates` are those of fsuper's members, but for fsuper's pulled part
+    where it is `kept` with the fates fsuper carries down: the view then ends
+    with that part as it is (`base`). The view carries down what it pulled,
+    and the attributes their bodies access, unless a pulled body may reach
+    other members here than it did in fsuper: its initializer was replaced
+    by a folded constructor assignment, or it is resolved again.
     """
     rewrites: list[RewriteDirective] = []
     name = cls.name
@@ -369,12 +485,9 @@ def rewrite_references(
     resolutions: list[MemberResolution] = []
     unsure: list[int] = []  # members whose carried resolution may not hold
 
-    if inline_inits:
-        kept = {}  # a folded initializer changes what fsuper carried down
-    walked = fates[:len(fates) - len(kept)]
-
     # Rewrite the subclass's own bodies to reach inherited members by their final names.
-    own_rewriter = _Carrier(_own_move(cls, fates), rewrites)
+    own_rewriter = _Carrier(_own_move(cls, chain(fates, fsuper.carried_fates() if kept else ())),
+                            rewrites)
     for info, source in zip(cls.members, own.members):
         decl, sites = own_rewriter.rewrite(info.decl, source.sites)
         if _retyped(model, source, name):
@@ -386,11 +499,14 @@ def rewrite_references(
         resolutions.append(source if sites is source.sites else source.with_sites(sites))
 
     # Take the pulled members, apply renames and body rewrites.
-    renames = {(f.member.kind, f.member.signature): f.new_name for f in walked if f.new_name}
+    renames = {(f.member.kind, f.member.signature): f.new_name for f in fates if f.new_name}
     pulled_rewriter = _Carrier(_pulled_move(fsuper.name, renames), rewrites)
     own_count = len(members)
-    repulled: dict[tuple[str, str], MemberFate] = {}
-    for fate, resolution in zip(walked, fsuper.resolution.members):
+    repulled: list[MemberFate] = []
+    carries = True
+    sources = fsuper.head_resolution.members if kept else fsuper.resolution.members
+    sup = model.classes[fsuper.name]
+    for fate, resolution in zip(fates, sources):
         if not fate.pulls:
             continue
         member = fate.member
@@ -398,7 +514,7 @@ def rewrite_references(
         if member.name in inline_inits and member.kind == ATTRIBUTE:
             decl = tree.replace(decl, init=inline_inits[member.name])
             resolution = MemberResolution()
-            accessed = None  # the initializer no longer reaches what it did
+            carries = False  # the initializer no longer reaches what it did
         elif resolution.sites:
             decl, sites = pulled_rewriter.rewrite(decl, resolution.sites)
             if decl is not member.decl:
@@ -413,53 +529,27 @@ def rewrite_references(
                 member.declared_signature, True,
             )
         # `this` changes type when a body moves down a level.
-        if resolution.uses_this or _retyped(model, resolution, fsuper.name):
+        if resolution.uses_this or _moved(model, resolution, sup, name):
             unsure.append(len(members))
         members.append(member)
         resolutions.append(resolution)
-        repulled[member.kind, member.signature] = _repulled(fate, member)
-    # The rest is fsuper's pulled part, where fsuper carried its fates down.
-    fresh = len(members)
-    methods = fsuper.pulled_part("methods", _methods_part, ({}, ())) if kept else ({}, ())
-    overloaded = _count_methods(methods, members)[1]
-    decls = [m.decl for m in members] + fsuper.decl.members[len(walked):]
-    members += fsuper.members[len(walked):]
-    resolutions += fsuper.resolution.members[len(walked):]
-    repulled.update(kept)
+        repulled.append(_repulled(fate, member))
 
+    decls = [m.decl for m in members]
     new_decl = tree.ClassDecl(cls.decl.visibility, name, None, decls, cls.decl.span,
                               cls.decl.name_span)
-    rebound: list[Diagnostic] = []
-    resolution = _resolve_changed(model, cls, new_decl, members, resolutions, overloaded,
-                                  unsure, rebound)
-    flat = FlattenedClass(name, cls.package, new_decl, members, resolution, fates, rewrites)
-    flat.diagnostics = rebound
+    flat = FlattenedClass(name, cls.package, new_decl, members,
+                          ClassResolution(name, decls, resolutions), fates, rewrites)
     flat.own = own_count
-    if kept and max(unsure, default=-1) < fresh:
-        flat.base, flat.fresh = fsuper, fresh
+    flat.base = fsuper if kept else None
+    _resolve_changed(model, cls, flat, kept or _PartIndex(), unsure)
     # A pulled body resolved again may reach other members here.
-    if accessed is not None and max(unsure, default=-1) < own_count:
-        attrs = {a: new_name for (kind, a), new_name in renames.items() if kind == ATTRIBUTE}
-        flat.carried = accessed - attrs.keys()
-        flat.carried.update(new_name for a, new_name in attrs.items() if a in accessed)
-        flat.repulled = repulled
+    if carries and max(unsure, default=-1) < own_count:
+        flat.carries, flat.head_repulled = True, repulled
+        if flat.base:
+            flat.index, fsuper.index = kept, None
+            kept.add(members[own_count:], resolutions[own_count:])
     return flat
-
-
-def _methods_part(view: FlattenedClass, inherited: tuple) -> tuple[dict[str, int], set[str]]:
-    """How many methods of a pulled part have each name, and the names that repeat."""
-    return _count_methods(inherited, view.members[view.own:view.fresh])
-
-
-def _count_methods(counted: tuple, members: list[MemberInfo]) -> tuple[dict[str, int], set[str]]:
-    """`counted`, (count by name, names that repeat), with the methods of `members` counted."""
-    counts, repeated = dict(counted[0]), set(counted[1])
-    for m in members:
-        if m.kind == METHOD:
-            counts[m.name] = count = counts.get(m.name, 0) + 1
-            if count > 1:
-                repeated.add(m.name)
-    return counts, repeated
 
 
 def _repulled(fate: MemberFate, member: MemberInfo) -> MemberFate:
@@ -470,32 +560,25 @@ def _repulled(fate: MemberFate, member: MemberInfo) -> MemberFate:
     return MemberFate(member, PULL_DOWN, rules[not member.visible])
 
 
-def _assign_names(cls: ClassInfo, fates: list[MemberFate], fsuper: FlattenedClass, decide,
-                  diagnostics: list[Diagnostic]) -> dict:
+def _assign_names(cls: ClassInfo, fates: list[MemberFate], part: _PartIndex | None,
+                  diagnostics: list[Diagnostic]) -> None:
     """Pick final names in declaration order; rename on demand for collisions.
 
     The freshness ladder avoids every member name in the growing class, both
     attribute and method names, even of members pulled later under their own
-    names, so renamed members read unambiguously. Returns the last fates,
-    carried down by fsuper, which keep their names unless the subclass
-    declares one's (kind, signature): then `decide` decides them all afresh,
-    and none is kept.
+    names, so renamed members read unambiguously. The members of fsuper's
+    pulled part, which `part` indexes where fsuper carries it down, are all
+    pulled under their own names, so their names are looked up there, and
+    those whose fates are kept are not named again.
     """
-    carried = fsuper.repulled
-    first = len(fates) - len(carried)
-    taken = {m.name for m in cls.members if m.kind != CTOR}
     # A member pulled without a rename keeps its name, so no rename may take it.
-    taken.update(f.member.name for f in fates[:first] if f.decision == PULL_DOWN)
-    if carried:
-        taken |= fsuper.pulled_part("taken", _taken_part, frozenset())
+    taken = _Reserved(chain((m.name for m in cls.members if m.kind != CTOR),
+                            (f.member.name for f in fates if f.decision == PULL_DOWN)))
+    taken.part_names = part.names if part else {}
     # (kind, signature) of every member in the growing class; an attribute's
     # signature is its name.
     keys = {(m.kind, m.signature) for m in cls.members}
-    for i, fate in enumerate(fates):
-        if i == first and carried.keys().isdisjoint(keys):
-            return carried
-        if i >= first:
-            fate = fates[i] = decide(fate.member)
+    for fate in fates:
         if not fate.pulls:
             continue
         member = fate.member
@@ -518,13 +601,13 @@ def _assign_names(cls: ClassInfo, fates: list[MemberFate], fsuper: FlattenedClas
         if fate.new_name:
             key = (member.kind, _final_signature(member, fate.new_name))
         keys.add(key)
-    return {}
 
 
-def _taken_part(view: FlattenedClass, inherited: frozenset) -> frozenset:
-    """The names of the members of a pulled part that are pulled again unrenamed."""
-    fates = islice(view.repulled.values(), view.fresh - view.own)
-    return inherited.union(f.member.name for f in fates if f.decision == PULL_DOWN)
+class _Reserved(set):
+    """Names reserved in the growing class, or in fsuper's pulled part (`part_names`)."""
+
+    def __contains__(self, name) -> bool:
+        return set.__contains__(self, name) or name in self.part_names
 
 
 def _analyze_super_ctors(
@@ -539,7 +622,7 @@ def _analyze_super_ctors(
         diagnostics.append(Diagnostic(UNSUPPORTED_CTOR, message, cls.name, span))
         return {}
 
-    ctors = [m for m in fsuper.members[:fsuper.own] if m.kind == CTOR]
+    ctors = [m for m in fsuper.head_members[:fsuper.own] if m.kind == CTOR]
     if not ctors:
         return {}
     no_arg = [c for c in ctors if not c.decl.params]
@@ -550,6 +633,8 @@ def _analyze_super_ctors(
             ctors[0].decl.span,
         )
     ctor = no_arg[0]
+    if not ctor.decl.body.statements:
+        return {}  # nothing to fold: the view is not read in full
     attr_names = {m.name for m in fsuper.members if m.kind == ATTRIBUTE}
     assignments: list[tuple[str, tree.Expr]] = []
     for stmt in ctor.decl.body.statements:
@@ -621,46 +706,72 @@ def _retyped(model: ClassModel, resolution: MemberResolution, root: str) -> bool
     return False
 
 
+def _moved(model: ClassModel, resolution: MemberResolution, sup: ClassInfo, name: str) -> bool:
+    """Whether a body pulled from `sup`'s view may resolve otherwise in `name`:
+    a receiver type or static qualifier is at or below `sup`, whose view it
+    was resolved in. A root's view is its class as written, so there only a
+    type at or below `name`, or a private member of `sup` it reaches, counts."""
+    if not (resolution.receiver_types or resolution.class_refs):
+        return False
+    tables = (sup.attributes, sup.methods)
+    return _retyped(model, resolution, sup.name) and (
+        sup.superclass is not None or _retyped(model, resolution, name) or any(
+            s.to_class == sup.name
+            and not getattr(tables[s.kind == CALL].get(s.to_member), "visible", True)
+            for s in resolution.sites.values() if s.basis not in LOCAL_BASES))
+
+
 def _resolve_changed(
     model: ClassModel,
     cls: ClassInfo,
-    decl: tree.ClassDecl,
-    members: list[MemberInfo],
-    resolutions: list[MemberResolution],
-    overloaded: set[str],
+    flat: FlattenedClass,
+    part: _PartIndex,
     unsure: list[int],
-    diagnostics: list[Diagnostic],
-) -> ClassResolution:
-    """The flattened class's resolution, from the carried member resolutions.
+) -> None:
+    """Resolve again, in the flattened class, the bodies whose resolution can change there.
 
     A carried resolution holds unless the member is `unsure`, or its body
     calls a method by a name the flattened class overloads, or names a
-    class as a static qualifier that is now also an attribute name. Those
-    bodies are resolved again in the flattened class, in member order, so
-    the first error is the one a resolution of the whole class would raise;
-    it names the file the body came from. Each index resolved again is
-    added to `unsure`. A call or `new` that binds to another member there
-    than the carried site says is reported as `rebound-call`. `overloaded`
-    holds the names of more than one method of the flattened class.
+    class as a static qualifier that is now also an attribute name. Only
+    what `flat` built is tested: its base's part, which `part` indexes, was
+    tested one level up, so only a name `flat` adds can change one of its
+    bodies. Where one does, `flat` takes the part in and has no base. The
+    bodies are resolved again in member order, so the first error is the
+    one a resolution of the whole class would raise; it names the file the
+    body came from. Each index resolved again is added to `unsure`, and a
+    call that binds elsewhere than its carried site is a `rebound-call`.
     """
-    attr_names = None
-    for i, resolution in enumerate(resolutions):
-        if overloaded and any(
+    head, names = flat.head_members, part.names
+    methods, attrs = {}, set()
+    for m in head:
+        if m.kind == METHOD:
+            methods[m.name] = methods.get(m.name, 0) + 1
+        elif m.kind == ATTRIBUTE:
+            attrs.add(m.name)
+    overloaded = {n for n, count in methods.items() if count + names.get(n, 0) > 1}
+    if not (part.calls.isdisjoint(overloaded) and part.qualifiers.isdisjoint(attrs)):
+        base, flat.base = flat.base, None
+        head += base.members[base.own:]
+        flat.head_decl.members += base.decl.members[base.own:]
+        flat.head_resolution.members += base.resolution.members[base.own:]
+        flat.head_fates += base.carried_fates()
+        flat.fresh = len(head)
+    repeated = part.repeated
+    for i, resolution in enumerate(flat.head_resolution.members):
+        if (overloaded or repeated) and any(
             s.kind == CALL and s.basis in LOCAL_BASES
-            and s.to_member[:s.to_member.index("(")] in overloaded
+            and ((n := s.to_member[:s.to_member.index("(")]) in overloaded or n in repeated)
             for s in resolution.sites.values()
+        ) or resolution.class_refs and any(
+            c in attrs or (ATTRIBUTE, c) in part.keys for c in resolution.class_refs
         ):
             unsure.append(i)
-        elif resolution.class_refs:
-            if attr_names is None:
-                attr_names = {m.name for m in members if m.kind == ATTRIBUTE}
-            if not attr_names.isdisjoint(resolution.class_refs):
-                unsure.append(i)
     if unsure:
-        flat_info = class_info_from_decl(decl, cls.package, cls.path)
+        flat_info = class_info_from_decl(flat.decl, cls.package, cls.path)
         flat_model = model.with_class(flat_info)
+        resolutions = flat.head_resolution.members
         for i in sorted(set(unsure)):
-            carried, member = resolutions[i].sites, members[i]
+            carried, member = resolutions[i].sites, head[i]
             resolutions[i] = resolve_member(
                 flat_model, flat_info, flat_info.members[i], model.classes[member.owner].path
             )
@@ -669,14 +780,13 @@ def _resolve_changed(
                 if site.kind == CALL and was is not None and was.to_member != site.to_member:
                     old, new = (s.to_member if s.to_class is None else f"{s.to_class}.{s.to_member}"
                                 for s in (was, site))
-                    diagnostics.append(Diagnostic(
+                    flat.diagnostics.append(Diagnostic(
                         REBOUND_CALL,
                         f"the call to {old} in {member.owner}.{member.declared_signature} "
                         f"binds to {new} in the flattened class",
                         cls.name,
                         site.span,
                     ))
-    return ClassResolution(cls.name, decl.members, resolutions)
 
 
 class _Carrier(tree.BodyWalker):

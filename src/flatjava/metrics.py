@@ -19,9 +19,6 @@ and masks) each level adds once to those of its `base`'s part.
 
 from __future__ import annotations
 
-from collections import Counter
-from operator import attrgetter
-
 from . import tree
 from .emitter import member_line_count
 from .flattener import FlattenedClass
@@ -93,25 +90,38 @@ def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:
     part = flat.pulled_part("metrics", _measure_pulled, _EMPTY)
     own = flat.own
     return _record(model, flat.name, FLATTENED,
-                   _add(part, flat.decl.members[:own], flat.resolution.members[:own]))
+                   _add(part, flat.head_decl.members[:own], flat.head_resolution.members[:own]))
 
 
 def compare(
     model: ClassModel, graph: AccessGraph, flattened: dict[str, FlattenedClass]
 ) -> list[ComparisonRow]:
+    """Each class's original and flattened records, their deltas, and the
+    rules of the flattened view's fates: those the view decided, counted
+    here, and those its base carries down, counted once per level."""
     rows = []
     for name in model.order:
         if model.classes[name].synthetic:
             continue
         original = measure_original(model, graph, name)
-        flat = measure_flattened(model, flattened[name])
+        view = flattened[name]
+        flat = measure_flattened(model, view)
         deltas = {
             field: getattr(flat, field) - getattr(original, field)
             for field in _METRIC_FIELDS
         }
-        rule_counts = Counter(map(attrgetter("rule"), flattened[name].fates))
-        rows.append(ComparisonRow(name, original, flat, deltas, rule_counts))
+        carried = view.base.pulled_part("rules", lambda view, inherited: _rules(
+            view.head_repulled, inherited), {}) if view.base else {}
+        rows.append(ComparisonRow(name, original, flat, deltas, _rules(view.head_fates, carried)))
     return rows
+
+
+def _rules(fates, counted: dict[str, int]) -> dict[str, int]:
+    """`counted`, with the rule of each of `fates` counted."""
+    counts = dict(counted)
+    for fate in fates:
+        counts[fate.rule] = counts.get(fate.rule, 0) + 1
+    return counts
 
 
 # The measures of a run of members: NOA, NOM, SLOC less the class's two
@@ -123,8 +133,8 @@ _EMPTY = (0, 0, 0, frozenset(), 0, {}, ())
 
 def _measure_pulled(view: FlattenedClass, inherited: tuple) -> tuple:
     """The measures of what `view` pulled at its level and of `inherited`."""
-    own, fresh = view.own, view.fresh
-    return _add(inherited, view.decl.members[own:fresh], view.resolution.members[own:fresh])
+    own = view.own
+    return _add(inherited, view.head_decl.members[own:], view.head_resolution.members[own:])
 
 
 def _add(part: tuple, decls: list, resolutions: list[MemberResolution]) -> tuple:

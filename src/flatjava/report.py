@@ -17,7 +17,6 @@ import csv
 import io
 import json
 from importlib import resources
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_string
 
 from .flattener import FlattenedClass, MemberFate
@@ -207,7 +206,7 @@ def plan_json(flattened: dict[str, FlattenedClass]) -> str:
     separator = "["
     for name, flat in flattened.items():
         base = flat.base
-        fates = _entries(flat.fates[:len(flat.fates) - len(base.repulled)] if base else flat.fates)
+        fates = _entries(flat.head_fates)
         inherited = base.pulled_part("plan", _plan_part, ()) if base else ()
         out += (separator, '\n    {\n      "name": ', enc(name), ',\n      "fates": ')
         _items(out, (fates, *inherited) if fates else inherited, 6)
@@ -225,7 +224,7 @@ def plan_json(flattened: dict[str, FlattenedClass]) -> str:
 def _plan_part(view: FlattenedClass, inherited: tuple[str, ...]) -> tuple[str, ...]:
     """The entries of the fates that `view` carries down for what it pulled
     at its level, as one fragment, before the fragments `inherited`."""
-    fragment = _entries(islice(view.repulled.values(), view.fresh - view.own))
+    fragment = _entries(view.head_repulled)
     return (fragment, *inherited) if fragment else inherited
 
 

@@ -125,9 +125,9 @@ class ClassResolution:
                  resolutions: list[MemberResolution] | None = None):
         self.class_name = class_name
         # The members' declarations, in member order.
-        self.decls = decls or []
+        self.decls = [] if decls is None else decls
         # Each member's own resolution: `members[i]` resolves `decls[i]`.
-        self.members: list[MemberResolution] = resolutions or []
+        self.members: list[MemberResolution] = [] if resolutions is None else resolutions
 
     @cached_property
     def sites(self) -> dict[int, AccessEdge]:

@@ -147,7 +147,7 @@ def flatten_against_super(model, cls, own, fsuper):
             ))
     assign_names(cls, fates, diagnostics)
     # No fate is kept from fsuper, so every pulled member is taken again.
-    flat = flattener.rewrite_references(model, cls, own, fsuper, fates, {}, inline_inits, accessed)
+    flat = flattener.rewrite_references(model, cls, own, fsuper, fates, None, inline_inits)
     flat.diagnostics[:0] = diagnostics
     return flat
 

@@ -15,7 +15,11 @@ unchanged), the same carried sites at the same places in it, and the same
 rewrites in the same order. A view that ends with its superclass view's
 pulled part (`base`) reuses that view's text, plan entries and metrics of
 the part; on chains where a middle level breaks that reuse, every view's
-text, plan and metrics must still agree with the from-scratch ones.
+text, plan and metrics must still agree with the from-scratch ones. A view
+keeps only what it built, and looks fsuper's pulled part up in an index kept
+down the chain: a level that adds a name changing a body of that part must
+resolve the body again as from scratch, and `compare`'s rule counts, kept
+per level, must equal the rules of the from-scratch fates.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from flatjava import (
     metrics,
     parse_source,
     report,
+    resolver,
     tree,
 )
-from flatjava.errors import ILLEGAL_OVERRIDE_FINAL, ILLEGAL_OVERRIDE_STATIC
+from flatjava.errors import ILLEGAL_OVERRIDE_FINAL, ILLEGAL_OVERRIDE_STATIC, REBOUND_CALL
 from flatjava.model import classify_members
 from flatjava.report import plan_json
 
@@ -96,8 +101,11 @@ def check(units, monkeypatch) -> list:
     carried = []
 
     def compared(fsuper):
-        closure = derive(fsuper)
-        assert closure == pulled_closure(fsuper), fsuper.name
+        closure = pulled, accessed = derive(fsuper)
+        # Where fsuper carries its pulled part down, that part is the rest of
+        # the fixed point: its members and the attributes their bodies access.
+        whole = pulled | fsuper.repulled.keys(), accessed | (fsuper.carried or set())
+        assert whole == pulled_closure(fsuper), fsuper.name
         if fsuper.carried is not None:
             carried.append(fsuper)
         return closure
@@ -249,35 +257,45 @@ def test_views_whose_pulled_bodies_change_carry_nothing(name, monkeypatch):
     assert not pulled_into_p <= pulled_closure(flat)[0]
 
 
+def _assert_work_grows_linearly(monkeypatch, work: Counter, run) -> list[dict]:
+    """Count `work` while `run(model, graph)` runs on `deep_chain(10)` and on
+    `deep_chain(40)`; each count may grow at most 5x. Returns the counts.
+
+    A chain's views hold 16 times as many inherited slots at depth 40 as at
+    depth 10, so work done per slot grows about 16x, and work per member a
+    level adds 4x.
+    """
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import workloads
+
+    counts = []
+    for depth in (10, 40):
+        work.clear()
+        model = classify_members(build_model(_units(*workloads.deep_chain(depth).sources.values())))
+        run(model, compute_access_graph(model))
+        counts.append(dict(work))
+    assert counts[0].keys() == counts[1].keys(), counts
+    for key, count in counts[1].items():
+        assert count <= 5 * counts[0][key], (key, counts)
+    return counts
+
+
 def test_rule_table_work_grows_linearly_with_depth(monkeypatch):
     # On a chain, a member pulled unchanged keeps its fate all the way down:
     # the rule table decides each superclass's own members, and the members
     # it carries down only at a level that touches one of them.
-    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
-    import workloads
-
-    decided = []
+    work = Counter()
     for rule_table in ("_method_fate", "_attribute_fate"):
         decide = getattr(flattener, rule_table)
-        monkeypatch.setattr(flattener, rule_table,
-                            lambda *args, decide=decide: decided.append(args[1]) or decide(*args))
-    counts = []
-    for depth in (10, 40):
-        decided.clear()
-        workload = workloads.deep_chain(depth)
-        model = classify_members(build_model(_units(*workload.sources.values())))
-        flattener.flatten_model(model, compute_access_graph(model))
-        counts.append(len(decided))
+        monkeypatch.setattr(flattener, rule_table, lambda *args, decide=decide:
+                            work.update(["decided"]) or decide(*args))
     # 6,240 inherited slots against 360 when every slot is decided: 17.3.
-    assert counts[1] <= 5 * counts[0], counts
+    _assert_work_grows_linearly(monkeypatch, work, flattener.flatten_model)
 
 
 def test_emit_plan_and_metrics_work_grows_linearly_with_depth(monkeypatch):
     # Each view lays out the text, the plan entries and the measures of what
     # it pulled at its level once, and reuses its base's for the rest.
-    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
-    import workloads
-
     work = Counter()
     chunk, entries, uses = emitter._chunk, report._entries, metrics._uses
 
@@ -291,25 +309,60 @@ def test_emit_plan_and_metrics_work_grows_linearly_with_depth(monkeypatch):
         work["fate entries"] += len(fates)
         return entries(fates)
 
-    monkeypatch.setattr(emitter, "_chunk", lines)
-    monkeypatch.setattr(report, "_entries", fate_entries)
-    monkeypatch.setattr(metrics, "_uses", lambda *a: work.update(["uses"]) or uses(*a))
-    counts = []
-    for depth in (10, 40):
-        work.clear()
-        model = classify_members(build_model(_units(*workloads.deep_chain(depth).sources.values())))
-        graph = compute_access_graph(model)
+    def run(model, graph):
         flattened = flattener.flatten_model(model, graph)
         for flat in flattened.values():
             emit(flat)
             emit(flat, provenance=True)
         plan_json(flattened)
         metrics.compare(model, graph, flattened)
-        counts.append(dict(work))
+
+    monkeypatch.setattr(emitter, "_chunk", lines)
+    monkeypatch.setattr(report, "_entries", fate_entries)
+    monkeypatch.setattr(metrics, "_uses", lambda *a: work.update(["uses"]) or uses(*a))
     # 4.2x, 4.5x and 4.1x; laid out for every member of every view, each
     # would grow about 15x.
-    for key, count in counts[1].items():
-        assert count <= 5 * counts[0][key], (key, counts)
+    _assert_work_grows_linearly(monkeypatch, work, run)
+
+
+def test_each_level_tests_names_and_rules_it_adds(monkeypatch):
+    # A level tests the resolutions of what it built, reserves the names of
+    # what it names, starts its fixed point from the superclass's own
+    # members, and `compare` counts the rules of the fates it decided: the
+    # superclass view's pulled part is looked up in an index kept down the
+    # chain, and its rules are counted once per level.
+    work = Counter()
+    closure, resolve_changed, rules = (
+        flattener.pulled_closure, flattener._resolve_changed, metrics._rules)
+
+    class Reserved(flattener._Reserved):
+        def __init__(self, *args):
+            super().__init__(*args)
+            work["reserved names"] += len(self)
+
+        def add(self, name):
+            work["reserved names"] += not set.__contains__(self, name)
+            super().add(name)
+
+    def tested(model, cls, flat, *rest):
+        resolve_changed(model, cls, flat, *rest)
+        work["resolutions tested"] += len(flat.head_resolution.members)
+
+    def counted(fates, counted):
+        work["rules counted"] += len(fates)
+        return rules(fates, counted)
+
+    monkeypatch.setattr(flattener, "_Reserved", Reserved)
+    monkeypatch.setattr(flattener, "_resolve_changed", tested)
+    monkeypatch.setattr(flattener, "pulled_closure", lambda fsuper: work.update(
+        ["closure keys"] * len(closure(fsuper)[0])) or closure(fsuper))
+    monkeypatch.setattr(metrics, "_rules", counted)
+    # 72 -> 312 closure keys, 144 -> 624 reserved names and resolutions
+    # tested, 136 -> 616 rules counted: 4.3x to 4.5x. Counted per slot, the
+    # closure keys and the rules grow 17.3x (360 -> 6,240), and the names and
+    # the resolutions 15.2x (432 -> 6,552).
+    _assert_work_grows_linearly(monkeypatch, work, lambda model, graph: metrics.compare(
+        model, graph, flattener.flatten_model(model, graph)))
 
 
 # Chains where a middle level cannot end with its superclass view's pulled
@@ -378,6 +431,133 @@ def test_generated_deep_chains_reuse_a_part_twice():
         flattened = flattener.flatten_model(model, compute_access_graph(model))
         twice += any(flat.base and flat.base.base for flat in flattened.values())
     assert twice >= 30, twice
+
+
+def _tail_chain(kind: str, level: int) -> list[str]:
+    """A chain L1 <- ... <- L5 whose class at `level` changes how a body of
+    L1, in the pulled part it inherits, resolves: it adds an overload of
+    the method the body calls, or an attribute named like the class the
+    body qualifies statically."""
+    added = {"overload": "public int m(int x) { return 2; }", "attribute": "public R T;"}[kind]
+    sources = [
+        "class R { public int s = 2; }",
+        "class T { public static int s = 1; }",
+        "class L1 { public int m(long x) { return 1; } public int run() { return m(1) + T.s; } }",
+    ]
+    for i in range(2, 6):
+        member = added if i == level else f"public int f{i} = {i};"
+        sources.append(f"class L{i} extends L{i - 1} {{ {member} }}")
+    return sources
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["overload", "attribute"])
+def test_a_level_that_changes_a_tail_body_resolves_it_again(kind, level, monkeypatch):
+    # L1's run() comes to each view from L3 down in its base's pulled part,
+    # which was tested one level up; the level that adds a name it reads
+    # anew must take the part and resolve run() again, as from scratch.
+    sources = _tail_chain(kind, level)
+    model = classify_members(build_model(_units(*sources)))
+    flattened = flattener.flatten_model(model, compute_access_graph(model))
+    # The view below it walks its superclass's whole view, and the one below
+    # that reuses its part again, unless run() still calls an overloaded name.
+    assert [n for n, flat in flattened.items() if flat.base] == [
+        f"L{i}" for i in range(3, 6) if i < level or i == level + 2 and kind == "attribute"]
+    rebound = [d.message for d in flattened[f"L{level}"].diagnostics if d.code == REBOUND_CALL]
+    assert rebound == ["the call to m(long) in L1.run() binds to m(int) in the flattened class"
+                       ] * (kind == "overload")
+    run = flattened[f"L{level}"].resolution.members[-1]
+    assert (run.receiver_types == {"R"}) == (kind == "attribute")
+    for end in range(4, len(sources) + 1):
+        check(_units(*sources[:end]), monkeypatch)
+        _check_parts(sources[:end])
+
+
+def test_a_body_pulled_from_a_root_keeps_its_resolution(monkeypatch):
+    # f(A o) reads o.x through a receiver of its own class. Below the root
+    # A, whose view is A as written, its sites hold until a class at or
+    # below the receiver's type is flattened, which never happens here: it
+    # is resolved once, with A, and every view below B keeps a base.
+    fixture = Path(__file__).resolve().parent / "fixtures" / "receiver_own_class"
+    sources = [(fixture / f"{name}.java").read_text(encoding="utf-8") for name in "AB"]
+    sources += ["class C extends B { public int c = 3; }",
+                "class D extends C { public int d = 4; }"]
+    resolved = Counter()
+    resolve = resolver._Walker.resolve
+    monkeypatch.setattr(resolver._Walker, "resolve", lambda walker, member, path: resolved.update(
+        [f"{member.owner}.{member.declared_signature}"]) or resolve(walker, member, path))
+    model = classify_members(build_model(_units(*sources)))
+    flattened = flattener.flatten_model(model, compute_access_graph(model))
+    assert resolved["A.f(A)"] == 1
+    assert [n for n, flat in flattened.items() if flat.base] == ["C", "D"]
+    f = flattened["A"].resolution.members[2]
+    assert all(flat.resolution.members[flat.members.index(member)] is f
+               for flat in flattened.values() for member in flat.members if member.name == "f")
+    check(_units(*sources), monkeypatch)
+    _check_parts(sources)
+
+
+def _rules_match_from_scratch(units, monkeypatch) -> None:
+    """`compare`'s rule counts for every view equal the rules of the fates
+    that a flattening deciding every member from scratch gives."""
+    model = classify_members(build_model(units))
+    graph = compute_access_graph(model)
+    flattened, error = _outcome(lambda: flattener.flatten_model(model, graph))
+    if error is not None:
+        return
+    rows = metrics.compare(model, graph, flattened)
+    with monkeypatch.context() as patched:
+        patched.setattr(flattener, "_flatten_against_super", flatten_against_super)
+        reference = flattener.flatten_model(model, graph)
+    assert {row.class_name: row.rule_counts for row in rows} == {
+        name: Counter(f.rule for f in reference[name].fates)
+        for name in model.order if not model.classes[name].synthetic
+    }
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_rule_counts_on_fixtures(name, monkeypatch):
+    _rules_match_from_scratch(load_units(name), monkeypatch)
+
+
+def test_rule_counts_on_chains(monkeypatch):
+    for seed in DEEP_SEEDS:
+        sources = random_hierarchy_sources(random.Random(60_000 + seed), depth=4 + seed % 2)
+        _rules_match_from_scratch(_units(*sources), monkeypatch)
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import workloads
+
+    _rules_match_from_scratch(_units(*workloads.deep_chain(12).sources.values()), monkeypatch)
+
+
+# Two views end with the pulled part of one view, C's: each takes that part
+# from C and adds its own level, D2 with C's c renamed.
+SIBLINGS = (
+    "class A { public int a = 1; private int h = 2; public int f() { return a + h; } }",
+    "class B extends A { public int b = 2; public int g() { return b + f(); } }",
+    "class C extends B { public int c = 3; public int k() { return c + g() + a; } }",
+    "class D1 extends C { public A d = null; public int m() { return b + a; } }",
+    "class D2 extends C { public int c = 9; public int e = 5; "
+    "public int n() { return e + b + c; } }",
+    "class E1 extends D1 { public int x = 6; public A p() { return d; } }",
+    "class E2 extends D2 { public int y = 7; public int q() { return e + y + a; } }",
+)
+
+
+def test_sibling_views_share_a_pulled_part(monkeypatch):
+    model = classify_members(build_model(_units(*SIBLINGS)))
+    graph = compute_access_graph(model)
+    flattened = flattener.flatten_model(model, graph)
+    assert {n: flat.base.name for n, flat in flattened.items() if flat.base} == {
+        "C": "B", "D1": "C", "D2": "C", "E1": "D1", "E2": "D2"}
+    # Measured again, bottom-up, after every part was built: the same records.
+    records = {row.class_name: row.flattened.as_dict()
+               for row in metrics.compare(model, graph, flattened)}
+    for name in reversed(model.order):
+        assert metrics.measure_flattened(model, flattened[name]).as_dict() == records[name]
+    _rules_match_from_scratch(_units(*SIBLINGS), monkeypatch)
+    _check_parts(list(SIBLINGS))
+    check(_units(*SIBLINGS), monkeypatch)
 
 
 def _record_descents(monkeypatch, descended: list) -> None:

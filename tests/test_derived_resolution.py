@@ -47,18 +47,18 @@ def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> in
     derive = flattener._resolve_changed
     checked = []
 
-    def compared(model, cls, decl, *carried):
-        info = class_info_from_decl(decl, cls.package, cls.path)
+    def compared(model, cls, flat, *carried):
+        # The view's members are settled before any body is resolved again.
+        _, error = _outcome(lambda: derive(model, cls, flat, *carried))
+        info = class_info_from_decl(flat.decl, cls.package, cls.path)
         reference, expected_error = _outcome(
             lambda: resolve_class(model.with_class(info), info)
         )
-        derived, error = _outcome(lambda: derive(model, cls, decl, *carried))
         assert error == expected_error, cls.name
         checked.append(cls.name)
         if error is not None:
             raise error[0](error[1])
-        assert_same_resolution(derived, reference, cls.name)
-        return derived
+        assert_same_resolution(flat.resolution, reference, cls.name)
 
     monkeypatch.setattr(flattener, "_resolve_changed", compared)
     try:
