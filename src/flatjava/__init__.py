@@ -33,7 +33,7 @@ from .flattener import (
     rename,
     rewrite_references,
 )
-from .lexer import Token, token_signature, tokenize
+from .lexer import Tokens, token_signature, tokenize
 from .metrics import (
     ComparisonRow,
     MetricsRecord,

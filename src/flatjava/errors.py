@@ -1,32 +1,36 @@
 """Errors and warning-level diagnostics for the whole pipeline.
 
-Errors abort processing of the offending file (first error per file wins).
-Diagnostics are collected and reported; --strict promotes them to a failing
-exit code without stopping the run.
+Errors abort processing of the offending file (first error per file wins);
+one renders as `path:line:column: message` from its span and its file's
+path and text. Diagnostics are collected and reported; --strict promotes
+them to a failing exit code without stopping the run.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .spans import Span
+from .spans import Span, line_column
 
 
 class FlatJavaError(Exception):
     """Base for all errors that carry a source location."""
 
-    def __init__(self, message: str, span: Span | None = None, path: str | None = None):
+    def __init__(self, message: str, span: Span | None = None, path: str | None = None,
+                 text: str | None = None):
         self.message = message
         self.span = span
         self.path = path
+        self.text = text  # of the file the span is in
         super().__init__(message)
 
     def __str__(self) -> str:
         prefix = ""
         if self.path:
             prefix = f"{self.path}:"
-        if self.span is not None:
-            prefix += f"{self.span.line}:{self.span.column}: "
+        if self.span is not None and self.text is not None:
+            line, column = line_column(self.text, self.span.start)
+            prefix += f"{line}:{column}: "
         elif prefix:
             prefix += " "
         return prefix + self.message

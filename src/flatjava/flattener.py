@@ -236,19 +236,23 @@ class FlattenedClass:
 
 class _PartIndex:
     """What the next class asks of a view's pulled part: its members' (kind,
-    signature), how many methods have each member name and the names that
-    repeat, and the method names its bodies call bare or through `this`, the
-    attributes they access there and the classes they qualify."""
+    signature), their carried fates by (owner, declared signature), how many
+    methods have each member name and the names that repeat, and the method
+    names its bodies call bare or through `this`, the attributes they access
+    there and the classes they qualify."""
 
     def __init__(self):
         self.keys: set[tuple[str, str]] = set()
+        self.declared: dict[tuple[str, str], MemberFate] = {}
         self.names: dict[str, int] = {}
         self.repeated: set[str] = set()
         self.calls: set[str] = set()
         self.accessed: set[str] = set()
         self.qualifiers: set[str] = set()
 
-    def add(self, members: list[MemberInfo], resolutions: list[MemberResolution]) -> None:
+    def add(self, members: list[MemberInfo], resolutions: list[MemberResolution],
+            fates) -> None:
+        self.declared.update(((f.member.owner, f.member.declared_signature), f) for f in fates)
         names, calls, accessed = self.names, self.calls, self.accessed
         for m, resolution in zip(members, resolutions):
             self.keys.add((m.kind, m.signature))
@@ -272,7 +276,8 @@ def _part_index(view: FlattenedClass) -> _PartIndex:
     index = view.index
     if index is None:
         index = view.index = _PartIndex()
-        index.add(view.members[view.own:], view.resolution.members[view.own:])
+        index.add(view.members[view.own:], view.resolution.members[view.own:],
+                  view.carried_fates())
     return index
 
 
@@ -295,8 +300,7 @@ def flatten_class(
         raise FlattenError(
             f"superclass {cls.superclass!r} of {name!r} has not been flattened "
             "yet; flatten classes in model order",
-            cls.decl.name_span,
-            cls.path,
+            cls.decl.name_span, cls.path, cls.text,
         )
     return _flatten_against_super(
         model, cls, graph.resolutions[name], flattened[cls.superclass]
@@ -486,8 +490,7 @@ def rewrite_references(
     unsure: list[int] = []  # members whose carried resolution may not hold
 
     # Rewrite the subclass's own bodies to reach inherited members by their final names.
-    own_rewriter = _Carrier(_own_move(cls, chain(fates, fsuper.carried_fates() if kept else ())),
-                            rewrites)
+    own_rewriter = _Carrier(_own_move(cls, fates, kept.declared if kept else {}), rewrites)
     for info, source in zip(cls.members, own.members):
         decl, sites = own_rewriter.rewrite(info.decl, source.sites)
         if _retyped(model, source, name):
@@ -548,7 +551,7 @@ def rewrite_references(
         flat.carries, flat.head_repulled = True, repulled
         if flat.base:
             flat.index, fsuper.index = kept, None
-            kept.add(members[own_count:], resolutions[own_count:])
+            kept.add(members[own_count:], resolutions[own_count:], repulled)
     return flat
 
 
@@ -767,13 +770,13 @@ def _resolve_changed(
         ):
             unsure.append(i)
     if unsure:
-        flat_info = class_info_from_decl(flat.decl, cls.package, cls.path)
+        flat_info = class_info_from_decl(flat.decl, cls.package, cls.path, cls.text)
         flat_model = model.with_class(flat_info)
         resolutions = flat.head_resolution.members
         for i in sorted(set(unsure)):
             carried, member = resolutions[i].sites, head[i]
             resolutions[i] = resolve_member(
-                flat_model, flat_info, flat_info.members[i], model.classes[member.owner].path
+                flat_model, flat_info, flat_info.members[i], model.classes[member.owner]
             )
             for node, site in resolutions[i].sites.items():
                 was = carried.get(node)
@@ -908,33 +911,30 @@ class _Carrier(tree.BodyWalker):
         return tree.Name(name, span), BASIS_BARE
 
 
-def _own_move(cls: ClassInfo, fates: list[MemberFate]):
+def _own_move(cls: ClassInfo, fates: list[MemberFate],
+              carried: dict[tuple[str, str], MemberFate]):
     """The `move` of the subclass's own references to inherited members.
 
     A `super.` reference collapses, and a bare or `this.` one follows an
     inherited member that is pulled under another name or signature. Such a
     reference reaches a visible member, and every visible member is pulled.
-    Each site names the member where it was declared, so fsuper's fates are
-    looked up by that. The index grows in member order only as far as the
-    sites need: they mostly reach fsuper's own members, which come first.
+    Each site names the member where it was declared, so a fate is looked up
+    by that: among those decided here, or those fsuper carries down
+    (`carried`, from its part index).
     """
-    declared: dict[tuple[str, str], MemberFate] = {}
-    unseen = iter(fates)
+    declared = {(f.member.owner, f.member.declared_signature): f for f in fates}
 
     def move(site: Site) -> tuple[str, str] | None:
         if site.to_class is None or site.basis not in (BASIS_BARE, BASIS_THIS, BASIS_SUPER):
             return None
         key = (site.to_class, site.to_member)
-        while key not in declared and (fate := next(unseen, None)):
-            declared[fate.member.owner, fate.member.declared_signature] = fate
-        fate = declared.get(key)
+        fate = declared.get(key) or carried.get(key)
         if site.basis == BASIS_SUPER:
             if fate is None or not fate.pulls:
                 raise DanglingSuperRef(
                     f"'super.{site.to_member}' in {cls.name} targets a member that "
                     "was not pulled down",
-                    site.span,
-                    cls.path,
+                    site.span, cls.path, cls.text,
                 )
         elif not fate.new_name and fate.member.signature == site.to_member:
             return None

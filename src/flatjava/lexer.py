@@ -1,25 +1,24 @@
 """Tokenizer for the Java subset.
 
-Every token records an exact span and the trivia (whitespace and comments)
-that precedes it, so concatenating ``leading + lexeme`` over the stream,
-end-of-input token included, reproduces the source text exactly.
+`tokenize` returns the token stream as parallel lists, the kind, lexeme and
+start offset of each token, with a synthetic end-of-input token last. It
+makes no object per token beyond the match that finds it: a token's span is
+its start offset and the length of its lexeme, and line and column are
+worked out only when an error is rendered (`spans.line_column`).
 
-One compiled pattern, `_SCAN`, does the scanning in a single `findall` over
-the source. Each match is one token: the run of whitespace, ``//`` comments
-and closed ``/* */`` comments before it, then the token in the group of its
-kind. A match with no token is the end of input, or, when its catch-all
-group holds a character, the first error. No token holds a line break
-(string literals are single-line), so offsets follow from the lengths of the
-matched pieces, and line and column from the line breaks in each trivia
-run. Only at an error does the lexer work out which one to raise: an
-unterminated block comment, an unterminated string literal, or an illegal
-character.
+One compiled pattern, `_SCAN`, does the scanning. Each match is one token:
+the run of whitespace, ``//`` comments and closed ``/* */`` comments before
+it (the trivia group), then the token in the group of its kind, or the end
+of input. The trivia run is never cut short, so consecutive matches tile the
+source. A character that starts no token fills the catch-all group with the
+rest of the source, so it ends the scan as the first error. Only then does
+the lexer work out which one to raise: an unterminated block comment, an
+unterminated string literal, or an illegal character.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import LexError
 from .spans import Span
@@ -44,9 +43,10 @@ OPERATOR = "operator"
 PUNCT = "punctuation"
 EOI = "eoi"
 
-# The trivia before a token, then one group per token kind (a word is a
-# keyword, a word literal or an identifier), then any other character, which
-# is an error, or the end of the source. Numbers are ASCII digits with an
+# The trivia before a token (group 1), then one group per token kind (a word
+# is a keyword, a word literal or an identifier), then the catch-all group,
+# which takes a character that starts no token and the rest of the source
+# with it, then the end of the source. Numbers are ASCII digits with an
 # optional fraction and exponent; `L` marks only an integer, `D` any number.
 # Some alternative matches at every position, so the trivia run is never cut
 # short and consecutive matches tile the source.
@@ -59,55 +59,57 @@ _SCAN = re.compile(
         | "(?:[^"\\\n]|\\.)*")
       | ([{}();,.\[\]])
       | (&&|\|\||[=!<>]=|[=+\-*%<>!&|]|/(?!\*))
-      | ((?s:.))
-      | \Z
+      | ((?s:.+))
+      | (\Z)
     )
     """,
     re.VERBOSE,
 )
-
+# The kind of each group; a word's kind is looked up in `_WORD_KINDS`.
+_WORD, _BAD = 2, 6
+_GROUP_KINDS = (None, None, IDENTIFIER, LITERAL, PUNCT, OPERATOR, None, EOI)
 _WORD_KINDS = dict.fromkeys(KEYWORDS, KEYWORD) | dict.fromkeys(WORD_LITERALS, LITERAL)
 
 
-class Token(NamedTuple):
-    kind: str
-    lexeme: str
-    span: Span
-    leading: str = ""
+class Tokens:
+    """A token stream as parallel lists: each token's kind, lexeme and start
+    offset, the end-of-input token (kind EOI, lexeme "") last."""
+
+    __slots__ = ("kinds", "lexemes", "starts")
+
+    def __init__(self, kinds: list[str], lexemes: list[str], starts: list[int]):
+        self.kinds = kinds
+        self.lexemes = lexemes
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> Tokens:
     """Tokenize `source`, ending with a synthetic end-of-input token."""
-    new = tuple.__new__  # a Token and its Span without their Python-level __new__
-    word_kinds = _WORD_KINDS
-    tokens: list[Token] = []
-    append = tokens.append
-    pos = 0
-    line = 1
-    before_line = -1  # offset of the line break before `line`
-    for leading, word, literal, punct, op, bad in _SCAN.findall(source):
-        if leading:
-            if "\n" in leading:
-                line += leading.count("\n")
-                before_line = pos + leading.rindex("\n")
-            pos += len(leading)
-        if word:
-            lexeme, kind = word, word_kinds.get(word, IDENTIFIER)
-        elif literal:
-            lexeme, kind = literal, LITERAL
-        elif punct:
-            lexeme, kind = punct, PUNCT
-        elif op:
-            lexeme, kind = op, OPERATOR
-        else:
-            break
-        end = pos + len(lexeme)
-        append(new(Token, (kind, lexeme, new(Span, (pos, end, line, pos - before_line)), leading)))
-        pos = end
-    span = Span(pos, pos, line, pos - before_line)
-    if not bad:
-        append(Token(EOI, "", span, leading))
-        return tokens
+    matches = list(_SCAN.finditer(source))
+    # The last match is the end of input. The one before it may be the first
+    # error, which took the rest of the source, or the end of input already,
+    # after trailing trivia, which the last match then repeats.
+    if len(matches) > 1 and (group := matches[-2].lastindex) >= _BAD:
+        if group == _BAD:
+            raise _error(source, matches[-2].start(_BAD))
+        matches.pop()
+    groups = [m.lastindex for m in matches]
+    lexemes = [m[g] for m, g in zip(matches, groups)]
+    word_kinds, group_kinds = _WORD_KINDS, _GROUP_KINDS
+    return Tokens(
+        [word_kinds.get(lexeme, IDENTIFIER) if g == _WORD else group_kinds[g]
+         for g, lexeme in zip(groups, lexemes)],
+        lexemes,
+        [m.start(g) for m, g in zip(matches, groups)],
+    )
+
+
+def _error(source: str, pos: int) -> LexError:
+    """The error at `pos`, where no token starts."""
+    bad = source[pos]
     if bad == "/":  # a `/` that is no operator starts a block comment
         message, end = "unterminated block comment", len(source)
     elif bad == '"':
@@ -116,9 +118,9 @@ def tokenize(source: str) -> list[Token]:
         message, end = "unterminated string literal", len(source) if line_end < 0 else line_end
     else:
         message, end = f"illegal character {bad!r}", pos + 1
-    raise LexError(message, span._replace(end=end))
+    return LexError(message, Span(pos, end), text=source)
 
 
-def token_signature(tokens: list[Token]) -> list[tuple[str, str]]:
+def token_signature(tokens: Tokens) -> list[tuple[str, str]]:
     """(kind, lexeme) pairs, the equivalence used by round-trip checks."""
-    return [(t.kind, t.lexeme) for t in tokens]
+    return list(zip(tokens.kinds, tokens.lexemes))

@@ -68,12 +68,14 @@ class MemberInfo:
 
 class ClassInfo:
     def __init__(self, name: str, package: str | None, superclass: str | None,
-                 decl: tree.ClassDecl, path: str | None = None, synthetic: bool = False):
+                 decl: tree.ClassDecl, path: str | None = None, synthetic: bool = False,
+                 text: str | None = None):
         self.name = name
         self.package = package
         self.superclass = superclass
         self.decl = decl
         self.path = path
+        self.text = text  # of the file at `path`, for errors
         self.synthetic = synthetic
         # Every member, in declaration order: `members[i].decl` is `decl.members[i]`.
         self.members: list[MemberInfo] = []
@@ -141,6 +143,7 @@ def class_info_from_decl(
     decl: tree.ClassDecl,
     package: str | None = None,
     path: str | None = None,
+    text: str | None = None,
 ) -> ClassInfo:
     info = ClassInfo(
         name=decl.name,
@@ -148,14 +151,14 @@ def class_info_from_decl(
         superclass=decl.superclass,
         decl=decl,
         path=path,
+        text=text,
     )
     for member in decl.members:
         if isinstance(member, tree.FieldDecl):
             if member.name in info.attributes:
                 raise DuplicateMember(
                     f"duplicate attribute {member.name!r} in class {decl.name}",
-                    member.name_span,
-                    path,
+                    member.name_span, path, text,
                 )
             info.attributes[member.name] = record = MemberInfo(
                 decl.name, member.name, ATTRIBUTE, member.visibility,
@@ -166,8 +169,7 @@ def class_info_from_decl(
             if sig in info.methods:
                 raise DuplicateMember(
                     f"duplicate method {sig!r} in class {decl.name}",
-                    member.name_span,
-                    path,
+                    member.name_span, path, text,
                 )
             info.methods[sig] = record = MemberInfo(
                 decl.name, member.name, METHOD, member.visibility,
@@ -179,8 +181,7 @@ def class_info_from_decl(
                 raise DuplicateMember(
                     f"duplicate constructor {sig.replace('<init>', member.name)!r} in class "
                     f"{decl.name}",
-                    member.name_span,
-                    path,
+                    member.name_span, path, text,
                 )
             record = MemberInfo(
                 decl.name, member.name, CTOR, member.visibility, False, False, sig, member,
@@ -200,10 +201,9 @@ def build_model(
         if decl.name in classes:
             raise DuplicateClassName(
                 f"class {decl.name!r} is declared more than once",
-                decl.name_span,
-                unit.path,
+                decl.name_span, unit.path, unit.text,
             )
-        classes[decl.name] = class_info_from_decl(decl, unit.package, unit.path)
+        classes[decl.name] = class_info_from_decl(decl, unit.package, unit.path, unit.text)
 
     if include_object_root:
         if OBJECT_ROOT not in classes:
@@ -220,14 +220,12 @@ def build_model(
             if info.superclass == info.name:
                 raise InheritanceCycle(
                     f"class {info.name!r} extends itself",
-                    info.decl.name_span,
-                    info.path,
+                    info.decl.name_span, info.path, info.text,
                 )
             if info.superclass not in classes:
                 raise UnknownSuperclass(
                     f"class {info.name!r} extends unknown class {info.superclass!r}",
-                    info.decl.name_span,
-                    info.path,
+                    info.decl.name_span, info.path, info.text,
                 )
 
     order = _topological_order(classes)
@@ -256,8 +254,7 @@ def _topological_order(classes: dict[str, ClassInfo]) -> list[str]:
         info = classes[stuck[0]]
         raise InheritanceCycle(
             f"inheritance cycle involving {', '.join(stuck)}",
-            info.decl.name_span,
-            info.path,
+            info.decl.name_span, info.path, info.text,
         )
     return order
 

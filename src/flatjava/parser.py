@@ -5,10 +5,12 @@ methods, constructors, and a small statement/expression language. Anything
 legal in full Java but outside the subset raises UnsupportedFeature with the
 offending span; malformed input raises ParseError at the first error.
 
-The parser reads the token list through an index, and tests the current
-token by its lexeme. Binary operators are parsed by precedence climbing, and
-one call parses an operand with its prefix operators, member accesses and
-calls, so an operand costs two calls whatever its precedence level.
+The parser reads the lexer's lists of kinds, lexemes and start offsets
+through one index, and tests the current token by its lexeme. A node's span
+is the offsets of its first token's start and its last token's end. Binary
+operators are parsed by precedence climbing, and one call parses an operand
+with its prefix operators, member accesses and calls, so an operand costs
+two calls whatever its precedence level.
 
 Nesting is bounded: the syntax tree of a field initializer or of a method or
 constructor body may be at most MAX_NESTING nodes deep, counting each block,
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from . import tree
 from .errors import FlatJavaError, ParseError, UnsupportedFeature
-from .lexer import EOI, IDENTIFIER, KEYWORD, LITERAL, Token, tokenize
+from .lexer import EOI, IDENTIFIER, KEYWORD, LITERAL, Tokens, tokenize
 from .spans import Span
 
 PRIMITIVE_TYPES = frozenset({"int", "long", "double", "boolean"})
@@ -56,29 +58,36 @@ _VISIBILITIES = frozenset({"public", "protected", "private"})
 
 MAX_NESTING = 150
 
+_new = tuple.__new__  # `_new(Span, (start, end))` skips Span's Python-level __new__
 
-def parse(tokens: list[Token], path: str | None = None) -> tree.CompilationUnit:
+
+def parse(tokens: Tokens, path: str | None = None) -> tree.CompilationUnit:
     return _Parser(tokens, path).parse_unit()
 
 
 def parse_source(source: str, path: str | None = None) -> tree.CompilationUnit:
+    """The unit parsed from `source`, which keeps the text for its errors."""
     try:
-        return parse(tokenize(source), path)
+        unit = parse(tokenize(source), path)
     except FlatJavaError as err:
-        err.path = err.path or path
+        err.path, err.text = err.path or path, source
         raise
+    unit.text = source
+    return unit
 
 
 class _Parser:
-    """Reads `tokens` through the index `pos` of the current token.
+    """Reads the lists of `tokens` through the index `pos` of the current token.
 
     A lexeme tells the kind of every keyword, punctuation mark and operator
     (string literals keep their quotes, and the end-of-input lexeme is
     empty), so tests of the current token compare lexemes only.
     """
 
-    def __init__(self, tokens: list[Token], path: str | None = None):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens, path: str | None = None):
+        self.kinds = tokens.kinds
+        self.lexemes = tokens.lexemes
+        self.starts = tokens.starts
         self.pos = 0
         self.path = path
         # Level of the node being parsed, 1 at the root of an initializer or
@@ -90,41 +99,46 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------
 
-    def expect(self, lexeme: str) -> Token:
-        """The current token, which must be the punctuation or keyword `lexeme`; moves past it."""
-        tok = self.tokens[self.pos]
-        if tok.lexeme != lexeme:
-            raise self.error(f"expected '{lexeme}'", expected={lexeme})
-        self.pos += 1
-        return tok
+    def span(self, i: int) -> Span:
+        start = self.starts[i]
+        return _new(Span, (start, start + len(self.lexemes[i])))
 
-    def expect_identifier(self, what: str = "identifier") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != IDENTIFIER:
+    def expect(self, lexeme: str) -> int:
+        """Moves past the current token, which must be `lexeme`; returns where it ends."""
+        pos = self.pos
+        if self.lexemes[pos] != lexeme:
+            raise self.error(f"expected '{lexeme}'", expected={lexeme})
+        self.pos = pos + 1
+        return self.starts[pos] + len(lexeme)
+
+    def expect_identifier(self, what: str = "identifier") -> int:
+        """Moves past the current token, which must be an identifier; its index."""
+        pos = self.pos
+        if self.kinds[pos] != IDENTIFIER:
             raise self.error(f"expected {what}", expected={"identifier"})
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return pos
 
     def error(self, message: str, expected: set[str] | None = None) -> ParseError:
-        tok = self.tokens[self.pos]
-        found = tok.lexeme if tok.kind != EOI else "end of input"
+        pos = self.pos
+        found = self.lexemes[pos] if self.kinds[pos] != EOI else "end of input"
         return ParseError(
             f"{message}, found {found!r}",
-            tok.span,
+            self.span(pos),
             frozenset(expected or ()),
             self.path,
         )
 
     def unsupported(self, feature: str, span: Span | None = None) -> UnsupportedFeature:
         return UnsupportedFeature(
-            f"unsupported feature: {feature}", span or self.tokens[self.pos].span, self.path
+            f"unsupported feature: {feature}", span or self.span(self.pos), self.path
         )
 
     def nest(self) -> None:
         """Go down one level; past MAX_NESTING the input is refused."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.too_deep(self.tokens[self.pos].span)
+            raise self.too_deep(self.span(self.pos))
 
     def too_deep(self, span: Span) -> UnsupportedFeature:
         return self.unsupported(f"nesting deeper than {MAX_NESTING} levels", span)
@@ -132,186 +146,188 @@ class _Parser:
     # -- declarations ---------------------------------------------------
 
     def parse_unit(self) -> tree.CompilationUnit:
-        tokens = self.tokens
-        start = tokens[0].span
+        lexemes = self.lexemes
         package = None
-        if tokens[0].lexeme == "package":
+        if lexemes[0] == "package":
             self.pos = 1
-            parts = [self.expect_identifier("package name").lexeme]
-            while tokens[self.pos].lexeme == ".":
+            parts = [lexemes[self.expect_identifier("package name")]]
+            while lexemes[self.pos] == ".":
                 self.pos += 1
-                parts.append(self.expect_identifier("package name").lexeme)
+                parts.append(lexemes[self.expect_identifier("package name")])
             self.expect(";")
             package = ".".join(parts)
-        word = tokens[self.pos].lexeme
+        word = lexemes[self.pos]
         if word in UNSUPPORTED_UNIT_KEYWORDS:
             raise self.unsupported(f"'{word}' declarations")
         class_decl = self.parse_class()
-        if tokens[self.pos].kind != EOI:
+        if self.kinds[self.pos] != EOI:
             raise self.error("expected end of input after class declaration")
         return tree.CompilationUnit(
-            package, class_decl, _join(start, class_decl.span), self.path
+            package, class_decl, _new(Span, (self.starts[0], class_decl.span.end)), self.path
         )
 
     def parse_class(self) -> tree.ClassDecl:
-        tokens = self.tokens
-        start = tokens[self.pos].span
+        lexemes = self.lexemes
+        start = self.starts[self.pos]
         visibility = self.parse_visibility()
         self.expect("class")
-        name_tok = self.expect_identifier("class name")
-        if tokens[self.pos].lexeme == "<":
+        name = self.expect_identifier("class name")
+        if lexemes[self.pos] == "<":
             raise self.unsupported("generic type parameters")
         superclass = None
-        if tokens[self.pos].lexeme == "extends":
+        if lexemes[self.pos] == "extends":
             self.pos += 1
-            superclass = self.expect_identifier("superclass name").lexeme
-            if tokens[self.pos].lexeme == "<":
+            superclass = lexemes[self.expect_identifier("superclass name")]
+            if lexemes[self.pos] == "<":
                 raise self.unsupported("generic type arguments")
-        if tokens[self.pos].lexeme == "implements":
+        if lexemes[self.pos] == "implements":
             raise self.unsupported("'implements' clauses")
         self.expect("{")
         members: list[tree.FieldDecl | tree.MethodDecl | tree.CtorDecl] = []
-        while (tok := tokens[self.pos]).lexeme != "}":
-            if tok.kind == EOI:
+        while lexemes[self.pos] != "}":
+            if self.kinds[self.pos] == EOI:
                 raise self.error("expected '}' before end of input", expected={"}"})
-            members.append(self.parse_member(name_tok.lexeme))
-        self.pos += 1
+            members.append(self.parse_member(lexemes[name]))
+        end = self.expect("}")
         return tree.ClassDecl(
-            visibility, name_tok.lexeme, superclass, members,
-            _join(start, tok.span), name_tok.span,
+            visibility, lexemes[name], superclass, members, _new(Span, (start, end)),
+            self.span(name),
         )
 
     def parse_visibility(self) -> str:
-        word = self.tokens[self.pos].lexeme
+        word = self.lexemes[self.pos]
         if word in _VISIBILITIES:
             self.pos += 1
             return word
         return "package"
 
     def parse_member(self, class_name: str):
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        start = tok.span
-        if tok.lexeme == "class":
+        lexemes = self.lexemes
+        word = lexemes[self.pos]
+        start = self.starts[self.pos]
+        if word == "class":
             raise self.unsupported("nested classes")
-        if tok.lexeme in UNSUPPORTED_MEMBER_KEYWORDS:
-            raise self.unsupported(f"'{tok.lexeme}' modifier")
+        if word in UNSUPPORTED_MEMBER_KEYWORDS:
+            raise self.unsupported(f"'{word}' modifier")
         visibility = self.parse_visibility()
-        is_static = tokens[self.pos].lexeme == "static"
+        is_static = lexemes[self.pos] == "static"
         if is_static:
             self.pos += 1
-        is_final = tokens[self.pos].lexeme == "final"
+        is_final = lexemes[self.pos] == "final"
         if is_final:
             self.pos += 1
 
-        tok = tokens[self.pos]
-        if tok.lexeme == "void":
+        pos = self.pos
+        word = lexemes[pos]
+        if word == "void":
             self.pos += 1
-            name_tok = self.expect_identifier("method name")
-            return self.parse_method(start, visibility, is_static, is_final, None, name_tok)
+            name = self.expect_identifier("method name")
+            return self.parse_method(start, visibility, is_static, is_final, None, name)
 
-        if tok.kind == IDENTIFIER and tokens[self.pos + 1].lexeme == "(":
+        if self.kinds[pos] == IDENTIFIER and lexemes[pos + 1] == "(":
             # Constructor: a bare identifier directly followed by '('.
             if is_static or is_final:
                 raise ParseError(
-                    "constructors cannot be static or final", tok.span, path=self.path
+                    "constructors cannot be static or final", self.span(pos), path=self.path
                 )
             self.pos += 1
-            if tok.lexeme != class_name:
+            if word != class_name:
                 raise ParseError(
-                    f"constructor name {tok.lexeme!r} does not match class "
-                    f"{class_name!r}",
-                    tok.span,
+                    f"constructor name {word!r} does not match class {class_name!r}",
+                    self.span(pos),
                     path=self.path,
                 )
             params = self.parse_params()
             body = self.parse_block()
             return tree.CtorDecl(
-                visibility, tok.lexeme, params, body, _join(start, body.span), tok.span,
+                visibility, word, params, body, _new(Span, (start, body.span.end)),
+                self.span(pos),
             )
 
         decl_type = self.parse_type("member type")
-        name_tok = self.expect_identifier("member name")
-        follow = tokens[self.pos].lexeme
+        name = self.expect_identifier("member name")
+        follow = lexemes[self.pos]
         if follow == "(":
-            return self.parse_method(start, visibility, is_static, is_final, decl_type, name_tok)
+            return self.parse_method(start, visibility, is_static, is_final, decl_type, name)
         init = None
         if follow == "=":
             self.pos += 1
             init = self.parse_expr()
         end = self.expect(";")
         return tree.FieldDecl(
-            visibility, is_static, is_final, decl_type, name_tok.lexeme, init,
-            _join(start, end.span), name_tok.span,
+            visibility, is_static, is_final, decl_type, lexemes[name], init,
+            _new(Span, (start, end)), self.span(name),
         )
 
-    def parse_method(self, start, visibility, is_static, is_final, return_type, name_tok):
+    def parse_method(self, start, visibility, is_static, is_final, return_type, name):
         params = self.parse_params()
         body = self.parse_block()
         return tree.MethodDecl(
-            visibility, is_static, is_final, return_type, name_tok.lexeme, params, body,
-            _join(start, body.span), name_tok.span,
+            visibility, is_static, is_final, return_type, self.lexemes[name], params, body,
+            _new(Span, (start, body.span.end)), self.span(name),
         )
 
     def parse_params(self) -> list[tree.Param]:
-        tokens = self.tokens
+        lexemes = self.lexemes
         self.expect("(")
         params: list[tree.Param] = []
-        if tokens[self.pos].lexeme != ")":
+        if lexemes[self.pos] != ")":
             while True:
-                p_start = tokens[self.pos].span
+                start = self.starts[self.pos]
                 decl_type = self.parse_type("parameter type")
-                name_tok = self.expect_identifier("parameter name")
-                params.append(
-                    tree.Param(decl_type, name_tok.lexeme, _join(p_start, name_tok.span))
-                )
-                if tokens[self.pos].lexeme != ",":
+                name = self.expect_identifier("parameter name")
+                end = self.starts[name] + len(lexemes[name])
+                params.append(tree.Param(decl_type, lexemes[name], _new(Span, (start, end))))
+                if lexemes[self.pos] != ",":
                     break
                 self.pos += 1
         self.expect(")")
         return params
 
     def parse_type(self, what: str) -> tree.TypeRef:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        if tok.kind == IDENTIFIER or tok.lexeme in PRIMITIVE_TYPES:
-            self.pos += 1
-        elif tok.lexeme in UNSUPPORTED_TYPE_KEYWORDS:
-            raise self.unsupported(f"'{tok.lexeme}' type")
+        lexemes = self.lexemes
+        pos = self.pos
+        word = lexemes[pos]
+        if self.kinds[pos] == IDENTIFIER or word in PRIMITIVE_TYPES:
+            self.pos = pos + 1
+        elif word in UNSUPPORTED_TYPE_KEYWORDS:
+            raise self.unsupported(f"'{word}' type")
         else:
             raise self.error(f"expected {what}", expected={"type"})
-        follow = tokens[self.pos].lexeme
+        follow = lexemes[pos + 1]
         if follow == "<":
             raise self.unsupported("generic type arguments")
+        start = self.starts[pos]
         if follow == "[":
             self.pos += 1
             end = self.expect("]")
-            return tree.TypeRef(tok.lexeme, True, _join(tok.span, end.span))
-        return tree.TypeRef(tok.lexeme, False, tok.span)
+            return tree.TypeRef(word, True, _new(Span, (start, end)))
+        return tree.TypeRef(word, False, _new(Span, (start, start + len(word))))
 
     # -- statements -----------------------------------------------------
 
     def parse_block(self) -> tree.Block:
-        tokens = self.tokens
+        lexemes = self.lexemes
         self.nest()
-        start = self.expect("{").span
+        start = self.starts[self.pos]
+        self.expect("{")
         statements: list[tree.Stmt] = []
-        while (tok := tokens[self.pos]).lexeme != "}":
-            if tok.kind == EOI:
+        while lexemes[self.pos] != "}":
+            if self.kinds[self.pos] == EOI:
                 raise self.error("expected '}' before end of input", expected={"}"})
             statements.append(self.parse_stmt())
-        self.pos += 1
+        end = self.expect("}")
         self.depth -= 1
-        return tree.Block(statements, _join(start, tok.span))
+        return tree.Block(statements, _new(Span, (start, end)))
 
     def parse_stmt(self) -> tree.Stmt:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        word = tok.lexeme
+        lexemes = self.lexemes
+        pos = self.pos
+        word = lexemes[pos]
         if word == "{":
             return self.parse_block()
         self.nest()
-        kind = tok.kind
+        kind = self.kinds[pos]
         if kind == KEYWORD:
             if word in UNSUPPORTED_STMT_KEYWORDS:
                 raise self.unsupported(f"'{word}' statements")
@@ -328,8 +344,8 @@ class _Parser:
             else:
                 stmt = self.parse_expr_or_assign()
         elif kind == IDENTIFIER and (
-            (nxt := tokens[self.pos + 1]).kind == IDENTIFIER
-            or nxt.lexeme == "[" and tokens[self.pos + 2].lexeme == "]"
+            self.kinds[pos + 1] == IDENTIFIER
+            or lexemes[pos + 1] == "[" and lexemes[pos + 2] == "]"
         ):
             stmt = self.parse_local_decl()
         else:
@@ -338,53 +354,53 @@ class _Parser:
         return stmt
 
     def parse_local_decl(self) -> tree.LocalDecl:
-        start = self.tokens[self.pos].span
+        start = self.starts[self.pos]
         decl_type = self.parse_type("local variable type")
-        name_tok = self.expect_identifier("variable name")
+        name = self.lexemes[self.expect_identifier("variable name")]
         init = None
-        if self.tokens[self.pos].lexeme == "=":
+        if self.lexemes[self.pos] == "=":
             self.pos += 1
             init = self.parse_expr()
         end = self.expect(";")
-        return tree.LocalDecl(decl_type, name_tok.lexeme, init, _join(start, end.span))
+        return tree.LocalDecl(decl_type, name, init, _new(Span, (start, end)))
 
     def parse_if(self) -> tree.If:
-        start = self.tokens[self.pos].span  # 'if'
+        start = self.starts[self.pos]  # 'if'
         self.pos += 1
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         then_branch = self.parse_stmt()
         else_branch = None
-        end_span = then_branch.span
-        if self.tokens[self.pos].lexeme == "else":
+        end = then_branch.span.end
+        if self.lexemes[self.pos] == "else":
             self.pos += 1
             else_branch = self.parse_stmt()
-            end_span = else_branch.span
-        return tree.If(cond, then_branch, else_branch, _join(start, end_span))
+            end = else_branch.span.end
+        return tree.If(cond, then_branch, else_branch, _new(Span, (start, end)))
 
     def parse_while(self) -> tree.While:
-        start = self.tokens[self.pos].span  # 'while'
+        start = self.starts[self.pos]  # 'while'
         self.pos += 1
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_stmt()
-        return tree.While(cond, body, _join(start, body.span))
+        return tree.While(cond, body, _new(Span, (start, body.span.end)))
 
     def parse_return(self) -> tree.Return:
-        start = self.tokens[self.pos].span  # 'return'
+        start = self.starts[self.pos]  # 'return'
         self.pos += 1
         value = None
-        if self.tokens[self.pos].lexeme != ";":
+        if self.lexemes[self.pos] != ";":
             value = self.parse_expr()
         end = self.expect(";")
-        return tree.Return(value, _join(start, end.span))
+        return tree.Return(value, _new(Span, (start, end)))
 
     def parse_expr_or_assign(self) -> tree.Stmt:
-        start = self.tokens[self.pos].span
+        start = self.starts[self.pos]
         expr = self.parse_expr()
-        if self.tokens[self.pos].lexeme == "=":
+        if self.lexemes[self.pos] == "=":
             if not isinstance(expr, (tree.Name, tree.FieldAccess)):
                 raise ParseError(
                     "invalid assignment target", expr.span, path=self.path
@@ -392,9 +408,9 @@ class _Parser:
             self.pos += 1
             value = self.parse_expr()
             end = self.expect(";")
-            return tree.Assign(expr, value, _join(start, end.span))
+            return tree.Assign(expr, value, _new(Span, (start, end)))
         end = self.expect(";")
-        return tree.ExprStmt(expr, _join(start, end.span))
+        return tree.ExprStmt(expr, _new(Span, (start, end)))
 
     # -- expressions ----------------------------------------------------
 
@@ -404,18 +420,18 @@ class _Parser:
         Precedence climbing: each operator's right operand is parsed at the
         next tighter level, and operators of one level associate to the left.
         """
-        tokens = self.tokens
+        lexemes = self.lexemes
         above = self.depth
         if above >= MAX_NESTING:
-            raise self.too_deep(tokens[self.pos].span)
+            raise self.too_deep(self.span(self.pos))
         self.depth = above + 1
         left = self.parse_operand()
         height = self.height
-        while (prec := _PRECEDENCE.get((tok := tokens[self.pos]).lexeme, -1)) >= level:
+        while (prec := _PRECEDENCE.get(op := lexemes[self.pos], -1)) >= level:
             self.pos += 1
             right = self.parse_expr(prec + 1)
             height = max(height, self.height) + 1
-            left = tree.Binary(tok.lexeme, left, right, _join(left.span, right.span))
+            left = tree.Binary(op, left, right, _new(Span, (left.span[0], right.span[1])))
         self.depth = above
         if above + height > MAX_NESTING:
             raise self.too_deep(left.span)
@@ -430,99 +446,97 @@ class _Parser:
         the operand. One frame parses all of it, so an operand costs one
         call beside its `parse_expr`.
         """
-        tokens = self.tokens
-        tok = tokens[self.pos]
+        lexemes, starts = self.lexemes, self.starts
+        pos = self.pos
+        word = lexemes[pos]
         prefixes = []
-        while tok.lexeme in _UNARY_OPS:
-            prefixes.append(tok)
-            self.pos += 1
+        while word in _UNARY_OPS:
+            prefixes.append(pos)
+            self.pos = pos = pos + 1
             self.nest()
-            tok = tokens[self.pos]
+            word = lexemes[pos]
 
         self.height = 1
-        kind = tok.kind
-        word = tok.lexeme
+        kind = self.kinds[pos]
+        start = starts[pos]
         if kind == IDENTIFIER:
-            self.pos += 1
-            if tokens[self.pos].lexeme == "(":
-                args, end_span = self.parse_args()
+            self.pos = pos + 1
+            name_span = _new(Span, (start, start + len(word)))
+            if lexemes[pos + 1] == "(":
+                args, end = self.parse_args()
                 self.height += 1
-                expr = tree.Call(None, word, args, _join(tok.span, end_span), tok.span)
+                expr = tree.Call(None, word, args, _new(Span, (start, end)), name_span)
             else:
-                expr = tree.Name(word, tok.span)
+                expr = tree.Name(word, name_span)
         elif kind == LITERAL:
-            self.pos += 1
-            expr = tree.Literal(_literal_kind(word), word, tok.span)
+            self.pos = pos + 1
+            expr = tree.Literal(_literal_kind(word), word, _new(Span, (start, start + len(word))))
         elif word == "(":
-            self.pos += 1
+            self.pos = pos + 1
             inner = self.parse_expr()
             end = self.expect(")")
             self.height += 1
-            expr = tree.Paren(inner, _join(tok.span, end.span))
+            expr = tree.Paren(inner, _new(Span, (start, end)))
         elif word == "this":
-            self.pos += 1
-            expr = tree.This(tok.span)
+            self.pos = pos + 1
+            expr = tree.This(self.span(pos))
         elif word == "super":
-            self.pos += 1
-            if tokens[self.pos].lexeme != ".":
+            self.pos = pos + 1
+            if lexemes[pos + 1] != ".":
                 raise self.error("expected '.' after 'super'", expected={"."})
-            expr = tree.Super(tok.span)
+            expr = tree.Super(self.span(pos))
         elif word == "new":
-            self.pos += 1
-            type_tok = self.expect_identifier("class name after 'new'")
-            if tokens[self.pos].lexeme == "[":
+            self.pos = pos + 1
+            type_name = lexemes[self.expect_identifier("class name after 'new'")]
+            if lexemes[self.pos] == "[":
                 raise self.unsupported("array creation")
-            args, end_span = self.parse_args()
+            args, end = self.parse_args()
             self.height += 1
-            expr = tree.New(type_tok.lexeme, args, _join(tok.span, end_span))
+            expr = tree.New(type_name, args, _new(Span, (start, end)))
         elif word in UNSUPPORTED_STMT_KEYWORDS or word == "instanceof":
             raise self.unsupported(f"'{word}' expressions")
         else:
             raise self.error("expected expression", expected={"expression"})
 
-        while tokens[self.pos].lexeme == ".":
+        while lexemes[self.pos] == ".":
             self.pos += 1
-            name_tok = self.expect_identifier("member name")
+            name = self.expect_identifier("member name")
+            name_span = self.span(name)
             height = self.height
-            if tokens[self.pos].lexeme == "(":
-                args, end_span = self.parse_args()
+            if lexemes[self.pos] == "(":
+                args, end = self.parse_args()
                 self.height = max(height, self.height) + 1
                 expr = tree.Call(
-                    expr, name_tok.lexeme, args, _join(expr.span, end_span), name_tok.span,
+                    expr, lexemes[name], args, _new(Span, (expr.span[0], end)), name_span,
                 )
             else:
                 self.height = height + 1
                 expr = tree.FieldAccess(
-                    expr, name_tok.lexeme, _join(expr.span, name_tok.span), name_tok.span,
+                    expr, lexemes[name], _new(Span, (expr.span[0], name_span[1])), name_span,
                 )
         if prefixes:
             for op in reversed(prefixes):
-                expr = tree.Unary(op.lexeme, expr, _join(op.span, expr.span))
+                expr = tree.Unary(lexemes[op], expr, _new(Span, (starts[op], expr.span[1])))
             self.depth -= len(prefixes)
             self.height += len(prefixes)
         return expr
 
-    def parse_args(self) -> tuple[list[tree.Expr], Span]:
-        """The arguments and the closing span; sets `height` to the deepest argument's."""
-        tokens = self.tokens
+    def parse_args(self) -> tuple[list[tree.Expr], int]:
+        """The arguments and the closing offset; sets `height` to the deepest argument's."""
+        lexemes = self.lexemes
         self.expect("(")
         args: list[tree.Expr] = []
         height = 0
-        if tokens[self.pos].lexeme != ")":
+        if lexemes[self.pos] != ")":
             while True:
                 args.append(self.parse_expr())
                 height = max(height, self.height)
-                if tokens[self.pos].lexeme != ",":
+                if lexemes[self.pos] != ",":
                     break
                 self.pos += 1
         end = self.expect(")")
         self.height = height
-        return args, end.span
-
-
-def _join(start: Span, end: Span) -> Span:
-    # tuple.__new__ builds the Span without its Python-level __new__.
-    return tuple.__new__(Span, (start.start, end.end, start.line, start.column))
+        return args, end
 
 
 def _literal_kind(lexeme: str) -> str:

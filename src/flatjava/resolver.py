@@ -187,15 +187,16 @@ def resolve_class(model: ClassModel, cls: ClassInfo) -> ClassResolution:
     """Resolve every body in one class, collecting access edges."""
     walker = _Walker(model, cls)
     return ClassResolution(
-        cls.name, cls.decl.members, [walker.resolve(m, cls.path) for m in cls.members]
+        cls.name, cls.decl.members, [walker.resolve(m, cls) for m in cls.members]
     )
 
 
 def resolve_member(
-    model: ClassModel, cls: ClassInfo, member: MemberInfo, path: str | None
+    model: ClassModel, cls: ClassInfo, member: MemberInfo, written_in: ClassInfo
 ) -> MemberResolution:
-    """Resolve one member of `cls`; errors name `path`, the file of its body."""
-    return _Walker(model, cls).resolve(member, path)
+    """Resolve one member of `cls`; errors name the file of `written_in`, the
+    class whose file holds its body."""
+    return _Walker(model, cls).resolve(member, written_in)
 
 
 class _Walker(tree.BodyWalker):
@@ -203,17 +204,17 @@ class _Walker(tree.BodyWalker):
         super().__init__()
         self.model = model
         self.cls = cls
-        self.path = cls.path
+        self.written_in = cls  # the class whose file holds the body, for errors
         self.res = MemberResolution()
 
-    def resolve(self, member: MemberInfo, path: str | None) -> MemberResolution:
+    def resolve(self, member: MemberInfo, written_in: ClassInfo) -> MemberResolution:
         self.res = MemberResolution()
-        self.path = path
+        self.written_in = written_in
         self.member(member.decl)
         return self.res
 
     def fail(self, message: str, span: Span) -> UnresolvedName:
-        return UnresolvedName(message, span, self.path)
+        return UnresolvedName(message, span, self.written_in.path, self.written_in.text)
 
     def edge(self, kind: str, target: MemberInfo, basis: str, span: Span, node: tree.Expr) -> None:
         local = basis in LOCAL_BASES and target.owner == self.cls.name
@@ -377,8 +378,7 @@ class _Walker(tree.BodyWalker):
                 raise AmbiguousCall(
                     f"constructor call new {e.type_name}({', '.join(t or '?' for t in arg_types)}) "
                     f"matches {len(exact) or len(matching)} overloads",
-                    e.span,
-                    self.path,
+                    e.span, self.written_in.path, self.written_in.text,
                 )
             matching = exact
         self.edge(CALL, matching[0], BASIS_RECEIVER, e.span, e)
@@ -426,8 +426,7 @@ class _Walker(tree.BodyWalker):
         if not arity:
             raise AmbiguousCall(
                 f"no overload of {e.name!r} takes {len(e.args)} argument(s)",
-                e.name_span,
-                self.path,
+                e.name_span, self.written_in.path, self.written_in.text,
             )
         if len(arity) == 1:
             return arity[0]
@@ -438,8 +437,7 @@ class _Walker(tree.BodyWalker):
             f"call {e.name!r} with argument types "
             f"({', '.join(t or '?' for t in arg_types)}) matches "
             f"{len(exact) or len(arity)} overloads",
-            e.name_span,
-            self.path,
+            e.name_span, self.written_in.path, self.written_in.text,
         )
 
     # The handler of each expression node type, for `type_of`. The parser

@@ -1,4 +1,8 @@
-"""Source positions shared by tokens, AST nodes, and diagnostics."""
+"""Source positions shared by tokens, AST nodes, and diagnostics.
+
+A span is a pair of offsets. Line and column are not kept: they are worked
+out from the source text only when an error is rendered (`line_column`).
+"""
 
 from __future__ import annotations
 
@@ -8,17 +12,22 @@ from typing import NamedTuple
 class Span(NamedTuple):
     """Half-open [start, end) offsets into the decoded source text.
 
-    line/column locate `start` and are 1-based. Offsets are code-point
-    indices so callers can slice the source string directly.
+    Offsets are code-point indices so callers can slice the source string
+    directly.
     """
 
     start: int
     end: int
-    line: int
-    column: int
 
     def slice(self, text: str) -> str:
         return text[self.start : self.end]
 
 
-EMPTY_SPAN = Span(0, 0, 1, 1)
+EMPTY_SPAN = Span(0, 0)
+
+
+def line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset` in `text`. A line ends at each
+    line feed; every other character, a tab or carriage return too, is a column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1

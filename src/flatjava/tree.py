@@ -285,6 +285,8 @@ class CompilationUnit(Node):
         self.class_decl = class_decl
         self.span = span
         self.path = path
+        # The source text, for the errors of its classes; not a field.
+        self.text: str | None = None
 
     def _compared(self) -> list:
         # Where the unit was read from is not part of its value.

@@ -2,18 +2,18 @@
 
 `tokenize` here scans with two compiled patterns, one call each per token:
 `_TRIVIA` for the whitespace and comments before a token and `_TOKEN` for
-the token itself. The library runs one combined pattern over the whole
-source instead. `tests/test_lexer.py` demands equal token lists, or a
-`LexError` with the same message and span, on generated sources.
+the token itself, and it counts lines as it goes. The library runs one
+combined pattern over the whole source and keeps offsets only.
+`tests/test_lexer.py` demands the same (kind, lexeme, start, end) for every
+token, or an error with the same message and offsets whose rendered
+`line:column` is the one counted here, on generated sources.
 """
 
 from __future__ import annotations
 
 import re
 
-from flatjava.errors import LexError
-from flatjava.lexer import IDENTIFIER, KEYWORD, KEYWORDS, LITERAL, WORD_LITERALS, EOI, Token
-from flatjava.spans import Span
+from flatjava.lexer import IDENTIFIER, KEYWORD, KEYWORDS, LITERAL, WORD_LITERALS, EOI
 
 _TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*")
 
@@ -33,9 +33,19 @@ _TOKEN = re.compile(
 _WORD_KINDS = dict.fromkeys(KEYWORDS, KEYWORD) | dict.fromkeys(WORD_LITERALS, LITERAL)
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize `source`, ending with a synthetic end-of-input token."""
-    tokens: list[Token] = []
+class ReferenceLexError(Exception):
+    """An error at [start, end), whose start is at `line` and `column`."""
+
+    def __init__(self, message: str, start: int, end: int, line: int, column: int):
+        super().__init__(message)
+        self.message, self.start, self.end = message, start, end
+        self.rendered = f"{line}:{column}: {message}"
+
+
+def tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, lexeme, start, end) of each token, ending with a synthetic
+    end-of-input token."""
+    tokens: list[tuple[str, str, int, int]] = []
     pos = 0
     line = 1
     line_start = 0  # offset of the first character of `line`
@@ -54,9 +64,9 @@ def tokenize(source: str) -> list[Token]:
         kind = m.lastgroup
         if kind == "word":
             kind = _WORD_KINDS.get(lexeme, IDENTIFIER)
-        tokens.append(Token(kind, lexeme, Span(start, pos, line, column), leading))
+        tokens.append((kind, lexeme, start, pos))
     if start == len(source):
-        tokens.append(Token(EOI, "", Span(start, start, line, column), leading))
+        tokens.append((EOI, "", start, start))
         return tokens
     if source.startswith("/*", start):
         message, end = "unterminated block comment", len(source)
@@ -66,4 +76,4 @@ def tokenize(source: str) -> list[Token]:
         message, end = "unterminated string literal", len(source) if line_end < 0 else line_end
     else:
         message, end = f"illegal character {source[start]!r}", start + 1
-    raise LexError(message, Span(start, end, line, column))
+    raise ReferenceLexError(message, start, end, line, column)

@@ -14,8 +14,8 @@ from flatjava.resolver import MemberResolution
 from flatjava.spans import Span
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-S = Span(0, 1, 1, 1)
-T = Span(2, 3, 1, 3)
+S = Span(0, 1)
+T = Span(2, 3)
 
 
 def _field_decl(name: str = "x") -> tree.FieldDecl:
@@ -34,9 +34,9 @@ def test_fields_are_the_init_parameters_in_order():
 def test_repr_lists_the_fields_in_order():
     node = tree.Binary("+", tree.Name("a", S), tree.Literal("int", "1", T), S)
     assert repr(node) == (
-        "Binary(op='+', left=Name(ident='a', span=Span(start=0, end=1, line=1, column=1)), "
-        "right=Literal(kind='int', lexeme='1', span=Span(start=2, end=3, line=1, column=3)), "
-        "span=Span(start=0, end=1, line=1, column=1))"
+        "Binary(op='+', left=Name(ident='a', span=Span(start=0, end=1)), "
+        "right=Literal(kind='int', lexeme='1', span=Span(start=2, end=3)), "
+        "span=Span(start=0, end=1))"
     )
 
 
@@ -63,6 +63,15 @@ def test_compilation_unit_equality_ignores_path():
     assert first == second
     assert repr(first) != repr(second)
     assert "path='one/A.java'" in repr(first)
+
+
+def test_compilation_unit_keeps_its_text_out_of_its_fields():
+    source = "class A { int x; }"
+    unit = parse_source(source, "A.java")
+    assert unit.text == source
+    assert "text" not in tree.CompilationUnit.__match_args__
+    assert source not in repr(unit)
+    assert unit == parse_source(source + "\n// trailing\n", "A.java")
 
 
 def test_nodes_are_unhashable():

@@ -424,7 +424,7 @@ def test_dangling_super_ref_guard():
     method = [m for m in cls.decl.members][0]
     dropped = MemberFate(model.classes["A"].members[0], DROP_ANOMALY, "R3")
     for fates in ([], [dropped]):
-        rewriter = _Carrier(_own_move(cls, fates), [])
+        rewriter = _Carrier(_own_move(cls, fates, {}), [])
         with pytest.raises(DanglingSuperRef):
             rewriter.rewrite(method, resolution.members[0].sites)
 

@@ -1,4 +1,4 @@
-"""Tokenizer tests: kinds, spans, trivia round-trip, errors."""
+"""Tokenizer tests: kinds, offsets, trivia between tokens, errors and their positions."""
 
 from __future__ import annotations
 
@@ -8,31 +8,33 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flatjava import LexError, Span, tokenize
-from flatjava.lexer import EOI, IDENTIFIER, KEYWORD, LITERAL, OPERATOR, PUNCT, token_signature
+from flatjava import FlatJavaError, LexError, Span, tokenize
+from flatjava.lexer import (
+    _SCAN,
+    EOI,
+    IDENTIFIER,
+    KEYWORD,
+    LITERAL,
+    OPERATOR,
+    PUNCT,
+    token_signature,
+)
 
 import reference_lexer
 from conftest import CORPUS, fixture_sources
 
 
-def kinds(tokens):
-    return [t.kind for t in tokens]
-
-
-def lexemes(tokens):
-    return [t.lexeme for t in tokens]
-
-
 def test_empty_input_is_single_eoi():
     tokens = tokenize("")
-    assert kinds(tokens) == [EOI]
-    assert tokens[0].lexeme == ""
+    assert tokens.kinds == [EOI]
+    assert tokens.lexemes == [""]
+    assert len(tokens) == 1
 
 
 def test_minimal_class():
     tokens = tokenize("class A {}")
-    assert kinds(tokens) == [KEYWORD, IDENTIFIER, PUNCT, PUNCT, EOI]
-    assert lexemes(tokens) == ["class", "A", "{", "}", ""]
+    assert tokens.kinds == [KEYWORD, IDENTIFIER, PUNCT, PUNCT, EOI]
+    assert tokens.lexemes == ["class", "A", "{", "}", ""]
 
 
 def test_dollar_is_identifier_character():
@@ -40,43 +42,51 @@ def test_dollar_is_identifier_character():
     ident_re = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
     assert ident_re.fullmatch("x$A")
     tokens = tokenize("int x$A;")
-    assert kinds(tokens) == [KEYWORD, IDENTIFIER, PUNCT, EOI]
-    assert tokens[1].lexeme == "x$A"
+    assert tokens.kinds == [KEYWORD, IDENTIFIER, PUNCT, EOI]
+    assert tokens.lexemes[1] == "x$A"
 
 
 def test_word_literals_are_literal_tokens():
     tokens = tokenize("true false null")
-    assert kinds(tokens) == [LITERAL, LITERAL, LITERAL, EOI]
+    assert tokens.kinds == [LITERAL, LITERAL, LITERAL, EOI]
 
 
 def test_number_forms():
     tokens = tokenize("1 42L 3.5 1e3 2.5e-1 7d")
-    assert all(t.kind == LITERAL for t in tokens[:-1])
-    assert lexemes(tokens)[:-1] == ["1", "42L", "3.5", "1e3", "2.5e-1", "7d"]
+    assert tokens.kinds[:-1] == [LITERAL] * 6
+    assert tokens.lexemes[:-1] == ["1", "42L", "3.5", "1e3", "2.5e-1", "7d"]
 
 
 def test_multichar_operators():
     tokens = tokenize("a <= b && c != d")
-    ops = [t.lexeme for t in tokens if t.kind == OPERATOR]
+    ops = [lexeme for kind, lexeme in token_signature(tokens) if kind == OPERATOR]
     assert ops == ["<=", "&&", "!="]
 
 
 def test_string_literal_with_escapes():
     tokens = tokenize(r'"a\"b\\" x')
-    assert tokens[0].kind == LITERAL
-    assert tokens[0].lexeme == r'"a\"b\\"'
+    assert tokens.kinds[0] == LITERAL
+    assert tokens.lexemes[0] == r'"a\"b\\"'
+
+
+def _trivia(text: str) -> bool:
+    """Whether all of `text` is trivia under the scanner's trivia group."""
+    match = _SCAN.fullmatch(text)
+    return match is not None and match[1] == text
 
 
 def _assert_stream_invariants(source, tokens):
-    assert tokens[-1].kind == EOI
-    rebuilt = "".join(t.leading + t.lexeme for t in tokens)
-    assert rebuilt == source
+    """Each token's lexeme stands at its start, the text before each token
+    and after the last one is trivia, and the end of input ends the source."""
+    assert tokens.kinds[-1] == EOI
+    assert tokens.starts[-1] == len(source)
+    assert len(tokens) == len(tokens.lexemes) == len(tokens.starts)
     pos = 0
-    for t in tokens:
-        assert t.span.start >= pos
-        assert t.span.end >= t.span.start
-        assert source[t.span.start : t.span.end] == t.lexeme
-        pos = t.span.end
+    for start, lexeme in zip(tokens.starts, tokens.lexemes):
+        assert start >= pos
+        assert _trivia(source[pos:start]), (pos, start)
+        assert source[start : start + len(lexeme)] == lexeme
+        pos = start + len(lexeme)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -88,9 +98,10 @@ def test_roundtrip_over_corpus(name):
 def test_comments_preserved_as_trivia():
     source = "// lead\nclass A { /* body */ }\n"
     tokens = tokenize(source)
-    assert tokens[0].leading == "// lead\n"
-    assert "".join(t.leading + t.lexeme for t in tokens) == source
-    assert all(t.kind != EOI for t in tokens[:-1])
+    assert source[: tokens.starts[0]] == "// lead\n"
+    _assert_stream_invariants(source, tokens)
+    assert EOI not in tokens.kinds[:-1]
+    assert not _trivia("a") and not _trivia("/* open") and not _trivia(" x ")
 
 
 @pytest.mark.parametrize(
@@ -109,8 +120,8 @@ def test_lex_errors_carry_spans(source, fragment):
     assert fragment in err.message
     assert err.span is not None
     assert 0 <= err.span.start <= len(source)
-    # Line/column must agree with independent line counting.
-    assert err.span.line == source[: err.span.start].count("\n") + 1
+    # The rendered line must agree with independent line counting.
+    assert str(err).startswith(f"{source[: err.span.start].count(chr(10)) + 1}:")
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=80))
@@ -145,22 +156,24 @@ def test_token_streams(source, stream):
     assert token_signature(tokenize(source)) == stream + [(EOI, "")]
 
 
+# Each error's span, with the line and column its start renders as.
 @pytest.mark.parametrize(
     "source,message,span",
     [
-        ('class A {\n  String s = "oops; }', "unterminated string literal", Span(23, 31, 2, 14)),
-        ('"multi\nline"', "unterminated string literal", Span(0, 6, 1, 1)),
-        ('x = "ab\\', "unterminated string literal", Span(4, 8, 1, 5)),
-        ("a\n /* never", "unterminated block comment", Span(3, 11, 2, 2)),
-        ("/*/", "unterminated block comment", Span(0, 3, 1, 1)),
-        ("int x = #3;", "illegal character '#'", Span(8, 9, 1, 9)),
-        ("a\n\tb = 'c';", "illegal character \"'\"", Span(7, 8, 2, 6)),
+        ('class A {\n  String s = "oops; }', "unterminated string literal", (Span(23, 31), "2:14")),
+        ('"multi\nline"', "unterminated string literal", (Span(0, 6), "1:1")),
+        ('x = "ab\\', "unterminated string literal", (Span(4, 8), "1:5")),
+        ("a\n /* never", "unterminated block comment", (Span(3, 11), "2:2")),
+        ("/*/", "unterminated block comment", (Span(0, 3), "1:1")),
+        ("int x = #3;", "illegal character '#'", (Span(8, 9), "1:9")),
+        ("a\n\tb = 'c';", "illegal character \"'\"", (Span(7, 8), "2:6")),
     ],
 )
 def test_lex_error_spans(source, message, span):
     with pytest.raises(LexError) as excinfo:
         tokenize(source)
-    assert (excinfo.value.message, excinfo.value.span) == (message, span)
+    err, (offsets, position) = excinfo.value, span
+    assert (err.message, err.span, str(err)) == (message, offsets, f"{position}: {message}")
 
 
 def test_backslash_before_line_break_ends_string():
@@ -168,7 +181,8 @@ def test_backslash_before_line_break_ends_string():
     with pytest.raises(LexError) as excinfo:
         tokenize('x = "a\\\nb";')
     assert excinfo.value.message == "unterminated string literal"
-    assert excinfo.value.span == Span(4, 7, 1, 5)
+    assert excinfo.value.span == Span(4, 7)
+    assert str(excinfo.value) == "1:5: unterminated string literal"
 
 
 # Single characters, plus runs of them that put several line breaks into one
@@ -183,25 +197,35 @@ _POSITION_PIECES = (
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from(_POSITION_PIECES), max_size=40).map("".join))
 def test_positions_match_line_counting(source):
+    # Each token's position, or the error's, as an error renders it.
     try:
-        spans = [t.span for t in tokenize(source)]
+        errors = [FlatJavaError("here", Span(start, start), text=source)
+                  for start in tokenize(source).starts]
     except LexError as err:
-        spans = [err.span]
-    for span in spans:
-        before = source[: span.start]
-        assert span.line == before.count("\n") + 1
-        assert span.column == len(before) - before.rfind("\n")
+        errors = [err]
+    for err in errors:
+        before = source[: err.span.start]
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        assert str(err) == f"{line}:{column}: {err.message}"
 
 
-def test_tokens_and_spans_are_immutable_values():
-    token = tokenize("x")[0]
-    assert repr(token) == (
-        "Token(kind='identifier', lexeme='x', "
-        "span=Span(start=0, end=1, line=1, column=1), leading='')"
+def test_tokens_are_parallel_lists_and_spans_immutable_offsets():
+    tokens = tokenize("x = 1;\n")
+    assert (tokens.kinds, tokens.lexemes, tokens.starts) == (
+        [IDENTIFIER, OPERATOR, LITERAL, PUNCT, EOI], ["x", "=", "1", ";", ""], [0, 2, 4, 5, 7]
     )
-    assert hash(token) == hash(tokenize("x")[0])
+    assert len(tokens) == 5
+    span = Span(0, 1)
+    assert repr(span) == "Span(start=0, end=1)"
+    assert hash(span) == hash(Span(0, 1))
     with pytest.raises(AttributeError):
-        token.span.line = 2
+        span.start = 2
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_token_count_matches_reference_over_corpus(name):
+    for source in fixture_sources(name).values():
+        assert len(tokenize(source)) == len(reference_lexer.tokenize(source))
 
 
 # Pieces of Java-flavoured text. Drawn side by side they also glue into
@@ -228,10 +252,16 @@ _JAVA_PIECES = [
 @example('a = "no end\nb')
 @example("int x; // trailing\n\t ")
 def test_lexer_agrees_with_reference(source):
-    def lex(tokenize_fn):
-        try:
-            return tokenize_fn(source)
-        except LexError as err:
-            return ("LexError", err.message, err.span)
-
-    assert lex(tokenize) == lex(reference_lexer.tokenize)
+    # (kind, lexeme, start, end) of each token, or the error's message,
+    # offsets and rendered position.
+    try:
+        tokens = tokenize(source)
+        ours = [(kind, lexeme, start, start + len(lexeme))
+                for kind, lexeme, start in zip(tokens.kinds, tokens.lexemes, tokens.starts)]
+    except LexError as err:
+        ours = ("LexError", err.message, err.span.start, err.span.end, str(err))
+    try:
+        theirs = reference_lexer.tokenize(source)
+    except reference_lexer.ReferenceLexError as err:
+        theirs = ("LexError", err.message, err.start, err.end, err.rendered)
+    assert ours == theirs

@@ -124,9 +124,10 @@ def test_parse_error_locality():
     err = excinfo.value
     assert err.span is not None
     assert err.span.start <= len(source)
-    assert err.span.line == source[: err.span.start].count("\n") + 1
+    # The rendered line and column agree with independent line counting.
+    line = source[: err.span.start].count("\n") + 1
     newline_before = source.rfind("\n", 0, err.span.start)
-    assert err.span.column == err.span.start - newline_before
+    assert str(err).startswith(f"{line}:{err.span.start - newline_before}: expected expression")
 
 
 def test_expected_token_set_reported():

@@ -3,7 +3,8 @@
 `parser_golden.json` holds, for every `.java` file under `fixtures/` and for
 three seeded one-token mutations of each that lexes (a token deleted,
 duplicated or swapped with the next), the sha256 of `repr(tree)` or of the
-error it raised (class, message, span and expected set). Each file's
+error it raised (class, message, span and expected set), with each span
+written as (start, end, line, column) of its start. Each file's
 mutations are drawn from a seed made of its path, so adding a fixture adds
 its own cases and leaves every other case as it was. It also holds the error of
 each nesting shape one level past MAX_NESTING, in readable form. A parser
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -28,6 +30,7 @@ import pytest
 from flatjava import FlatJavaError, parse_source, tokenize
 from flatjava.errors import LexError
 from flatjava.parser import MAX_NESTING
+from flatjava.spans import line_column
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_PATH = Path(__file__).parent / "parser_golden.json"
@@ -42,9 +45,12 @@ def _fixture_sources() -> dict[str, str]:
     }
 
 
-def _mutate(tokens, rng: random.Random) -> tuple[str, str]:
+def _mutate(source: str, tokens, rng: random.Random) -> tuple[str, str]:
     """One token deleted, duplicated or swapped with the next; (op, source)."""
-    pieces = [[t.leading, t.lexeme] for t in tokens]
+    ends = [0] + [start + len(lexeme) for start, lexeme in zip(tokens.starts, tokens.lexemes)]
+    # Each token with the trivia before it, which runs from the previous token's end.
+    pieces = [[source[end:start], lexeme]
+              for end, start, lexeme in zip(ends, tokens.starts, tokens.lexemes)]
     body = len(pieces) - 1  # the end-of-input token stays
     op = rng.choice(("delete", "duplicate", "swap") if body >= 2 else ("delete", "duplicate"))
     if op == "swap":
@@ -68,7 +74,7 @@ def mutated_sources() -> dict[str, tuple[str, str]]:
             continue
         rng = random.Random(f"{MUTATION_SEED}/{path}")
         for n in range(MUTATIONS_PER_FILE):
-            op, mutated = _mutate(tokens, rng)
+            op, mutated = _mutate(source, tokens, rng)
             cases[f"mutation/{path}/{n}/{op}"] = (path, mutated)
     return cases
 
@@ -117,15 +123,29 @@ def deep_sources() -> dict[str, str]:
     }
 
 
+_SPAN_REPR = re.compile(r"Span\(start=(\d+), end=(\d+)\)")
+
+
+def _located(source: str, start: int, end: int) -> list[int]:
+    """A span as the golden records it: its offsets, then its start's line and column."""
+    return [start, end, *line_column(source, start)]
+
+
 def outcome(source: str, path: str | None):
     """The tree's repr, or (error class, message, span, expected) of the error."""
     try:
-        return repr(parse_source(source, path))
+        tree_repr = repr(parse_source(source, path))
     except FlatJavaError as err:
         return [
-            type(err).__name__, err.message, list(err.span or ()), err.path,
+            type(err).__name__, err.message,
+            _located(source, *err.span) if err.span else [], err.path,
             sorted(getattr(err, "expected", ())),
         ]
+    return _SPAN_REPR.sub(
+        lambda m: "Span(start={}, end={}, line={}, column={})".format(
+            *_located(source, int(m[1]), int(m[2]))),
+        tree_repr,
+    )
 
 
 def _digest(result) -> str:
