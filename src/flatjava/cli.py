@@ -1,11 +1,12 @@
 """The `flatjava` command line, built on the standard library's argparse.
 
 Exit codes: 0 on success, 1 when --strict and diagnostics were produced,
-2 on a usage error, on a source file that cannot be read or is not valid
-UTF-8, or on lex/parse/model/flatten errors, 3 on an internal error (any
-other exception, reported as one `internal error:` line instead of a
-traceback). Errors follow a first-error-per-file policy. Diagnostics are
-red (errors) or yellow (warnings) when stderr is a terminal;
+2 on a usage error, on paths with no Java source, on a source file that
+cannot be read or is not valid UTF-8, or on lex/parse/model/flatten
+errors, 3 on an internal error (any other exception, reported as one
+`internal error:` line instead of a traceback). Errors follow a
+first-error-per-file policy. Diagnostics are red (errors) or yellow
+(warnings) when stderr is a terminal;
 FLATJAVA_COLOR=0|1 forces coloring off or on. Each output line is flushed
 as it is written, so stdout and stderr keep their order when mixed.
 
@@ -78,7 +79,9 @@ def _load(paths: list[str], include_object_root: bool):
     """Parse, build, and classify. Exits with code 2 on any error."""
     files = _collect_paths(paths)
     units = []
-    failed = False
+    failed = not files
+    if failed:
+        _echo_colored(f"error: no *.java files (other than *.flat.java) in {', '.join(paths)}", RED)
     for path in files:
         try:
             text = path.read_text(encoding="utf-8")
@@ -89,10 +92,9 @@ def _load(paths: list[str], include_object_root: bool):
         try:
             units.append(parse_source(text, str(path)))
         except FlatJavaError as err:
-            err.path = err.path or str(path)
             _echo_error(err)
             failed = True
-    if failed or not units:
+    if failed:
         raise SystemExit(2)
     try:
         model = classify_members(build_model(units, include_object_root))

@@ -22,24 +22,24 @@ def emit(target, *, provenance: bool = False) -> str:
     With `provenance`, each member a FlattenedClass pulled down is preceded
     by a comment naming its origin.
     """
+    package, pulled = None, ()
     if isinstance(target, tree.CompilationUnit):
-        package, decl, pulled = target.package, target.class_decl, ()
-        own = decl.members
-    elif isinstance(target, tree.ClassDecl):
-        package, decl, own, pulled = None, target, target.members, ()
+        package, target = target.package, target.class_decl
+    if isinstance(target, tree.ClassDecl):
+        own, superclass = target.members, target.superclass
     else:
-        # FlattenedClass (duck-typed to avoid a circular import): carries the
-        # package, the rewritten ClassDecl, and the text of its pulled part.
-        package, decl = target.package, target.head_decl
-        own = decl.members[:target.own]
+        # FlattenedClass (duck-typed to avoid a circular import): its own
+        # members, then the text of its pulled part. It extends nothing.
+        package, superclass = target.package, None
+        own = [m.decl for m in target.head_members[:target.own]]
         pulled = target.pulled_part(
             ("text", provenance), lambda view, inherited: _pulled(view, inherited, provenance), ()
         )
     head = f"package {package};\n\n" if package else ""
-    head += _vis_prefix(decl.visibility) + f"class {decl.name}"
-    if decl.superclass:
-        head += f" extends {decl.superclass}"
-    return "".join([head, " {", _chunk(own), *pulled, "}\n" if decl.members or pulled else "\n}\n"])
+    head += _vis_prefix(target.visibility) + f"class {target.name}"
+    if superclass:
+        head += f" extends {superclass}"
+    return "".join([head, " {", _chunk(own), *pulled, "}\n" if own or pulled else "\n}\n"])
 
 
 def _pulled(view, inherited: tuple[str, ...], provenance: bool) -> tuple[str, ...]:

@@ -50,17 +50,18 @@ site alone (`_own_move`, `_pulled_move`). The few bodies whose resolution
 can change in the flattened class are resolved again there
 (`_resolve_changed`).
 
-A view lists its members in declaration order, its own first, as the
-model's `MemberInfo` records wherever nothing changed them, and its
-resolution lists each member's resolution at the same position. Where the
-superclass's view carried its pulled members' fates down and none of them
-changes here, the view ends with that view's pulled part as it is, nodes,
-resolutions and fates, and names that view its `base`; it builds only its
-own members and the superclass's own, pulled (`fresh`), and keeps only
-those. What the next class asks of the part by name is kept in an index
-that each level extends (`_part_index`), and what the emitted text, the
-plan and the metrics need of it is built once per level and reused by
-every view below (`FlattenedClass.pulled_part`).
+A view lists what its level built in declaration order, its own members
+first, as the model's `MemberInfo` records wherever nothing changed them,
+and each member's resolution at the same position. Where the superclass's
+view carried its pulled members' fates down and none of them changes here,
+the view ends with that view's pulled part as it is, nodes, resolutions
+and fates, and names that view its `base`; it builds and keeps only its
+own members and the superclass's own, pulled (`fresh`). The next class
+walks the bases for the whole lists (`FlattenedClass.whole`) only to walk,
+fold or re-resolve the view. What it asks of the part by name is kept in
+an index that each level extends (`_part_index`), and what the emitted
+text, the plan and the metrics need of it is built once per level and
+reused below (`FlattenedClass.pulled_part`).
 """
 
 from __future__ import annotations
@@ -140,22 +141,20 @@ class RewriteDirective:
 class FlattenedClass:
     """A flattened view: what it built itself, and the base it ends with.
 
-    `head_decl`, `head_members` and `head_resolution` hold the view's `own`
-    members and those it pulled at its level, up to `fresh`; `head_fates`
-    the fates it decided. Where `base` is set, the view goes on with
-    `base`'s pulled part as it is: the same members, nodes, resolutions and
-    carried fates. The whole view, `decl`, `members`, `resolution`, `fates`,
-    `repulled` and `carried`, is assembled from the bases on first read;
-    flattening, `emit`, the plan and the metrics read only the heads.
+    `head_members` holds the view's `own` members and those it pulled at
+    its level, up to `fresh`, and `head_resolutions` the resolution of each
+    at the same position; `head_fates` the fates it decided. Where `base`
+    is set, the view goes on with `base`'s pulled part as it is: the same
+    members, nodes, resolutions and carried fates. `emit`, the plan and the
+    metrics read only the heads.
     """
 
-    def __init__(self, name: str, package: str | None, decl: tree.ClassDecl,
-                 members: list[MemberInfo], resolution: ClassResolution,
+    def __init__(self, name: str, package: str | None, visibility: str,
+                 members: list[MemberInfo], resolutions: list[MemberResolution],
                  fates: list[MemberFate] | None = None,
                  rewrites: list[RewriteDirective] | None = None):
-        self.name = name
-        self.package = package
-        self.head_decl, self.head_members, self.head_resolution = decl, members, resolution
+        self.name, self.package, self.visibility = name, package, visibility
+        self.head_members, self.head_resolutions = members, resolutions
         self.head_fates = [] if fates is None else fates
         self.rewrites = [] if rewrites is None else rewrites
         self.diagnostics: list[Diagnostic] = []
@@ -179,43 +178,22 @@ class FlattenedClass:
 
     def carried_fates(self):
         """Where the view carries its pulled part down, that part's fates one level down."""
-        view = self if self.carries else None
-        while view is not None:
-            yield from view.head_repulled
-            view = view.base
+        if self.carries:
+            for view in (self, *self.bases()):
+                yield from view.head_repulled
+
+    def whole(self, start: int = 0) -> tuple[list[MemberInfo], list[MemberResolution]]:
+        """The view's members from `start` on, its bases' parts included, and their resolutions."""
+        members, resolutions = self.head_members[start:], self.head_resolutions[start:]
+        for view in self.bases():
+            members += view.head_members[view.own:]
+            resolutions += view.head_resolutions[view.own:]
+        return members, resolutions
 
     @cached_property
     def members(self) -> list[MemberInfo]:
-        if self.base is None:
-            return self.head_members
-        return self.head_members + [m for v in self.bases() for m in v.head_members[v.own:]]
-
-    @cached_property
-    def decl(self) -> tree.ClassDecl:
-        if self.base is None:
-            return self.head_decl
-        return tree.replace(self.head_decl, members=[m.decl for m in self.members])
-
-    @cached_property
-    def resolution(self) -> ClassResolution:
-        if self.base is None:
-            return self.head_resolution
-        return ClassResolution(self.name, self.decl.members, self.head_resolution.members + [
-            r for v in self.bases() for r in v.head_resolution.members[v.own:]])
-
-    @cached_property
-    def fates(self) -> list[MemberFate]:
-        return self.head_fates + [*self.base.carried_fates()] if self.base else self.head_fates
-
-    @cached_property
-    def repulled(self) -> dict[tuple[str, str], MemberFate]:
-        """The carried fates by their member's (kind, signature)."""
-        return {(f.member.kind, f.member.signature): f for f in self.carried_fates()}
-
-    @cached_property
-    def carried(self) -> set[str] | None:
-        """Where the view carries its pulled part down, the attributes its bodies access."""
-        return set(_part_index(self).accessed) if self.carries else None
+        # Kept for benchmark/tracing.py's pulled-member count (ROADMAP item 1) only.
+        return self.whole()[0]
 
     def pulled_part(self, key, build, empty):
         """The view's pulled part as one consumer lays it out, kept under `key`.
@@ -276,8 +254,7 @@ def _part_index(view: FlattenedClass) -> _PartIndex:
     index = view.index
     if index is None:
         index = view.index = _PartIndex()
-        index.add(view.members[view.own:], view.resolution.members[view.own:],
-                  view.carried_fates())
+        index.add(*view.whole(view.own), view.carried_fates())
     return index
 
 
@@ -295,7 +272,8 @@ def flatten_class(
     cls = model.classes[name]
     if cls.superclass is None:
         # A root flattens to itself, and so do its members and its resolution.
-        return FlattenedClass(cls.name, cls.package, cls.decl, cls.members, graph.resolutions[name])
+        return FlattenedClass(cls.name, cls.package, cls.decl.visibility, cls.members,
+                              graph.resolutions[name].members)
     if cls.superclass not in flattened:
         raise FlattenError(
             f"superclass {cls.superclass!r} of {name!r} has not been flattened "
@@ -367,8 +345,8 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
     reach no member fsuper declares itself. So where fsuper carries its
     pulled part down, the worklist walks only fsuper's own members, and
     returns only what they add: the rest of the fixed point is the carried
-    part itself, its members (`FlattenedClass.repulled`) and the attributes
-    their bodies access (`FlattenedClass.carried`).
+    part itself, its members and the attributes their bodies access, which
+    its index holds (`_PartIndex.keys` and `accessed`).
     """
     own, resolutions = _walked(fsuper)
     sources = {(m.kind, m.signature): r for m, r in zip(own, resolutions)}
@@ -393,8 +371,8 @@ def _walked(fsuper: FlattenedClass) -> tuple[list[MemberInfo], list[MemberResolu
     """The members of fsuper that the next class decides, and their
     resolutions: its own where it carries its pulled part down, else all."""
     if not fsuper.carries:
-        return fsuper.members, fsuper.resolution.members
-    return fsuper.head_members[:fsuper.own], fsuper.head_resolution.members
+        return fsuper.whole()
+    return fsuper.head_members[:fsuper.own], fsuper.head_resolutions
 
 
 # --- flattening proper ------------------------------------------------------
@@ -436,7 +414,7 @@ def _flatten_against_super(
     if part and not part.keys.isdisjoint((m.kind, m.signature) for m in cls.members):
         # The subclass declares a carried member's (kind, signature): every
         # carried member is decided afresh, against the whole fixed point.
-        pulled.update(fsuper.repulled)
+        pulled.update(part.keys)
         accessed.update(part.accessed)
         fates += [decide(f.member) for f in fsuper.carried_fates()]
         kept = None
@@ -507,7 +485,7 @@ def rewrite_references(
     own_count = len(members)
     repulled: list[MemberFate] = []
     carries = True
-    sources = fsuper.head_resolution.members if kept else fsuper.resolution.members
+    sources = fsuper.head_resolutions if kept else fsuper.whole()[1]
     sup = model.classes[fsuper.name]
     for fate, resolution in zip(fates, sources):
         if not fate.pulls:
@@ -538,11 +516,8 @@ def rewrite_references(
         resolutions.append(resolution)
         repulled.append(_repulled(fate, member))
 
-    decls = [m.decl for m in members]
-    new_decl = tree.ClassDecl(cls.decl.visibility, name, None, decls, cls.decl.span,
-                              cls.decl.name_span)
-    flat = FlattenedClass(name, cls.package, new_decl, members,
-                          ClassResolution(name, decls, resolutions), fates, rewrites)
+    flat = FlattenedClass(name, cls.package, cls.decl.visibility, members, resolutions, fates,
+                          rewrites)
     flat.own = own_count
     flat.base = fsuper if kept else None
     _resolve_changed(model, cls, flat, kept or _PartIndex(), unsure)
@@ -638,7 +613,8 @@ def _analyze_super_ctors(
     ctor = no_arg[0]
     if not ctor.decl.body.statements:
         return {}  # nothing to fold: the view is not read in full
-    attr_names = {m.name for m in fsuper.members if m.kind == ATTRIBUTE}
+    members, resolutions = fsuper.whole()
+    attr_names = {m.name for m in members if m.kind == ATTRIBUTE}
     assignments: list[tuple[str, tree.Expr]] = []
     for stmt in ctor.decl.body.statements:
         target_name = None
@@ -663,7 +639,7 @@ def _analyze_super_ctors(
         assignments.append((target_name, stmt.value))
     init_reads = {
         s.to_member
-        for m, r in zip(fsuper.members, fsuper.resolution.members) if m.kind == ATTRIBUTE
+        for m, r in zip(members, resolutions) if m.kind == ATTRIBUTE
         for s in r.sites.values()
         if s.kind == READ and s.to_class in (None, fsuper.name)
     }
@@ -739,10 +715,11 @@ def _resolve_changed(
     what `flat` built is tested: its base's part, which `part` indexes, was
     tested one level up, so only a name `flat` adds can change one of its
     bodies. Where one does, `flat` takes the part in and has no base. The
-    bodies are resolved again in member order, so the first error is the
-    one a resolution of the whole class would raise; it names the file the
-    body came from. Each index resolved again is added to `unsure`, and a
-    call that binds elsewhere than its carried site is a `rebound-call`.
+    bodies are resolved again in member order, in a declaration of the
+    whole view, so the first error is the one a resolution of the class
+    would raise; it names the file the body came from. Each index resolved
+    again is added to `unsure`, and a call that binds elsewhere than its
+    carried site is a `rebound-call`.
     """
     head, names = flat.head_members, part.names
     methods, attrs = {}, set()
@@ -754,13 +731,13 @@ def _resolve_changed(
     overloaded = {n for n, count in methods.items() if count + names.get(n, 0) > 1}
     if not (part.calls.isdisjoint(overloaded) and part.qualifiers.isdisjoint(attrs)):
         base, flat.base = flat.base, None
-        head += base.members[base.own:]
-        flat.head_decl.members += base.decl.members[base.own:]
-        flat.head_resolution.members += base.resolution.members[base.own:]
+        members, resolutions = base.whole(base.own)
+        head += members
+        flat.head_resolutions += resolutions
         flat.head_fates += base.carried_fates()
         flat.fresh = len(head)
     repeated = part.repeated
-    for i, resolution in enumerate(flat.head_resolution.members):
+    for i, resolution in enumerate(flat.head_resolutions):
         if (overloaded or repeated) and any(
             s.kind == CALL and s.basis in LOCAL_BASES
             and ((n := s.to_member[:s.to_member.index("(")]) in overloaded or n in repeated)
@@ -770,9 +747,11 @@ def _resolve_changed(
         ):
             unsure.append(i)
     if unsure:
-        flat_info = class_info_from_decl(flat.decl, cls.package, cls.path, cls.text)
+        decl = tree.ClassDecl(cls.decl.visibility, cls.name, None,
+                              [m.decl for m in flat.whole()[0]], cls.decl.span, cls.decl.name_span)
+        flat_info = class_info_from_decl(decl, cls.package, cls.path, cls.text)
         flat_model = model.with_class(flat_info)
-        resolutions = flat.head_resolution.members
+        resolutions = flat.head_resolutions
         for i in sorted(set(unsure)):
             carried, member = resolutions[i].sites, head[i]
             resolutions[i] = resolve_member(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from . import tree
 from .emitter import member_line_count
 from .flattener import FlattenedClass
-from .model import ClassModel
+from .model import ClassModel, MemberInfo
 from .resolver import CALL, AccessGraph, MemberResolution
 from .emitter import emit  # noqa: F401 - benchmark/tracing.py wraps metrics.emit
 from .resolver import resolve_class  # noqa: F401 - benchmark/tracing.py wraps metrics.resolve_class
@@ -82,7 +82,7 @@ def _share(users: dict[str, int], q: int, bit: int, used) -> int:
 
 
 def measure_original(model: ClassModel, graph: AccessGraph, name: str) -> MetricsRecord:
-    part = _add(_EMPTY, model.classes[name].decl.members, graph.resolutions[name].members)
+    part = _add(_EMPTY, model.classes[name].members, graph.resolutions[name].members)
     return _record(model, name, ORIGINAL, part)
 
 
@@ -90,7 +90,7 @@ def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:
     part = flat.pulled_part("metrics", _measure_pulled, _EMPTY)
     own = flat.own
     return _record(model, flat.name, FLATTENED,
-                   _add(part, flat.head_decl.members[:own], flat.head_resolution.members[:own]))
+                   _add(part, flat.head_members[:own], flat.head_resolutions[:own]))
 
 
 def compare(
@@ -134,13 +134,14 @@ _EMPTY = (0, 0, 0, frozenset(), 0, {}, ())
 def _measure_pulled(view: FlattenedClass, inherited: tuple) -> tuple:
     """The measures of what `view` pulled at its level and of `inherited`."""
     own = view.own
-    return _add(inherited, view.head_decl.members[own:], view.head_resolution.members[own:])
+    return _add(inherited, view.head_members[own:], view.head_resolutions[own:])
 
 
-def _add(part: tuple, decls: list, resolutions: list[MemberResolution]) -> tuple:
-    """The measures of `part` and of the members `decls`, resolved by `resolutions`."""
+def _add(part: tuple, members: list[MemberInfo], resolutions: list[MemberResolution]) -> tuple:
+    """The measures of `part` and of `members`, resolved by `resolutions`."""
     noa, nom, sloc, types, q, users, qualified = part
     types, users, qualified = set(types), dict(users), list(qualified)
+    decls = [m.decl for m in members]
     sloc += sum(map(member_line_count, decls))
     for decl, resolution in zip(decls, resolutions):
         types.update(resolution.new_types, resolution.receiver_types)

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 from importlib import resources
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_string
 
 from .flattener import FlattenedClass, MemberFate
@@ -155,7 +156,7 @@ def plan_document(flattened: dict[str, FlattenedClass]) -> dict:
             "fates": [
                 {"member": f.member.signature, "kind": f.member.kind, "provenance": f.member.owner,
                  "decision": f.decision, "rule": f.rule, "new_name": f.new_name}
-                for f in flat.fates
+                for f in chain(flat.head_fates, flat.base.carried_fates() if flat.base else ())
             ],
             "rewrites": [
                 {"span": list(r.span), "old": r.old, "new": r.new, "target_owner": r.target_owner}

@@ -201,4 +201,25 @@ EXPECTED_EDGES = {
         ],
         "B": [("B", "h()", "read", "A", "y", "bare")],
     },
+    "based_views": {
+        "A": [("A", "ga()", "read", "A", "a", "bare")],
+        "B": [("B", "peek(B)", "read", "B", "b", "receiver")],
+        "C": [("C", "<init>()", "write", "C", "c", "bare")],
+        "D": [
+            ("D", "sum()", "read", "A", "a", "bare"),
+            ("D", "sum()", "read", "B", "b", "bare"),
+            ("D", "sum()", "read", "C", "c", "bare"),
+            ("D", "sum()", "read", "D", "d", "bare"),
+        ],
+        "P": [],
+        "Q": [
+            ("Q", "q()", "read", "P", "p", "bare"),
+            ("Q", "q()", "call", "A", "ga()", "bare"),
+        ],
+        "R1": [],
+        "R2": [
+            ("R2", "s()", "call", "Q", "q()", "bare"),
+            ("R2", "s()", "read", "A", "a", "bare"),
+        ],
+    },
 }

@@ -1,0 +1,7 @@
+class A {
+    int a;
+
+    int ga() {
+        return a;
+    }
+}

@@ -1,0 +1,15 @@
+class R1 {
+    int r;
+
+    int q() {
+        return p + ga();
+    }
+
+    int p;
+
+    int a;
+
+    int ga() {
+        return a;
+    }
+}

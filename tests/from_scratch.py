@@ -45,6 +45,8 @@ from flatjava.model import ATTRIBUTE, CTOR, METHOD, OverrideRelation, override_l
 from flatjava.metrics import MetricsRecord, lcom_values
 from flatjava.resolver import CALL, LOCAL_BASES, READ, WRITE, Site
 
+from whole_view import Whole
+
 
 def classify(model):
     """(overrides, diagnostics) of an unclassified model."""
@@ -103,10 +105,11 @@ def classify(model):
 
 def pulled_closure(fsuper):
     """(pulled keys, accessed attribute names) over every member of fsuper."""
-    members = {(m.kind, m.signature): m for m in fsuper.members}
+    view = Whole(fsuper)
+    members = {(m.kind, m.signature): m for m in view.members}
     pulled = {key for key, m in members.items() if m.kind != CTOR and m.visible}
     resolutions = {
-        (m.kind, m.signature): r for m, r in zip(fsuper.members, fsuper.resolution.members)
+        (m.kind, m.signature): r for m, r in zip(view.members, view.resolution.members)
     }
     accessed = set()
     work = list(pulled)
@@ -133,7 +136,7 @@ def flatten_against_super(model, cls, own, fsuper):
         flattener._method_fate(cls, m, pulled) if m.kind == METHOD
         else flattener._attribute_fate(cls, m, accessed) if m.kind == ATTRIBUTE
         else MemberFate(m, DROP, RULE_CTOR)
-        for m in fsuper.members
+        for m in Whole(fsuper).members
     ]
     inline_inits = flattener._analyze_super_ctors(cls, fsuper, fates, diagnostics)
     for fate in fates:

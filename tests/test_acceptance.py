@@ -33,6 +33,7 @@ from conftest import (
     model_from_sources,
 )
 from decision_oracle import expected_attribute_fate, expected_method_fate
+from whole_view import Whole
 from genclasses import random_class_source, random_measured_class
 from hiergen import CONFIGS, build_sources, effective_overridden, target_key
 
@@ -49,7 +50,7 @@ def test_criterion_1_decision_table_equivalence():
         key = target_key(kind)
         fate = next(
             f
-            for f in flattened["Sub"].fates
+            for f in Whole(flattened["Sub"]).fates
             if f.member.kind == ("attribute" if kind == "attribute" else "method")
             and f.member.signature == key
         )
@@ -77,7 +78,7 @@ def test_criterion_2_identity_and_idempotence():
         model, graph = model_from_sources(source)
         flattened = flatten_model(model, graph)
         name = f"Gen{seed}"
-        assert emit(flattened[name].decl) == emit(model.classes[name].decl), seed
+        assert emit(Whole(flattened[name]).decl) == emit(model.classes[name].decl), seed
         emitted = emit(flattened[name])
         model2, graph2 = model_from_sources(emitted)
         flattened2 = flatten_model(model2, graph2)
@@ -96,7 +97,7 @@ def test_criterion_3_closure_on_corpus():
     for name in CORPUS:
         model, _, flattened = flatten_fixture(name)
         for flat in flattened.values():
-            for fate in flat.fates:
+            for fate in Whole(flat).fates:
                 rule_counts[fate.rule] = rule_counts.get(fate.rule, 0) + 1
         units = [
             parse_source(emit(flattened[c]), f"{c}.flat.java") for c in model.order
@@ -168,7 +169,7 @@ def test_criterion_6_monotonicity_and_exact_deltas():
         for row in compare(model, graph, flattened):
             assert row.deltas["noa"] >= 0 and row.deltas["nom"] >= 0
             assert row.deltas["sloc"] >= 0
-            fates = flattened[row.class_name].fates
+            fates = Whole(flattened[row.class_name]).fates
             pulled_attrs = sum(
                 1 for f in fates if f.member.kind == "attribute" and f.pulls
             )

@@ -375,6 +375,27 @@ def test_usage_errors_exit_2_and_write_nothing(tmp_path, case):
     assert afile.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["flatten", "--out", "{out}"], ["metrics", "--view", "original"], ["compare"]])
+@pytest.mark.parametrize("emitted", [False, True])
+def test_no_java_source_exit_2_names_the_paths(tmp_path, command, emitted):
+    # A directory with no `*.java`, or only previously emitted `*.flat.java`.
+    empty, other = tmp_path / "empty", tmp_path / "other"
+    empty.mkdir()
+    other.mkdir()
+    (other / "notes.txt").write_text("class A { }\n")
+    if emitted:
+        (empty / "A.flat.java").write_text("class A { }\n")
+    out = tmp_path / "out"
+    args = [a.format(out=out) for a in command]
+    result = runner.invoke(main, [args[0], str(empty), str(other), *args[1:]])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: no *.java files (other than *.flat.java) in {empty}, {other}\n")
+    assert not out.exists()
+
+
 def test_paths_may_follow_options(tmp_path):
     src_dir = copy_fixture("chain3", tmp_path)
     c1, c2, c3 = (str(src_dir / f"{c}.java") for c in ("c1", "c2", "c3"))

@@ -58,6 +58,7 @@ from from_scratch import (
 from genclasses import random_hierarchy_sources, random_overloading_hierarchy
 from hiergen import CONFIGS, build_sources
 from test_metrics import _check_parts
+from whole_view import Whole
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -71,10 +72,11 @@ def _outcome(fn):
 
 def _view(flat) -> tuple:
     """What a flattened class is: its fates, members, text and diagnostics."""
+    view = Whole(flat)
     return (
-        [(f.member.kind, f.member.signature, f.decision, f.rule, f.new_name) for f in flat.fates],
+        [(f.member.kind, f.member.signature, f.decision, f.rule, f.new_name) for f in view.fates],
         [(m.kind, m.name, m.signature, m.declared_signature, m.owner, m.visibility, m.pulled)
-         for m in flat.members],
+         for m in view.members],
         emit(flat),
         flat.diagnostics,
     )
@@ -104,9 +106,10 @@ def check(units, monkeypatch) -> list:
         closure = pulled, accessed = derive(fsuper)
         # Where fsuper carries its pulled part down, that part is the rest of
         # the fixed point: its members and the attributes their bodies access.
-        whole = pulled | fsuper.repulled.keys(), accessed | (fsuper.carried or set())
-        assert whole == pulled_closure(fsuper), fsuper.name
-        if fsuper.carried is not None:
+        view = Whole(fsuper)
+        fixed_point = pulled | view.repulled.keys(), accessed | (view.carried or set())
+        assert fixed_point == pulled_closure(fsuper), fsuper.name
+        if view.carried is not None:
             carried.append(fsuper)
         return closure
 
@@ -192,8 +195,9 @@ def test_a_chain_carries_renamed_members(monkeypatch):
     carried = check(_units(*sources), monkeypatch)
     # Every view below C0 carries the part that its superclass's view pulled.
     assert [flat.name for flat in carried] == ["C1", "C2", "C3", "C4"]
-    assert ("attribute", "a$C0") in {(m.kind, m.signature) for m in carried[-1].members if m.pulled}
-    assert "a$C0" in carried[-1].carried
+    last = Whole(carried[-1])
+    assert ("attribute", "a$C0") in {(m.kind, m.signature) for m in last.members if m.pulled}
+    assert "a$C0" in last.carried
 
 
 def test_carried_renames_chain_down(monkeypatch):
@@ -210,8 +214,8 @@ def test_carried_renames_chain_down(monkeypatch):
     assert [flat.name for flat in check(_units(*sources), monkeypatch)] == ["A", "B", "C"]
     model = classify_members(build_model(_units(*sources)))
     flattened = flattener.flatten_model(model, compute_access_graph(model))
-    assert [m.name for m in flattened["C"].members] == ["x", "x$A$1", "x$A", "z"]
-    assert [m.name for m in flattened["D"].members] == ["x$A", "x", "x$A$1", "x$A$Z", "z"]
+    assert [m.name for m in Whole(flattened["C"]).members] == ["x", "x$A$1", "x$A", "z"]
+    assert [m.name for m in Whole(flattened["D"]).members] == ["x$A", "x", "x$A$1", "x$A$Z", "z"]
 
 
 def test_folded_constructor_replaces_a_carried_initializer(monkeypatch):
@@ -251,9 +255,9 @@ def test_views_whose_pulled_bodies_change_carry_nothing(name, monkeypatch):
     assert check(units, monkeypatch) == []
     model = classify_members(build_model(units))
     flat = flattener.flatten_model(model, compute_access_graph(model))["P"]
-    assert flat.carried is None
+    assert Whole(flat).carried is None
     # A carried part would be wrong: C does not pull all that P pulled.
-    pulled_into_p = {(m.kind, m.signature) for m in flat.members if m.pulled}
+    pulled_into_p = {(m.kind, m.signature) for m in Whole(flat).members if m.pulled}
     assert not pulled_into_p <= pulled_closure(flat)[0]
 
 
@@ -381,7 +385,7 @@ def test_each_level_tests_names_and_rules_it_adds(monkeypatch):
 
     def tested(model, cls, flat, *rest):
         resolve_changed(model, cls, flat, *rest)
-        work["resolutions tested"] += len(flat.head_resolution.members)
+        work["resolutions tested"] += len(flat.head_resolutions)
 
     def counted(fates, counted):
         work["rules counted"] += len(fates)
@@ -442,7 +446,7 @@ def test_reuse_breaks_where_the_pulled_part_changes(name, monkeypatch):
     assert [n for n, flat in flattened.items() if flat.base] == reusing
     for flat in flattened.values():
         if flat.base:
-            assert flat.members[flat.fresh:] == flat.base.members[flat.base.own:]
+            assert Whole(flat).members[flat.fresh:] == Whole(flat.base).members[flat.base.own:]
     check(_units(*sources), monkeypatch)
     _check_parts(list(sources))
 
@@ -501,7 +505,7 @@ def test_a_level_that_changes_a_tail_body_resolves_it_again(kind, level, monkeyp
     rebound = [d.message for d in flattened[f"L{level}"].diagnostics if d.code == REBOUND_CALL]
     assert rebound == ["the call to m(long) in L1.run() binds to m(int) in the flattened class"
                        ] * (kind == "overload")
-    run = flattened[f"L{level}"].resolution.members[-1]
+    run = Whole(flattened[f"L{level}"]).resolution.members[-1]
     assert (run.receiver_types == {"R"}) == (kind == "attribute")
     for end in range(4, len(sources) + 1):
         check(_units(*sources[:end]), monkeypatch)
@@ -525,9 +529,10 @@ def test_a_body_pulled_from_a_root_keeps_its_resolution(monkeypatch):
     flattened = flattener.flatten_model(model, compute_access_graph(model))
     assert resolved["A.f(A)"] == 1
     assert [n for n, flat in flattened.items() if flat.base] == ["C", "D"]
-    f = flattened["A"].resolution.members[2]
-    assert all(flat.resolution.members[flat.members.index(member)] is f
-               for flat in flattened.values() for member in flat.members if member.name == "f")
+    f = Whole(flattened["A"]).resolution.members[2]
+    views = [Whole(flat) for flat in flattened.values()]
+    assert all(view.resolution.members[view.members.index(member)] is f
+               for view in views for member in view.members if member.name == "f")
     check(_units(*sources), monkeypatch)
     _check_parts(sources)
 
@@ -545,7 +550,7 @@ def _rules_match_from_scratch(units, monkeypatch) -> None:
         patched.setattr(flattener, "_flatten_against_super", flatten_against_super)
         reference = flattener.flatten_model(model, graph)
     assert {row.class_name: row.rule_counts for row in rows} == {
-        name: Counter(f.rule for f in reference[name].fates)
+        name: Counter(f.rule for f in Whole(reference[name]).fates)
         for name in model.order if not model.classes[name].synthetic
     }
 

@@ -33,6 +33,7 @@ from flatjava.resolver import resolve_class
 from conftest import CORPUS, load_model, model_from_sources
 from genclasses import random_hierarchy_sources
 from hiergen import CONFIGS, build_sources
+from whole_view import Whole
 
 
 def _outcome(fn):
@@ -50,7 +51,8 @@ def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> in
     def compared(model, cls, flat, *carried):
         # The view's members are settled before any body is resolved again.
         _, error = _outcome(lambda: derive(model, cls, flat, *carried))
-        info = class_info_from_decl(flat.decl, cls.package, cls.path)
+        view = Whole(flat)
+        info = class_info_from_decl(view.decl, cls.package, cls.path)
         reference, expected_error = _outcome(
             lambda: resolve_class(model.with_class(info), info)
         )
@@ -58,7 +60,7 @@ def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> in
         checked.append(cls.name)
         if error is not None:
             raise error[0](error[1])
-        assert_same_resolution(flat.resolution, reference, cls.name)
+        assert_same_resolution(view.resolution, reference, cls.name)
 
     monkeypatch.setattr(flattener, "_resolve_changed", compared)
     try:
@@ -74,7 +76,7 @@ def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> in
 
 
 def _resolution_of(view, member):
-    """The resolution of `member`, found by its position in `view`."""
+    """The resolution of `member`, found by its position in the whole `view`."""
     return view.resolution.members[view.members.index(member)]
 
 
@@ -82,15 +84,16 @@ def assert_follows_renames(flat, fsuper) -> None:
     """Each pulled body's bare, `this.` and static references to fsuper's
     members target, in `flat`, the members those became, or the members
     that a `rebound-call` report of the body names."""
+    view, sup = Whole(flat), Whole(fsuper)
     pulled = list(zip(
-        [fate for fate in flat.fates if fate.pulls], [m for m in flat.members if m.pulled]
+        [fate for fate in view.fates if fate.pulls], [m for m in view.members if m.pulled]
     ))
     final = {(fate.member.kind, fate.member.signature): m.signature for fate, m in pulled}
     for fate, member in pulled:
         if getattr(member.decl, "init", None) is not getattr(fate.member.decl, "init", None):
             continue  # a folded constructor assignment replaced the initializer
-        source = _resolution_of(fsuper, fate.member).sites.values()
-        carried = _resolution_of(flat, member).sites.values()
+        source = _resolution_of(sup, fate.member).sites.values()
+        carried = _resolution_of(view, member).sites.values()
         expected = Counter(
             (e.kind, final[("method" if e.kind == "call" else "attribute", e.to_member)])
             for e in source
@@ -267,15 +270,16 @@ def shared_resolutions(flat, fsuper) -> int:
     uses `this` as a value, has a receiver type or static qualifier, or
     calls a name the flattened class overloads.
     """
+    view, sup = Whole(flat), Whole(fsuper)
     renamed = {
         f.member.name if f.member.kind == "attribute" else f.member.signature
-        for f in flat.fates if f.new_name
+        for f in view.fates if f.new_name
     }
-    names = Counter(m.name for m in flat.members if m.kind == "method")
-    pulled = zip([f for f in flat.fates if f.pulls], [m for m in flat.members if m.pulled])
+    names = Counter(m.name for m in view.members if m.kind == "method")
+    pulled = zip([f for f in view.fates if f.pulls], [m for m in view.members if m.pulled])
     shared = 0
     for fate, member in pulled:
-        source = _resolution_of(fsuper, fate.member)
+        source = _resolution_of(sup, fate.member)
         if getattr(member.decl, "init", None) is not getattr(fate.member.decl, "init", None):
             continue  # a folded constructor assignment replaced the initializer
         if source.uses_this or source.receiver_types or source.class_refs:
@@ -286,7 +290,7 @@ def shared_resolutions(flat, fsuper) -> int:
             for s in source.sites.values()
         ):
             continue
-        assert _resolution_of(flat, member) is source, (flat.name, member.name)
+        assert _resolution_of(view, member) is source, (flat.name, member.name)
         shared += 1
     return shared
 

@@ -33,6 +33,7 @@ from conftest import (
 from decision_oracle import expected_attribute_fate, expected_method_fate
 from genclasses import random_class_source, random_hierarchy_sources
 from hiergen import CONFIGS, build_sources, effective_overridden, target_key
+from whole_view import Whole
 
 
 # --- decision table ---------------------------------------------------------
@@ -44,7 +45,7 @@ def run_config(config):
     model, graph = model_from_sources(super_src, sub_src)
     flattened = flatten_model(model, graph)
     key = target_key(kind)
-    for fate in flattened["Sub"].fates:
+    for fate in Whole(flattened["Sub"]).fates:
         if fate.member.kind == ("attribute" if kind == "attribute" else "method"):
             if fate.member.signature == key:
                 return fate
@@ -145,7 +146,7 @@ def test_method_rename_avoids_attribute_names():
         "class B extends A { int f$A; public void f() { } }",
     )
     flattened = flatten_model(model, graph)
-    (fate,) = [f for f in flattened["B"].fates if f.member.kind == METHOD]
+    (fate,) = [f for f in Whole(flattened["B"]).fates if f.member.kind == METHOD]
     assert fate.decision == "PullDownRenamed"
     assert fate.new_name == "f$A$1"
 
@@ -172,7 +173,7 @@ def test_identity_on_superclass_free_corpus_classes():
         model, _, flattened = flatten_fixture(name)
         for class_name, info in model.classes.items():
             if info.superclass is None:
-                assert emit(flattened[class_name].decl) == emit(info.decl)
+                assert emit(Whole(flattened[class_name]).decl) == emit(info.decl)
 
 
 def _flatten_single_source(source):
@@ -205,7 +206,7 @@ def test_idempotence_of_flattened_fixture_outputs():
 
 
 def fate_map(flat):
-    return {(f.member.kind, f.member.signature): f for f in flat.fates}
+    return {(f.member.kind, f.member.signature): f for f in Whole(flat).fates}
 
 
 def test_ctor_inline_plan():
@@ -225,7 +226,7 @@ def test_ctor_unsupported_diagnostic():
     fates = fate_map(flattened["B"])
     assert fates[(ATTRIBUTE, "a")].decision == "PullDown"
     # Field keeps no initializer: the constructor body was not inlinable.
-    field = [m for m in flattened["B"].members if m.name == "a"][0]
+    field = [m for m in Whole(flattened["B"]).members if m.name == "a"][0]
     assert field.decl.init is None
 
 
@@ -244,7 +245,7 @@ def test_ctor_inline_blocked_by_initializer_read():
     )
     flattened = flatten_model(model, graph)
     assert any(d.code == UNSUPPORTED_CTOR for d in flattened["B"].diagnostics)
-    field_x = [m for m in flattened["B"].members if m.name == "x"][0]
+    field_x = [m for m in Whole(flattened["B"]).members if m.name == "x"][0]
     assert emit(flattened["B"]).count("int x = 1;") == 1
     assert field_x.decl.init.lexeme == "1"
 
@@ -453,7 +454,7 @@ def original_surface(model, name):
 def flattened_surface(flat):
     return {
         (m.kind, m.signature)
-        for m in flat.members
+        for m in Whole(flat).members
         if m.kind != "ctor" and m.visible and m.signature == m.declared_signature
     }
 
@@ -484,7 +485,7 @@ def test_monotonicity_of_member_counts(name):
     model, _, flattened = flatten_fixture(name)
     for class_name, info in model.classes.items():
         flat = flattened[class_name]
-        kinds = Counter(m.kind for m in flat.members)
+        kinds = Counter(m.kind for m in Whole(flat).members)
         assert kinds[ATTRIBUTE] >= len(info.attributes)
         assert kinds[METHOD] >= len(info.methods)
 
@@ -502,16 +503,16 @@ def test_closure_property(name):
 
 def test_chain_uses_flattened_superclass():
     model, _, flattened = flatten_fixture("chain_override_twice")
-    names = [m.name for m in flattened["c1"].members]
-    assert names == ["x", "x$c2", "x$c3"]
-    provenance = {m.name: m.owner for m in flattened["c1"].members}
+    members = Whole(flattened["c1"]).members
+    assert [m.name for m in members] == ["x", "x$c2", "x$c3"]
+    provenance = {m.name: m.owner for m in members}
     assert provenance == {"x": "c1", "x$c2": "c2", "x$c3": "c3"}
 
 
 def test_member_order_own_then_pulled_nearest_first():
     model, _, flattened = flatten_fixture("chain3")
     flat = flattened["c1"]
-    assert [(m.name, m.owner) for m in flat.members] == [
+    assert [(m.name, m.owner) for m in Whole(flat).members] == [
         ("all", "c1"),
         ("mid", "c2"),
         ("twice", "c2"),

@@ -2,8 +2,9 @@
 
 A member's declaration, its record and its resolution are found by their
 position in lists that run in declaration order: a class's `members` and
-its declaration's members, and a flattened view's `members`, its
-declaration's members and its resolution's `decls` and `members`. This
+its declaration's members, a flattened view's `head_members` and
+`head_resolutions`, and the same lists assembled whole along the view's
+bases, with the declaration's members and the resolution's `decls`. This
 checks that they line up on the fixtures, on generated hierarchies and on
 the decision-table configurations, and that a view reuses the model's
 records wherever nothing changed a member.
@@ -20,6 +21,7 @@ from flatjava import flatten_model
 from conftest import CORPUS, load_model, model_from_sources
 from genclasses import random_hierarchy_sources, random_overloading_hierarchy
 from hiergen import CONFIGS, build_sources
+from whole_view import Whole
 
 
 def assert_aligned(model, flattened) -> None:
@@ -29,6 +31,8 @@ def assert_aligned(model, flattened) -> None:
             assert member.decl is info.decl.members[i], (name, i)
 
         flat = flattened[name]
+        assert len(flat.head_resolutions) == len(flat.head_members), name
+        flat = Whole(flat)
         resolution = flat.resolution
         assert len(flat.decl.members) == len(resolution.decls) == len(flat.members), name
         assert len(resolution.members) == len(flat.members), name

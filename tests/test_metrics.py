@@ -27,6 +27,7 @@ import from_scratch
 from conftest import CORPUS, fixture_files, flatten_fixture, load_model, model_from_sources
 from genclasses import random_hierarchy_sources, random_measured_class, random_overloading_hierarchy
 from hiergen import CONFIGS, build_sources
+from whole_view import Whole
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -249,7 +250,7 @@ def test_delta_equals_pull_count():
     for name in CORPUS:
         model, graph, flattened = flatten_fixture(name)
         for row in compare(model, graph, flattened):
-            fates = flattened[row.class_name].fates
+            fates = Whole(flattened[row.class_name]).fates
             pulled_attrs = sum(1 for f in fates if f.member.kind == "attribute" and f.pulls)
             pulled_methods = sum(1 for f in fates if f.member.kind == "method" and f.pulls)
             assert row.deltas["noa"] == pulled_attrs, row.class_name
@@ -362,7 +363,7 @@ def _check_parts(sources: list[str]) -> None:
     names = [n for n in model.order if not model.classes[n].synthetic]
     records = [measure_flattened(model, flattened[n]) for n in names]
     for record in records:
-        flat = flattened[record.class_name]
+        flat = Whole(flattened[record.class_name])
         expected = from_scratch.measure(model, flat.name, FLATTENED, flat.decl, flat.resolution)
         assert record.as_dict() == expected.as_dict()
 
@@ -370,7 +371,7 @@ def _check_parts(sources: list[str]) -> None:
     rows = compare(model, graph, flattened)
     for row in rows:
         name = row.class_name
-        decl, flat = model.classes[name].decl, flattened[name]
+        decl, flat = model.classes[name].decl, Whole(flattened[name])
         original = from_scratch.measure(model, name, ORIGINAL, decl, graph.resolutions[name])
         expected = from_scratch.measure(model, name, FLATTENED, flat.decl, flat.resolution)
         assert row.original.as_dict() == original.as_dict()

@@ -17,6 +17,7 @@ from flatjava.resolver import resolve_class
 from conftest import model_from_sources
 from genclasses import random_hierarchy_sources
 from test_flattener import flattened_surface, original_surface
+from whole_view import Whole
 
 
 def build_hierarchy(seed):
@@ -42,7 +43,7 @@ def test_generated_hierarchy_laws(seed):
 
     # Monotonicity with exact pulled-member deltas.
     for row in compare(model, graph, flattened):
-        fates = flattened[row.class_name].fates
+        fates = Whole(flattened[row.class_name]).fates
         pulled_attrs = sum(1 for f in fates if f.member.kind == "attribute" and f.pulls)
         pulled_methods = sum(1 for f in fates if f.member.kind == "method" and f.pulls)
         assert row.deltas["noa"] == pulled_attrs
@@ -74,7 +75,7 @@ def test_generated_hierarchy_no_dangling_renames(seed):
     # flattened class declares duplicate names or signatures.
     model, graph = build_hierarchy(40_000 + seed)
     flattened = flatten_model(model, graph)
-    for flat in flattened.values():
+    for flat in map(Whole, flattened.values()):
         attr_names = [m.name for m in flat.members if m.kind == "attribute"]
         methods = [m for m in flat.members if m.kind == "method"]
         method_sigs = [m.signature for m in methods]

@@ -18,6 +18,7 @@ from flatjava.report import compare_document, dump_json, plan_document, plan_jso
 from conftest import CORPUS, flatten_fixture, model_from_sources
 from genclasses import random_hierarchy_sources
 from hiergen import CONFIGS, build_sources
+from whole_view import Whole
 
 _strings = st.text(
     alphabet=st.one_of(
@@ -86,7 +87,7 @@ def test_plan_json_matches_json_dumps_on_generated_hierarchies():
 def test_plan_json_matches_json_dumps_on_decision_table():
     for config in CONFIGS:
         flattened = flatten_model(*model_from_sources(*build_sources(*config)))
-        assert any(not f.fates for f in flattened.values())  # the root
+        assert any(not Whole(f).fates for f in flattened.values())  # the root
         assert_plan_matches(flattened)
 
 
@@ -104,13 +105,13 @@ def test_plan_json_matches_json_dumps_on_a_deep_chain():
             f"public int f() {{ return a + v + super.f(); }} }}"
         )
     flattened = flatten_model(*model_from_sources(*sources))
-    assert {f.rule for f in flattened["C11"].fates} == {"R1", "R2", "R4a", "R5", "R6", "R7"}
+    assert {f.rule for f in Whole(flattened["C11"]).fates} == {"R1", "R2", "R4a", "R5", "R6", "R7"}
     assert_plan_matches(flattened)
     assert_plan_matches(flattened)  # again, from what the first plan left behind
 
 
 def _flat_class(name, fates, rewrites) -> FlattenedClass:
-    return FlattenedClass(name, None, None, [], None, fates, rewrites)
+    return FlattenedClass(name, None, "package", [], [], fates, rewrites)
 
 
 @settings(max_examples=100)

@@ -23,6 +23,7 @@ from flatjava import FlatJavaError, flatten_model, parse_source, tree
 from conftest import FIXTURES_DIR, model_from_sources
 from genclasses import random_class_source, random_hierarchy_sources, random_overloading_hierarchy
 from hiergen import CONFIGS, build_sources
+from whole_view import Whole
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -59,7 +60,7 @@ def check_sources(sources: list[str]) -> None:
     except FlatJavaError:
         return
     for flat in flattened.values():
-        for decl in flat.decl.members:
+        for decl in Whole(flat).decl.members:
             body = decl.init if isinstance(decl, tree.FieldDecl) else decl.body
             if body is not None:
                 assert_nested(body)
