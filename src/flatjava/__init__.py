@@ -51,7 +51,7 @@ from .model import (
     classify_members,
 )
 from .parser import parse, parse_source
-from .resolver import AccessEdge, AccessGraph, compute_access_graph, resolve_class
+from .resolver import AccessEdge, compute_access_graph, resolve_class
 from .spans import Span
 
 __version__ = "0.1.0"

@@ -76,7 +76,7 @@ def _collect_paths(paths: list[str]) -> list[Path]:
 
 
 def _load(paths: list[str], include_object_root: bool):
-    """Parse, build, and classify. Exits with code 2 on any error."""
+    """Parse, build, classify and resolve. Exits with code 2 on any error."""
     files = _collect_paths(paths)
     units = []
     failed = not files
@@ -98,17 +98,17 @@ def _load(paths: list[str], include_object_root: bool):
         raise SystemExit(2)
     try:
         model = classify_members(build_model(units, include_object_root))
-        graph = compute_access_graph(model)
+        compute_access_graph(model)  # each member record takes its resolution
     except FlatJavaError as err:
         _echo_error(err)
         raise SystemExit(2)
-    return model, graph
+    return model
 
 
-def _flatten(model, graph):
+def _flatten(model):
     """The flattened classes. Exits with code 2 on an error."""
     try:
-        return flatten_model(model, graph)
+        return flatten_model(model)
     except FlatJavaError as err:
         _echo_error(err)
         raise SystemExit(2)
@@ -128,8 +128,8 @@ def _finish(model, flattened, strict: bool) -> None:
 
 def flatten(paths, out, provenance, strict, include_object_root) -> None:
     """Flatten classes and write one .flat.java per class plus a plan dump."""
-    model, graph = _load(paths, include_object_root)
-    flattened = _flatten(model, graph)
+    model = _load(paths, include_object_root)
+    flattened = _flatten(model)
 
     out_dir = Path(out) if out else None
     if out_dir:
@@ -156,13 +156,13 @@ def flatten(paths, out, provenance, strict, include_object_root) -> None:
 
 def metrics(paths, view, fmt, strict, include_object_root) -> None:
     """Report size, cohesion, and coupling metrics for one view."""
-    model, graph = _load(paths, include_object_root)
+    model = _load(paths, include_object_root)
     names = [n for n in model.order if not model.classes[n].synthetic]
     if view == "original":
         flattened = None
-        records = [measure_original(model, graph, name) for name in names]
+        records = [measure_original(model, name) for name in names]
     else:
-        flattened = _flatten(model, graph)
+        flattened = _flatten(model)
         records = [measure_flattened(model, flattened[name]) for name in names]
     _echo(render_metrics(records, fmt), end="")
     _finish(model, flattened, strict)
@@ -170,9 +170,9 @@ def metrics(paths, view, fmt, strict, include_object_root) -> None:
 
 def compare(paths, fmt, strict, include_object_root) -> None:
     """Report original vs. flattened metrics with per-class deltas and rule counts."""
-    model, graph = _load(paths, include_object_root)
-    flattened = _flatten(model, graph)
-    _echo(render_compare(compare_views(model, graph, flattened), fmt), end="")
+    model = _load(paths, include_object_root)
+    flattened = _flatten(model)
+    _echo(render_compare(compare_views(model, flattened), fmt), end="")
     _finish(model, flattened, strict)
 
 

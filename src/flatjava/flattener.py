@@ -37,13 +37,14 @@ only assigns literals to fields (none of which any field initializer reads)
 is folded into the pulled fields' initializers; anything else is reported
 as unsupported for flattening.
 
-Each class is resolved once, as written. A flattened class's resolution is
-derived, not resolved again: from the superclass's flattened resolution, the
-subclass's own resolution and the rename maps. A body's sites are relative
-to the class that holds it, so only a pulled body that references a member
-renamed or collapsed at this level is walked; every other pulled member
-keeps its node and the superclass's resolution object of it. Likewise the
-subclass's own body is walked only when one of its references changes.
+Each class is resolved once, as written, and each member record carries
+its resolution. A flattened class's resolutions are derived, not resolved
+again: from the superclass view's records, the subclass's own and the
+rename maps. A body's sites are relative to the class that holds it, so
+only a pulled body that references a member renamed or collapsed at this
+level is walked; every other pulled member keeps its node and the
+superclass's resolution object of it. Likewise the subclass's own body is
+walked only when one of its references changes.
 One walker (`_Carrier`) rewrites both kinds of body, along only the paths
 to the references that change, and takes each reference's move from its
 site alone (`_own_move`, `_pulled_move`). The few bodies whose resolution
@@ -51,13 +52,14 @@ can change in the flattened class are resolved again there
 (`_resolve_changed`).
 
 A view lists what its level built in declaration order, its own members
-first, as the model's `MemberInfo` records wherever nothing changed them,
-and each member's resolution at the same position. Where the superclass's
-view carried its pulled members' fates down and none of them changes here,
-the view ends with that view's pulled part as it is, nodes, resolutions
-and fates, and names that view its `base`; it builds and keeps only its
-own members and the superclass's own, pulled (`fresh`). The next class
-walks the bases for the whole lists (`FlattenedClass.whole`) only to walk,
+first. A record is new exactly where its declaration or its resolution
+differs from the record it came from, the model's or the superclass
+view's, and no record is changed once made. Where the superclass's view
+carried its pulled members' fates down and none of them changes here, the
+view ends with that view's pulled part as it is, records and fates, and
+names that view its `base`; it builds and keeps only its own members and
+the superclass's own, pulled. The next class walks the bases for the whole
+member list (`FlattenedClass.whole`), at most once per level, only to walk,
 fold or re-resolve the view. What it asks of the part by name is kept in
 an index that each level extends (`_part_index`), and what the emitted
 text, the plan and the metrics need of it is built once per level and
@@ -99,8 +101,6 @@ from .resolver import (
     CALL,
     LOCAL_BASES,
     READ,
-    AccessGraph,
-    ClassResolution,
     MemberResolution,
     Site,
     resolve_class,  # noqa: F401 - benchmark/tracing.py wraps flattener.resolve_class
@@ -142,19 +142,17 @@ class FlattenedClass:
     """A flattened view: what it built itself, and the base it ends with.
 
     `head_members` holds the view's `own` members and those it pulled at
-    its level, up to `fresh`, and `head_resolutions` the resolution of each
-    at the same position; `head_fates` the fates it decided. Where `base`
-    is set, the view goes on with `base`'s pulled part as it is: the same
-    members, nodes, resolutions and carried fates. `emit`, the plan and the
-    metrics read only the heads.
+    its level, each record with its resolution, and `head_fates` the fates
+    it decided. Where `base` is set, the view goes on with `base`'s pulled
+    part as it is: the same records and carried fates. `emit`, the plan and
+    the metrics read only the heads.
     """
 
     def __init__(self, name: str, package: str | None, visibility: str,
-                 members: list[MemberInfo], resolutions: list[MemberResolution],
-                 fates: list[MemberFate] | None = None,
+                 members: list[MemberInfo], fates: list[MemberFate] | None = None,
                  rewrites: list[RewriteDirective] | None = None):
         self.name, self.package, self.visibility = name, package, visibility
-        self.head_members, self.head_resolutions = members, resolutions
+        self.head_members = members
         self.head_fates = [] if fates is None else fates
         self.rewrites = [] if rewrites is None else rewrites
         self.diagnostics: list[Diagnostic] = []
@@ -164,7 +162,7 @@ class FlattenedClass:
         # level down where nothing touches them, of those pulled at this level.
         self.carries = False
         self.head_repulled: list[MemberFate] = []
-        self.own = self.fresh = len(members)
+        self.own = len(members)
         self.base: FlattenedClass | None = None
         self.parts: dict = {}  # each consumer's layout of the pulled part
         self.index: _PartIndex | None = None  # see `_part_index`
@@ -182,18 +180,17 @@ class FlattenedClass:
             for view in (self, *self.bases()):
                 yield from view.head_repulled
 
-    def whole(self, start: int = 0) -> tuple[list[MemberInfo], list[MemberResolution]]:
-        """The view's members from `start` on, its bases' parts included, and their resolutions."""
-        members, resolutions = self.head_members[start:], self.head_resolutions[start:]
+    def whole(self, start: int = 0) -> list[MemberInfo]:
+        """The view's members from `start` on, its bases' parts included."""
+        members = self.head_members[start:]
         for view in self.bases():
             members += view.head_members[view.own:]
-            resolutions += view.head_resolutions[view.own:]
-        return members, resolutions
+        return members
 
     @cached_property
     def members(self) -> list[MemberInfo]:
         # Kept for benchmark/tracing.py's pulled-member count (ROADMAP item 1) only.
-        return self.whole()[0]
+        return self.whole()
 
     def pulled_part(self, key, build, empty):
         """The view's pulled part as one consumer lays it out, kept under `key`.
@@ -228,11 +225,11 @@ class _PartIndex:
         self.accessed: set[str] = set()
         self.qualifiers: set[str] = set()
 
-    def add(self, members: list[MemberInfo], resolutions: list[MemberResolution],
-            fates) -> None:
+    def add(self, members: list[MemberInfo], fates) -> None:
         self.declared.update(((f.member.owner, f.member.declared_signature), f) for f in fates)
         names, calls, accessed = self.names, self.calls, self.accessed
-        for m, resolution in zip(members, resolutions):
+        for m in members:
+            resolution = m.resolution
             self.keys.add((m.kind, m.signature))
             names[m.name] = count = names.get(m.name, 0) + (m.kind == METHOD)
             if count > 1:
@@ -254,35 +251,32 @@ def _part_index(view: FlattenedClass) -> _PartIndex:
     index = view.index
     if index is None:
         index = view.index = _PartIndex()
-        index.add(*view.whole(view.own), view.carried_fates())
+        index.add(view.whole(view.own), view.carried_fates())
     return index
 
 
-def flatten_model(model: ClassModel, graph: AccessGraph) -> dict[str, FlattenedClass]:
-    """Flatten every class bottom-up, in `model.order`."""
+def flatten_model(model: ClassModel) -> dict[str, FlattenedClass]:
+    """Flatten every class bottom-up, in `model.order`; its member records
+    carry their resolutions (`compute_access_graph`)."""
     flattened: dict[str, FlattenedClass] = {}
     for name in model.order:
-        flattened[name] = flatten_class(name, model, graph, flattened)
+        flattened[name] = flatten_class(name, model, flattened)
     return flattened
 
 
-def flatten_class(
-    name: str, model: ClassModel, graph: AccessGraph, flattened: dict[str, FlattenedClass]
-) -> FlattenedClass:
+def flatten_class(name: str, model: ClassModel,
+                  flattened: dict[str, FlattenedClass]) -> FlattenedClass:
     cls = model.classes[name]
     if cls.superclass is None:
-        # A root flattens to itself, and so do its members and its resolution.
-        return FlattenedClass(cls.name, cls.package, cls.decl.visibility, cls.members,
-                              graph.resolutions[name].members)
+        # A root flattens to itself, and so do its member records.
+        return FlattenedClass(cls.name, cls.package, cls.decl.visibility, cls.members)
     if cls.superclass not in flattened:
         raise FlattenError(
             f"superclass {cls.superclass!r} of {name!r} has not been flattened "
             "yet; flatten classes in model order",
             cls.decl.name_span, cls.path, cls.text,
         )
-    return _flatten_against_super(
-        model, cls, graph.resolutions[name], flattened[cls.superclass]
-    )
+    return _flatten_against_super(model, cls, flattened[cls.superclass])
 
 
 def rename(member_name: str, owner: str, taken: set[str]) -> str:
@@ -331,8 +325,10 @@ def _overridden(own: MemberInfo | None, member: MemberInfo) -> bool:
     return own is not None and override_legality(own, member) == "ok"
 
 
-def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[str]]:
-    """The one fixed point behind the attribute and method fates.
+def pulled_closure(fsuper: FlattenedClass,
+                   walked: list[MemberInfo]) -> tuple[set[tuple[str, str]], set[str]]:
+    """The one fixed point behind the attribute and method fates, over
+    `walked`, fsuper's members that the next class decides (`_walked`).
 
     Visible members seed the pulled set. A worklist pulls in every member
     that a read, write or call edge reaches from a pulled source: a pulled
@@ -348,9 +344,8 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
     part itself, its members and the attributes their bodies access, which
     its index holds (`_PartIndex.keys` and `accessed`).
     """
-    own, resolutions = _walked(fsuper)
-    sources = {(m.kind, m.signature): r for m, r in zip(own, resolutions)}
-    work = [(m.kind, m.signature) for m in own if m.kind != CTOR and m.visible]
+    sources = {(m.kind, m.signature): m.resolution for m in walked}
+    work = [(m.kind, m.signature) for m in walked if m.kind != CTOR and m.visible]
     pulled, accessed = set(work), set()
     while work:
         for site in sources[work.pop()].sites.values():
@@ -367,22 +362,20 @@ def pulled_closure(fsuper: FlattenedClass) -> tuple[set[tuple[str, str]], set[st
     return pulled, accessed
 
 
-def _walked(fsuper: FlattenedClass) -> tuple[list[MemberInfo], list[MemberResolution]]:
-    """The members of fsuper that the next class decides, and their
-    resolutions: its own where it carries its pulled part down, else all."""
-    if not fsuper.carries:
-        return fsuper.whole()
-    return fsuper.head_members[:fsuper.own], fsuper.head_resolutions
+def _walked(fsuper: FlattenedClass) -> list[MemberInfo]:
+    """The members of fsuper that the next class decides: its own where it
+    carries its pulled part down, else all, assembled whole."""
+    return fsuper.head_members[:fsuper.own] if fsuper.carries else fsuper.whole()
 
 
 # --- flattening proper ------------------------------------------------------
 
 
-def _flatten_against_super(
-    model: ClassModel, cls: ClassInfo, own: ClassResolution, fsuper: FlattenedClass
-) -> FlattenedClass:
+def _flatten_against_super(model: ClassModel, cls: ClassInfo,
+                           fsuper: FlattenedClass) -> FlattenedClass:
     diagnostics: list[Diagnostic] = []
-    pulled, accessed = pulled_closure(fsuper)
+    walked = _walked(fsuper)
+    pulled, accessed = pulled_closure(fsuper, walked)
 
     def decide(member: MemberInfo) -> MemberFate:
         if member.kind == METHOD:
@@ -391,12 +384,12 @@ def _flatten_against_super(
             return _attribute_fate(cls, member, accessed)
         return MemberFate(member, DROP, RULE_CTOR)
 
-    fates = list(map(decide, _walked(fsuper)[0]))
+    fates = list(map(decide, walked))
     # Each member fsuper pulled keeps the fate fsuper carries down for it.
-    pulls = fsuper.carries and (fsuper.base or fsuper.fresh > fsuper.own)
+    pulls = fsuper.carries and (fsuper.base or len(fsuper.head_members) > fsuper.own)
     part = _part_index(fsuper) if pulls else None
-    inline_inits = _analyze_super_ctors(cls, fsuper, chain(fates, fsuper.carried_fates()),
-                                        diagnostics)
+    inline_inits = _analyze_super_ctors(cls, fsuper, walked,
+                                        chain(fates, fsuper.carried_fates()), diagnostics)
 
     for fate in fates:
         if fate.decision == DROP_ANOMALY:
@@ -422,7 +415,7 @@ def _flatten_against_super(
         fates += fsuper.carried_fates()  # a folded initializer changes what fsuper carried down
         kept = None
     _assign_names(cls, fates, part, diagnostics)
-    flat = rewrite_references(model, cls, own, fsuper, fates, kept, inline_inits)
+    flat = rewrite_references(model, cls, fsuper, fates, kept, inline_inits)
     flat.diagnostics[:0] = diagnostics
     return flat
 
@@ -430,7 +423,6 @@ def _flatten_against_super(
 def rewrite_references(
     model: ClassModel,
     cls: ClassInfo,
-    own: ClassResolution,
     fsuper: FlattenedClass,
     fates: list[MemberFate],
     kept: _PartIndex | None,
@@ -446,13 +438,15 @@ def rewrite_references(
     an inherited member follow it to the name it is pulled under. Either
     becomes a `this.` reference where a local would capture the bare name.
 
-    `own` is the subclass's resolution. A pulled body is walked only when
-    it references a member renamed or collapsed at this level; every other
-    pulled member keeps its node and shares fsuper's resolution of it, whose
-    sites are relative to the class that holds the body. The few bodies
-    whose resolution can change in the flattened class are resolved again
-    there (see `_resolve_changed`), and the result's diagnostics are the
-    calls that bind elsewhere there.
+    Each body's resolution is read off its record: the subclass's own as
+    written, and each pulled one from its fate's member. A pulled body is
+    walked only when it references a member renamed or collapsed at this
+    level; every other pulled member keeps its node and shares fsuper's
+    resolution of it, whose sites are relative to the class that holds the
+    body. A record is new only where its declaration or its resolution
+    changes here. The few bodies whose resolution can change in the
+    flattened class are resolved again there (see `_resolve_changed`), and
+    the result's diagnostics are the calls that bind elsewhere there.
 
     `fates` are those of fsuper's members, but for fsuper's pulled part
     where it is `kept` with the fates fsuper carries down: the view then ends
@@ -464,20 +458,18 @@ def rewrite_references(
     rewrites: list[RewriteDirective] = []
     name = cls.name
     members: list[MemberInfo] = []
-    resolutions: list[MemberResolution] = []
     unsure: list[int] = []  # members whose carried resolution may not hold
 
     # Rewrite the subclass's own bodies to reach inherited members by their final names.
     own_rewriter = _Carrier(_own_move(cls, fates, kept.declared if kept else {}), rewrites)
-    for info, source in zip(cls.members, own.members):
+    for info in cls.members:
+        source = info.resolution
         decl, sites = own_rewriter.rewrite(info.decl, source.sites)
         if _retyped(model, source, name):
             unsure.append(len(members))
-        if decl is not info.decl:
-            info = MemberInfo(name, info.name, info.kind, info.visibility, info.is_static,
-                              info.is_final, info.signature, decl)
+        if sites is not source.sites:  # made relative, and the body rewritten if it moved
+            info = info.with_body(decl, source.with_sites(sites))
         members.append(info)
-        resolutions.append(source if sites is source.sites else source.with_sites(sites))
 
     # Take the pulled members, apply renames and body rewrites.
     renames = {(f.member.kind, f.member.signature): f.new_name for f in fates if f.new_name}
@@ -485,13 +477,12 @@ def rewrite_references(
     own_count = len(members)
     repulled: list[MemberFate] = []
     carries = True
-    sources = fsuper.head_resolutions if kept else fsuper.whole()[1]
     sup = model.classes[fsuper.name]
-    for fate, resolution in zip(fates, sources):
+    for fate in fates:
         if not fate.pulls:
             continue
         member = fate.member
-        decl = member.decl
+        decl, resolution = member.decl, member.resolution
         if member.name in inline_inits and member.kind == ATTRIBUTE:
             decl = tree.replace(decl, init=inline_inits[member.name])
             resolution = MemberResolution()
@@ -507,17 +498,15 @@ def rewrite_references(
             member = MemberInfo(
                 member.owner, fate.new_name or member.name, member.kind, member.visibility,
                 member.is_static, member.is_final, _final_signature(member, fate.new_name), decl,
-                member.declared_signature, True,
+                member.declared_signature, True, resolution,
             )
         # `this` changes type when a body moves down a level.
         if resolution.uses_this or _moved(model, resolution, sup, name):
             unsure.append(len(members))
         members.append(member)
-        resolutions.append(resolution)
         repulled.append(_repulled(fate, member))
 
-    flat = FlattenedClass(name, cls.package, cls.decl.visibility, members, resolutions, fates,
-                          rewrites)
+    flat = FlattenedClass(name, cls.package, cls.decl.visibility, members, fates, rewrites)
     flat.own = own_count
     flat.base = fsuper if kept else None
     _resolve_changed(model, cls, flat, kept or _PartIndex(), unsure)
@@ -526,7 +515,7 @@ def rewrite_references(
         flat.carries, flat.head_repulled = True, repulled
         if flat.base:
             flat.index, fsuper.index = kept, None
-            kept.add(members[own_count:], resolutions[own_count:], repulled)
+            kept.add(members[own_count:], repulled)
     return flat
 
 
@@ -591,10 +580,14 @@ class _Reserved(set):
 def _analyze_super_ctors(
     cls: ClassInfo,
     fsuper: FlattenedClass,
+    walked: list[MemberInfo],
     fates: list[MemberFate],
     diagnostics: list[Diagnostic],
 ) -> dict[str, tree.Expr]:
-    """Fold an inlinable no-arg superclass constructor into field initializers."""
+    """Fold an inlinable no-arg superclass constructor into field initializers.
+
+    `walked` is `_walked(fsuper)`, all of fsuper's view where it does not carry.
+    """
 
     def unsupported(message: str, span) -> dict[str, tree.Expr]:
         diagnostics.append(Diagnostic(UNSUPPORTED_CTOR, message, cls.name, span))
@@ -613,7 +606,7 @@ def _analyze_super_ctors(
     ctor = no_arg[0]
     if not ctor.decl.body.statements:
         return {}  # nothing to fold: the view is not read in full
-    members, resolutions = fsuper.whole()
+    members = fsuper.whole() if fsuper.carries else walked
     attr_names = {m.name for m in members if m.kind == ATTRIBUTE}
     assignments: list[tuple[str, tree.Expr]] = []
     for stmt in ctor.decl.body.statements:
@@ -639,8 +632,8 @@ def _analyze_super_ctors(
         assignments.append((target_name, stmt.value))
     init_reads = {
         s.to_member
-        for m, r in zip(members, resolutions) if m.kind == ATTRIBUTE
-        for s in r.sites.values()
+        for m in members if m.kind == ATTRIBUTE
+        for s in m.resolution.sites.values()
         if s.kind == READ and s.to_class in (None, fsuper.name)
     }
     assigned = {name for name, _ in assignments}
@@ -718,8 +711,9 @@ def _resolve_changed(
     bodies are resolved again in member order, in a declaration of the
     whole view, so the first error is the one a resolution of the class
     would raise; it names the file the body came from. Each index resolved
-    again is added to `unsure`, and a call that binds elsewhere than its
-    carried site is a `rebound-call`.
+    again is added to `unsure`, and its record in `flat.head_members` is
+    replaced by one with the new resolution. A call that binds elsewhere
+    than its carried site is a `rebound-call`.
     """
     head, names = flat.head_members, part.names
     methods, attrs = {}, set()
@@ -731,13 +725,11 @@ def _resolve_changed(
     overloaded = {n for n, count in methods.items() if count + names.get(n, 0) > 1}
     if not (part.calls.isdisjoint(overloaded) and part.qualifiers.isdisjoint(attrs)):
         base, flat.base = flat.base, None
-        members, resolutions = base.whole(base.own)
-        head += members
-        flat.head_resolutions += resolutions
+        head += base.whole(base.own)
         flat.head_fates += base.carried_fates()
-        flat.fresh = len(head)
     repeated = part.repeated
-    for i, resolution in enumerate(flat.head_resolutions):
+    for i, m in enumerate(head):
+        resolution = m.resolution
         if (overloaded or repeated) and any(
             s.kind == CALL and s.basis in LOCAL_BASES
             and ((n := s.to_member[:s.to_member.index("(")]) in overloaded or n in repeated)
@@ -748,16 +740,17 @@ def _resolve_changed(
             unsure.append(i)
     if unsure:
         decl = tree.ClassDecl(cls.decl.visibility, cls.name, None,
-                              [m.decl for m in flat.whole()[0]], cls.decl.span, cls.decl.name_span)
+                              [m.decl for m in flat.whole()], cls.decl.span, cls.decl.name_span)
         flat_info = class_info_from_decl(decl, cls.package, cls.path, cls.text)
         flat_model = model.with_class(flat_info)
-        resolutions = flat.head_resolutions
         for i in sorted(set(unsure)):
-            carried, member = resolutions[i].sites, head[i]
-            resolutions[i] = resolve_member(
+            member = head[i]
+            resolution = resolve_member(
                 flat_model, flat_info, flat_info.members[i], model.classes[member.owner]
             )
-            for node, site in resolutions[i].sites.items():
+            head[i] = member.with_body(member.decl, resolution)
+            carried = member.resolution.sites
+            for node, site in resolution.sites.items():
                 was = carried.get(node)
                 if site.kind == CALL and was is not None and was.to_member != site.to_member:
                     old, new = (s.to_member if s.to_class is None else f"{s.to_class}.{s.to_member}"

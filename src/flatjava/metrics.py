@@ -6,11 +6,12 @@ same yardstick. A member's lines are counted from the shape of its
 statements, without writing any text, and the count is kept on its node.
 Cohesion: LCOM1 is the number of method pairs sharing no attribute; LCOM2
 is max(P - Q, 0) over non-sharing/sharing pairs. A method "uses" an
-attribute through a direct read or write edge only; each use set is kept
-on its member resolution, and only references qualified by the measured
-class's own name are added per class. Q is counted from one bitmask of
-methods per attribute: a method joining a set of methods adds the methods
-in the OR of its attributes' masks. Coupling: CBO counts the other model
+attribute through a direct read or write edge only, read off the
+resolution that each member record carries; each use set is kept on that
+resolution, and only references qualified by the measured class's own
+name are added per class. Q is counted from one bitmask of methods per
+attribute: a method joining a set of methods adds the methods in the OR
+of its attributes' masks. Coupling: CBO counts the other model
 classes named in field types, parameter and return types, constructor
 calls, and receiver types. A flattened view is measured as its own members
 added to its pulled part, whose measures (NOA, NOM, SLOC, named types, Q
@@ -23,7 +24,7 @@ from . import tree
 from .emitter import member_line_count
 from .flattener import FlattenedClass
 from .model import ClassModel, MemberInfo
-from .resolver import CALL, AccessGraph, MemberResolution
+from .resolver import CALL, MemberResolution
 from .emitter import emit  # noqa: F401 - benchmark/tracing.py wraps metrics.emit
 from .resolver import resolve_class  # noqa: F401 - benchmark/tracing.py wraps metrics.resolve_class
 
@@ -81,21 +82,16 @@ def _share(users: dict[str, int], q: int, bit: int, used) -> int:
     return q + (sharers & ~bit).bit_count()
 
 
-def measure_original(model: ClassModel, graph: AccessGraph, name: str) -> MetricsRecord:
-    part = _add(_EMPTY, model.classes[name].members, graph.resolutions[name].members)
-    return _record(model, name, ORIGINAL, part)
+def measure_original(model: ClassModel, name: str) -> MetricsRecord:
+    return _record(model, name, ORIGINAL, _add(_EMPTY, model.classes[name].members))
 
 
 def measure_flattened(model: ClassModel, flat: FlattenedClass) -> MetricsRecord:
     part = flat.pulled_part("metrics", _measure_pulled, _EMPTY)
-    own = flat.own
-    return _record(model, flat.name, FLATTENED,
-                   _add(part, flat.head_members[:own], flat.head_resolutions[:own]))
+    return _record(model, flat.name, FLATTENED, _add(part, flat.head_members[:flat.own]))
 
 
-def compare(
-    model: ClassModel, graph: AccessGraph, flattened: dict[str, FlattenedClass]
-) -> list[ComparisonRow]:
+def compare(model: ClassModel, flattened: dict[str, FlattenedClass]) -> list[ComparisonRow]:
     """Each class's original and flattened records, their deltas, and the
     rules of the flattened view's fates: those the view decided, counted
     here, and those its base carries down, counted once per level."""
@@ -103,7 +99,7 @@ def compare(
     for name in model.order:
         if model.classes[name].synthetic:
             continue
-        original = measure_original(model, graph, name)
+        original = measure_original(model, name)
         view = flattened[name]
         flat = measure_flattened(model, view)
         deltas = {
@@ -133,17 +129,16 @@ _EMPTY = (0, 0, 0, frozenset(), 0, {}, ())
 
 def _measure_pulled(view: FlattenedClass, inherited: tuple) -> tuple:
     """The measures of what `view` pulled at its level and of `inherited`."""
-    own = view.own
-    return _add(inherited, view.head_members[own:], view.head_resolutions[own:])
+    return _add(inherited, view.head_members[view.own:])
 
 
-def _add(part: tuple, members: list[MemberInfo], resolutions: list[MemberResolution]) -> tuple:
-    """The measures of `part` and of `members`, resolved by `resolutions`."""
+def _add(part: tuple, members: list[MemberInfo]) -> tuple:
+    """The measures of `part` and of `members`."""
     noa, nom, sloc, types, q, users, qualified = part
     types, users, qualified = set(types), dict(users), list(qualified)
-    decls = [m.decl for m in members]
-    sloc += sum(map(member_line_count, decls))
-    for decl, resolution in zip(decls, resolutions):
+    for member in members:
+        decl, resolution = member.decl, member.resolution
+        sloc += member_line_count(decl)
         types.update(resolution.new_types, resolution.receiver_types)
         if isinstance(decl, tree.FieldDecl):
             noa += 1

@@ -2,7 +2,8 @@
 
 A class holds one `MemberInfo` per member, in declaration order, and
 indexes of them by attribute name and method signature. The same record
-type describes the members of a flattened view (see `flattener`).
+type describes the members of a flattened view (see `flattener`), and each
+record carries the resolution of its body (see `resolver`).
 
 Visibility follows the single rule used throughout the tool: a member is
 visible to subclasses unless it is private. Package boundaries do not
@@ -43,12 +44,13 @@ OBJECT_ROOT = "Object"
 
 class MemberInfo:
     __slots__ = ("owner", "name", "kind", "visibility", "is_static", "is_final", "signature",
-                 "decl", "declared_signature", "pulled")
+                 "decl", "declared_signature", "pulled", "resolution")
 
     def __init__(self, owner: str, name: str, kind: str, visibility: str, is_static: bool,
                  is_final: bool, signature: str,
                  decl: tree.FieldDecl | tree.MethodDecl | tree.CtorDecl,
-                 declared_signature: str | None = None, pulled: bool = False):
+                 declared_signature: str | None = None, pulled: bool = False,
+                 resolution=None):
         self.owner = owner  # the declaring class, also in a flattened view
         self.name = name
         self.kind = kind  # attribute | method | ctor
@@ -60,6 +62,15 @@ class MemberInfo:
         # The signature `owner` declares it under; a rename in a view changes `signature`.
         self.declared_signature = signature if declared_signature is None else declared_signature
         self.pulled = pulled  # taken down from a superclass into a flattened view
+        # The `MemberResolution` of `decl`'s body or initializer: `resolve_class`
+        # sets it for a class as written, and a view's record brings its own.
+        self.resolution = resolution
+
+    def with_body(self, decl, resolution) -> MemberInfo:
+        """This record with another declaration or resolution."""
+        return MemberInfo(self.owner, self.name, self.kind, self.visibility, self.is_static,
+                          self.is_final, self.signature, decl, self.declared_signature,
+                          self.pulled, resolution)
 
     @property
     def visible(self) -> bool:

@@ -12,10 +12,11 @@ wins without type checks; anything else unresolvable is an error.
 Each body resolves to a `MemberResolution` whose sites are relative to the
 class that holds the body: a bare or `this.` reference to that class's own
 member names no class, and no site names the member it comes from. So a
-body pulled unchanged into a subclass keeps its resolution object. A
-`ClassResolution` holds one per member, in a list parallel to the class's
-member declarations; the absolute `AccessEdge`s of the class are built from
-them only when something asks for them.
+body pulled unchanged into a subclass keeps its resolution object.
+`resolve_class` gives each member record of a class as written its
+resolution (`MemberInfo.resolution`); the absolute `AccessEdge`s of the
+class (`ClassResolution`) are built from the records only when something
+asks for them.
 """
 
 from __future__ import annotations
@@ -114,32 +115,25 @@ class MemberResolution:
 
 
 class ClassResolution:
-    """The resolution of every member of a class.
+    """The absolute edges of a class, built on first use from its member
+    records' declarations and resolutions."""
 
-    The union over the members (`sites`, `edges`, `receiver_types`,
-    `new_types`) is built on first use: flattening and the metrics read the
-    member resolutions themselves.
-    """
-
-    def __init__(self, class_name: str, decls: list | None = None,
-                 resolutions: list[MemberResolution] | None = None):
+    def __init__(self, class_name: str, members: list[MemberInfo] | None = None):
         self.class_name = class_name
-        # The members' declarations, in member order.
-        self.decls = [] if decls is None else decls
-        # Each member's own resolution: `members[i]` resolves `decls[i]`.
-        self.members: list[MemberResolution] = [] if resolutions is None else resolutions
+        self.members = [] if members is None else members
 
     @cached_property
     def sites(self) -> dict[int, AccessEdge]:
         """The absolute edge of every reference node, in member order."""
         name = self.class_name
         sites: dict[int, AccessEdge] = {}
-        for decl, resolution in zip(self.decls, self.members):
+        for member in self.members:
+            decl = member.decl
             if isinstance(decl, tree.FieldDecl):
                 from_member, initializer_of = INIT_FIELDS, decl.name
             else:
                 from_member, initializer_of = decl.signature(), None
-            for node, s in resolution.sites.items():
+            for node, s in member.resolution.sites.items():
                 sites[node] = AccessEdge(
                     name, from_member, s.kind, s.to_class or name, s.to_member, s.basis,
                     s.span, initializer_of,
@@ -149,14 +143,6 @@ class ClassResolution:
     @cached_property
     def edges(self) -> list[AccessEdge]:
         return list(self.sites.values())
-
-    @cached_property
-    def receiver_types(self) -> set[str]:
-        return set().union(*(r.receiver_types for r in self.members))
-
-    @cached_property
-    def new_types(self) -> set[str]:
-        return set().union(*(r.new_types for r in self.members))
 
 
 class AccessGraph:
@@ -184,11 +170,11 @@ def compute_access_graph(model: ClassModel) -> AccessGraph:
 
 
 def resolve_class(model: ClassModel, cls: ClassInfo) -> ClassResolution:
-    """Resolve every body in one class, collecting access edges."""
+    """Resolve every body in one class: each member record takes its resolution."""
     walker = _Walker(model, cls)
-    return ClassResolution(
-        cls.name, cls.decl.members, [walker.resolve(m, cls) for m in cls.members]
-    )
+    for member in cls.members:
+        member.resolution = walker.resolve(member, cls)
+    return ClassResolution(cls.name, cls.members)
 
 
 def resolve_member(

@@ -36,22 +36,38 @@ def load_units(name: str):
     ]
 
 
+def _resolved(units, include_object_root: bool):
+    """The classified model of `units` and its access graph; building the
+    graph gives each member record its resolution."""
+    model = classify_members(build_model(units, include_object_root))
+    return model, compute_access_graph(model)
+
+
+def load_graph(name: str, include_object_root: bool = False):
+    """The fixture's (model, access graph)."""
+    return _resolved(load_units(name), include_object_root)
+
+
 def load_model(name: str, include_object_root: bool = False):
-    model = classify_members(build_model(load_units(name), include_object_root))
-    graph = compute_access_graph(model)
-    return model, graph
+    """The fixture's model, every member record resolved."""
+    return load_graph(name, include_object_root)[0]
 
 
 def flatten_fixture(name: str):
-    model, graph = load_model(name)
-    return model, graph, flatten_model(model, graph)
+    model = load_model(name)
+    return model, flatten_model(model)
 
 
 def golden_path(name: str, class_name: str) -> Path:
     return FIXTURES_DIR / name / "expected" / f"{class_name}.flat.java"
 
 
-def model_from_sources(*sources: str, include_object_root: bool = False):
+def graph_from_sources(*sources: str, include_object_root: bool = False):
+    """The (model, access graph) of `sources`."""
     units = [parse_source(src, f"<mem{i}>") for i, src in enumerate(sources)]
-    model = classify_members(build_model(units, include_object_root))
-    return model, compute_access_graph(model)
+    return _resolved(units, include_object_root)
+
+
+def model_from_sources(*sources: str, include_object_root: bool = False):
+    """The model of `sources`, every member record resolved."""
+    return graph_from_sources(*sources, include_object_root=include_object_root)[0]

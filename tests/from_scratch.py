@@ -105,16 +105,12 @@ def classify(model):
 
 def pulled_closure(fsuper):
     """(pulled keys, accessed attribute names) over every member of fsuper."""
-    view = Whole(fsuper)
-    members = {(m.kind, m.signature): m for m in view.members}
+    members = {(m.kind, m.signature): m for m in Whole(fsuper).members}
     pulled = {key for key, m in members.items() if m.kind != CTOR and m.visible}
-    resolutions = {
-        (m.kind, m.signature): r for m, r in zip(view.members, view.resolution.members)
-    }
     accessed = set()
     work = list(pulled)
     while work:
-        for site in resolutions[work.pop()].sites.values():
+        for site in members[work.pop()].resolution.sites.values():
             if site.to_class is not None and site.to_class != fsuper.name:
                 continue
             if site.kind == CALL:
@@ -128,17 +124,18 @@ def pulled_closure(fsuper):
     return pulled, accessed
 
 
-def flatten_against_super(model, cls, own, fsuper):
+def flatten_against_super(model, cls, fsuper):
     """The flattened view of `cls`, every fate decided against `fsuper`."""
     diagnostics = []
     pulled, accessed = pulled_closure(fsuper)
+    members = Whole(fsuper).members
     fates = [
         flattener._method_fate(cls, m, pulled) if m.kind == METHOD
         else flattener._attribute_fate(cls, m, accessed) if m.kind == ATTRIBUTE
         else MemberFate(m, DROP, RULE_CTOR)
-        for m in Whole(fsuper).members
+        for m in members
     ]
-    inline_inits = flattener._analyze_super_ctors(cls, fsuper, fates, diagnostics)
+    inline_inits = flattener._analyze_super_ctors(cls, fsuper, members, fates, diagnostics)
     for fate in fates:
         if fate.decision == DROP_ANOMALY:
             diagnostics.append(Diagnostic(
@@ -150,7 +147,7 @@ def flatten_against_super(model, cls, own, fsuper):
             ))
     assign_names(cls, fates, diagnostics)
     # No fate is kept from fsuper, so every pulled member is taken again.
-    flat = flattener.rewrite_references(model, cls, own, fsuper, fates, None, inline_inits)
+    flat = flattener.rewrite_references(model, cls, fsuper, fates, None, inline_inits)
     flat.diagnostics[:0] = diagnostics
     return flat
 
@@ -237,8 +234,9 @@ def by_position(decl, carried):
     return positioned
 
 
-def measure(model, name, view, decl, resolution):
-    """The metrics of a view, SLOC counted on its emitted text.
+def measure(model, name, view, decl, members):
+    """The metrics of a view, declared by `decl` and made of the records
+    `members`, SLOC counted on its emitted text.
 
     The library counts the same lines except where a string literal holds a
     character, such as a form feed, that `str.splitlines` breaks a line at.
@@ -247,11 +245,11 @@ def measure(model, name, view, decl, resolution):
     methods = [m for m in decl.members if isinstance(m, tree.MethodDecl)]
     attr_names = {f.name for f in fields}
     use_sets = []
-    for m, own in zip(decl.members, resolution.members):
-        if not isinstance(m, tree.MethodDecl):
+    for member in members:
+        if not isinstance(member.decl, tree.MethodDecl):
             continue
         use_sets.append({
-            s.to_member for s in own.sites.values()
+            s.to_member for s in member.resolution.sites.values()
             if s.kind in (READ, WRITE) and s.to_class in (None, name) and s.to_member in attr_names
         })
     lcom1, lcom2 = lcom_values(use_sets)
@@ -268,8 +266,9 @@ def measure(model, name, view, decl, resolution):
         if isinstance(m, tree.CtorDecl):
             for p in m.params:
                 referenced.add(p.decl_type.name)
-    referenced |= resolution.new_types
-    referenced |= resolution.receiver_types
+    for member in members:
+        referenced |= member.resolution.new_types
+        referenced |= member.resolution.receiver_types
     cbo = sum(
         1 for t in referenced
         if t != name and t in model.classes and not model.classes[t].synthetic

@@ -45,8 +45,8 @@ def test_criterion_1_decision_table_equivalence():
     for config in CONFIGS:
         kind, vis, overridden, accessed, static_cfg, final_cfg = config
         super_src, sub_src = build_sources(*config)
-        model, graph = model_from_sources(super_src, sub_src)
-        flattened = flatten_model(model, graph)
+        model = model_from_sources(super_src, sub_src)
+        flattened = flatten_model(model)
         key = target_key(kind)
         fate = next(
             f
@@ -75,13 +75,13 @@ def test_criterion_2_identity_and_idempotence():
     for seed in range(count):
         rng = random.Random(20_000 + seed)
         source = random_class_source(rng, f"Gen{seed}")
-        model, graph = model_from_sources(source)
-        flattened = flatten_model(model, graph)
+        model = model_from_sources(source)
+        flattened = flatten_model(model)
         name = f"Gen{seed}"
         assert emit(Whole(flattened[name]).decl) == emit(model.classes[name].decl), seed
         emitted = emit(flattened[name])
-        model2, graph2 = model_from_sources(emitted)
-        flattened2 = flatten_model(model2, graph2)
+        model2 = model_from_sources(emitted)
+        flattened2 = flatten_model(model2)
         assert emit(flattened2[name]) == emitted, seed
     print(
         f"\nACCEPTANCE 2 identity & idempotence: PASS "
@@ -95,7 +95,7 @@ def test_criterion_3_closure_on_corpus():
     rule_counts: dict[str, int] = {}
     checked_classes = 0
     for name in CORPUS:
-        model, _, flattened = flatten_fixture(name)
+        model, flattened = flatten_fixture(name)
         for flat in flattened.values():
             for fate in Whole(flat).fates:
                 rule_counts[fate.rule] = rule_counts.get(fate.rule, 0) + 1
@@ -119,7 +119,7 @@ def test_criterion_3_closure_on_corpus():
 def test_criterion_4_rewrite_goldens():
     compared = 0
     for name in CORPUS:
-        model, _, flattened = flatten_fixture(name)
+        model, flattened = flatten_fixture(name)
         for class_name in model.order:
             golden = golden_path(name, class_name)
             assert golden.exists(), f"missing golden {name}/{class_name}"
@@ -139,8 +139,8 @@ def test_criterion_5_metrics_oracle():
         rng = random.Random(30_000 + seed)
         name = f"M{seed}"
         source, use_sets = random_measured_class(rng, name)
-        model, graph = model_from_sources(source)
-        rec = measure_original(model, graph, name)
+        model = model_from_sources(source)
+        rec = measure_original(model, name)
         p = q = 0
         for i in range(len(use_sets)):
             for j in range(i + 1, len(use_sets)):
@@ -165,8 +165,8 @@ def test_criterion_6_monotonicity_and_exact_deltas():
 
     checked = 0
     for name in CORPUS:
-        model, graph, flattened = flatten_fixture(name)
-        for row in compare(model, graph, flattened):
+        model, flattened = flatten_fixture(name)
+        for row in compare(model, flattened):
             assert row.deltas["noa"] >= 0 and row.deltas["nom"] >= 0
             assert row.deltas["sloc"] >= 0
             fates = Whole(flattened[row.class_name]).fates

@@ -109,7 +109,7 @@ def test_record_defaults_are_not_shared():
     assert first.ctors is not second.ctors
     assert first.members is not second.members
     assert ClassModel({}, []).diagnostics is not ClassModel({}, []).diagnostics
-    one, two = (FlattenedClass("A", None, "public", [], []) for _ in range(2))
+    one, two = (FlattenedClass("A", None, "public", []) for _ in range(2))
     assert one.head_fates is not two.head_fates
     assert one.rewrites is not two.rewrites
     assert one.diagnostics is not two.diagnostics

@@ -204,7 +204,7 @@ def test_metrics_flattened_matches_library(tmp_path):
     result = runner.invoke(main, ["metrics", str(src_dir), "--view", "flattened"])
     assert result.exit_code == 0
     document = json.loads(result.output)
-    model, _, flattened = flatten_fixture("pull_visible_basic")
+    model, flattened = flatten_fixture("pull_visible_basic")
     expected = measure_flattened(model, flattened["B"]).as_dict()
     row = [r for r in document["classes"] if r["name"] == "B"][0]
     assert row == expected

@@ -98,12 +98,12 @@ def check(units, monkeypatch) -> list:
     assert model.overrides is model.overrides  # built once, on first read
     assert model.diagnostics == diagnostics
 
-    graph = compute_access_graph(model)
+    compute_access_graph(model)  # each member record takes its resolution
     derive = flattener.pulled_closure
     carried = []
 
-    def compared(fsuper):
-        closure = pulled, accessed = derive(fsuper)
+    def compared(fsuper, walked):
+        closure = pulled, accessed = derive(fsuper, walked)
         # Where fsuper carries its pulled part down, that part is the rest of
         # the fixed point: its members and the attributes their bodies access.
         view = Whole(fsuper)
@@ -127,9 +127,9 @@ def check(units, monkeypatch) -> list:
         return out, carried
 
     monkeypatch.setattr(flattener._Carrier, "rewrite", walked_too)
-    flattened, error = _outcome(lambda: flattener.flatten_model(model, graph))
+    flattened, error = _outcome(lambda: flattener.flatten_model(model))
     monkeypatch.setattr(flattener, "_flatten_against_super", flatten_against_super)
-    reference, reference_error = _outcome(lambda: flattener.flatten_model(model, graph))
+    reference, reference_error = _outcome(lambda: flattener.flatten_model(model))
     assert error == reference_error
     if error is None:
         for name, flat in flattened.items():
@@ -140,6 +140,13 @@ def check(units, monkeypatch) -> list:
 
 def _units(*sources: str):
     return [parse_source(src, f"<mem{i}>") for i, src in enumerate(sources)]
+
+
+def _model(units):
+    """The classified model of `units`, every member record resolved."""
+    model = classify_members(build_model(units))
+    compute_access_graph(model)
+    return model
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -212,8 +219,8 @@ def test_carried_renames_chain_down(monkeypatch):
         "class D extends C { public int x$A = 4; }",
     ]
     assert [flat.name for flat in check(_units(*sources), monkeypatch)] == ["A", "B", "C"]
-    model = classify_members(build_model(_units(*sources)))
-    flattened = flattener.flatten_model(model, compute_access_graph(model))
+    model = _model(_units(*sources))
+    flattened = flattener.flatten_model(model)
     assert [m.name for m in Whole(flattened["C"]).members] == ["x", "x$A$1", "x$A", "z"]
     assert [m.name for m in Whole(flattened["D"]).members] == ["x$A", "x", "x$A$1", "x$A$Z", "z"]
 
@@ -226,8 +233,8 @@ def test_folded_constructor_replaces_a_carried_initializer(monkeypatch):
         "class C extends P { }",
     ]
     assert [flat.name for flat in check(_units(*sources), monkeypatch)] == ["P"]
-    model = classify_members(build_model(_units(*sources)))
-    flat = flattener.flatten_model(model, compute_access_graph(model))["C"]
+    model = _model(_units(*sources))
+    flat = flattener.flatten_model(model)["C"]
     assert "public int a = 1;" in emit(flat)
 
 
@@ -253,8 +260,8 @@ NOT_CARRIED = {
 def test_views_whose_pulled_bodies_change_carry_nothing(name, monkeypatch):
     units = _units(*NOT_CARRIED[name])
     assert check(units, monkeypatch) == []
-    model = classify_members(build_model(units))
-    flat = flattener.flatten_model(model, compute_access_graph(model))["P"]
+    model = _model(units)
+    flat = flattener.flatten_model(model)["P"]
     assert Whole(flat).carried is None
     # A carried part would be wrong: C does not pull all that P pulled.
     pulled_into_p = {(m.kind, m.signature) for m in Whole(flat).members if m.pulled}
@@ -262,7 +269,7 @@ def test_views_whose_pulled_bodies_change_carry_nothing(name, monkeypatch):
 
 
 def _assert_work_grows_linearly(monkeypatch, work: Counter, run) -> list[dict]:
-    """Count `work` while `run(model, graph)` runs on `deep_chain(10)` and on
+    """Count `work` while `run(model)` runs on `deep_chain(10)` and on
     `deep_chain(40)`; each count may grow at most 5x. Returns the counts.
 
     A chain's views hold 16 times as many inherited slots at depth 40 as at
@@ -275,8 +282,8 @@ def _assert_work_grows_linearly(monkeypatch, work: Counter, run) -> list[dict]:
     counts = []
     for depth in (10, 40):
         work.clear()
-        model = classify_members(build_model(_units(*workloads.deep_chain(depth).sources.values())))
-        run(model, compute_access_graph(model))
+        model = _model(_units(*workloads.deep_chain(depth).sources.values()))
+        run(model)
         counts.append(dict(work))
     assert counts[0].keys() == counts[1].keys(), counts
     for key, count in counts[1].items():
@@ -313,13 +320,13 @@ def test_emit_plan_and_metrics_work_grows_linearly_with_depth(monkeypatch):
         work["fate entries"] += len(fates)
         return entries(fates)
 
-    def run(model, graph):
-        flattened = flattener.flatten_model(model, graph)
+    def run(model):
+        flattened = flattener.flatten_model(model)
         for flat in flattened.values():
             emit(flat)
             emit(flat, provenance=True)
         plan_json(flattened)
-        metrics.compare(model, graph, flattened)
+        metrics.compare(model, flattened)
 
     monkeypatch.setattr(emitter, "_chunk", lines)
     monkeypatch.setattr(report, "_entries", fate_entries)
@@ -358,8 +365,8 @@ def test_own_references_find_fates_without_walking_the_carried_part(monkeypatch)
     counts = []
     for depth in (10, 40):
         consumed.clear()
-        model = classify_members(build_model(_units(*_root_calling_chain(depth))))
-        flattener.flatten_model(model, compute_access_graph(model))
+        model = _model(_units(*_root_calling_chain(depth)))
+        flattener.flatten_model(model)
         counts.append(consumed["fates"])
     assert 0 < counts[1] <= 5 * counts[0], counts
 
@@ -385,7 +392,7 @@ def test_each_level_tests_names_and_rules_it_adds(monkeypatch):
 
     def tested(model, cls, flat, *rest):
         resolve_changed(model, cls, flat, *rest)
-        work["resolutions tested"] += len(flat.head_resolutions)
+        work["resolutions tested"] += len(flat.head_members)
 
     def counted(fates, counted):
         work["rules counted"] += len(fates)
@@ -393,15 +400,55 @@ def test_each_level_tests_names_and_rules_it_adds(monkeypatch):
 
     monkeypatch.setattr(flattener, "_Reserved", Reserved)
     monkeypatch.setattr(flattener, "_resolve_changed", tested)
-    monkeypatch.setattr(flattener, "pulled_closure", lambda fsuper: work.update(
-        ["closure keys"] * len(closure(fsuper)[0])) or closure(fsuper))
+    monkeypatch.setattr(flattener, "pulled_closure", lambda *args: work.update(
+        ["closure keys"] * len(closure(*args)[0])) or closure(*args))
     monkeypatch.setattr(metrics, "_rules", counted)
     # 72 -> 312 closure keys, 144 -> 624 reserved names and resolutions
     # tested, 136 -> 616 rules counted: 4.3x to 4.5x. Counted per slot, the
     # closure keys and the rules grow 17.3x (360 -> 6,240), and the names and
     # the resolutions 15.2x (432 -> 6,552).
-    _assert_work_grows_linearly(monkeypatch, work, lambda model, graph: metrics.compare(
-        model, graph, flattener.flatten_model(model, graph)))
+    _assert_work_grows_linearly(monkeypatch, work, lambda model: metrics.compare(
+        model, flattener.flatten_model(model)))
+
+
+def _whole_views_per_level(monkeypatch, units) -> Counter:
+    """How often each class's level assembles its superclass's view whole
+    (`FlattenedClass.whole(0)` on fsuper), by class."""
+    counts, levels = Counter(), []
+    whole, against = flattener.FlattenedClass.whole, flattener._flatten_against_super
+
+    def counted(view, start=0):
+        if start == 0 and levels and view is levels[-1][1]:
+            counts[levels[-1][0]] += 1
+        return whole(view, start)
+
+    def level(model, cls, *rest):
+        levels.append((cls.name, rest[-1]))  # fsuper comes last
+        try:
+            return against(model, cls, *rest)
+        finally:
+            levels.pop()
+
+    monkeypatch.setattr(flattener.FlattenedClass, "whole", counted)
+    monkeypatch.setattr(flattener, "_flatten_against_super", level)
+    flattener.flatten_model(_model(units))
+    return counts
+
+
+def test_each_level_assembles_its_superclass_view_at_most_once(monkeypatch):
+    # The rule table, the fixed point and the constructor fold share one
+    # walked list, and the pulled-body loop reads each fate's record. Built
+    # for each of them, C's view was assembled 4 times at D's level of
+    # `based_views`, A's 3 times at B's and P's, and each `wide_fan` root's
+    # 3 times at each of its subclasses' levels.
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import workloads
+
+    based = _whole_views_per_level(monkeypatch, load_units("based_views"))
+    assert based["D"] == based["B"] == based["P"] == 1, based
+    fan = workloads.wide_fan(11)
+    counts = _whole_views_per_level(monkeypatch, _units(*fan.sources.values()))
+    assert counts and max(counts.values()) == 1, counts
 
 
 # Chains where a middle level cannot end with its superclass view's pulled
@@ -441,12 +488,13 @@ REUSE_BREAKS = {
 @pytest.mark.parametrize("name", sorted(REUSE_BREAKS))
 def test_reuse_breaks_where_the_pulled_part_changes(name, monkeypatch):
     sources, reusing = REUSE_BREAKS[name]
-    model = classify_members(build_model(_units(*sources)))
-    flattened = flattener.flatten_model(model, compute_access_graph(model))
+    model = _model(_units(*sources))
+    flattened = flattener.flatten_model(model)
     assert [n for n, flat in flattened.items() if flat.base] == reusing
     for flat in flattened.values():
         if flat.base:
-            assert Whole(flat).members[flat.fresh:] == Whole(flat.base).members[flat.base.own:]
+            built = len(flat.head_members)
+            assert Whole(flat).members[built:] == Whole(flat.base).members[flat.base.own:]
     check(_units(*sources), monkeypatch)
     _check_parts(list(sources))
 
@@ -466,8 +514,8 @@ def test_generated_deep_chains_reuse_a_part_twice():
     twice = 0
     for seed in DEEP_SEEDS:
         sources = random_hierarchy_sources(random.Random(60_000 + seed), depth=4 + seed % 2)
-        model = classify_members(build_model(_units(*sources)))
-        flattened = flattener.flatten_model(model, compute_access_graph(model))
+        model = _model(_units(*sources))
+        flattened = flattener.flatten_model(model)
         twice += any(flat.base and flat.base.base for flat in flattened.values())
     assert twice >= 30, twice
 
@@ -496,8 +544,8 @@ def test_a_level_that_changes_a_tail_body_resolves_it_again(kind, level, monkeyp
     # which was tested one level up; the level that adds a name it reads
     # anew must take the part and resolve run() again, as from scratch.
     sources = _tail_chain(kind, level)
-    model = classify_members(build_model(_units(*sources)))
-    flattened = flattener.flatten_model(model, compute_access_graph(model))
+    model = _model(_units(*sources))
+    flattened = flattener.flatten_model(model)
     # The view below it walks its superclass's whole view, and the one below
     # that reuses its part again, unless run() still calls an overloaded name.
     assert [n for n, flat in flattened.items() if flat.base] == [
@@ -505,7 +553,7 @@ def test_a_level_that_changes_a_tail_body_resolves_it_again(kind, level, monkeyp
     rebound = [d.message for d in flattened[f"L{level}"].diagnostics if d.code == REBOUND_CALL]
     assert rebound == ["the call to m(long) in L1.run() binds to m(int) in the flattened class"
                        ] * (kind == "overload")
-    run = Whole(flattened[f"L{level}"]).resolution.members[-1]
+    run = Whole(flattened[f"L{level}"]).members[-1].resolution
     assert (run.receiver_types == {"R"}) == (kind == "attribute")
     for end in range(4, len(sources) + 1):
         check(_units(*sources[:end]), monkeypatch)
@@ -525,14 +573,13 @@ def test_a_body_pulled_from_a_root_keeps_its_resolution(monkeypatch):
     resolve = resolver._Walker.resolve
     monkeypatch.setattr(resolver._Walker, "resolve", lambda walker, member, path: resolved.update(
         [f"{member.owner}.{member.declared_signature}"]) or resolve(walker, member, path))
-    model = classify_members(build_model(_units(*sources)))
-    flattened = flattener.flatten_model(model, compute_access_graph(model))
+    model = _model(_units(*sources))
+    flattened = flattener.flatten_model(model)
     assert resolved["A.f(A)"] == 1
     assert [n for n, flat in flattened.items() if flat.base] == ["C", "D"]
-    f = Whole(flattened["A"]).resolution.members[2]
-    views = [Whole(flat) for flat in flattened.values()]
-    assert all(view.resolution.members[view.members.index(member)] is f
-               for view in views for member in view.members if member.name == "f")
+    f = flattened["A"].head_members[2].resolution
+    assert all(member.resolution is f for flat in flattened.values()
+               for member in Whole(flat).members if member.name == "f")
     check(_units(*sources), monkeypatch)
     _check_parts(sources)
 
@@ -540,15 +587,14 @@ def test_a_body_pulled_from_a_root_keeps_its_resolution(monkeypatch):
 def _rules_match_from_scratch(units, monkeypatch) -> None:
     """`compare`'s rule counts for every view equal the rules of the fates
     that a flattening deciding every member from scratch gives."""
-    model = classify_members(build_model(units))
-    graph = compute_access_graph(model)
-    flattened, error = _outcome(lambda: flattener.flatten_model(model, graph))
+    model = _model(units)
+    flattened, error = _outcome(lambda: flattener.flatten_model(model))
     if error is not None:
         return
-    rows = metrics.compare(model, graph, flattened)
+    rows = metrics.compare(model, flattened)
     with monkeypatch.context() as patched:
         patched.setattr(flattener, "_flatten_against_super", flatten_against_super)
-        reference = flattener.flatten_model(model, graph)
+        reference = flattener.flatten_model(model)
     assert {row.class_name: row.rule_counts for row in rows} == {
         name: Counter(f.rule for f in Whole(reference[name]).fates)
         for name in model.order if not model.classes[name].synthetic
@@ -585,14 +631,13 @@ SIBLINGS = (
 
 
 def test_sibling_views_share_a_pulled_part(monkeypatch):
-    model = classify_members(build_model(_units(*SIBLINGS)))
-    graph = compute_access_graph(model)
-    flattened = flattener.flatten_model(model, graph)
+    model = _model(_units(*SIBLINGS))
+    flattened = flattener.flatten_model(model)
     assert {n: flat.base.name for n, flat in flattened.items() if flat.base} == {
         "C": "B", "D1": "C", "D2": "C", "E1": "D1", "E2": "D2"}
     # Measured again, bottom-up, after every part was built: the same records.
     records = {row.class_name: row.flattened.as_dict()
-               for row in metrics.compare(model, graph, flattened)}
+               for row in metrics.compare(model, flattened)}
     for name in reversed(model.order):
         assert metrics.measure_flattened(model, flattened[name]).as_dict() == records[name]
     _rules_match_from_scratch(_units(*SIBLINGS), monkeypatch)
@@ -633,11 +678,10 @@ def test_rewrite_descends_only_along_paths_to_changed_references(monkeypatch):
         "f": "class A { public int a = 1; int f() { int x=1;a=2;if(x>0){x=a;}return x; } }",
         "g": "class B extends A { public int a = 3; int g() { int y=1;super.f();return y; } }",
     }
-    model = classify_members(build_model(_units(*sources.values())))
-    graph = compute_access_graph(model)
+    model = _model(_units(*sources.values()))
     descended = []
     _record_descents(monkeypatch, descended)
-    flat = flattener.flatten_model(model, graph)["B"]
+    flat = flattener.flatten_model(model)["B"]
     assert [sources[m.name][n.span.start:n.span.end] for m, n in descended] == [
         "super.f();", "super.f()", "a=2;", "a", "if(x>0){x=a;}", "x=a;", "a",
     ]
@@ -665,8 +709,7 @@ def test_rewrites_descend_into_few_expressions_of_the_bodies_they_change(monkeyp
     monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
     import workloads
 
-    model = classify_members(build_model(_units(*workloads.wide_fan(11).sources.values())))
-    graph = compute_access_graph(model)
+    model = _model(_units(*workloads.wide_fan(11).sources.values()))
     descended, counts = [], []
     _record_descents(monkeypatch, descended)
     rewrite = flattener._Carrier.rewrite
@@ -680,7 +723,7 @@ def test_rewrites_descend_into_few_expressions_of_the_bodies_they_change(monkeyp
         return out, carried
 
     monkeypatch.setattr(flattener._Carrier, "rewrite", counted)
-    flattener.flatten_model(model, graph)
+    flattener.flatten_model(model)
     walked, expressions = map(sum, zip(*counts))
     # 71 bodies change; the walk descends into 1,175 of their 10,894
     # expression nodes, where a walk of every node takes 10,681.

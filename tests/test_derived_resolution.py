@@ -43,7 +43,7 @@ def _outcome(fn):
         return None, (type(err), err.message)
 
 
-def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> int:
+def check_flatten(model, monkeypatch, follows_renames: bool = True) -> int:
     """Flatten, comparing each derived resolution with the reference; returns classes checked."""
     derive = flattener._resolve_changed
     checked = []
@@ -64,7 +64,7 @@ def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> in
 
     monkeypatch.setattr(flattener, "_resolve_changed", compared)
     try:
-        flattened = flattener.flatten_model(model, graph)
+        flattened = flattener.flatten_model(model)
     except FlatJavaError:
         return len(checked)
     if follows_renames:
@@ -75,16 +75,11 @@ def check_flatten(model, graph, monkeypatch, follows_renames: bool = True) -> in
     return len(checked)
 
 
-def _resolution_of(view, member):
-    """The resolution of `member`, found by its position in the whole `view`."""
-    return view.resolution.members[view.members.index(member)]
-
-
 def assert_follows_renames(flat, fsuper) -> None:
     """Each pulled body's bare, `this.` and static references to fsuper's
     members target, in `flat`, the members those became, or the members
     that a `rebound-call` report of the body names."""
-    view, sup = Whole(flat), Whole(fsuper)
+    view = Whole(flat)
     pulled = list(zip(
         [fate for fate in view.fates if fate.pulls], [m for m in view.members if m.pulled]
     ))
@@ -92,8 +87,8 @@ def assert_follows_renames(flat, fsuper) -> None:
     for fate, member in pulled:
         if getattr(member.decl, "init", None) is not getattr(fate.member.decl, "init", None):
             continue  # a folded constructor assignment replaced the initializer
-        source = _resolution_of(sup, fate.member).sites.values()
-        carried = _resolution_of(view, member).sites.values()
+        source = fate.member.resolution.sites.values()
+        carried = member.resolution.sites.values()
         expected = Counter(
             (e.kind, final[("method" if e.kind == "call" else "attribute", e.to_member)])
             for e in source
@@ -122,28 +117,33 @@ def assert_same_resolution(derived, reference, name) -> None:
     assert Counter(e.key() for e in derived.edges) == Counter(
         e.key() for e in reference.edges
     ), name
-    assert derived.receiver_types == reference.receiver_types, name
-    assert derived.new_types == reference.new_types, name
+    for types in ("receiver_types", "new_types"):
+        assert _union(derived, types) == _union(reference, types), (name, types)
     assert derived.sites.keys() == reference.sites.keys(), name
     for node, edge in reference.sites.items():
         assert derived.sites[node].key() == edge.key(), (name, edge)
 
 
+def _union(resolution, types: str) -> set[str]:
+    """The `types` of every body of the class `resolution` resolves."""
+    return set().union(*(getattr(m.resolution, types) for m in resolution.members))
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_derived_resolution_on_fixtures(name, monkeypatch):
-    model, graph = load_model(name)
-    check_flatten(model, graph, monkeypatch)
+    model = load_model(name)
+    check_flatten(model, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_derived_resolution_on_generated_hierarchies(seed, monkeypatch):
     sources = random_hierarchy_sources(random.Random(40_000 + seed))
-    assert check_flatten(*model_from_sources(*sources), monkeypatch) >= 1
+    assert check_flatten(model_from_sources(*sources), monkeypatch) >= 1
 
 
 def test_derived_resolution_on_decision_table(monkeypatch):
     for config in CONFIGS:
-        assert check_flatten(*model_from_sources(*build_sources(*config)), monkeypatch) == 1
+        assert check_flatten(model_from_sources(*build_sources(*config)), monkeypatch) == 1
 
 
 # Bodies whose resolution changes once they sit in the flattened class, each
@@ -244,9 +244,9 @@ REBOUND = {
 
 @pytest.mark.parametrize("name", sorted(CHANGING))
 def test_derived_resolution_where_bodies_change(name, monkeypatch):
-    model, graph = model_from_sources(*CHANGING[name])
-    assert check_flatten(model, graph, monkeypatch, follows_renames=False) >= 1
-    flattened, error = _outcome(lambda: flattener.flatten_model(model, graph))
+    model = model_from_sources(*CHANGING[name])
+    assert check_flatten(model, monkeypatch, follows_renames=False) >= 1
+    flattened, error = _outcome(lambda: flattener.flatten_model(model))
     if error is None:
         rebound = [d.message for flat in flattened.values() for d in flat.diagnostics
                    if d.code == REBOUND_CALL]
@@ -256,7 +256,7 @@ def test_derived_resolution_where_bodies_change(name, monkeypatch):
         ]
     if name in REWRITTEN:
         class_name, line, rewrites = REWRITTEN[name]
-        flat = flattener.flatten_model(model, graph)[class_name]
+        flat = flattener.flatten_model(model)[class_name]
         assert line in emit(flat)
         assert [(r.old, r.new, r.target_owner) for r in flat.rewrites] == rewrites
 
@@ -270,7 +270,7 @@ def shared_resolutions(flat, fsuper) -> int:
     uses `this` as a value, has a receiver type or static qualifier, or
     calls a name the flattened class overloads.
     """
-    view, sup = Whole(flat), Whole(fsuper)
+    view, sup = Whole(flat), {id(m) for m in Whole(fsuper).members}
     renamed = {
         f.member.name if f.member.kind == "attribute" else f.member.signature
         for f in view.fates if f.new_name
@@ -279,7 +279,8 @@ def shared_resolutions(flat, fsuper) -> int:
     pulled = zip([f for f in view.fates if f.pulls], [m for m in view.members if m.pulled])
     shared = 0
     for fate, member in pulled:
-        source = _resolution_of(sup, fate.member)
+        assert id(fate.member) in sup, (flat.name, member.name)
+        source = fate.member.resolution
         if getattr(member.decl, "init", None) is not getattr(fate.member.decl, "init", None):
             continue  # a folded constructor assignment replaced the initializer
         if source.uses_this or source.receiver_types or source.class_refs:
@@ -290,7 +291,7 @@ def shared_resolutions(flat, fsuper) -> int:
             for s in source.sites.values()
         ):
             continue
-        assert _resolution_of(view, member) is source, (flat.name, member.name)
+        assert member.resolution is source, (flat.name, member.name)
         shared += 1
     return shared
 
@@ -305,9 +306,9 @@ def check_sharing(model, flattened) -> int:
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_untouched_pulled_members_share_resolution_on_fixtures(name):
-    model, graph = load_model(name)
+    model = load_model(name)
     try:
-        flattened = flattener.flatten_model(model, graph)
+        flattened = flattener.flatten_model(model)
     except FlatJavaError:
         return
     check_sharing(model, flattened)
@@ -320,7 +321,7 @@ def test_untouched_pulled_members_share_resolution_on_a_chain():
             f"class C{i} extends C{i - 1} {{ public int g() {{ return {i}; }} "
             f"public int h{i}() {{ return f() + g(); }} }}"
         )
-    model, graph = model_from_sources(*sources)
-    flattened = flattener.flatten_model(model, graph)
+    model = model_from_sources(*sources)
+    flattened = flattener.flatten_model(model)
     # f, a and every h below the direct superclass come down unchanged.
     assert check_sharing(model, flattened) >= 5 * 3

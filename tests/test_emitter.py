@@ -220,7 +220,7 @@ def test_long_double_literals_roundtrip():
 
 
 def test_provenance_comments_on_flattened_output():
-    _, _, flattened = flatten_fixture("private_accessor_pair")
+    _, flattened = flatten_fixture("private_accessor_pair")
     text = emit(flattened["B"], provenance=True)
     assert "// pulled from A" in text
     assert text.index("// pulled from A") < text.index("private int x;")
@@ -229,7 +229,7 @@ def test_provenance_comments_on_flattened_output():
 
 
 def test_provenance_comment_with_renamed_member():
-    _, _, flattened = flatten_fixture("override_attr_rename_accessed")
+    _, flattened = flatten_fixture("override_attr_rename_accessed")
     text = emit(flattened["B"], provenance=True)
     assert "int x$A;" in text
     assert "// pulled from A" in text
@@ -245,7 +245,7 @@ def test_reparse_law_on_corpus(name):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_reparse_law_on_flattened_output(name):
-    _, _, flattened = flatten_fixture(name)
+    _, flattened = flatten_fixture(name)
     for flat in flattened.values():
         emitted = emit(flat)
         reparsed = parse_source(emitted)

@@ -26,8 +26,8 @@ B_STATIC_OVERRIDES = "class B extends A { static int s; static int sm(int a) { r
 
 
 def _flat_b(*sources):
-    model, graph = model_from_sources(*sources)
-    return flatten_model(model, graph)["B"]
+    model = model_from_sources(*sources)
+    return flatten_model(model)["B"]
 
 
 # name: (fixture directory or sources, the rendered diagnostics of B)
@@ -92,7 +92,7 @@ DIAGNOSTICS = {
 def test_diagnostic_text(case):
     source, rendered = DIAGNOSTICS[case]
     if isinstance(source, str):
-        flat = flatten_fixture(source)[2]["B"]
+        flat = flatten_fixture(source)[1]["B"]
     else:
         flat = _flat_b(*source)
     assert [d.render() for d in flat.diagnostics] == rendered
@@ -225,12 +225,12 @@ def test_collapsed_reference(case):
 def test_collapsed_super_refs_are_renamed_again_below():
     # B's own body reached A's members through `super.`; pulled into C,
     # which overrides both, the collapsed references follow the renames.
-    model, graph = model_from_sources(
+    model = model_from_sources(
         A_FIELD_AND_METHOD,
         "class B extends A { int f(int a) { int x$A = 1; return super.x + super.m(a) + x$A; } }",
         "class C extends B { public int x; public int m(int a) { return 0; } }",
     )
-    flat = flatten_model(model, graph)["C"]
+    flat = flatten_model(model)["C"]
     assert [(r.old, r.new, r.target_owner) for r in flat.rewrites] == [
         ("x", "x$A", "B"), ("m", "m$A", "B"),
     ]

@@ -1,11 +1,11 @@
 """The commands read a flattened view only as its heads and its base.
 
-A view keeps what each level built (`head_members`, `head_resolutions`,
-`head_fates`, `head_repulled`) and names the view it ends with (`base`).
-`FlattenedClass.members`, the whole member list, is assembled from the
-chain of bases, and only the benchmark's tracer and the tests read it. So
-`flatten`, `compare` and `metrics --view flattened` must succeed on every
-fixture and on the benchmark's workloads with it raising.
+A view keeps what each level built (`head_members`, each record with its
+resolution, `head_fates`, `head_repulled`) and names the view it ends with
+(`base`). `FlattenedClass.members`, the whole member list, is assembled
+from the chain of bases, and only the benchmark's tracer and the tests
+read it. So `flatten`, `compare` and `metrics --view flattened` must
+succeed on every fixture and on the benchmark's workloads with it raising.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
-"""The parallel member lists stay aligned.
+"""Every member record carries its own resolution.
 
-A member's declaration, its record and its resolution are found by their
-position in lists that run in declaration order: a class's `members` and
-its declaration's members, a flattened view's `head_members` and
-`head_resolutions`, and the same lists assembled whole along the view's
-bases, with the declaration's members and the resolution's `decls`. This
-checks that they line up on the fixtures, on generated hierarchies and on
-the decision-table configurations, and that a view reuses the model's
-records wherever nothing changed a member.
+A class (`ClassInfo.members`) and a flattened view (`head_members`, and
+the same list assembled whole along the view's bases) hold one
+`MemberInfo` per member, and each record carries the `MemberResolution`
+of its own declaration: the site of every reference is keyed by the
+identity of a node inside that record's `decl`. This checks that on the
+fixtures, on generated hierarchies and on the decision-table
+configurations; that a class's records line up with its declaration's
+members; and that a view reuses the model's record wherever neither the
+declaration nor the resolution of a member changed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import random
 
 import pytest
 
-from flatjava import flatten_model
+from flatjava import flatten_model, tree
+from flatjava.resolver import MemberResolution
 
 from conftest import CORPUS, load_model, model_from_sources
 from genclasses import random_hierarchy_sources, random_overloading_hierarchy
@@ -24,21 +26,36 @@ from hiergen import CONFIGS, build_sources
 from whole_view import Whole
 
 
+def _node_ids(decl) -> set[int]:
+    """The identity of every node inside `decl`."""
+    ids, todo = set(), [decl]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tree.Node):
+            ids.add(id(item))
+            todo.extend(getattr(item, name) for name in item.__match_args__)
+        elif isinstance(item, list):
+            todo.extend(item)
+    return ids
+
+
+def assert_resolved(name: str, members) -> None:
+    """Each record's resolution resolves the record's own declaration."""
+    for member in members:
+        where = (name, member.owner, member.name)
+        assert isinstance(member.resolution, MemberResolution), where
+        assert member.resolution.sites.keys() <= _node_ids(member.decl), where
+
+
 def assert_aligned(model, flattened) -> None:
     for name, info in model.classes.items():
         assert len(info.members) == len(info.decl.members), name
         for i, member in enumerate(info.members):
             assert member.decl is info.decl.members[i], (name, i)
+        assert_resolved(name, info.members)
 
-        flat = flattened[name]
-        assert len(flat.head_resolutions) == len(flat.head_members), name
-        flat = Whole(flat)
-        resolution = flat.resolution
-        assert len(flat.decl.members) == len(resolution.decls) == len(flat.members), name
-        assert len(resolution.members) == len(flat.members), name
-        for i, member in enumerate(flat.members):
-            assert member.decl is flat.decl.members[i] is resolution.decls[i], (name, i)
-
+        flat = Whole(flattened[name])
+        assert_resolved(name, flat.members)
         own = flat.members[:len(info.members)]
         assert all(m.owner == name and not m.pulled for m in own), name
         if info.superclass is None:
@@ -46,19 +63,21 @@ def assert_aligned(model, flattened) -> None:
             assert len(flat.members) == len(info.members), name
             assert all(m is r for m, r in zip(flat.members, info.members)), name
         for member, record in zip(own, info.members):
-            # An own member that no rewrite touched is the model's record.
-            assert member is record or member.decl is not record.decl, (name, record.name)
+            # An own member whose declaration and resolution are both
+            # unchanged is the model's record.
+            assert member is record or member.decl is not record.decl or (
+                member.resolution is not record.resolution), (name, record.name)
 
 
 def _check_sources(*sources: str) -> None:
-    model, graph = model_from_sources(*sources)
-    assert_aligned(model, flatten_model(model, graph))
+    model = model_from_sources(*sources)
+    assert_aligned(model, flatten_model(model))
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_aligned_on_fixtures(name):
-    model, graph = load_model(name)
-    assert_aligned(model, flatten_model(model, graph))
+    model = load_model(name)
+    assert_aligned(model, flatten_model(model))
 
 
 @pytest.mark.parametrize("seed", range(50))

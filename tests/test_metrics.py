@@ -45,8 +45,8 @@ def brute_force_pairs(use_sets):
 
 
 def measure_source(source, name):
-    model, graph = model_from_sources(source)
-    return measure_original(model, graph, name)
+    model = model_from_sources(source)
+    return measure_original(model, name)
 
 
 def test_no_methods_convention():
@@ -138,11 +138,11 @@ def test_initializer_and_constructor_uses_count_for_no_method():
 
 
 def test_same_named_attribute_of_another_class_is_not_used():
-    model, graph = model_from_sources(
+    model = model_from_sources(
         "class B { int x; }",
         "class A { int x; B b; void f() { int t = b.x; } void g() { x = 1; } }",
     )
-    rec = measure_original(model, graph, "A")
+    rec = measure_original(model, "A")
     assert (rec.lcom1, rec.lcom2) == (1, 1)
 
 
@@ -171,9 +171,9 @@ def test_lcom_matches_brute_force_on_random_classes(seed):
 
 def test_pair_partition_bound_on_corpus():
     for name in CORPUS:
-        model, graph = load_model(name)
+        model = load_model(name)
         for class_name in model.order:
-            rec = measure_original(model, graph, class_name)
+            rec = measure_original(model, class_name)
             assert rec.lcom1 <= rec.nom * (rec.nom - 1) // 2
 
 
@@ -191,15 +191,15 @@ def test_sloc_counts_nonblank_canonical_lines():
 
 
 def test_sloc_identity_rich_box():
-    model, graph = load_model("identity_rich")
-    rec = measure_original(model, graph, "Box")
+    model = load_model("identity_rich")
+    rec = measure_original(model, "Box")
     assert rec.sloc == 15
 
 
 def test_cbo_counts_model_classes_only():
-    model, graph = load_model("receiver_access")
-    rec_a = measure_original(model, graph, "A")
-    rec_b = measure_original(model, graph, "B")
+    model = load_model("receiver_access")
+    rec_a = measure_original(model, "A")
+    rec_b = measure_original(model, "B")
     assert rec_a.cbo == 0
     assert rec_b.cbo == 1  # A via parameter, receiver, return, and new
 
@@ -212,35 +212,35 @@ def test_cbo_excludes_self_and_unmodeled_types():
 
 
 def test_cbo_field_and_param_types():
-    model, graph = model_from_sources(
+    model = model_from_sources(
         "class D {\n}\n", "class E { D d; void f(D x) { } }"
     )
-    assert measure_original(model, graph, "E").cbo == 1
+    assert measure_original(model, "E").cbo == 1
 
 
 def test_views_labelled():
-    model, graph, flattened = flatten_fixture("pull_visible_basic")
-    assert measure_original(model, graph, "B").view == ORIGINAL
+    model, flattened = flatten_fixture("pull_visible_basic")
+    assert measure_original(model, "B").view == ORIGINAL
     assert measure_flattened(model, flattened["B"]).view == FLATTENED
 
 
 def test_delta_example_one_attr_one_method():
-    model, graph, flattened = flatten_fixture("pull_visible_basic")
-    rows = {row.class_name: row for row in compare(model, graph, flattened)}
+    model, flattened = flatten_fixture("pull_visible_basic")
+    rows = {row.class_name: row for row in compare(model, flattened)}
     assert rows["B"].deltas["noa"] == 1
     assert rows["B"].deltas["nom"] == 1
 
 
 def test_deltas_zero_for_superclass_free():
-    model, graph, flattened = flatten_fixture("identity_rich")
-    (row,) = compare(model, graph, flattened)
+    model, flattened = flatten_fixture("identity_rich")
+    (row,) = compare(model, flattened)
     assert all(v == 0 for v in row.deltas.values())
 
 
 def test_monotonicity_on_corpus():
     for name in CORPUS:
-        model, graph, flattened = flatten_fixture(name)
-        for row in compare(model, graph, flattened):
+        model, flattened = flatten_fixture(name)
+        for row in compare(model, flattened):
             assert row.deltas["noa"] >= 0
             assert row.deltas["nom"] >= 0
             assert row.deltas["sloc"] >= 0
@@ -248,8 +248,8 @@ def test_monotonicity_on_corpus():
 
 def test_delta_equals_pull_count():
     for name in CORPUS:
-        model, graph, flattened = flatten_fixture(name)
-        for row in compare(model, graph, flattened):
+        model, flattened = flatten_fixture(name)
+        for row in compare(model, flattened):
             fates = Whole(flattened[row.class_name]).fates
             pulled_attrs = sum(1 for f in fates if f.member.kind == "attribute" and f.pulls)
             pulled_methods = sum(1 for f in fates if f.member.kind == "method" and f.pulls)
@@ -258,8 +258,8 @@ def test_delta_equals_pull_count():
 
 
 def test_rule_counts_in_compare():
-    model, graph, flattened = flatten_fixture("chain3")
-    rows = {row.class_name: row for row in compare(model, graph, flattened)}
+    model, flattened = flatten_fixture("chain3")
+    rows = {row.class_name: row for row in compare(model, flattened)}
     assert rows["c2"].rule_counts == {"R2": 1, "R5": 1}
     assert rows["c1"].rule_counts == {"R1": 1, "R2": 1, "R5": 2}
     assert rows["c3"].rule_counts == {}
@@ -267,7 +267,7 @@ def test_rule_counts_in_compare():
 
 def test_flattened_lcom_uses_renamed_attributes():
     # After renaming, getX uses x$A; B's own x is untouched by it.
-    model, graph, flattened = flatten_fixture("override_attr_rename_accessed")
+    model, flattened = flatten_fixture("override_attr_rename_accessed")
     rec = measure_flattened(model, flattened["B"])
     assert rec.noa == 2
     assert rec.nom == 1
@@ -275,11 +275,11 @@ def test_flattened_lcom_uses_renamed_attributes():
 
 
 def test_metrics_skip_synthetic_root():
-    model, graph = model_from_sources(
+    model = model_from_sources(
         "class A { int x; }", include_object_root=True
     )
-    flattened = flatten_model(model, graph)
-    rows = compare(model, graph, flattened)
+    flattened = flatten_model(model)
+    rows = compare(model, flattened)
     assert [row.class_name for row in rows] == ["A"]
 
 
@@ -293,10 +293,10 @@ def test_report_documents_match_schemas():
         render_metrics,
     )
 
-    model, graph, flattened = flatten_fixture("chain3")
-    records = [measure_original(model, graph, name) for name in model.order]
+    model, flattened = flatten_fixture("chain3")
+    records = [measure_original(model, name) for name in model.order]
     jsonschema.validate(metrics_document(records), load_schema("report_v1"))
-    rows = compare(model, graph, flattened)
+    rows = compare(model, flattened)
     jsonschema.validate(compare_document(rows), load_schema("compare_v1"))
     with pytest.raises(ValueError):
         render_metrics(records, "yaml")
@@ -308,9 +308,9 @@ def test_lcom_on_flattened_random_identity():
     # For superclass-free classes the two views must agree on every metric.
     rng = random.Random(99)
     source, _ = random_measured_class(rng, "Solo")
-    model, graph = model_from_sources(source)
-    flattened = flatten_model(model, graph)
-    original = measure_original(model, graph, "Solo")
+    model = model_from_sources(source)
+    flattened = flatten_model(model)
+    original = measure_original(model, "Solo")
     flat = measure_flattened(model, flattened["Solo"])
     assert original.as_dict() | {"view": FLATTENED} == flat.as_dict()
 
@@ -319,17 +319,17 @@ def test_sloc_counts_each_emitted_line_once():
     # A form feed or a line separator inside a string literal stays on the
     # literal's line: the class line, the field and the closing brace.
     source = 'class A { String s = "a\fb\u2028c"; }'
-    model, graph = model_from_sources(source, "class B extends A { }")
-    flattened = flatten_model(model, graph)
-    assert measure_original(model, graph, "A").sloc == 3
+    model = model_from_sources(source, "class B extends A { }")
+    flattened = flatten_model(model)
+    assert measure_original(model, "A").sloc == 3
     assert [measure_flattened(model, flattened[n]).sloc for n in "AB"] == [3, 3]
 
 
 def test_receiver_qualified_by_the_class_counts_only_in_its_view():
     # A's f reads o.x and y, and g reads x. In B's view, f's o.x reads A's x,
     # not B's, so f shares y with h only and nothing with g.
-    model, graph, flattened = flatten_fixture("receiver_own_class")
-    rows = {row.class_name: row for row in compare(model, graph, flattened)}
+    model, flattened = flatten_fixture("receiver_own_class")
+    rows = {row.class_name: row for row in compare(model, flattened)}
     assert (rows["A"].flattened.lcom1, rows["A"].flattened.lcom2) == (0, 0)
     assert (rows["B"].flattened.lcom1, rows["B"].flattened.lcom2) == (2, 1)
 
@@ -337,9 +337,8 @@ def test_receiver_qualified_by_the_class_counts_only_in_its_view():
 def test_uses_kept_on_a_resolution_name_no_class():
     # A body's resolution names no class, so the uses kept on it hold no
     # reference qualified by a class: o.x counts in A's view, not in B's.
-    model, graph = load_model("receiver_own_class")
-    f = next(i for i, d in enumerate(model.classes["A"].decl.members) if d.name == "f")
-    resolution = graph.resolutions["A"].members[f]
+    model = load_model("receiver_own_class")
+    resolution = next(m for m in model.classes["A"].members if m.name == "f").resolution
     assert sorted(metrics._uses(resolution, "A")) == ["x", "y"]
     assert metrics._uses(resolution, "B") == ("y",)
     assert sorted(metrics._uses(resolution, "A")) == ["x", "y"]
@@ -351,29 +350,29 @@ def _check_parts(sources: list[str]) -> None:
 
     def fresh():
         # Each run parses anew, so no member has its lines yet.
-        model, graph = model_from_sources(*sources)
+        model = model_from_sources(*sources)
         try:
-            return model, graph, flatten_model(model, graph)
+            return model, flatten_model(model)
         except FlatJavaError:
-            return model, graph, None
+            return model, None
 
-    model, graph, flattened = fresh()
+    model, flattened = fresh()
     if flattened is None:
         return
     names = [n for n in model.order if not model.classes[n].synthetic]
     records = [measure_flattened(model, flattened[n]) for n in names]
     for record in records:
         flat = Whole(flattened[record.class_name])
-        expected = from_scratch.measure(model, flat.name, FLATTENED, flat.decl, flat.resolution)
+        expected = from_scratch.measure(model, flat.name, FLATTENED, flat.decl, flat.members)
         assert record.as_dict() == expected.as_dict()
 
-    model, graph, flattened = fresh()
-    rows = compare(model, graph, flattened)
+    model, flattened = fresh()
+    rows = compare(model, flattened)
     for row in rows:
         name = row.class_name
         decl, flat = model.classes[name].decl, Whole(flattened[name])
-        original = from_scratch.measure(model, name, ORIGINAL, decl, graph.resolutions[name])
-        expected = from_scratch.measure(model, name, FLATTENED, flat.decl, flat.resolution)
+        original = from_scratch.measure(model, name, ORIGINAL, decl, model.classes[name].members)
+        expected = from_scratch.measure(model, name, FLATTENED, flat.decl, flat.members)
         assert row.original.as_dict() == original.as_dict()
         assert row.flattened.as_dict() == expected.as_dict()
     assert [row.class_name for row in rows] == names

@@ -25,19 +25,19 @@ from genclasses import random_overloading_hierarchy
 
 
 def test_single_class_model():
-    model, _ = model_from_sources("class A {\n}\n")
+    model = model_from_sources("class A {\n}\n")
     assert list(model.classes) == ["A"]
     assert model.classes["A"].superclass is None
     assert model.order == ["A"]
 
 
 def test_chain_topological_order():
-    model, _ = load_model("chain3")
+    model = load_model("chain3")
     assert model.order == ["c3", "c2", "c1"]
 
 
 def test_sibling_order_is_lexicographic():
-    model, _ = model_from_sources(
+    model = model_from_sources(
         "class B extends A {\n}\n", "class C extends A {\n}\n", "class A {\n}\n"
     )
     assert model.order == ["A", "B", "C"]
@@ -85,17 +85,17 @@ def test_duplicate_constructor_signature_rejected():
 
 
 def test_constructor_overloads_allowed():
-    model, _ = model_from_sources("class A { A() { } A(int a) { } }")
+    model = model_from_sources("class A { A() { } A(int a) { } }")
     assert len(model.classes["A"].ctors) == 2
 
 
 def test_overloads_within_one_class_allowed():
-    model, _ = model_from_sources("class A { void f(int a) { } void f(String b) { } }")
+    model = model_from_sources("class A { void f(int a) { } void f(String b) { } }")
     assert len(model.classes["A"].methods) == 2
 
 
 def test_visibility_classification():
-    model, _ = model_from_sources(
+    model = model_from_sources(
         "class A { private int w; int x; protected int y; public int z; }"
     )
     attrs = model.classes["A"].attributes
@@ -104,7 +104,7 @@ def test_visibility_classification():
 
 
 def test_attribute_override_ignores_types():
-    model, _ = model_from_sources(
+    model = model_from_sources(
         "class A { String x; }", "class B extends A { int x; }"
     )
     (rel,) = model.overrides
@@ -114,7 +114,7 @@ def test_attribute_override_ignores_types():
 
 
 def test_overload_is_not_override():
-    model, _ = model_from_sources(
+    model = model_from_sources(
         "class A { void f(String s) { } }", "class B extends A { void f(int a) { } }"
     )
     assert model.overrides == []
@@ -134,20 +134,20 @@ def test_signature_matching_exhaustive():
                 sub_name,
                 ", ".join(f"{t} p{i}" for i, t in enumerate(sub_params)),
             )
-            model, _ = model_from_sources(sup_src, sub_src)
+            model = model_from_sources(sup_src, sub_src)
             expected = sup_name == sub_name and sup_params == sub_params
             assert bool(model.overrides) == expected, (sup_src, sub_src)
 
 
 def test_override_relations_cover_transitive_superclasses():
-    model, _ = load_model("chain_override_twice")
+    model = load_model("chain_override_twice")
     pairs = {(rel.sub.owner, rel.sup.owner) for rel in model.overrides}
     assert pairs == {("c2", "c3"), ("c1", "c2"), ("c1", "c3")}
 
 
 def test_override_asymmetry_on_corpus():
     for name in CORPUS:
-        model, _ = load_model(name)
+        model = load_model(name)
         for rel in model.overrides:
             assert rel.sub.owner != rel.sup.owner
 
@@ -169,35 +169,35 @@ def test_legality_brute_force(sub_static, sup_static, sup_final):
     if sup_final:
         sup_src = sup_src.replace("int x;", "int x = 0;")
     sub_src = "class B extends A { %sint x; }" % ("static " if sub_static else "")
-    model, _ = model_from_sources(sup_src, sub_src)
+    model = model_from_sources(sup_src, sub_src)
     (rel,) = model.overrides
     assert rel.legality == expected
     assert override_legality(rel.sub, rel.sup) == expected
 
 
 def test_illegal_override_diagnostics():
-    model, _ = load_model("static_mismatch_illegal")
+    model = load_model("static_mismatch_illegal")
     assert any(d.code == ILLEGAL_OVERRIDE_STATIC for d in model.diagnostics)
-    model, _ = load_model("final_illegal_override")
+    model = load_model("final_illegal_override")
     assert any(d.code == ILLEGAL_OVERRIDE_FINAL for d in model.diagnostics)
 
 
 def test_package_divergence_diagnostic():
-    model, _ = load_model("package_divergence")
+    model = load_model("package_divergence")
     diags = [d for d in model.diagnostics if d.code == PACKAGE_VISIBILITY_DIVERGENCE]
     assert len(diags) == 1
     assert "shared" in diags[0].message
 
 
 def test_no_divergence_within_same_package():
-    model, _ = load_model("pull_package_protected")
+    model = load_model("pull_package_protected")
     assert not any(
         d.code == PACKAGE_VISIBILITY_DIVERGENCE for d in model.diagnostics
     )
 
 
 def test_include_object_root():
-    model, _ = model_from_sources(
+    model = model_from_sources(
         "class A {\n}\n", "class B extends A {\n}\n", include_object_root=True
     )
     assert OBJECT_ROOT in model.classes
@@ -236,7 +236,7 @@ def _ids(pairs) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("seed", range(60))
 def test_overloads_and_overrides_match_brute_force(seed):
-    model, _ = model_from_sources(*random_overloading_hierarchy(random.Random(seed)))
+    model = model_from_sources(*random_overloading_hierarchy(random.Random(seed)))
     overrides, _ = _brute_force_pairings(model)
     assert _ids((r.sub, r.sup) for r in model.overrides) == _ids(overrides)
 
@@ -245,7 +245,7 @@ def test_generated_hierarchies_include_overloads():
     with_overloads = sum(
         1 for seed in range(60)
         if _brute_force_pairings(
-            model_from_sources(*random_overloading_hierarchy(random.Random(seed)))[0]
+            model_from_sources(*random_overloading_hierarchy(random.Random(seed)))
         )[1]
     )
     assert with_overloads >= 30

@@ -28,9 +28,9 @@ def build_hierarchy(seed):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_generated_hierarchy_laws(seed):
-    model, graph = build_hierarchy(40_000 + seed)
+    model = build_hierarchy(40_000 + seed)
     inputs = [emit(model.classes[c].decl) for c in model.order]
-    flattened = flatten_model(model, graph)
+    flattened = flatten_model(model)
 
     # Flattening shares subtrees with its inputs but never mutates them.
     assert [emit(model.classes[c].decl) for c in model.order] == inputs
@@ -42,7 +42,7 @@ def test_generated_hierarchy_laws(seed):
         resolve_class(flat_model, flat_model.classes[class_name])
 
     # Monotonicity with exact pulled-member deltas.
-    for row in compare(model, graph, flattened):
+    for row in compare(model, flattened):
         fates = Whole(flattened[row.class_name]).fates
         pulled_attrs = sum(1 for f in fates if f.member.kind == "attribute" and f.pulls)
         pulled_methods = sum(1 for f in fates if f.member.kind == "method" and f.pulls)
@@ -59,12 +59,12 @@ def test_generated_hierarchy_laws(seed):
     # Idempotence of every flattened class.
     for class_name in model.order:
         emitted = emit(flattened[class_name])
-        remodel, regraph = model_from_sources(emitted)
-        reflat = flatten_model(remodel, regraph)[class_name]
+        remodel = model_from_sources(emitted)
+        reflat = flatten_model(remodel)[class_name]
         assert emit(reflat) == emitted
 
     # Determinism.
-    again = flatten_model(model, graph)
+    again = flatten_model(model)
     for class_name in model.order:
         assert emit(again[class_name]) == emit(flattened[class_name])
 
@@ -73,8 +73,8 @@ def test_generated_hierarchy_laws(seed):
 def test_generated_hierarchy_no_dangling_renames(seed):
     # Every rename recorded in the plan appears as a declared member, and no
     # flattened class declares duplicate names or signatures.
-    model, graph = build_hierarchy(40_000 + seed)
-    flattened = flatten_model(model, graph)
+    model = build_hierarchy(40_000 + seed)
+    flattened = flatten_model(model)
     for flat in map(Whole, flattened.values()):
         attr_names = [m.name for m in flat.members if m.kind == "attribute"]
         methods = [m for m in flat.members if m.kind == "method"]

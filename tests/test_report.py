@@ -54,8 +54,8 @@ def test_dump_json_rejects_other_types(value):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_plan_and_compare_documents_match_json_dumps(name):
-    model, graph, flattened = flatten_fixture(name)
-    for document in (plan_document(flattened), compare_document(compare(model, graph, flattened))):
+    model, flattened = flatten_fixture(name)
+    for document in (plan_document(flattened), compare_document(compare(model, flattened))):
         assert dump_json(document) == json.dumps(document, indent=2) + "\n"
 
 
@@ -69,14 +69,14 @@ def test_plan_json_of_no_classes():
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_plan_json_matches_json_dumps_on_fixtures(name):
-    assert_plan_matches(flatten_fixture(name)[2])
+    assert_plan_matches(flatten_fixture(name)[1])
 
 
 def test_plan_json_matches_json_dumps_on_generated_hierarchies():
     written = 0
     for seed in range(100):
         try:
-            flattened = flatten_model(*model_from_sources(*random_hierarchy_sources(random.Random(seed))))
+            flattened = flatten_model(model_from_sources(*random_hierarchy_sources(random.Random(seed))))
         except FlatJavaError:
             continue
         assert_plan_matches(flattened)
@@ -86,7 +86,7 @@ def test_plan_json_matches_json_dumps_on_generated_hierarchies():
 
 def test_plan_json_matches_json_dumps_on_decision_table():
     for config in CONFIGS:
-        flattened = flatten_model(*model_from_sources(*build_sources(*config)))
+        flattened = flatten_model(model_from_sources(*build_sources(*config)))
         assert any(not Whole(f).fates for f in flattened.values())  # the root
         assert_plan_matches(flattened)
 
@@ -104,14 +104,14 @@ def test_plan_json_matches_json_dumps_on_a_deep_chain():
             f"class C{i} extends C{i - 1} {{ private int a = {i}; public int v = {i}; "
             f"public int f() {{ return a + v + super.f(); }} }}"
         )
-    flattened = flatten_model(*model_from_sources(*sources))
+    flattened = flatten_model(model_from_sources(*sources))
     assert {f.rule for f in Whole(flattened["C11"]).fates} == {"R1", "R2", "R4a", "R5", "R6", "R7"}
     assert_plan_matches(flattened)
     assert_plan_matches(flattened)  # again, from what the first plan left behind
 
 
 def _flat_class(name, fates, rewrites) -> FlattenedClass:
-    return FlattenedClass(name, None, "package", [], [], fates, rewrites)
+    return FlattenedClass(name, None, "package", [], fates, rewrites)
 
 
 @settings(max_examples=100)

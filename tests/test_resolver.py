@@ -7,7 +7,7 @@ import pytest
 from flatjava import AmbiguousCall, UnresolvedName
 from flatjava.resolver import INIT_FIELDS
 
-from conftest import CORPUS, load_model, model_from_sources
+from conftest import CORPUS, graph_from_sources, load_graph, model_from_sources
 from expected_edges import EXPECTED_EDGES
 
 
@@ -18,25 +18,25 @@ def edges_of(graph, class_name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_edge_sets_match_hand_committed_expectations(name):
     assert name in EXPECTED_EDGES, f"no committed edges for fixture {name}"
-    _, graph = load_model(name)
+    _, graph = load_graph(name)
     for class_name, expected in EXPECTED_EDGES[name].items():
         assert edges_of(graph, class_name) == sorted(expected), class_name
 
 
 def test_local_shadows_field():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { public int x; void g() { int x; x = 2; } }"
     )
     assert graph.edges_from("A") == []
 
 
 def test_param_shadows_field():
-    _, graph = model_from_sources("class A { int x; void g(int x) { x = 2; } }")
+    _, graph = graph_from_sources("class A { int x; void g(int x) { x = 2; } }")
     assert graph.edges_from("A") == []
 
 
 def test_block_scope_ends():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { int x; void g(boolean c) { if (c) { int x; x = 1; } x = 2; } }"
     )
     keys = [e.key() for e in graph.edges_from("A")]
@@ -67,7 +67,7 @@ def test_super_skips_private_members():
 
 
 def test_super_resolves_to_nearest_visible():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class C { public int x; }",
         "class A extends C { public int x; }",
         "class B extends A { void f() { super.x = 1; } }",
@@ -77,7 +77,7 @@ def test_super_resolves_to_nearest_visible():
 
 
 def test_inherited_bare_access_nearest_wins():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class C { public int x; }",
         "class A extends C { public int x; }",
         "class B extends A { void f() { x = 1; } }",
@@ -95,13 +95,13 @@ def test_private_receiver_access_rejected_across_classes():
 
 
 def test_private_receiver_access_allowed_same_class():
-    _, graph = model_from_sources("class A { private int x; void f(A other) { other.x = 1; } }")
+    _, graph = graph_from_sources("class A { private int x; void f(A other) { other.x = 1; } }")
     keys = [e.key() for e in graph.edges_from("A")]
     assert keys == [("A", "f(A)", "write", "A", "x", "receiver")]
 
 
 def test_static_access_via_subclass_name_walks_chain():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { static int count; }",
         "class B extends A { void f() { B.count = 1; } }",
     )
@@ -115,7 +115,7 @@ def test_instance_member_via_class_name_rejected():
 
 
 def test_receiver_chain_typing():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class B2 { public int end; }",
         "class A2 { public B2 link; }",
         "class C2 { void m(A2 a) { int k = a.link.end; } }",
@@ -128,12 +128,12 @@ def test_receiver_chain_typing():
 
 
 def test_external_receiver_type_is_silent():
-    _, graph = model_from_sources('class A { void f(String s) { s.length(); } }')
+    _, graph = graph_from_sources('class A { void f(String s) { s.length(); } }')
     assert graph.edges_from("A") == []
 
 
 def test_overload_picked_by_exact_type():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { void f(int a) { } void f(String s) { } void g() { f(1); f(\"x\"); } }"
     )
     calls = sorted(e.to_member for e in graph.edges_from("A") if e.kind == "call")
@@ -141,7 +141,7 @@ def test_overload_picked_by_exact_type():
 
 
 def test_null_matches_reference_overload():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { void f(int a) { } void f(String s) { } void g() { f(null); } }"
     )
     calls = [e.to_member for e in graph.edges_from("A") if e.kind == "call"]
@@ -162,7 +162,7 @@ def test_ambiguous_call_with_unknown_arg_type():
 
 
 def test_overload_across_chain_merges_candidates():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { void f(String s) { } }",
         "class B extends A { void f(int a) { } void g() { f(\"x\"); } }",
     )
@@ -171,7 +171,7 @@ def test_overload_across_chain_merges_candidates():
 
 
 def test_new_with_declared_ctor_produces_call_edge():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { A(int v) { } }",
         "class B { void f() { A a = new A(3); } }",
     )
@@ -185,7 +185,7 @@ def test_new_arity_mismatch_rejected():
 
 
 def test_new_overload_ranked_by_exact_type():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { A(int v) { } A(String s) { } }",
         "class B { void f() { A a = new A(\"x\"); } }",
     )
@@ -202,13 +202,13 @@ def test_new_ambiguous_with_unknown_arg():
 
 
 def test_new_external_type_allowed():
-    model, graph = model_from_sources("class B { void f() { Object o = new Object(); } }")
+    model, graph = graph_from_sources("class B { void f() { Object o = new Object(); } }")
     assert graph.edges_from("B") == []
-    assert "Object" in graph.resolutions["B"].new_types
+    assert "Object" in model.classes["B"].members[0].resolution.new_types
 
 
 def test_field_initializers_attributed_to_pseudo_method():
-    _, graph = model_from_sources("class A { private int x = 3; public int y = x + 1; }")
+    _, graph = graph_from_sources("class A { private int x = 3; public int y = x + 1; }")
     (edge,) = graph.edges_from("A")
     assert edge.from_member == INIT_FIELDS
     assert edge.initializer_of == "y"
@@ -216,13 +216,13 @@ def test_field_initializers_attributed_to_pseudo_method():
 
 
 def test_this_in_field_initializer():
-    _, graph = model_from_sources("class A { int x; int y = this.x; }")
+    _, graph = graph_from_sources("class A { int x; int y = this.x; }")
     (edge,) = graph.edges_from("A")
     assert edge.key() == ("A", INIT_FIELDS, "read", "A", "x", "this")
 
 
 def test_access_graph_query_helpers():
-    _, graph = model_from_sources(
+    _, graph = graph_from_sources(
         "class A { int x; void f() { x = 1; } void g() { x = 2; } }"
     )
     writes = [e for e in graph.edges_from("A") if e.kind == "write" and e.to_member == "x"]
@@ -256,7 +256,7 @@ def test_edge_spans_slice_the_accessed_name():
 
 def test_edges_resolve_to_existing_members_on_corpus():
     for name in CORPUS:
-        model, graph = load_model(name)
+        model, graph = load_graph(name)
         for edge in graph.edges:
             target = model.classes[edge.to_class]
             assert (

@@ -214,10 +214,10 @@ def test_lookup_error_text(case):
 
 
 def test_unmodeled_class_and_array_receivers_stay_external():
-    _, graph = model_from_sources(
+    model = model_from_sources(
         "class A { int[] a; String s; int g() { return a.length + s.length(); } }"
     )
-    (g,) = [r for r in graph.resolutions["A"].members if r.sites]
+    (g,) = [m.resolution for m in model.classes["A"].members if m.resolution.sites]
     assert [(s.kind, s.to_member, s.basis) for s in g.sites.values()] == [
         ("read", "a", "bare"), ("read", "s", "bare"),
     ]
@@ -225,7 +225,7 @@ def test_unmodeled_class_and_array_receivers_stay_external():
 
 
 def test_receiver_bookkeeping():
-    _, graph = model_from_sources(
+    model = model_from_sources(
         "class C { public static int s; public int v; "
         "public static int h() { return 1; } public int k() { return 2; } }",
         "class A extends C { private static int p() { return 3; } C c; "
@@ -233,8 +233,7 @@ def test_receiver_bookkeeping():
         "int f() { return C.s + A.s + c.v + c.k() + C.h() + A.p() + super.v + super.k() "
         "+ this.v + self().v + p() + this.k(); } }",
     )
-    resolution = graph.resolutions["A"]
-    body = {d.name: r for d, r in zip(resolution.decls, resolution.members)}
+    body = {m.name: m.resolution for m in model.classes["A"].members}
     assert body["self"].uses_this and not body["self"].sites
     f = body["f"]
     assert not f.uses_this

@@ -55,8 +55,8 @@ def check_sources(sources: list[str]) -> None:
     for source in sources:
         assert assert_nested(parse_source(source)) > 1
     try:
-        model, graph = model_from_sources(*sources)
-        flattened = flatten_model(model, graph)
+        model = model_from_sources(*sources)
+        flattened = flatten_model(model)
     except FlatJavaError:
         return
     for flat in flattened.values():
