@@ -8,11 +8,15 @@ worked out only when an error is rendered (`spans.line_column`).
 
 One compiled pattern, `_SCAN`, does the scanning. Each match is one token:
 the run of whitespace, ``//`` comments and closed ``/* */`` comments before
-it (the trivia group), then the token in the group of its kind, or the end
-of input. The trivia run is never cut short, so consecutive matches tile the
-source. A character that starts no token fills the catch-all group with the
-rest of the source, so it ends the scan as the first error. Only then does
-the lexer work out which one to raise: an unterminated block comment, an
+it, which no group captures, then the one group, which holds the token, the
+end of input, or the catch-all. The trivia run is never cut short, so
+consecutive matches tile the source. A token's kind is read from its lexeme:
+one table holds every keyword, word literal, punctuation mark and operator,
+and any other lexeme is a literal if it starts with a digit or a quote and
+an identifier otherwise. A character that starts no token fills the
+catch-all with the rest of the source, so it ends the scan as the first
+error, and only the match before the end of input can be it. Only then does
+the lexer work out which error to raise: an unterminated block comment, an
 unterminated string literal, or an illegal character.
 """
 
@@ -43,32 +47,30 @@ OPERATOR = "operator"
 PUNCT = "punctuation"
 EOI = "eoi"
 
-# The trivia before a token (group 1), then one group per token kind (a word
-# is a keyword, a word literal or an identifier), then the catch-all group,
-# which takes a character that starts no token and the rest of the source
-# with it, then the end of the source. Numbers are ASCII digits with an
-# optional fraction and exponent; `L` marks only an integer, `D` any number.
-# Some alternative matches at every position, so the trivia run is never cut
-# short and consecutive matches tile the source.
+# The tokens: a word (a keyword, a word literal or an identifier), a number
+# or string literal, punctuation, or an operator. Numbers are ASCII digits
+# with an optional fraction and exponent; `L` marks only an integer, `D` any
+# number. `_SCAN` puts the trivia run before them, and the catch-all and the
+# end of the source after them, so some alternative matches at every position.
+_TOKEN = r"""
+    [A-Za-z_$][A-Za-z0-9_$]*
+  | [0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?[dD]?|[eE][+-]?[0-9]+[dD]?|[lLdD]?)
+  | "(?:[^"\\\n]|\\.)*"
+  | [{}();,.\[\]]
+  | &&|\|\||[=!<>]=|[=+\-*%<>!&|]|/(?!\*)
+"""
 _SCAN = re.compile(
-    r"""
-    ((?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*)
-    (?:
-        ([A-Za-z_$][A-Za-z0-9_$]*)
-      | ([0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?[dD]?|[eE][+-]?[0-9]+[dD]?|[lLdD]?)
-        | "(?:[^"\\\n]|\\.)*")
-      | ([{}();,.\[\]])
-      | (&&|\|\||[=!<>]=|[=+\-*%<>!&|]|/(?!\*))
-      | ((?s:.+))
-      | (\Z)
-    )
-    """,
+    r"[ \t\r\n]*(?:(?://[^\n]*|/\*(?s:.*?)\*/)[ \t\r\n]*)*(" + _TOKEN + r"|(?s:.+)|\Z)",
     re.VERBOSE,
 )
-# The kind of each group; a word's kind is looked up in `_WORD_KINDS`.
-_WORD, _BAD = 2, 6
-_GROUP_KINDS = (None, None, IDENTIFIER, LITERAL, PUNCT, OPERATOR, None, EOI)
-_WORD_KINDS = dict.fromkeys(KEYWORDS, KEYWORD) | dict.fromkeys(WORD_LITERALS, LITERAL)
+# The kind of every lexeme that is not a number, a string or an identifier.
+_KINDS = (
+    dict.fromkeys(KEYWORDS, KEYWORD) | dict.fromkeys(WORD_LITERALS, LITERAL)
+    | dict.fromkeys("{}();,.[]", PUNCT) | {"": EOI}
+    | dict.fromkeys("&& || == != <= >= = + - * / % < > ! & |".split(), OPERATOR)
+)
+# The kind of any other lexeme, by its first character.
+_FIRST_KINDS = dict.fromkeys('0123456789"', LITERAL)
 
 
 class Tokens:
@@ -89,21 +91,22 @@ class Tokens:
 def tokenize(source: str) -> Tokens:
     """Tokenize `source`, ending with a synthetic end-of-input token."""
     matches = list(_SCAN.finditer(source))
-    # The last match is the end of input. The one before it may be the first
-    # error, which took the rest of the source, or the end of input already,
-    # after trailing trivia, which the last match then repeats.
-    if len(matches) > 1 and (group := matches[-2].lastindex) >= _BAD:
-        if group == _BAD:
-            raise _error(source, matches[-2].start(_BAD))
-        matches.pop()
-    groups = [m.lastindex for m in matches]
-    lexemes = [m[g] for m, g in zip(matches, groups)]
-    word_kinds, group_kinds = _WORD_KINDS, _GROUP_KINDS
+    lexemes = [m[1] for m in matches]
+    starts = [m.start(1) for m in matches]
+    # The last match is the end of input. The one before it may be the end of
+    # input already, after trailing trivia, which the last match then repeats,
+    # or the last token, or the first error, which took the rest of the source.
+    # `re` compiles `_TOKEN` alone on first use, so that the import does not.
+    if len(lexemes) > 1 and not lexemes[-2]:
+        lexemes.pop()
+        starts.pop()
+    elif len(lexemes) > 1 and not re.fullmatch(_TOKEN, lexemes[-2], re.VERBOSE):
+        raise _error(source, starts[-2])
+    kinds, first_kinds = _KINDS, _FIRST_KINDS
     return Tokens(
-        [word_kinds.get(lexeme, IDENTIFIER) if g == _WORD else group_kinds[g]
-         for g, lexeme in zip(groups, lexemes)],
+        [kinds.get(lexeme) or first_kinds.get(lexeme[0], IDENTIFIER) for lexeme in lexemes],
         lexemes,
-        [m.start(g) for m, g in zip(matches, groups)],
+        starts,
     )
 
 

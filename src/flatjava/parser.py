@@ -21,10 +21,11 @@ goes past the limit. A level costs the parser at most three Python frames
 or `new`), two for a parenthesis, block or statement, and none for a prefix
 operator, a member access or an operator chaining to the left, which are
 loops. Later walkers of the tree take more: up to four frames a level in the
-resolver and in the flattener's body rewrite (nested blocks), and three in
-the rewrite of renamed call arguments and in the emitter (`stmt`, `if_stmt`
-and `nested` for an `if`; two for a `while` or a block). That is about 600
-frames at the limit, inside Python's default recursion limit of 1000.
+flattener's body rewrite (nested blocks), and three in the resolver (call
+arguments, receivers), the rewrite of renamed call arguments and the emitter
+(`stmt`, `if_stmt` and `nested` for an `if`; two for a `while` or a block).
+That is about 600 frames at the limit, inside Python's default recursion
+limit of 1000.
 """
 
 from __future__ import annotations

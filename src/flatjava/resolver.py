@@ -9,6 +9,9 @@ Overload resolution is exact-match: filter by arity, then require parameter
 type names to equal the computed argument type names. A lone arity match
 wins without type checks; anything else unresolvable is an error.
 
+A body is resolved by a walk that only reads it (`_Walker`): it builds no
+node, and only the flattener's rewrite copies a body.
+
 Each body resolves to a `MemberResolution` whose sites are relative to the
 class that holds the body: a bare or `this.` reference to that class's own
 member names no class, and no site names the member it comes from. So a
@@ -185,18 +188,30 @@ def resolve_member(
     return _Walker(model, cls).resolve(member, written_in)
 
 
-class _Walker(tree.BodyWalker):
+class _Walker:
+    """A walk of one class's bodies that only reads them and records each
+    reference. Each block, and each branch or loop body even without braces,
+    opens a scope of locals; a local enters its scope after its initializer.
+    """
+
     def __init__(self, model: ClassModel, cls: ClassInfo):
-        super().__init__()
         self.model = model
         self.cls = cls
         self.written_in = cls  # the class whose file holds the body, for errors
         self.res = MemberResolution()
+        self.scopes: list[dict[str, str]] = []  # the parameters, then each scope of locals
 
     def resolve(self, member: MemberInfo, written_in: ClassInfo) -> MemberResolution:
         self.res = MemberResolution()
         self.written_in = written_in
-        self.member(member.decl)
+        decl = member.decl
+        if isinstance(decl, tree.FieldDecl):
+            self.scopes = [{}]
+            if decl.init is not None:
+                self.type_of(decl.init)
+        else:
+            self.scopes = [{p.name: p.decl_type.text() for p in decl.params}]
+            self.stmt(decl.body)
         return self.res
 
     def fail(self, message: str, span: Span) -> UnresolvedName:
@@ -208,24 +223,47 @@ class _Walker(tree.BodyWalker):
             Site, (kind, None if local else target.owner, target.signature, basis, span)
         )
 
-    # -- walker hooks -----------------------------------------------------
+    def local_type(self, name: str) -> str | None:
+        for frame in reversed(self.scopes):
+            if name in frame:
+                return frame[name]
+        return None
 
-    def expr(self, e: tree.Expr) -> tree.Expr:
-        self.type_of(e)
-        return e
+    # -- statements -------------------------------------------------------
 
-    def target(self, target: tree.Expr) -> tree.Expr:
-        if isinstance(target, tree.Name):
-            if self.local_type(target.ident) is None:  # a local write makes no edge
-                found = self.lookup_attribute(target.ident)
-                if found is None:
-                    raise self.fail(f"cannot resolve name {target.ident!r}", target.span)
-                self.edge(WRITE, found, BASIS_BARE, target.span, target)
-        elif isinstance(target, tree.FieldAccess):
-            self.field_access(target, kind=WRITE)
-        else:  # pragma: no cover - parser rejects other targets
-            raise TypeError("invalid assignment target")
-        return target
+    def stmt(self, stmt: tree.Stmt) -> None:
+        if isinstance(stmt, tree.ExprStmt):
+            self.type_of(stmt.expr)
+        elif isinstance(stmt, tree.LocalDecl):
+            if stmt.init is not None:
+                self.type_of(stmt.init)
+            self.scopes[-1][stmt.name] = stmt.decl_type.text()
+        elif isinstance(stmt, tree.Assign):  # the value first, then the target
+            self.type_of(stmt.value)
+            write = self.name_type if isinstance(stmt.target, tree.Name) else self.field_access
+            write(stmt.target, WRITE)
+        elif isinstance(stmt, tree.Return):
+            if stmt.value is not None:
+                self.type_of(stmt.value)
+        elif isinstance(stmt, tree.Block):
+            self.scopes.append({})
+            for statement in stmt.statements:
+                self.stmt(statement)
+            self.scopes.pop()
+        elif isinstance(stmt, tree.If):
+            self.type_of(stmt.cond)
+            self.nested(stmt.then_branch)
+            if stmt.else_branch is not None:
+                self.nested(stmt.else_branch)
+        else:  # a While: the parser makes no other statement
+            self.type_of(stmt.cond)
+            self.nested(stmt.body)
+
+    def nested(self, stmt: tree.Stmt) -> None:
+        """A branch or loop body, which scopes its locals even without braces."""
+        self.scopes.append({})
+        self.stmt(stmt)
+        self.scopes.pop()
 
     # -- expressions ------------------------------------------------------
 
@@ -233,14 +271,14 @@ class _Walker(tree.BodyWalker):
         """Walk an expression, record edges, and return its static type name."""
         return self.types_by_node[type(e)](self, e)
 
-    def name_type(self, e: tree.Name) -> str | None:
+    def name_type(self, e: tree.Name, kind: str = READ) -> str | None:
         local = self.local_type(e.ident)
-        if local is not None:
+        if local is not None:  # a local makes no edge
             return local
         found = self.lookup_attribute(e.ident)
         if found is None:
             raise self.fail(f"cannot resolve name {e.ident!r}", e.span)
-        self.edge(READ, found, BASIS_BARE, e.span, e)
+        self.edge(kind, found, BASIS_BARE, e.span, e)
         return found.decl.decl_type.text()
 
     def this_type(self, e: tree.This) -> str:

@@ -1,4 +1,4 @@
-"""AST node types for the Java subset, and the one traversal of member bodies.
+"""AST node types for the Java subset, and the traversal that rewrites member bodies.
 
 Nodes are plain classes. Each one's fields are the parameters of its
 `__init__`, in order, and are listed in its `__match_args__`, which drives
@@ -11,8 +11,9 @@ span holds an offset are the path from a body's root to the reference there,
 which is all that a rewrite of that reference descends into.
 
 The AST is never mutated after parsing, except that a member declaration
-keeps the emitter's lines for it and the number of lines. A rewrite builds
-new nodes only along a changed path and shares every untouched subtree, so a
+keeps the emitter's lines for it and the number of lines. The resolver only
+reads bodies, by a walk of its own. A rewrite (`BodyWalker`) builds new
+nodes only along a changed path and shares every untouched subtree, so a
 flattened class shares its unchanged bodies with its superclass's flattened
 view and with the classes as written, and each distinct member is emitted
 and counted once.
@@ -339,21 +340,15 @@ def map_children(e: Expr, fn) -> Expr:
 class BodyWalker:
     """Scope-tracking, copy-on-write traversal of field initializers and bodies.
 
-    Subclasses supply `expr`, and may override `target` for assignment
-    targets; each returns the expression it was given or a replacement. A
-    statement, block or member comes back as the same object unless
-    something below it was replaced. `local_type` looks a name up among the
-    enclosing parameters and locals, innermost scope first.
+    Subclasses supply `expr`, which returns the expression it was given, an
+    assignment target included, or a replacement. A statement, block or
+    member comes back as the same object unless something below it was
+    replaced. `local_type` looks a name up among the enclosing parameters
+    and locals, innermost scope first.
     """
 
     def __init__(self):
         self.scopes: list[dict[str, str]] = []
-
-    def expr(self, e: Expr) -> Expr:  # pragma: no cover - supplied by subclasses
-        raise NotImplementedError
-
-    def target(self, e: Expr) -> Expr:
-        return self.expr(e)
 
     def local_type(self, name: str) -> str | None:
         for frame in reversed(self.scopes):
@@ -382,7 +377,7 @@ class BodyWalker:
         if isinstance(stmt, ExprStmt):
             return rebuilt(stmt, expr=self.expr(stmt.expr))
         if isinstance(stmt, Assign):
-            return rebuilt(stmt, value=self.expr(stmt.value), target=self.target(stmt.target))
+            return rebuilt(stmt, value=self.expr(stmt.value), target=self.expr(stmt.target))
         if isinstance(stmt, If):
             cond = self.expr(stmt.cond)
             then_branch = self.nested(stmt.then_branch)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from flatjava import FlatJavaError, LexError, Span, tokenize
 from flatjava.lexer import (
-    _SCAN,
     EOI,
     IDENTIFIER,
     KEYWORD,
@@ -70,9 +69,9 @@ def test_string_literal_with_escapes():
 
 
 def _trivia(text: str) -> bool:
-    """Whether all of `text` is trivia under the scanner's trivia group."""
-    match = _SCAN.fullmatch(text)
-    return match is not None and match[1] == text
+    """Whether all of `text` is trivia: whitespace, `//` comments and closed
+    `/* */` comments, as the reference lexer reads them."""
+    return reference_lexer._TRIVIA.fullmatch(text) is not None
 
 
 def _assert_stream_invariants(source, tokens):
@@ -252,8 +251,21 @@ _JAVA_PIECES = [
 @example('a = "no end\nb')
 @example("int x; // trailing\n\t ")
 def test_lexer_agrees_with_reference(source):
-    # (kind, lexeme, start, end) of each token, or the error's message,
-    # offsets and rendered position.
+    _assert_agrees_with_reference(source)
+
+
+# The source's end decides these: the last token ends it, or is the first
+# error, or only trivia precedes it.
+@pytest.mark.parametrize("source", [
+    's = "ab"', "x", "1L", ")", "/", "a = b /", '"ab', "/* ab", "x #", "// c", " \n",
+])
+def test_lexer_agrees_with_reference_at_the_end_of_the_source(source):
+    _assert_agrees_with_reference(source)
+
+
+def _assert_agrees_with_reference(source):
+    """The same (kind, lexeme, start, end) of each token as the reference
+    lexer, or the same error's message, offsets and rendered position."""
     try:
         tokens = tokenize(source)
         ours = [(kind, lexeme, start, start + len(lexeme))

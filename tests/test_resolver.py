@@ -2,13 +2,31 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from flatjava import AmbiguousCall, UnresolvedName
+from flatjava import (
+    AmbiguousCall,
+    UnresolvedName,
+    build_model,
+    classify_members,
+    flattener,
+    parse_source,
+    resolver,
+    tree,
+)
+from flatjava.parser import MAX_NESTING
 from flatjava.resolver import INIT_FIELDS
 
 from conftest import CORPUS, graph_from_sources, load_graph, model_from_sources
 from expected_edges import EXPECTED_EDGES
+from test_cli import NESTED
+from test_flattener import _call_from_depth
+
+BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
 
 def edges_of(graph, class_name):
@@ -264,3 +282,70 @@ def test_edges_resolve_to_existing_members_on_corpus():
                 or edge.to_member in target.methods
                 or any(c.signature == edge.to_member for c in target.ctors)
             )
+
+
+def _count_copies(monkeypatch) -> Counter:
+    """Count, by name, the calls to `tree`'s copying helpers made while a
+    class or a member is resolved, and under "resolves" the resolutions."""
+    counts, resolving = Counter(), []
+
+    def copying(name, helper):
+        def counted(*args, **kwargs):
+            counts[name] += bool(resolving)
+            return helper(*args, **kwargs)
+        return counted
+
+    def entry(resolve):
+        def resolved(*args):
+            counts["resolves"] += 1
+            resolving.append(resolve)
+            try:
+                return resolve(*args)
+            finally:
+                resolving.pop()
+        return resolved
+
+    for name in ("rebuilt", "mapped", "replace", "map_children"):
+        monkeypatch.setattr(tree, name, copying(name, getattr(tree, name)))
+    for module in (resolver, flattener):
+        for name in ("resolve_class", "resolve_member"):
+            monkeypatch.setattr(module, name, entry(getattr(module, name)))
+    return counts
+
+
+def _assert_resolving_copies_nothing(monkeypatch, resolve) -> None:
+    counts = _count_copies(monkeypatch)
+    flattener.flatten_model(resolve())
+    assert counts.pop("resolves") > 0
+    assert +counts == Counter()
+
+
+# `overload_rebound` and `based_views` resolve members again in a flattened
+# class (`flattener._resolve_changed`), through `resolve_member`.
+@pytest.mark.parametrize("name", CORPUS)
+def test_resolving_copies_nothing_on_fixtures(name, monkeypatch):
+    _assert_resolving_copies_nothing(monkeypatch, lambda: load_graph(name)[0])
+
+
+def test_resolving_copies_nothing_on_a_wide_fan(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import workloads
+
+    sources = workloads.build("wide_fan", 11).sources.values()
+    _assert_resolving_copies_nothing(monkeypatch, lambda: model_from_sources(*sources))
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_resolving_at_the_nesting_limit_from_deep_in_the_stack(shape):
+    # The resolver spends at most 3 frames per level of nesting, so the
+    # deepest body the parser accepts resolves under Python's default
+    # recursion limit with 400 frames of callers.
+    sources = {"A.java": NESTED[shape][1](MAX_NESTING), "B.java": "class B extends A { }"}
+    model = classify_members(build_model([parse_source(t, p) for p, t in sources.items()]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        graph = _call_from_depth(400, lambda: resolver.compute_access_graph(model))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert graph.edges == resolver.compute_access_graph(model).edges
